@@ -271,6 +271,7 @@ struct StormRun
     std::string statsBytes;
     uint64_t fusedHops = 0;
     uint64_t dispatched = 0;
+    uint64_t scheduledSeq = 0;
     double wall = 0.0; ///< best-of-reps
 };
 
@@ -296,6 +297,7 @@ runStorm(const core::SystemConfig &config,
             run.statsBytes = stats.str();
             run.fusedHops = system.eventQueue().fusedHops();
             run.dispatched = system.eventQueue().executed();
+            run.scheduledSeq = system.eventQueue().scheduledSeq();
             run.wall = wall;
         } else {
             HYPERSIO_ASSERT(results == run.results &&
@@ -415,8 +417,16 @@ main(int argc, char **argv)
             HYPERSIO_ASSERT(perhop.fusedHops == 0,
                             "per-hop leg fused %llu hops",
                             (unsigned long long)perhop.fusedHops);
-            HYPERSIO_ASSERT(perhop.dispatched ==
-                                fused.dispatched + fused.fusedHops,
+            HYPERSIO_ASSERT(perhop.scheduledSeq == fused.scheduledSeq,
+                            "seq ledger mismatch: %llu != %llu",
+                            (unsigned long long)perhop.scheduledSeq,
+                            (unsigned long long)fused.scheduledSeq);
+            // With PTB drops the legs fast-forward refused arrival
+            // slots over different spans (DESIGN.md §15), so the
+            // dispatch ledger closes exactly only on drop-free runs.
+            HYPERSIO_ASSERT(fused.results.packetsDropped != 0 ||
+                                perhop.dispatched ==
+                                    fused.dispatched + fused.fusedHops,
                             "event ledger mismatch: %llu != "
                             "%llu + %llu",
                             (unsigned long long)perhop.dispatched,

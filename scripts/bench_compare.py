@@ -3,8 +3,8 @@
 
 Usage:
     scripts/bench_compare.py BASELINE.json CURRENT.json
-        [--tol-throughput FRAC] [--tol-rate ABS] [--verbose]
-        [--only-label LABEL]
+        [--tol-throughput FRAC] [--tol-rate ABS] [--exact]
+        [--verbose] [--only-label LABEL]
 
 Both files come from a bench binary's `--json <file>` flag
 (schema "hypersio-bench-1") or from `hypersio_sim --json`
@@ -21,6 +21,13 @@ plus every entry of the report's "scalars" block (relative drift,
 throughput tolerance). Missing or extra points, and config
 mismatches in scale/seed/max_tenants, fail the comparison outright —
 the two runs measured different experiments.
+
+--exact requires equality instead: every field of every point's
+results (packets_dropped, elapsed_ticks, walks, ... — not just the
+gated four), every leaf of every point's stat tree, and every scalar
+must be identical, and a field or leaf present in only one report
+fails. The tolerances are then ignored. Use it for reports whose
+values are all deterministic simulator outputs.
 
 --only-label LABEL restricts the comparison to one config key of a
 multi-config report: only points whose label matches (and scalars
@@ -72,21 +79,50 @@ def rel_drift(base, cur):
 
 
 def normalize(doc):
-    """Returns (config, {key: results}, {name: scalar})."""
+    """Returns (config, {key: point}, {name: scalar}).
+
+    A point is a dict with "results" and, when the report carries
+    one, "stats" (the stat tree).
+    """
     schema = doc.get("schema", "")
     if schema == "hypersio-sim-1":
         key = ("sim", doc.get("config", {}).get("benchmark"),
                doc.get("config", {}).get("tenants"),
                doc.get("config", {}).get("interleave"))
-        return doc.get("config", {}), {key: doc.get("results", {})}, {}
+        return doc.get("config", {}), {key: doc}, {}
     if schema != "hypersio-bench-1":
         print(f"bench_compare: unknown schema '{schema}'",
               file=sys.stderr)
         sys.exit(2)
     points = {}
     for point in doc.get("points", []):
-        points[point_key(point)] = point.get("results", {})
+        points[point_key(point)] = point
     return doc.get("config", {}), points, doc.get("scalars", {})
+
+
+def stat_leaves(group, prefix=""):
+    """Flattens a stat tree to {"group.path.stat:field": value}."""
+    path = prefix + group.get("name", "")
+    leaves = {}
+    for stat in group.get("stats", []):
+        for field, value in stat.items():
+            if field != "name":
+                leaves[f"{path}.{stat.get('name')}:{field}"] = value
+    for child in group.get("children", []):
+        leaves.update(stat_leaves(child, path + "."))
+    return leaves
+
+
+def exact_mismatches(what, base, cur):
+    """Lines naming every key of two flat dicts that is not equal."""
+    lines = []
+    for name in sorted(set(base) | set(cur)):
+        if name not in base or name not in cur:
+            lines.append(f"{what} '{name}' present in only one report")
+        elif base[name] != cur[name]:
+            lines.append(f"{what} '{name}': {base[name]!r} -> "
+                         f"{cur[name]!r}")
+    return lines
 
 
 def scalar_matches_label(name, label):
@@ -122,6 +158,10 @@ def main():
     parser.add_argument("--tol-rate", type=float, default=0.02,
                         help="absolute hit-rate tolerance in rate "
                              "points (default 0.02)")
+    parser.add_argument("--exact", action="store_true",
+                        help="require every result field, stat-tree "
+                             "leaf and scalar to be identical "
+                             "(tolerances ignored)")
     parser.add_argument("--verbose", action="store_true",
                         help="print every comparison, not just "
                              "failures")
@@ -146,6 +186,10 @@ def main():
                   f"report", file=sys.stderr)
             sys.exit(2)
 
+    if args.exact:
+        args.tol_throughput = 0.0
+        args.tol_rate = 0.0
+
     failures = []
     checked = 0
 
@@ -163,7 +207,19 @@ def main():
         failures.append(f"unexpected point in current: {key}")
 
     for key in sorted(set(base_points) & set(cur_points)):
-        base_r, cur_r = base_points[key], cur_points[key]
+        base_r = base_points[key].get("results", {})
+        cur_r = cur_points[key].get("results", {})
+        if args.exact:
+            base_stats = stat_leaves(base_points[key].get("stats", {}))
+            cur_stats = stat_leaves(cur_points[key].get("stats", {}))
+            checked += len(set(base_r) | set(cur_r))
+            checked += len(set(base_stats) | set(cur_stats))
+            failures += [f"{key}: {line}" for line in
+                         exact_mismatches("result", base_r, cur_r)]
+            failures += [f"{key}: {line}" for line in
+                         exact_mismatches("stat", base_stats,
+                                          cur_stats)]
+            continue
         if THROUGHPUT_KEY in base_r:
             drift = rel_drift(base_r[THROUGHPUT_KEY],
                               cur_r.get(THROUGHPUT_KEY, 0.0))
@@ -210,9 +266,13 @@ def main():
         for failure in failures:
             print(f"  {failure}")
         sys.exit(1)
-    print(f"bench_compare: OK — {checked} value(s) within tolerance "
-          f"(throughput {args.tol_throughput * 100.0:.1f}%, rate "
-          f"{args.tol_rate:.3f})")
+    if args.exact:
+        print(f"bench_compare: OK — {checked} value(s) identical "
+              f"(exact)")
+    else:
+        print(f"bench_compare: OK — {checked} value(s) within "
+              f"tolerance (throughput {args.tol_throughput * 100.0:.1f}%"
+              f", rate {args.tol_rate:.3f})")
     sys.exit(0)
 
 

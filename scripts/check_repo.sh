@@ -15,9 +15,11 @@
 #      and a -DHYPERSIO_CHECKED=OFF build.
 #   5. fig10_scalability at quick scale must emit a valid JSON
 #      report (BENCH_fig10.json) that self-compares with zero drift
-#      and, when a committed baseline exists, matches it exactly —
-#      the simulator is deterministic, so any drift is a behavior
-#      change that needs the baseline regenerated on purpose.
+#      and, when a committed baseline exists, matches it exactly
+#      (bench_compare.py --exact: every result field, stat-tree leaf
+#      and scalar) — the simulator is deterministic, so any drift is
+#      a behavior change that needs the baseline regenerated on
+#      purpose. Gates 8, 10 and 11 compare with --exact too.
 #   6. The event-kernel microbench must show the slab kernel at
 #      >= 1.3x the legacy kernel's events/sec on the schedule_fire
 #      mix, and its report must keep the shape of the committed
@@ -156,7 +158,7 @@ FRESH="$BUILD_DIR/BENCH_fig10.json"
 python3 scripts/bench_compare.py "$FRESH" "$FRESH"
 if [ -f BENCH_fig10.json ]; then
     echo "   comparing against committed BENCH_fig10.json baseline"
-    python3 scripts/bench_compare.py BENCH_fig10.json "$FRESH"
+    python3 scripts/bench_compare.py BENCH_fig10.json "$FRESH" --exact
 else
     echo "   no committed baseline; installing $FRESH as" \
          "BENCH_fig10.json"
@@ -234,7 +236,7 @@ if [ -f BENCH_hyperscale.json ]; then
     echo "   comparing against committed BENCH_hyperscale.json" \
          "baseline (exact: all scalars deterministic)"
     python3 scripts/bench_compare.py BENCH_hyperscale.json \
-        "$HYPERSCALE_FRESH"
+        "$HYPERSCALE_FRESH" --exact
 else
     echo "   no committed baseline; installing $HYPERSCALE_FRESH" \
          "as BENCH_hyperscale.json"
@@ -306,7 +308,8 @@ python3 scripts/bench_compare.py "$SOAK_FRESH" "$SOAK_FRESH"
 if [ -f BENCH_soak.json ]; then
     echo "   comparing against committed BENCH_soak.json baseline" \
          "(exact: all scalars deterministic)"
-    python3 scripts/bench_compare.py BENCH_soak.json "$SOAK_FRESH"
+    python3 scripts/bench_compare.py BENCH_soak.json "$SOAK_FRESH" \
+        --exact
 else
     echo "   no committed baseline; installing $SOAK_FRESH as" \
          "BENCH_soak.json"
@@ -332,7 +335,7 @@ if [ -f BENCH_tournament.json ]; then
     echo "   comparing against committed BENCH_tournament.json" \
          "baseline (exact: all scalars deterministic)"
     python3 scripts/bench_compare.py BENCH_tournament.json \
-        "$TOURN_FRESH"
+        "$TOURN_FRESH" --exact
 else
     echo "   no committed baseline; installing $TOURN_FRESH as" \
          "BENCH_tournament.json"

@@ -176,6 +176,57 @@ class BenchCompareTest(unittest.TestCase):
         cur["points"][0]["results"]["achieved_gbps"] = 0.1
         self.assertEqual(self.compare(base, cur).returncode, 1)
 
+    # ---- --exact: every result field, stat leaf and scalar --------
+
+    def test_one_drop_difference_fails_only_with_exact(self):
+        base = make_report()
+        base["points"][0]["results"]["packets_dropped"] = 41
+        cur = copy.deepcopy(base)
+        cur["points"][0]["results"]["packets_dropped"] = 42
+        self.assertEqual(self.compare(base, cur).returncode, 0)
+        proc = self.compare(base, cur, "--exact")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("packets_dropped", proc.stdout)
+
+    def test_exact_checks_every_stat_leaf(self):
+        tree = {"name": "system", "stats": [], "children": [
+            {"name": "device", "children": [], "stats": [
+                {"name": "drops", "kind": "counter", "value": 7}]}]}
+        base = make_report()
+        base["points"][0]["stats"] = tree
+        cur = copy.deepcopy(base)
+        self.assertEqual(
+            self.compare(base, cur, "--exact").returncode, 0)
+        cur["points"][0]["stats"]["children"][0]["stats"][0][
+            "value"] = 8
+        self.assertEqual(self.compare(base, cur).returncode, 0)
+        proc = self.compare(base, cur, "--exact")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("system.device.drops:value", proc.stdout)
+
+    def test_exact_fails_on_a_leaf_present_in_one_report(self):
+        base = make_report()
+        base["points"][0]["stats"] = {"name": "system", "stats": [],
+                                      "children": []}
+        cur = copy.deepcopy(base)
+        cur["points"][0]["stats"]["stats"].append(
+            {"name": "new_counter", "value": 0})
+        proc = self.compare(base, cur, "--exact")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("present in only one", proc.stdout)
+
+    def test_exact_ignores_tolerances(self):
+        cur = make_report()
+        cur["points"][0]["results"]["achieved_gbps"] = 80.1
+        cur["scalars"]["speedup"] = 1.2401
+        self.assertEqual(self.compare(make_report(), cur).returncode,
+                         0)
+        proc = self.compare(make_report(), cur, "--exact",
+                            "--tol-throughput", "0.5")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("achieved_gbps", proc.stdout)
+        self.assertIn("speedup", proc.stdout)
+
     # ---- --only-label: per-config-key comparison -----------------
 
     def test_only_label_ignores_other_configs_drift(self):

@@ -204,14 +204,16 @@ System::run(const trace::HyperTrace &trace, bool bypass_translation)
     const unsigned batch = _config.admitBatch ? _config.admitBatch : 1;
 
     // The link arrival process. At admitBatch == 1 (the default),
-    // one event per arrival slot — the classic process, event for
-    // event. Larger batches drain up to `batch` pending arrivals per
-    // dispatch and space events by the batch's summed serialization
-    // time; a PTB drop ends the batch (the dropped packet retries at
-    // the next arrival event). Packets with an explicit wire size
+    // one packet per arrival slot — the classic process. Larger
+    // batches drain up to `batch` pending arrivals per dispatch and
+    // space events by the batch's summed serialization time. A PTB
+    // drop ends the batch, and the slots that are bound to be
+    // refused after it are billed in one step
+    // (fastForwardRefusedSlots). Packets with an explicit wire size
     // occupy the link for their own serialization time (small
     // packets arrive faster, leaving less time per translation).
     std::function<void()> arrival = [&]() {
+        bool refused = false;
         for (unsigned b = 0; b < batch && _cursor < total; ++b) {
             const trace::PacketRecord &pkt = trace.packets[_cursor];
 
@@ -227,6 +229,7 @@ System::run(const trace::HyperTrace &trace, bool bypass_translation)
                 // Dropped; the same packet retries next slot.
                 ++_dropped;
                 HYPERSIO_SHADOW(devicePacketDropped());
+                refused = true;
                 break;
             }
             applyOps(pkt, trace.ops.data() + pkt.opBegin);
@@ -249,7 +252,9 @@ System::run(const trace::HyperTrace &trace, bool bypass_translation)
                     _config.link.gbps);
                 gap += ser == 0 ? interval : ser;
             }
-            _queue.scheduleAfter(gap, [&arrival] { arrival(); });
+            _queue.scheduleAfter(
+                refused ? fastForwardRefusedSlots(gap) : gap,
+                [&arrival] { arrival(); });
         }
     };
 
@@ -324,6 +329,7 @@ System::runStream(trace::PacketStream &stream,
     std::function<void()> arrival = [&]() {
         HYPERSIO_ASSERT(_stream->peek(),
                         "stream arrival fired without a packet");
+        bool refused = false;
         for (unsigned b = 0; b < batch; ++b) {
             const trace::PacketRecord *head = _stream->peek();
             if (!head)
@@ -332,6 +338,7 @@ System::runStream(trace::PacketStream &stream,
                 // Dropped; the same packet retries next slot.
                 ++_dropped;
                 HYPERSIO_SHADOW(devicePacketDropped());
+                refused = true;
                 break;
             }
             // Copy the record out: advance() invalidates peek().
@@ -350,12 +357,16 @@ System::runStream(trace::PacketStream &stream,
         if (const trace::PacketRecord *next = _stream->peek()) {
             // Only the head is visible, so the batch window is
             // approximated as `batch` slots of the head's
-            // serialization time (exact at batch == 1).
+            // serialization time (exact at batch == 1). After a drop
+            // the head cannot change before the next event, so the
+            // window is also the spacing of every refused slot.
             const Tick ser = serializationTicks(
                 wireBytesOf(*next), _config.link.gbps);
             const Tick slot = ser == 0 ? _streamInterval : ser;
-            _queue.scheduleAfter(slot * batch,
-                                 [&arrival] { arrival(); });
+            const Tick gap = slot * batch;
+            _queue.scheduleAfter(
+                refused ? fastForwardRefusedSlots(gap) : gap,
+                [&arrival] { arrival(); });
         } else if (!_stream->exhausted()) {
             _streamStalled = true;
         }
@@ -394,6 +405,24 @@ System::runStream(trace::PacketStream &stream,
         _iommu->l3Occupancy(), _device->ptbInUse()));
 
     return collectResults(first_bytes);
+}
+
+Tick
+System::fastForwardRefusedSlots(Tick gap)
+{
+    // Only an event can free a PTB entry, and neither the packet at
+    // the head nor the retirement gates move between events, so every
+    // slot strictly before the next pending event is refused exactly
+    // like this one. Bill them here; the re-arm then takes the seq
+    // the last elided re-arm would have taken (DESIGN.md §15).
+    const uint64_t skip =
+        sim::refusedSlotsBefore(_queue.now(), _queue.nextTick(), gap);
+    if (skip == 0)
+        return gap;
+    _dropped += skip;
+    HYPERSIO_SHADOW(devicePacketsDropped(skip));
+    _queue.burnSeqs(skip);
+    return gap * (skip + 1);
 }
 
 void

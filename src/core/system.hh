@@ -5,9 +5,14 @@
  *
  * The link model computes packet arrival times from the nominal
  * bandwidth and packet size; a packet that finds the PTB full is
- * dropped and retried at the next arrival slot. When the trace is
- * exhausted and all in-flight work drains, the achieved bandwidth is
- * total processed bytes divided by elapsed simulated time.
+ * dropped and retried at the next arrival slot. Drops are billed in
+ * bulk: only an event can free a PTB entry, so the refusing arrival
+ * counts every later slot before the next pending event as dropped
+ * at once and re-arms at the first slot that may admit (DESIGN.md
+ * §15) — the same drops, ticks and event order as one event per
+ * slot. When the trace is exhausted and all in-flight work drains,
+ * the achieved bandwidth is total processed bytes divided by elapsed
+ * simulated time.
  */
 
 #ifndef HYPERSIO_CORE_SYSTEM_HH
@@ -181,6 +186,15 @@ class System : private Device::CompletionSink
                               mem::PageSize size,
                               mem::Addr host_addr);
     uint64_t wireBytesOf(const trace::PacketRecord &pkt) const;
+    /**
+     * Refused-slot fast-forward, called by an arrival that just
+     * dropped its packet on a full PTB, with `gap` the spacing of its
+     * arrival slots. Bills every later slot strictly before the next
+     * pending event as a drop, burns the seqs their re-arms would
+     * have consumed, and returns the delay to the first slot that
+     * may admit. Panics when nothing is pending (a livelock).
+     */
+    Tick fastForwardRefusedSlots(Tick gap);
     /** Results from the run counters (shared by run/runStream). */
     RunResults collectResults(uint64_t first_wire_bytes);
 

@@ -153,6 +153,13 @@ ShadowChecker::devicePacketDropped()
 }
 
 void
+ShadowChecker::devicePacketsDropped(uint64_t n)
+{
+    _events += n;
+    record(_ptb.dropped());
+}
+
+void
 ShadowChecker::deviceSidObserved(uint32_t sid)
 {
     ++_events;

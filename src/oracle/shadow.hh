@@ -116,6 +116,13 @@ class ShadowChecker
                               unsigned in_use);
     void devicePacketCompleted(unsigned idx, unsigned in_use);
     void devicePacketDropped();
+    /**
+     * `n` drops at one unchanged full PTB (the refused-slot
+     * fast-forward): one legality check, `n` events. Same
+     * eventCount() as `n` devicePacketDropped() calls with nothing in
+     * between; an illegal drop is recorded once, not `n` times.
+     */
+    void devicePacketsDropped(uint64_t n);
     void deviceSidObserved(uint32_t sid);
     void deviceSidPredicted(uint32_t sid,
                             std::optional<uint32_t> predicted);

@@ -31,6 +31,12 @@
  * never run ahead of (or tie with) a legacy event — interleaving is
  * bit-identical by construction. -DHYPERSIO_EVENT_FUSION=OFF
  * compiles the fast path away entirely.
+ *
+ * Refused-slot fast-forward (DESIGN.md "Refused-slot fast-forward"):
+ * a periodic retry that was refused may skip every later slot that
+ * falls strictly before nextTick() — nothing can change its outcome
+ * before then — burning the seqs those re-arms would have consumed
+ * (burnSeqs()), so again every (tick, priority, seq) key is unchanged.
  */
 
 #ifndef HYPERSIO_SIM_EVENT_QUEUE_HH
@@ -138,6 +144,25 @@ class EventQueue
      * merging per-shard timelines.
      */
     uint64_t scheduledSeq() const { return _nextSeq; }
+
+    /**
+     * Tick of the heap top, or MaxTick when the heap is empty. A
+     * tombstoned top counts as pending (it may hide a later live
+     * key), so callers skipping ahead to it skip less, never more.
+     */
+    Tick
+    nextTick() const
+    {
+        return _heap.empty() ? MaxTick : _heap.front().when;
+    }
+
+    /**
+     * Consumes `n` sequence numbers, exactly as `n` elided
+     * schedule() calls would have: the next schedule() gets the seq
+     * the (n+1)-th call of such a chain would have got. Used by the
+     * refused-slot fast-forward (DESIGN.md §15).
+     */
+    void burnSeqs(uint64_t n) { _nextSeq += n; }
 
     /** Number of events currently pending (tombstones excluded). */
     size_t pending() const { return _live; }
@@ -573,6 +598,28 @@ class EventQueue
     bool _inRun = false;
     bool _fusionEnabled = FusionCompiledIn;
 };
+
+/**
+ * Refused-slot fast-forward arithmetic (DESIGN.md §15). A periodic
+ * retry at `now` was just refused, and only an event can change the
+ * outcome, so every later slot now + k*gap that falls strictly before
+ * `next` (EventQueue::nextTick()) is refused too. Returns how many.
+ * The slot that ties with `next` is never counted: it must fire as a
+ * real event, ordered against next's by (priority, seq). A `next` at
+ * or before `now` (a same-tick event) skips nothing. `next == MaxTick`
+ * means nothing is pending, so nothing can ever end the refusals.
+ */
+inline uint64_t
+refusedSlotsBefore(Tick now, Tick next, Tick gap)
+{
+    HYPERSIO_ASSERT(next != MaxTick,
+                    "slot refused with nothing pending: no event can "
+                    "free what refused it, so the retry would spin "
+                    "forever (now %llu)",
+                    (unsigned long long)now);
+    HYPERSIO_ASSERT(gap > 0, "refused-slot gap must be positive");
+    return next > now ? (next - now - 1) / gap : 0;
+}
 
 } // namespace hypersio::sim
 

@@ -116,6 +116,14 @@ struct Golden
     RunResults results;
     std::string statsBytes;
     uint64_t fusedHops = 0;
+    /**
+     * Drops and the final seq ledger. The per-hop leg can keep more
+     * hop events pending, so its refused arrivals may fast-forward
+     * over shorter spans (DESIGN.md §15); equal drops and an equal
+     * final scheduledSeq() cross-check the seqs those spans burn.
+     */
+    uint64_t packetsDropped = 0;
+    uint64_t scheduledSeq = 0;
 };
 
 /**
@@ -156,6 +164,8 @@ runLeg(const SystemVariant &variant, const trace::HyperTrace &trace,
     system.dumpStats(stats);
     leg.statsBytes = stats.str();
     leg.fusedHops = system.eventQueue().fusedHops();
+    leg.packetsDropped = leg.results.packetsDropped;
+    leg.scheduledSeq = system.eventQueue().scheduledSeq();
     return leg;
 }
 
@@ -172,6 +182,7 @@ TEST(EventFusion, GoldenEqualityAcrossVariantsAndPatterns)
     constexpr uint64_t Packets = 120;
 
     uint64_t total_fused = 0;
+    uint64_t total_dropped = 0;
     for (const auto pattern : workload::AllAdversarialPatterns) {
         workload::AdversarialConfig tc;
         tc.tenants = 6;
@@ -192,7 +203,11 @@ TEST(EventFusion, GoldenEqualityAcrossVariantsAndPatterns)
             EXPECT_TRUE(fused.results == perhop.results)
                 << "RunResults diverged";
             EXPECT_EQ(fused.statsBytes, perhop.statsBytes);
+            EXPECT_EQ(fused.packetsDropped, perhop.packetsDropped);
+            EXPECT_EQ(fused.scheduledSeq, perhop.scheduledSeq)
+                << "seq ledger diverged";
             EXPECT_EQ(perhop.fusedHops, 0u);
+            total_dropped += fused.packetsDropped;
             total_fused += fused.fusedHops;
         }
     }
@@ -200,6 +215,8 @@ TEST(EventFusion, GoldenEqualityAcrossVariantsAndPatterns)
         EXPECT_GT(total_fused, 0u) << "fast path never engaged";
     else
         EXPECT_EQ(total_fused, 0u);
+    // The refused-slot fast-forward must actually be exercised.
+    EXPECT_GT(total_dropped, 0u);
 }
 
 /**

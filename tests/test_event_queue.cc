@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -531,6 +533,163 @@ TEST(EventQueueFusion, ChainLedgerMatchesEventPerHop)
         EXPECT_GT(fused.fusedHops(), 0u);
         EXPECT_EQ(perhop.executed(),
                   fused.executed() + fused.fusedHops());
+    }
+}
+
+// ---- Refused-slot fast-forward primitives ------------------------------
+
+TEST(EventQueueFastForward, NextTickIsMaxTickWhenEmpty)
+{
+    EventQueue q;
+    EXPECT_EQ(q.nextTick(), MaxTick);
+    q.schedule(9, [] {});
+    q.schedule(4, [] {});
+    EXPECT_EQ(q.nextTick(), 4u);
+    q.run();
+    EXPECT_EQ(q.nextTick(), MaxTick);
+}
+
+// A tombstoned top still reports its tick: skipping to it is always
+// safe, skipping past it might not be.
+TEST(EventQueueFastForward, NextTickCountsATombstonedTop)
+{
+    EventQueue q;
+    EventHandle dead = q.schedule(5, [] {});
+    q.schedule(12, [] {});
+    EXPECT_TRUE(q.cancel(dead));
+    EXPECT_EQ(q.pending(), 1u);
+    EXPECT_EQ(q.nextTick(), 5u);
+}
+
+TEST(EventQueueFastForward, BurnSeqsMatchesAChainOfReArms)
+{
+    constexpr uint64_t N = 11;
+    EventQueue chain;
+    uint64_t left = N;
+    std::function<void()> rearm = [&] {
+        if (left-- > 0)
+            chain.scheduleAfter(7, [&rearm] { rearm(); });
+    };
+    chain.schedule(1, [&rearm] { rearm(); });
+    chain.run();
+    chain.scheduleAfter(7, [] {});
+
+    EventQueue burned;
+    burned.schedule(1, [] {});
+    burned.burnSeqs(N);
+    burned.scheduleAfter(7 * (N + 1), [] {});
+
+    EXPECT_EQ(burned.scheduledSeq(), chain.scheduledSeq());
+    EXPECT_EQ(burned.scheduledSeq(), N + 2);
+}
+
+TEST(EventQueueFastForward, RefusedSlotsBeforeCountsStrictlyEarlierSlots)
+{
+    constexpr Tick Now = 100;
+    constexpr Tick Gap = 7;
+    EXPECT_EQ(refusedSlotsBefore(Now, Now - 1, Gap), 0u);
+    EXPECT_EQ(refusedSlotsBefore(Now, Now, Gap), 0u); // no underflow
+    EXPECT_EQ(refusedSlotsBefore(Now, Now + 1, Gap), 0u);
+    EXPECT_EQ(refusedSlotsBefore(Now, Now + Gap, Gap), 0u); // the tie
+    EXPECT_EQ(refusedSlotsBefore(Now, Now + Gap + 1, Gap), 1u);
+    EXPECT_EQ(refusedSlotsBefore(Now, Now + 5 * Gap, Gap), 4u);
+    EXPECT_EQ(refusedSlotsBefore(Now, Now + 5 * Gap + 3, Gap), 5u);
+}
+
+// A full PTB with nothing pending can never drain: the per-slot loop
+// would retry forever, the fast-forward panics instead.
+TEST(EventQueueFastForwardDeathTest, RefusalWithNothingPendingPanics)
+{
+    EXPECT_DEATH(
+        {
+            EventQueue q;
+            (void)refusedSlotsBefore(q.now(), q.nextTick(), 7);
+        },
+        "nothing pending");
+}
+
+/** What one retry loop observed (see driveRetry). */
+struct RetryOutcome
+{
+    Tick admittedAt = 0;
+    uint64_t seqAtAdmission = 0;
+    uint64_t refusals = 0;
+    uint64_t finalSeq = 0;
+    uint64_t executed = 0;
+
+    bool
+    sameSchedule(const RetryOutcome &o) const
+    {
+        return admittedAt == o.admittedAt &&
+               seqAtAdmission == o.seqAtAdmission &&
+               refusals == o.refusals && finalSeq == o.finalSeq;
+    }
+};
+
+/**
+ * A miniature of System's arrival loop: a retry every `gap` ticks is
+ * refused until a release event at `release_at` frees the resource.
+ * With `fast_forward` each refusal bills the guaranteed refusals at
+ * once, exactly as System::fastForwardRefusedSlots does.
+ */
+RetryOutcome
+driveRetry(bool fast_forward, Tick gap, Tick release_at,
+           Priority release_priority)
+{
+    EventQueue q;
+    bool busy = true;
+    RetryOutcome out;
+    q.schedule(release_at, [&busy] { busy = false; },
+               release_priority);
+    std::function<void()> retry = [&] {
+        if (!busy) {
+            out.admittedAt = q.now();
+            out.seqAtAdmission = q.scheduledSeq();
+            q.scheduleAfter(3, [] {}); // the admitted work
+            return;
+        }
+        ++out.refusals;
+        Tick delay = gap;
+        if (fast_forward) {
+            const uint64_t skip =
+                refusedSlotsBefore(q.now(), q.nextTick(), gap);
+            out.refusals += skip;
+            q.burnSeqs(skip);
+            delay = gap * (skip + 1);
+        }
+        q.scheduleAfter(delay, [&retry] { retry(); });
+    };
+    q.schedule(1, [&retry] { retry(); });
+    q.run();
+    out.finalSeq = q.scheduledSeq();
+    out.executed = q.executed();
+    return out;
+}
+
+// Ties included (release on a slot tick, at every priority): the
+// fast-forward admits at the same tick with the same seq ledger, and
+// dispatches fewer events whenever it skipped anything.
+TEST(EventQueueFastForward, RetryScheduleMatchesPerSlotLoop)
+{
+    constexpr Tick Gap = 7;
+    for (const Tick release : {1u, 2u, 8u, 15u, 16u, 22u, 100u, 701u}) {
+        for (const Priority prio :
+             {EarlyPriority, DefaultPriority, LatePriority}) {
+            SCOPED_TRACE("release " + std::to_string(release) +
+                         " priority " + std::to_string(prio));
+            const RetryOutcome per_slot =
+                driveRetry(false, Gap, release, prio);
+            const RetryOutcome fast =
+                driveRetry(true, Gap, release, prio);
+            EXPECT_TRUE(fast.sameSchedule(per_slot))
+                << "admitted " << fast.admittedAt << " vs "
+                << per_slot.admittedAt << ", refusals "
+                << fast.refusals << " vs " << per_slot.refusals;
+            EXPECT_LE(fast.executed, per_slot.executed);
+            if (per_slot.refusals > 2) {
+                EXPECT_LT(fast.executed, per_slot.executed);
+            }
+        }
     }
 }
 

@@ -271,6 +271,40 @@ TEST(ShadowChecker, CollectsViolationsInsteadOfDying)
     EXPECT_EQ(checker.translationChecks(), 1u);
 }
 
+// The refused-slot fast-forward reports a run of drops at one full
+// PTB through a single bulk hook; it must count exactly the events n
+// single drops would, and stay clean while the PTB is full.
+TEST(ShadowChecker, BulkDropsCountLikeSingleDropsAtAFullPtb)
+{
+    ShadowChecker single(smallConfig(), nullptr, /*fail_fast=*/false);
+    ShadowChecker bulk(smallConfig(), nullptr, /*fail_fast=*/false);
+    for (ShadowChecker *checker : {&single, &bulk}) {
+        checker->devicePacketAccepted(/*sid=*/0, /*idx=*/0, 1);
+        checker->devicePacketAccepted(/*sid=*/1, /*idx=*/1, 2);
+    }
+    constexpr uint64_t Drops = 37;
+    for (uint64_t i = 0; i < Drops; ++i)
+        single.devicePacketDropped();
+    bulk.devicePacketsDropped(Drops);
+    EXPECT_EQ(bulk.eventCount(), single.eventCount());
+    EXPECT_EQ(bulk.eventCount(), 2 + Drops);
+    EXPECT_EQ(single.violationCount(), 0u);
+    EXPECT_EQ(bulk.violationCount(), 0u);
+}
+
+TEST(ShadowChecker, BulkDropAtANonFullPtbIsOneViolation)
+{
+    ShadowChecker checker(smallConfig(), nullptr,
+                          /*fail_fast=*/false);
+    checker.devicePacketAccepted(/*sid=*/0, /*idx=*/0, 1); // 1 of 2
+    checker.devicePacketsDropped(5);
+    EXPECT_EQ(checker.violationCount(), 1u);
+    ASSERT_EQ(checker.violations().size(), 1u);
+    EXPECT_NE(checker.violations()[0].find("drop"),
+              std::string::npos);
+    EXPECT_EQ(checker.eventCount(), 1u + 5u);
+}
+
 TEST(ShadowChecker, ChecksWalkAccountingAgainstPagingMirrors)
 {
     ShadowChecker checker(smallConfig(), nullptr,

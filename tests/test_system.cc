@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <string_view>
+
 #include "core/runner.hh"
 #include "core/system.hh"
 #include "trace/constructor.hh"
 #include "workload/benchmarks.hh"
+#include "workload/streaming.hh"
 
 namespace hypersio::core
 {
@@ -253,6 +258,145 @@ TEST(System, PacketLatencyIsBoundedBelowByHitPath)
     const RunResults r = s.run(makeTrace(2));
     // Three serialized DevTLB hits = 6 ns is the floor.
     EXPECT_GE(r.avgPacketLatencyNs, 6.0);
+}
+
+// ---- Pinned drop/retry goldens -----------------------------------------
+//
+// The refused-slot fast-forward (DESIGN.md §15) bills the arrival
+// slots a full PTB is bound to refuse in one step instead of one event
+// each. Everything simulated must stay exactly what the one-event-per-
+// slot arrival process produced: drops, elapsed time, the final seq
+// ledger, the retirement log and the stat-tree bytes. The pins below
+// were measured with that per-slot process, as were the event counts
+// the fast-forward must now beat.
+
+/** FNV-1a 64: a compact pin for long golden byte strings. */
+uint64_t
+fnv1a(std::string_view bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+struct DropGolden
+{
+    uint64_t packetsDropped = 0;
+    Tick elapsed = 0;
+    uint64_t scheduledSeq = 0;
+    uint64_t retirements = 0;
+    uint64_t retirementHash = 0;
+    uint64_t statsHash = 0;
+
+    bool operator==(const DropGolden &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const DropGolden &g)
+{
+    return os << "{" << g.packetsDropped << "u, " << g.elapsed
+              << "u, " << g.scheduledSeq << "u, " << g.retirements
+              << "u, 0x" << std::hex << g.retirementHash << "ULL, 0x"
+              << g.statsHash << std::dec << "ULL}";
+}
+
+/** Executed-event counts of the per-slot process, per kernel flavour. */
+struct PerSlotEvents
+{
+    uint64_t fused;
+    uint64_t perHop;
+
+    uint64_t
+    forThisBuild() const
+    {
+        return sim::EventQueue::FusionCompiledIn ? fused : perHop;
+    }
+};
+
+DropGolden
+observe(System &system, const RunResults &r)
+{
+    DropGolden g;
+    g.packetsDropped = r.packetsDropped;
+    g.elapsed = r.elapsed;
+    g.scheduledSeq = system.eventQueue().scheduledSeq();
+    std::ostringstream log;
+    for (const StreamRetirement &ret : system.streamRetirements())
+        log << ret.tick << ',' << ret.seq << ',' << ret.sid << ';';
+    g.retirements = system.streamRetirements().size();
+    g.retirementHash = fnv1a(log.str());
+    std::ostringstream stats;
+    system.dumpStats(stats);
+    g.statsHash = fnv1a(stats.str());
+    return g;
+}
+
+void
+expectPinned(const char *name, System &system, const RunResults &r,
+             const DropGolden &pinned, const PerSlotEvents &per_slot)
+{
+    const DropGolden got = observe(system, r);
+    EXPECT_GT(got.packetsDropped, 0u) << name << ": no drops to skip";
+    EXPECT_EQ(got, pinned) << name << ": observed " << got;
+    EXPECT_LT(system.eventQueue().executed(), per_slot.forThisBuild())
+        << name << ": the fast-forward elided no arrival events";
+}
+
+TEST(SystemDropGolden, BaseWebsearchAtAdmitBatchOneAndFour)
+{
+    struct Pin
+    {
+        unsigned batch;
+        DropGolden golden;
+        PerSlotEvents perSlot;
+    };
+    // Both runs admit the same packets in the same order through a
+    // 1-entry PTB, so only the drop counts and timing differ.
+    const Pin pins[] = {
+        {1,
+         {123762u, 7920654480u, 159166u, 0u, 0xcbf29ce484222325ULL,
+          0xb9f7999575cf29a8ULL},
+         {145528u, 159166u}},
+        {4,
+         {33838u, 8339770080u, 64619u, 0u, 0xcbf29ce484222325ULL,
+          0xb9f7999575cf29a8ULL},
+         {50981u, 64619u}},
+    };
+    const auto tr =
+        makeTrace(16, "RR1", workload::Benchmark::Websearch, 0.02);
+    for (const Pin &pin : pins) {
+        SystemConfig config = SystemConfig::base();
+        config.admitBatch = pin.batch;
+        System system(config);
+        const RunResults r = system.run(tr);
+        const std::string name = "batch" + std::to_string(pin.batch);
+        expectPinned(name.c_str(), system, r, pin.golden, pin.perSlot);
+    }
+}
+
+TEST(SystemDropGolden, BaseChurnWithEviction)
+{
+    workload::ChurnConfig cc;
+    cc.bench = workload::Benchmark::Websearch;
+    cc.population = 24;
+    cc.slots = 5;
+    cc.seed = 42;
+    cc.minBudget = 12;
+    cc.maxBudget = 36;
+    cc.tailProb = 0.1;
+    cc.tailMin = 64;
+    cc.tailMax = 160;
+    workload::ChurnStream stream(cc);
+    System system(SystemConfig::base());
+    const RunResults r = system.runStream(stream);
+    expectPinned("churn", system, r,
+                 DropGolden{6447u, 445088880u, 10209u, 24u,
+                            0xa05e9e628a5cabfbULL,
+                            0x2d1f7d8febef38dfULL},
+                 PerSlotEvents{8956u, 10209u});
 }
 
 TEST(ExperimentRunnerTest, CachesTracesAcrossPoints)
