@@ -186,11 +186,7 @@ progressSink(const core::BenchOptions &opts)
 }
 
 // ---------------------------------------------------------------
-// A-vs-B microbench helpers (event_kernel_microbench,
-// translation_path_microbench, event_fusion_microbench). The
-// timing, rate-conversion, and `--check-speedup` fragments used to
-// be copy-pasted per binary; they live here so the gate wording and
-// the zero-wall / zero-rate edge cases stay identical everywhere.
+// Timing and rate helpers (bench/layer_bench).
 // ---------------------------------------------------------------
 
 /** Wall seconds elapsed since `t0` (steady clock). */
@@ -202,6 +198,35 @@ wallSeconds(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
+/** Wall seconds one call of `fn()` takes. */
+template <typename Fn>
+double
+wallOf(Fn &&fn)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    return wallSeconds(t0);
+}
+
+/**
+ * Calls `fn(rep)` for rep = 0..reps-1 — each call times its own
+ * measured region (usually via wallOf) and returns the seconds — and
+ * returns the best (minimum). Best-of-reps because rate noise is
+ * one-sided: background load only ever slows a rep down.
+ */
+template <typename Fn>
+double
+bestWall(unsigned reps, Fn &&fn)
+{
+    double best = 0.0;
+    for (unsigned rep = 0; rep < reps; ++rep) {
+        const double wall = fn(rep);
+        if (rep == 0 || wall < best)
+            best = wall;
+    }
+    return best;
+}
+
 /** count/wall per second; 0 when the wall time is degenerate. */
 inline double
 perSecond(uint64_t count, double wall)
@@ -209,7 +234,7 @@ perSecond(uint64_t count, double wall)
     return wall <= 0.0 ? 0.0 : static_cast<double>(count) / wall;
 }
 
-/** Million events per second (the event-kernel bench's unit). */
+/** Million events per second (the event-kernel layer's unit). */
 inline double
 meps(uint64_t events, double wall)
 {
@@ -223,23 +248,6 @@ speedupRatio(double fast_rate, double slow_rate)
     return fast_rate > 0.0 && slow_rate > 0.0
                ? fast_rate / slow_rate
                : 0.0;
-}
-
-/**
- * The `--check-speedup X` gate: true when `measured` meets the
- * `required` floor (or no floor was requested, `required <= 0`).
- * On failure prints the FAIL line the repo gates grep for; the
- * caller exits nonzero.
- */
-inline bool
-checkSpeedup(const char *what, double measured, double required)
-{
-    if (required <= 0.0 || measured >= required)
-        return true;
-    std::fprintf(stderr,
-                 "FAIL: %s speedup %.2fx below the required %.2fx\n",
-                 what, measured, required);
-    return false;
 }
 
 } // namespace hypersio::bench

@@ -21,7 +21,7 @@
  * geometry alone — SRAM bits for tags, payloads, sub-entries,
  * partition registers and prefetcher state — so the cost axis of
  * the bake-off is pinned by the committed BENCH_tournament.json
- * exactly like the performance axis (scripts/check_repo.sh gate 11).
+ * exactly like the performance axis (scripts/check_repo.sh gate 9).
  *
  *   mechanism_tournament --smoke --jobs 1 --json out.json  # gate
  *   mechanism_tournament --tenants 256 --jobs 8            # full

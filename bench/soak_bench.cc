@@ -12,7 +12,7 @@
  * config; wall clock and VmRSS/VmHWM ride along under each line's
  * "wall" member. scripts/soak_report.py turns the stream into
  * per-interval throughput/hit-rate/RSS trajectories and fails on
- * drift or leak; scripts/check_repo.sh gate 10 runs the --smoke
+ * drift or leak; scripts/check_repo.sh gate 8 runs the --smoke
  * configuration against the committed BENCH_soak.json baseline.
  *
  * Any in-run abort — a shadow-oracle violation, an invariant

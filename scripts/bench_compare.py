@@ -4,7 +4,8 @@
 Usage:
     scripts/bench_compare.py BASELINE.json CURRENT.json
         [--tol-throughput FRAC] [--tol-rate ABS] [--exact]
-        [--verbose] [--only-label LABEL]
+        [--counts-only] [--ignore-missing] [--verbose]
+        [--only-label LABEL]
 
 Both files come from a bench binary's `--json <file>` flag
 (schema "hypersio-bench-1") or from `hypersio_sim --json`
@@ -28,6 +29,14 @@ gated four), every leaf of every point's stat tree, and every scalar
 must be identical, and a field or leaf present in only one report
 fails. The tolerances are then ignored. Use it for reports whose
 values are all deterministic simulator outputs.
+
+--counts-only is --exact for a report that mixes deterministic counts
+with wall-clock rates (bench/layer_bench): scalars named like a rate
+(ending in per_sec, meps or speedup) are skipped, everything else
+must be identical. --ignore-missing skips scalars present in only one
+report instead of failing, so a pinned older report can be held to
+the counts it shares with a newer one; at least one value must still
+be compared.
 
 --only-label LABEL restricts the comparison to one config key of a
 multi-config report: only points whose label matches (and scalars
@@ -53,6 +62,8 @@ RATE_KEYS = ("devtlb_hit_rate", "pb_hit_rate", "iotlb_hit_rate")
 # Config fields that define the experiment; "jobs" and wall clock are
 # intentionally excluded (they change the machine, not the model).
 CONFIG_KEYS = ("scale", "seed", "max_tenants")
+# Scalar-name endings of wall-clock measurements (see --counts-only).
+WALL_CLOCK_SUFFIXES = ("per_sec", "meps", "speedup")
 
 
 def load(path):
@@ -162,6 +173,12 @@ def main():
                         help="require every result field, stat-tree "
                              "leaf and scalar to be identical "
                              "(tolerances ignored)")
+    parser.add_argument("--counts-only", action="store_true",
+                        help="like --exact, but skip wall-clock rate "
+                             "scalars (*per_sec, *meps, *speedup)")
+    parser.add_argument("--ignore-missing", action="store_true",
+                        help="skip scalars present in only one report "
+                             "instead of failing")
     parser.add_argument("--verbose", action="store_true",
                         help="print every comparison, not just "
                              "failures")
@@ -186,7 +203,8 @@ def main():
                   f"report", file=sys.stderr)
             sys.exit(2)
 
-    if args.exact:
+    exact = args.exact or args.counts_only
+    if exact:
         args.tol_throughput = 0.0
         args.tol_rate = 0.0
 
@@ -209,7 +227,7 @@ def main():
     for key in sorted(set(base_points) & set(cur_points)):
         base_r = base_points[key].get("results", {})
         cur_r = cur_points[key].get("results", {})
-        if args.exact:
+        if exact:
             base_stats = stat_leaves(base_points[key].get("stats", {}))
             cur_stats = stat_leaves(cur_points[key].get("stats", {}))
             checked += len(set(base_r) | set(cur_r))
@@ -246,9 +264,12 @@ def main():
                 print(f"  ok {line}")
 
     for name in sorted(set(base_scalars) | set(cur_scalars)):
+        if args.counts_only and name.endswith(WALL_CLOCK_SUFFIXES):
+            continue
         if name not in base_scalars or name not in cur_scalars:
-            failures.append(f"scalar '{name}' present in only one "
-                            f"report")
+            if not args.ignore_missing:
+                failures.append(f"scalar '{name}' present in only one "
+                                f"report")
             continue
         drift = rel_drift(base_scalars[name], cur_scalars[name])
         checked += 1
@@ -260,15 +281,19 @@ def main():
         elif args.verbose:
             print(f"  ok {line}")
 
+    if checked == 0 and args.ignore_missing:
+        failures.append("the reports share no value to compare")
+
     if failures:
         print(f"bench_compare: FAIL — {len(failures)} deviation(s) "
               f"across {checked} checked value(s):")
         for failure in failures:
             print(f"  {failure}")
         sys.exit(1)
-    if args.exact:
+    if exact:
+        mode = "counts only" if args.counts_only else "exact"
         print(f"bench_compare: OK — {checked} value(s) identical "
-              f"(exact)")
+              f"({mode})")
     else:
         print(f"bench_compare: OK — {checked} value(s) within "
               f"tolerance (throughput {args.tol_throughput * 100.0:.1f}%"

@@ -19,50 +19,33 @@
 #      (bench_compare.py --exact: every result field, stat-tree leaf
 #      and scalar) — the simulator is deterministic, so any drift is
 #      a behavior change that needs the baseline regenerated on
-#      purpose. Gates 8, 10 and 11 compare with --exact too.
-#   6. The event-kernel microbench must show the slab kernel at
-#      >= 1.3x the legacy kernel's events/sec on the schedule_fire
-#      mix, and its report must keep the shape of the committed
-#      BENCH_event_kernel.json. Rates are wall-clock measurements,
-#      so the baseline comparison runs with a deliberately loose
-#      tolerance: it catches missing/renamed scalars and order-of-
-#      magnitude regressions, while the hard >= 1.3x bound is
-#      enforced in-process by --check-speedup on this machine.
-#   7. The translation-path microbench must show the flat-hash/SoA
-#      data layouts at >= 1.3x the pinned reference layouts'
-#      packets/sec. The two layouts are a compile-time choice
-#      (HYPERSIO_LEGACY_STRUCTURES), so the ratio is taken across
-#      two -DHYPERSIO_CHECKED=OFF builds of the same binary;
-#      scripts/bench_speedup.py additionally requires every
-#      deterministic probe-count scalar to match exactly between
-#      them (the layouts must do identical simulated work). The
-#      report shape is compared against the committed
-#      BENCH_translation_path.json with the same loose wall-clock
-#      tolerance as gate 6.
-#   8. The hyper-scale streaming bench (tenant churn over bounded
+#      purpose. Gates 7, 8 and 9 compare with --exact too.
+#   6. The layer bench (bench/layer_bench, unchecked build) must run
+#      every layer and pass its in-binary A/B asserts: the vector and
+#      scalar group-probe backends make identical hit/miss decisions,
+#      fused and per-hop storms produce identical RunResults, stat
+#      trees and sequence ledgers, and the lazy SpliceStream replays
+#      the materialized trace packet for packet. Every deterministic
+#      count in its report must then equal the committed
+#      BENCH_layer.json, and the counts it shares with the pinned
+#      pre-vectorization record BENCH_translation_path_flat_baseline.json
+#      (never regenerate that one) must equal those too. Wall-clock
+#      rates are reported, not gated: same-machine rate floors flaked
+#      on shared hosts, and cross-machine rate gating needs the
+#      calibrated performance ledger (ROADMAP).
+#   7. The hyper-scale streaming bench (tenant churn over bounded
 #      SID slots, sharded across systems) must complete its smoke
 #      configuration inside a fixed peak-RSS budget — the O(active)
 #      state invariant — and its deterministic scalars (packets,
 #      translations, retirements, merge checksum) must match the
 #      committed BENCH_hyperscale.json exactly.
-#   9. Probe vectorization must be observation-free and profitable:
-#      a -DHYPERSIO_SIMD_PROBES=OFF build (scalar reference group
-#      ops) must produce bit-identical deterministic counts to the
-#      SIMD build on the translation-path microbench, and the SIMD
-#      build's walk-storm rate must hold >= 1.15x over the scalar
-#      build's in a back-to-back same-machine A/B (locally measured
-#      ~1.25x). The pinned pre-vectorization record
-#      (BENCH_translation_path_flat_baseline.json — regenerate it
-#      only as part of a deliberate re-baselining of the
-#      pre-vectorization record) is compared counts-only: committed
-#      rates don't travel across machines, deterministic counts do.
-#  10. The soak harness (long-haul churn + adversarial episodes with
+#   8. The soak harness (long-haul churn + adversarial episodes with
 #      interval telemetry) must run its smoke configuration under
 #      the checked build, stream valid hypersio-soak-1 snapshots,
 #      pass scripts/soak_report.py's drift/leak gate, stay inside a
 #      peak-RSS budget, and match the committed BENCH_soak.json's
 #      deterministic scalars exactly.
-#  11. The mechanism tournament (partitioning vs sub-entry sharing
+#   9. The mechanism tournament (partitioning vs sub-entry sharing
 #      vs MMU-aware prefetch, and their combinations) must complete
 #      its smoke sweep under the checked build's fail-fast shadow
 #      oracle and match the committed BENCH_tournament.json exactly
@@ -70,20 +53,9 @@
 #      proxies) is deterministic, so any drift means a mechanism's
 #      behavior changed and the bake-off needs re-reading before
 #      the baseline is regenerated on purpose.
-#  12. Hit-path event fusion must be observation-free and
-#      profitable: a -DHYPERSIO_EVENT_FUSION=OFF build (event-per-
-#      hop reference kernel) must produce exactly the deterministic
-#      counts the fused build produces on the event-fusion
-#      microbench, and the fused build must hold >= 1.4x the
-#      reference's aggregate packet rate in a back-to-back
-#      same-machine A/B (locally measured ~1.45-1.50x). Both sides
-#      run without the shadow oracle — its mirrors dominate the 2 ns
-#      hops being fused and would mask the ratio. The in-binary
-#      runtime-knob A/B (identical RunResults, stat trees, and event
-#      ledgers) already ran in gate 2's ctest; this gate pins the
-#      compile-time flavour. The report shape is compared against
-#      the committed BENCH_event_fusion.json with the same loose
-#      wall-clock tolerance as gates 6 and 7.
+#
+# Two build trees: the checked default (gates 2, 3, 5, 8, 9) and a
+# -DHYPERSIO_CHECKED=OFF tree (gates 4, 6, 7).
 #
 # scripts/coverage.sh (gcov line coverage) is a separate, slower
 # workflow and is not part of this gate.
@@ -95,7 +67,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 UNCHECKED_DIR="${BUILD_DIR}-unchecked"
 
-echo "== 1/12 repo hygiene: no tracked build artifacts"
+echo "== 1/9 repo hygiene: no tracked build artifacts"
 if git ls-files | grep -q '^build'; then
     echo "FAIL: build trees are tracked in git:" >&2
     git ls-files | grep '^build' | head >&2
@@ -105,18 +77,17 @@ if git ls-files | grep -q '^build'; then
 fi
 echo "   ok"
 
-echo "== 2/12 tier-1 build + ctest (shadow oracle compiled in)"
+echo "== 2/9 tier-1 build + ctest (shadow oracle compiled in)"
 # Every configure pins the build type: `cmake -B` on an existing
 # tree silently keeps whatever CMAKE_BUILD_TYPE is cached there, and
-# the rate gates (6, 7, 9) are calibrated against RelWithDebInfo
-# codegen — a stale -O3 cache shifts inlining in the header-only hot
-# loops enough to flip a speedup gate without any source change.
+# the layer bench's rates are only comparable across runs at the
+# same (RelWithDebInfo) codegen.
 BUILD_TYPE="-DCMAKE_BUILD_TYPE=RelWithDebInfo"
 cmake -B "$BUILD_DIR" -S . "$BUILD_TYPE"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 
-echo "== 3/12 extended adversarial fuzz campaign"
+echo "== 3/9 extended adversarial fuzz campaign"
 # The ctest invocation above already ran the bounded smoke; this is
 # the long campaign: more packets, multiple seeds. Reproduce any
 # failure with the HYPERSIO_FUZZ_SEED printed in its repro line.
@@ -130,7 +101,7 @@ if ! HYPERSIO_FUZZ_PACKETS=400 HYPERSIO_FUZZ_ROUNDS=3 \
 fi
 grep 'translation requests checked' "$FUZZ_LOG"
 
-echo "== 4/12 shadow checking is observation-only (checked vs not)"
+echo "== 4/9 shadow checking is observation-only (checked vs not)"
 cmake -B "$UNCHECKED_DIR" -S . "$BUILD_TYPE" \
     -DHYPERSIO_CHECKED=OFF > /dev/null
 cmake --build "$UNCHECKED_DIR" -j "$(nproc)" \
@@ -148,7 +119,7 @@ if ! cmp -s "$BUILD_DIR/fig10_checked.out" \
 fi
 echo "   ok: fig10 --quick output byte-identical"
 
-echo "== 5/12 bench JSON regression gate (fig10, quick scale)"
+echo "== 5/9 bench JSON regression gate (fig10, quick scale)"
 # Deterministic settings: quick scale, 8-tenant sweep, fixed seed.
 # --jobs only changes scheduling, never results, but pin it anyway
 # so the config block is stable too.
@@ -165,59 +136,35 @@ else
     cp "$FRESH" BENCH_fig10.json
 fi
 
-echo "== 6/12 event-kernel microbench speedup + report shape"
-KERNEL_FRESH="$BUILD_DIR/BENCH_event_kernel.json"
-"$BUILD_DIR"/bench/event_kernel_microbench --check-speedup 1.3 \
-    --json "$KERNEL_FRESH"
-if [ -f BENCH_event_kernel.json ]; then
-    echo "   comparing against committed BENCH_event_kernel.json" \
-         "baseline (loose tolerance: rates are wall-clock)"
-    python3 scripts/bench_compare.py BENCH_event_kernel.json \
-        "$KERNEL_FRESH" --tol-throughput 3.0 --tol-rate 1.0
+echo "== 6/9 layer bench: in-binary A/Bs + deterministic counts"
+# Without the shadow oracle: its mirrors would dominate the layers
+# being timed. The A/B equality asserts run inside the binary and
+# fail it on any divergence.
+cmake --build "$UNCHECKED_DIR" -j "$(nproc)" --target layer_bench
+LAYER_FRESH="$BUILD_DIR/BENCH_layer.json"
+"$UNCHECKED_DIR"/bench/layer_bench --json "$LAYER_FRESH"
+if [ -f BENCH_layer.json ]; then
+    echo "   comparing against committed BENCH_layer.json baseline" \
+         "(counts exact, wall-clock rates skipped)"
+    python3 scripts/bench_compare.py BENCH_layer.json "$LAYER_FRESH" \
+        --counts-only
 else
-    echo "   no committed baseline; installing $KERNEL_FRESH as" \
-         "BENCH_event_kernel.json"
-    cp "$KERNEL_FRESH" BENCH_event_kernel.json
+    echo "   no committed baseline; installing $LAYER_FRESH as" \
+         "BENCH_layer.json"
+    cp "$LAYER_FRESH" BENCH_layer.json
 fi
-
-echo "== 7/12 translation-path microbench speedup + report shape"
-# Both sides run without the shadow oracle (its mirrors would
-# dominate the probes being measured). The flat side reuses the
-# gate-4 unchecked build; the reference side pins the pre-flat
-# layouts with HYPERSIO_LEGACY_STRUCTURES=ON.
-LEGACY_DIR="${BUILD_DIR}-legacy-structs"
-cmake --build "$UNCHECKED_DIR" -j "$(nproc)" \
-    --target translation_path_microbench
-cmake -B "$LEGACY_DIR" -S . "$BUILD_TYPE" -DHYPERSIO_CHECKED=OFF \
-    -DHYPERSIO_LEGACY_STRUCTURES=ON > /dev/null
-cmake --build "$LEGACY_DIR" -j "$(nproc)" \
-    --target translation_path_microbench
-FLAT_JSON="$BUILD_DIR/BENCH_translation_path.json"
-LEGACY_JSON="$BUILD_DIR/BENCH_translation_path_legacy.json"
-"$UNCHECKED_DIR"/bench/translation_path_microbench \
-    --json "$FLAT_JSON" > /dev/null
-"$LEGACY_DIR"/bench/translation_path_microbench \
-    --json "$LEGACY_JSON" > /dev/null
-# The gated rate is the walk storm: a tenant-lifecycle replay whose
-# every probe lands on the converted structures. The timed
-# full-system phase also runs (its deterministic scalars anchor the
-# cross-build differential check) but its rate is dominated by the
-# event kernel, which both layouts share.
-python3 scripts/bench_speedup.py "$FLAT_JSON" "$LEGACY_JSON" \
-    --scalar total_walkstorm_packets_per_sec --min-ratio 1.3
-if [ -f BENCH_translation_path.json ]; then
-    echo "   comparing against committed" \
-         "BENCH_translation_path.json baseline (loose tolerance:" \
-         "rates are wall-clock)"
-    python3 scripts/bench_compare.py BENCH_translation_path.json \
-        "$FLAT_JSON" --tol-throughput 3.0 --tol-rate 1.0
-else
-    echo "   no committed baseline; installing $FLAT_JSON as" \
-         "BENCH_translation_path.json"
-    cp "$FLAT_JSON" BENCH_translation_path.json
+if [ ! -f BENCH_translation_path_flat_baseline.json ]; then
+    echo "FAIL: BENCH_translation_path_flat_baseline.json missing" \
+         "(the pinned pre-vectorization record must stay committed)" >&2
+    exit 1
 fi
+echo "   comparing shared counts against the pinned" \
+     "pre-vectorization record"
+python3 scripts/bench_compare.py \
+    BENCH_translation_path_flat_baseline.json "$LAYER_FRESH" \
+    --counts-only --ignore-missing
 
-echo "== 8/12 hyper-scale streaming bench: bounded RSS + regression"
+echo "== 7/9 hyper-scale streaming bench: bounded RSS + regression"
 # Measured without the shadow oracle (its mirrors would scale with
 # the mirrored state being bounded, muddying the RSS reading); the
 # unchecked build from gate 4 serves. The in-process assertions
@@ -243,54 +190,7 @@ else
     cp "$HYPERSCALE_FRESH" BENCH_hyperscale.json
 fi
 
-echo "== 9/12 probe vectorization: identical counts + speedup"
-# The SIMD/scalar choice is compile-time (util/simd.hh); the masks
-# the backends produce are defined to be identical, so every
-# deterministic count in the microbench report must match exactly
-# between a SIMD build and a HYPERSIO_SIMD_PROBES=OFF build. The
-# scalar build is the pre-vectorization reference implementation,
-# so the speedup leg is a same-machine A/B against it: the gate-7
-# flat measurement is minutes (and two configure+build cycles) old
-# by now, so the flat binary is re-measured back-to-back with the
-# scalar one and the better of the two flat runs is scored — rate
-# noise is one-sided (background load only ever slows a run). The
-# 1.15x floor sits under a locally measured ~1.25x. The pinned
-# BENCH_translation_path_flat_baseline.json (regenerate it only as
-# part of a deliberate re-baselining of the pre-vectorization
-# record) is held to the machine-independent claim a committed file
-# can actually support: today's builds must do simulated work
-# identical to the pre-vectorization record, count for count.
-SCALAR_DIR="${BUILD_DIR}-scalar-probes"
-cmake -B "$SCALAR_DIR" -S . "$BUILD_TYPE" -DHYPERSIO_CHECKED=OFF \
-    -DHYPERSIO_SIMD_PROBES=OFF > /dev/null
-cmake --build "$SCALAR_DIR" -j "$(nproc)" \
-    --target translation_path_microbench
-SCALAR_JSON="$BUILD_DIR/BENCH_translation_path_scalar.json"
-"$SCALAR_DIR"/bench/translation_path_microbench \
-    --json "$SCALAR_JSON" > /dev/null
-FLAT9_JSON="$BUILD_DIR/BENCH_translation_path_flat9.json"
-"$UNCHECKED_DIR"/bench/translation_path_microbench \
-    --json "$FLAT9_JSON" > /dev/null
-BEST_FLAT=$(python3 - "$FLAT_JSON" "$FLAT9_JSON" <<'EOF'
-import json, sys
-print(max(sys.argv[1:3], key=lambda p: json.load(open(p))
-          ["scalars"]["total_walkstorm_packets_per_sec"]))
-EOF
-)
-python3 scripts/bench_speedup.py "$BEST_FLAT" "$SCALAR_JSON" \
-    --scalar total_walkstorm_packets_per_sec --min-ratio 1.15
-if [ -f BENCH_translation_path_flat_baseline.json ]; then
-    python3 scripts/bench_speedup.py "$FLAT_JSON" \
-        BENCH_translation_path_flat_baseline.json \
-        --counts-only --ignore-missing
-else
-    echo "FAIL: BENCH_translation_path_flat_baseline.json missing" \
-         "(the pinned pre-vectorization baseline must stay" \
-         "committed)" >&2
-    exit 1
-fi
-
-echo "== 10/12 soak harness: telemetry stream + drift/leak gate"
+echo "== 8/9 soak harness: telemetry stream + drift/leak gate"
 # Runs from the *checked* build on purpose: the soak regime's value
 # is churn + adversarial episodes under the fail-fast shadow oracle,
 # so the RSS budget is sized for the mirrors' overhead. --jobs 1
@@ -316,7 +216,7 @@ else
     cp "$SOAK_FRESH" BENCH_soak.json
 fi
 
-echo "== 11/12 mechanism tournament: bake-off regression gate"
+echo "== 9/9 mechanism tournament: bake-off regression gate"
 # Runs from the *checked* build: every competitor (sub-entry
 # sharing, MMU-aware prefetch, the paper's partitioning, and their
 # combinations) then executes under the fail-fast shadow oracle, so
@@ -340,51 +240,6 @@ else
     echo "   no committed baseline; installing $TOURN_FRESH as" \
          "BENCH_tournament.json"
     cp "$TOURN_FRESH" BENCH_tournament.json
-fi
-
-echo "== 12/12 event fusion: identical counts + speedup"
-# The fused/per-hop choice here is compile-time
-# (HYPERSIO_EVENT_FUSION); the fused kernel is defined to elide hop
-# events without changing behaviour, so every deterministic count in
-# the microbench report must match exactly between the two builds
-# (bench_speedup.py enforces that before it scores the ratio). The
-# ON side reuses the gate-4 unchecked build and, as in gate 9, runs
-# twice back-to-back with the better run scored — rate noise is
-# one-sided (background load only ever slows a run). The 1.4x floor
-# sits under a locally measured ~1.45-1.50x aggregate.
-NOFUSION_DIR="${BUILD_DIR}-nofusion"
-cmake -B "$NOFUSION_DIR" -S . "$BUILD_TYPE" -DHYPERSIO_CHECKED=OFF \
-    -DHYPERSIO_EVENT_FUSION=OFF > /dev/null
-cmake --build "$NOFUSION_DIR" -j "$(nproc)" \
-    --target event_fusion_microbench
-cmake --build "$UNCHECKED_DIR" -j "$(nproc)" \
-    --target event_fusion_microbench
-NOFUSION_JSON="$BUILD_DIR/BENCH_event_fusion_off.json"
-"$NOFUSION_DIR"/bench/event_fusion_microbench \
-    --json "$NOFUSION_JSON" > /dev/null
-FUSION_JSON="$BUILD_DIR/BENCH_event_fusion.json"
-FUSION2_JSON="$BUILD_DIR/BENCH_event_fusion_run2.json"
-"$UNCHECKED_DIR"/bench/event_fusion_microbench \
-    --json "$FUSION_JSON" > /dev/null
-"$UNCHECKED_DIR"/bench/event_fusion_microbench \
-    --json "$FUSION2_JSON" > /dev/null
-BEST_FUSION=$(python3 - "$FUSION_JSON" "$FUSION2_JSON" <<'EOF'
-import json, sys
-print(max(sys.argv[1:3], key=lambda p: json.load(open(p))
-          ["scalars"]["total_walkstorm_packets_per_sec"]))
-EOF
-)
-python3 scripts/bench_speedup.py "$BEST_FUSION" "$NOFUSION_JSON" \
-    --scalar total_walkstorm_packets_per_sec --min-ratio 1.4
-if [ -f BENCH_event_fusion.json ]; then
-    echo "   comparing against committed BENCH_event_fusion.json" \
-         "baseline (loose tolerance: rates are wall-clock)"
-    python3 scripts/bench_compare.py BENCH_event_fusion.json \
-        "$FUSION_JSON" --tol-throughput 3.0 --tol-rate 1.0
-else
-    echo "   no committed baseline; installing $FUSION_JSON as" \
-         "BENCH_event_fusion.json"
-    cp "$FUSION_JSON" BENCH_event_fusion.json
 fi
 
 echo "check_repo: all gates passed"

@@ -12,15 +12,15 @@
 # mcount call into every non-inlined function, which both perturbs
 # inlining decisions and taxes small hot functions the most — treat
 # the output as "where to look", not as a truth source for ratios.
-# For A/B layout questions, bench/translation_path_microbench's
-# best-of-reps rates (and check_repo.sh gate 7) are the measurement.
+# For A/B questions, bench/layer_bench's best-of-reps rates are the
+# measurement.
 #
 # Usage:
 #   scripts/profile.sh [-n TOP] [target] [args...]
 #
 #   scripts/profile.sh
-#       profiles translation_path_microbench on its default workload
-#   scripts/profile.sh --packets 200000
+#       profiles layer_bench on its default workload
+#   scripts/profile.sh --layer translation --reps 5
 #       same target; a leading dash means "args for the default
 #       target", so flags work without naming it
 #   scripts/profile.sh -n 40 fig10_scalability --quick --tenants 8
@@ -34,7 +34,7 @@ if [ "${1:-}" = "-n" ]; then
     TOP="$2"
     shift 2
 fi
-TARGET=translation_path_microbench
+TARGET=layer_bench
 if [ "$#" -gt 0 ]; then
     case "$1" in
         -*) ;; # flags go to the default target

@@ -227,6 +227,44 @@ class BenchCompareTest(unittest.TestCase):
         self.assertIn("achieved_gbps", proc.stdout)
         self.assertIn("speedup", proc.stdout)
 
+    # ---- --counts-only: exact counts, wall-clock rates skipped ----
+
+    def counts_report(self):
+        return make_report(points=[], scalars={
+            "hit_storm_walks": 24, "hit_storm_packets_per_sec": 6.6e6,
+            "schedule_fire_meps": 12.7, "probe_speedup": 1.6})
+
+    def test_counts_only_skips_rates_but_not_counts(self):
+        base = self.counts_report()
+        cur = copy.deepcopy(base)
+        cur["scalars"]["hit_storm_packets_per_sec"] = 1.0
+        cur["scalars"]["schedule_fire_meps"] = 99.0
+        cur["scalars"]["probe_speedup"] = 0.5
+        self.assertEqual(
+            self.compare(base, cur, "--counts-only").returncode, 0)
+        cur["scalars"]["hit_storm_walks"] = 25
+        proc = self.compare(base, cur, "--counts-only")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("hit_storm_walks", proc.stdout)
+
+    def test_counts_only_still_checks_shape(self):
+        base = self.counts_report()
+        cur = copy.deepcopy(base)
+        cur["scalars"]["hit_storm_translations"] = 72
+        proc = self.compare(base, cur, "--counts-only")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("present in only one", proc.stdout)
+        self.assertEqual(self.compare(base, cur, "--counts-only",
+                                      "--ignore-missing").returncode, 0)
+
+    def test_ignore_missing_needs_a_shared_value(self):
+        base = make_report(points=[], scalars={"old_walks": 1})
+        cur = make_report(points=[], scalars={"new_walks": 1})
+        proc = self.compare(base, cur, "--counts-only",
+                            "--ignore-missing")
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("share no value", proc.stdout)
+
     # ---- --only-label: per-config-key comparison -----------------
 
     def test_only_label_ignores_other_configs_drift(self):

@@ -27,12 +27,6 @@
  * occupancy() O(1), and a per-set fill count skips the invalid-way
  * scan once a set has filled (sets never "unfill" except via
  * invalidate/flush, so a full set usually stays full).
- *
- * Building with -DHYPERSIO_LEGACY_STRUCTURES=ON selects the original
- * array-of-structures layout (same behaviour, bit-identical
- * simulation results) as the pinned reference for the
- * translation-path microbenchmark; see util/flat_map.hh for the
- * matching map-side reference mode.
  */
 
 #ifndef HYPERSIO_CACHE_SET_ASSOC_CACHE_HH
@@ -87,7 +81,7 @@ struct CacheConfig
      * grows toward entries * S translations for the area cost of S
      * payloads (not S full tags) per way. Sub-slot replacement is
      * round-robin inside the tag; evicting a tag evicts every tenant
-     * behind it. Flat (SoA) structures only.
+     * behind it.
      */
     size_t subEntries = 1;
 
@@ -129,8 +123,6 @@ struct CacheStats
                          static_cast<double>(lookups);
     }
 };
-
-#ifndef HYPERSIO_LEGACY_STRUCTURES
 
 /**
  * Set-associative cache mapping a 64-bit key to a value of type V.
@@ -700,284 +692,6 @@ class SetAssocCache
     std::vector<size_t> _victimWays;
     std::vector<uint64_t> _victimKeys;
 };
-
-#else // HYPERSIO_LEGACY_STRUCTURES
-
-/**
- * Reference mode: the original array-of-Line layout, kept verbatim
- * (O(entries) occupancy, per-insert invalid-way scan) so the
- * translation-path microbench can measure the SoA split end-to-end.
- * Behaviour is bit-identical to the SoA implementation above. The
- * group-probe backend parameter is accepted for API compatibility
- * and ignored.
- */
-template <typename V, typename Ops = util::simd::DefaultGroupOps>
-class SetAssocCache
-{
-  public:
-    /** Result of an insertion: the evicted key, if any. */
-    struct Eviction
-    {
-        uint64_t key;
-        V value;
-    };
-
-    explicit SetAssocCache(const CacheConfig &config)
-        : SetAssocCache(config, makePolicy(config.policy, config.seed,
-                                           config.lfuBits))
-    {}
-
-    SetAssocCache(const CacheConfig &config,
-                  std::unique_ptr<ReplacementPolicy> policy)
-        : _config(config), _policy(std::move(policy))
-    {
-        HYPERSIO_ASSERT(_config.ways > 0 && _config.entries > 0,
-                        "cache must have entries");
-        HYPERSIO_ASSERT(_config.entries % _config.ways == 0,
-                        "entries (%zu) not a multiple of ways (%zu)",
-                        _config.entries, _config.ways);
-        if (_config.subEntries > 1)
-            fatal("sub-entry sharing (subEntries=%zu) requires the "
-                  "flat structures; rebuild without "
-                  "HYPERSIO_LEGACY_STRUCTURES",
-                  _config.subEntries);
-        const size_t sets = _config.sets();
-        HYPERSIO_ASSERT(_config.partitions >= 1 &&
-                            sets % _config.partitions == 0,
-                        "partitions (%zu) must divide sets (%zu)",
-                        _config.partitions, sets);
-        _setsPerPartition = sets / _config.partitions;
-        _lines.resize(sets * _config.ways);
-        _victimKeys.resize(_config.ways);
-        _policy->init(sets, _config.ways);
-    }
-
-    const CacheConfig &config() const { return _config; }
-    const CacheStats &stats() const { return _stats; }
-    size_t numSets() const { return _config.sets(); }
-    size_t numWays() const { return _config.ways; }
-    size_t numPartitions() const { return _config.partitions; }
-
-    V *
-    lookup(uint64_t key, uint64_t index, uint32_t partition = 0)
-    {
-        ++_stats.lookups;
-        const size_t set = setFor(key, index, partition);
-        Line *line = findLine(set, key);
-        if (!line)
-            return nullptr;
-        ++_stats.hits;
-        _policy->touch(set, wayOf(set, line), key);
-        return &line->value;
-    }
-
-    const V *
-    peek(uint64_t key, uint64_t index, uint32_t partition = 0) const
-    {
-        const size_t set = setFor(key, index, partition);
-        const Line *line = findLine(set, key);
-        return line ? &line->value : nullptr;
-    }
-
-    std::optional<Eviction>
-    insert(uint64_t key, uint64_t index, V value,
-           uint32_t partition = 0)
-    {
-        const size_t set = setFor(key, index, partition);
-        // Update in place on re-insertion.
-        if (Line *line = findLine(set, key)) {
-            line->value = std::move(value);
-            _policy->touch(set, wayOf(set, line), key);
-            return std::nullopt;
-        }
-
-        ++_stats.insertions;
-
-        // Use an invalid way if one exists.
-        for (size_t w = 0; w < _config.ways; ++w) {
-            Line &line = at(set, w);
-            if (!line.valid) {
-                line.valid = true;
-                line.key = key;
-                line.value = std::move(value);
-                _policy->insert(set, w, key);
-                return std::nullopt;
-            }
-        }
-
-        // All ways valid: ask the policy for a victim.
-        _victimWays.clear();
-        for (size_t w = 0; w < _config.ways; ++w) {
-            _victimWays.push_back(w);
-            _victimKeys[w] = at(set, w).key;
-        }
-        size_t victim = _policy->victim(set, _victimWays,
-                                        _victimKeys.data());
-        HYPERSIO_ASSERT(victim < _config.ways, "policy victim range");
-
-        Line &line = at(set, victim);
-        Eviction evicted{line.key, std::move(line.value)};
-        ++_stats.evictions;
-        line.key = key;
-        line.value = std::move(value);
-        _policy->insert(set, victim, key);
-        return evicted;
-    }
-
-    bool
-    invalidate(uint64_t key, uint64_t index, uint32_t partition = 0)
-    {
-        const size_t set = setFor(key, index, partition);
-        Line *line = findLine(set, key);
-        if (!line)
-            return false;
-        line->valid = false;
-        ++_stats.invalidations;
-        _policy->invalidate(set, wayOf(set, line));
-        return true;
-    }
-
-    void
-    flush()
-    {
-        for (auto &line : _lines) {
-            if (line.valid) {
-                line.valid = false;
-                ++_stats.invalidations;
-            }
-        }
-        _policy->reset();
-    }
-
-    /** Number of currently valid entries (O(entries)). */
-    size_t
-    occupancy() const
-    {
-        size_t n = 0;
-        for (const auto &line : _lines)
-            n += line.valid ? 1 : 0;
-        return n;
-    }
-
-    void resetStats() { _stats = CacheStats{}; }
-
-    void
-    exportStats(stats::StatGroup &group) const
-    {
-        const CacheStats *s = &_stats;
-        group.makeCallback("lookups", "tag lookups", [s] {
-            return static_cast<double>(s->lookups);
-        });
-        group.makeCallback("hits", "tag hits", [s] {
-            return static_cast<double>(s->hits);
-        });
-        group.makeCallback("misses", "tag misses", [s] {
-            return static_cast<double>(s->misses());
-        });
-        group.makeCallback("miss_rate", "misses / lookups",
-                           [s] { return s->missRate(); });
-        group.makeCallback("insertions", "lines allocated", [s] {
-            return static_cast<double>(s->insertions);
-        });
-        group.makeCallback("evictions", "lines evicted", [s] {
-            return static_cast<double>(s->evictions);
-        });
-        group.makeCallback("invalidations", "lines invalidated",
-                           [s] {
-                               return static_cast<double>(
-                                   s->invalidations);
-                           });
-    }
-
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        const size_t sets = _config.sets();
-        for (size_t s = 0; s < sets; ++s) {
-            for (size_t w = 0; w < _config.ways; ++w) {
-                const Line &line = at(s, w);
-                if (line.valid)
-                    fn(line.key, line.value, s, w);
-            }
-        }
-    }
-
-    size_t
-    setFor(uint64_t key, uint64_t index, uint32_t partition) const
-    {
-        return setIndex(_config.hashIndex ? splitmix64(key) : index,
-                        partition);
-    }
-
-    size_t
-    setIndex(uint64_t index, uint32_t partition) const
-    {
-        const uint32_t part =
-            _config.partitions == 1
-                ? 0
-                : partition % static_cast<uint32_t>(_config.partitions);
-        return static_cast<size_t>(part) * _setsPerPartition +
-               static_cast<size_t>(index % _setsPerPartition);
-    }
-
-  private:
-    struct Line
-    {
-        bool valid = false;
-        uint64_t key = 0;
-        V value{};
-    };
-
-    Line &at(size_t set, size_t way)
-    {
-        return _lines[set * _config.ways + way];
-    }
-    const Line &at(size_t set, size_t way) const
-    {
-        return _lines[set * _config.ways + way];
-    }
-
-    Line *
-    findLine(size_t set, uint64_t key)
-    {
-        for (size_t w = 0; w < _config.ways; ++w) {
-            Line &line = at(set, w);
-            if (line.valid && line.key == key)
-                return &line;
-        }
-        return nullptr;
-    }
-
-    const Line *
-    findLine(size_t set, uint64_t key) const
-    {
-        for (size_t w = 0; w < _config.ways; ++w) {
-            const Line &line = at(set, w);
-            if (line.valid && line.key == key)
-                return &line;
-        }
-        return nullptr;
-    }
-
-    size_t
-    wayOf(size_t set, const Line *line) const
-    {
-        return static_cast<size_t>(line - &_lines[set * _config.ways]);
-    }
-
-    CacheConfig _config;
-    std::unique_ptr<ReplacementPolicy> _policy;
-    std::vector<Line> _lines;
-    size_t _setsPerPartition = 1;
-    CacheStats _stats;
-
-    // Scratch buffers for victim selection (avoid per-miss alloc).
-    std::vector<size_t> _victimWays;
-    std::vector<uint64_t> _victimKeys;
-};
-
-#endif // HYPERSIO_LEGACY_STRUCTURES
 
 } // namespace hypersio::cache
 

@@ -4,10 +4,10 @@
  * bench binaries (and bench/json_report.hh) that only need the
  * option block don't compile the whole experiment harness — and,
  * through it, the entire simulator — into their own translation
- * unit. That matters for the event-kernel microbench in particular:
- * its timed loops are header-inline, and pulling megabytes of
- * unrelated inline code into the same TU lets unit-growth inlining
- * heuristics reshape the very loops being measured.
+ * unit. That matters most for a bench whose timed loops are
+ * header-inline (the event kernel's): pulling megabytes of unrelated
+ * inline code into the same TU lets unit-growth inlining heuristics
+ * reshape the very loops being measured.
  */
 
 #ifndef HYPERSIO_CORE_BENCH_OPTIONS_HH

@@ -119,9 +119,9 @@ struct SystemConfig
      * Hit-path event fusion (sim/event_queue.hh::tryFuseAdvance):
      * deterministic translation hops run as synchronous
      * continuations instead of separate events. Results are
-     * bit-identical either way (gate 12 enforces it); OFF pins the
-     * event-per-hop reference kernel for A/B measurement. Clamped to
-     * off in -DHYPERSIO_EVENT_FUSION=OFF builds.
+     * bit-identical either way (bench/layer_bench's fusion A/B and
+     * tests/test_event_fusion.cc enforce it); OFF selects the
+     * event-per-hop schedule for A/B measurement.
      */
     bool eventFusion = true;
 

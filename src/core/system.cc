@@ -105,9 +105,8 @@ System::dispatchPrefetchFill(mem::DomainId did, mem::Iova iova,
 System::System(const SystemConfig &config)
     : _config(config), _stats("system"), _tables(config.seed)
 {
-    // Runtime leg of the event-fusion knob (the compile-time leg is
-    // -DHYPERSIO_EVENT_FUSION); results are bit-identical either
-    // way, so this only selects the kernel being measured.
+    // Event fusion is bit-identical either way, so this only selects
+    // the schedule being measured.
     _queue.setFusionEnabled(_config.eventFusion);
     _memory = std::make_unique<mem::MemoryModel>(_config.memory,
                                                  _queue, _stats);

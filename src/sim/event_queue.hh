@@ -28,9 +28,9 @@
  * observable total-order key (tick, priority, seq) is identical to
  * the event-per-hop schedule. Fusion is refused whenever any pending
  * event would fire at or before the hop's tick, so fused work can
- * never run ahead of (or tie with) a legacy event — interleaving is
- * bit-identical by construction. -DHYPERSIO_EVENT_FUSION=OFF
- * compiles the fast path away entirely.
+ * never run ahead of (or tie with) a regular event — interleaving
+ * is bit-identical by construction. setFusionEnabled(false) selects
+ * the event-per-hop schedule at runtime, so one binary can A/B them.
  *
  * Refused-slot fast-forward (DESIGN.md "Refused-slot fast-forward"):
  * a periodic retry that was refused may skip every later slot that
@@ -103,18 +103,6 @@ class EventQueue
      */
     static constexpr size_t CallbackInlineSize = 48;
 
-    /**
-     * True when the fused hit path is compiled in (the default).
-     * -DHYPERSIO_EVENT_FUSION=OFF pins the event-per-hop reference
-     * kernel; scripts/check_repo.sh gate 12 builds both and requires
-     * every deterministic bench count to match exactly.
-     */
-#ifdef HYPERSIO_NO_EVENT_FUSION
-    static constexpr bool FusionCompiledIn = false;
-#else
-    static constexpr bool FusionCompiledIn = true;
-#endif
-
     EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
@@ -174,15 +162,11 @@ class EventQueue
     size_t poolCapacity() const { return _slabSize; }
 
     /**
-     * Enables/disables the fused fast path at runtime (tests compare
-     * fused and unfused runs inside one binary). A no-op when fusion
-     * is compiled out; on() then keeps reporting false.
+     * Enables/disables the fused fast path at runtime (tests and
+     * bench/layer_bench compare fused and unfused runs inside one
+     * binary).
      */
-    void
-    setFusionEnabled(bool on)
-    {
-        _fusionEnabled = on && FusionCompiledIn;
-    }
+    void setFusionEnabled(bool on) { _fusionEnabled = on; }
     bool fusionEnabled() const { return _fusionEnabled; }
 
     /** Hop events elided by tryFuseAdvance() so far (diagnostics
@@ -202,8 +186,8 @@ class EventQueue
      * Success requires, conservatively:
      *  - fusion enabled and a run() in progress (never during step(),
      *    which promises one callback per call);
-     *  - the hop's tick not beyond the run limit (legacy leaves the
-     *    event pending past the limit; so do we);
+     *  - the hop's tick not beyond the run limit (the per-hop
+     *    schedule leaves the event pending past the limit; so do we);
      *  - every pending event STRICTLY later than the hop's tick — a
      *    tombstoned top counts as pending (it may hide a later live
      *    key, so skipping fusion is the safe direction), and
@@ -213,10 +197,6 @@ class EventQueue
     bool
     tryFuseAdvance(Tick delay)
     {
-#ifdef HYPERSIO_NO_EVENT_FUSION
-        (void)delay;
-        return false;
-#else
         if (!_fusionEnabled || !_inRun)
             return false;
         const Tick when = _now + delay;
@@ -232,7 +212,6 @@ class EventQueue
         ++_fusedHops;
         _now = when;
         return true;
-#endif
     }
 
     /**
@@ -596,7 +575,7 @@ class EventQueue
     /** run()'s `limit` while a run is in progress (fusion horizon). */
     Tick _runLimit = MaxTick;
     bool _inRun = false;
-    bool _fusionEnabled = FusionCompiledIn;
+    bool _fusionEnabled = true;
 };
 
 /**

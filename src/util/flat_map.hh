@@ -26,7 +26,8 @@
  *     The group backend only produces candidate masks — every
  *     decision is made from the masks in slot order — so the table's
  *     layout and every observable result are bit-identical across
- *     backends (scripts/check_repo.sh gate 9 enforces this);
+ *     backends (tests/test_simd.cc and bench/layer_bench's probe
+ *     A/B enforce this);
  *   - the tag array is the only zero-initialized storage: the
  *     key/value array is allocated default-initialized, so growing a
  *     table never memsets the (much larger) payload — the cost that
@@ -46,13 +47,6 @@
  * 64 bits; V is default-constructible and move-assignable. Erasing a
  * non-trivial V assigns `V()` into the vacated slot so resources
  * release eagerly.
- *
- * Reference mode: building with -DHYPERSIO_LEGACY_STRUCTURES=ON pins
- * the old node-based layout (a thin wrapper over std::unordered_map
- * with this same API). scripts/check_repo.sh builds it to measure
- * the flat layout's end-to-end speedup on
- * bench/translation_path_microbench; it is not meant for production
- * runs.
  */
 
 #ifndef HYPERSIO_UTIL_FLAT_MAP_HH
@@ -66,17 +60,11 @@
 #include <utility>
 #include <vector>
 
-#ifdef HYPERSIO_LEGACY_STRUCTURES
-#include <unordered_map>
-#endif
-
 #include "util/logging.hh"
 #include "util/simd.hh"
 
 namespace hypersio::util
 {
-
-#ifndef HYPERSIO_LEGACY_STRUCTURES
 
 /**
  * Open-addressing map from an integral key to V (see file header).
@@ -441,98 +429,6 @@ class FlatMap
     size_t _mask = 0;  ///< capacity() - 1; 0 before the first insert
     int _shift = 63;   ///< bucket = mix(key) >> _shift
 };
-
-#else // HYPERSIO_LEGACY_STRUCTURES
-
-/**
- * Reference mode: the pre-flat node-based layout, kept selectable so
- * bench/translation_path_microbench can measure the data-layout win
- * end-to-end (scripts/check_repo.sh gate 7). API-compatible with the
- * flat implementation above. The group-probe backend parameter is
- * accepted for API compatibility and ignored (node-based layout).
- */
-template <typename K, typename V,
-          typename Ops = simd::DefaultGroupOps>
-class FlatMap
-{
-  public:
-    FlatMap() = default;
-
-    size_t size() const { return _map.size(); }
-    bool empty() const { return _map.empty(); }
-    size_t capacity() const { return _map.bucket_count(); }
-
-    void reserve(size_t n) { _map.reserve(n); }
-
-    V *
-    find(K key)
-    {
-        auto it = _map.find(key);
-        return it == _map.end() ? nullptr : &it->second;
-    }
-
-    const V *
-    find(K key) const
-    {
-        auto it = _map.find(key);
-        return it == _map.end() ? nullptr : &it->second;
-    }
-
-    bool contains(K key) const { return _map.count(key) != 0; }
-
-    std::pair<V *, bool>
-    tryEmplace(K key)
-    {
-        auto [it, inserted] = _map.try_emplace(key);
-        return {&it->second, inserted};
-    }
-
-    V &operator[](K key) { return _map[key]; }
-
-    bool
-    insert(K key, V value)
-    {
-        auto [it, inserted] = _map.try_emplace(key);
-        it->second = std::move(value);
-        return inserted;
-    }
-
-    bool erase(K key) { return _map.erase(key) != 0; }
-
-    bool
-    extract(K key, V &out)
-    {
-        auto it = _map.find(key);
-        if (it == _map.end())
-            return false;
-        out = std::move(it->second);
-        _map.erase(it);
-        return true;
-    }
-
-    void clear() { _map.clear(); }
-
-    template <typename Fn>
-    void
-    forEach(Fn &&fn)
-    {
-        for (auto &[key, value] : _map)
-            fn(key, value);
-    }
-
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const auto &[key, value] : _map)
-            fn(key, value);
-    }
-
-  private:
-    std::unordered_map<K, V> _map;
-};
-
-#endif // HYPERSIO_LEGACY_STRUCTURES
 
 } // namespace hypersio::util
 

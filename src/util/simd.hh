@@ -25,10 +25,10 @@
  *     and identical FlatMap/SetAssocCache layouts).
  *
  * Selection is compile-time: DefaultGroupOps is the best vector
- * backend for the target unless HYPERSIO_FORCE_SCALAR_PROBES is
- * defined (the -DHYPERSIO_SIMD_PROBES=OFF CMake build), which pins
- * the scalar reference. scripts/check_repo.sh gate 9 builds both and
- * requires every deterministic bench count to match exactly.
+ * backend for the target. The consumers take the backend as a
+ * template parameter, so the scalar reference can be instantiated
+ * next to it in one binary — bench/layer_bench's probe A/B does
+ * exactly that and requires every deterministic count to match.
  *
  * Group discipline shared by all consumers: groups are 16-byte
  * *position-aligned* windows of the byte array (offset a multiple of
@@ -44,14 +44,12 @@
 #include <cstddef>
 #include <cstdint>
 
-#if !defined(HYPERSIO_FORCE_SCALAR_PROBES)
 #if defined(__SSE2__) || defined(_M_X64)
 #define HYPERSIO_SIMD_SSE2 1
 #include <emmintrin.h>
 #elif defined(__ARM_NEON) || defined(__ARM_NEON__)
 #define HYPERSIO_SIMD_NEON 1
 #include <arm_neon.h>
-#endif
 #endif
 
 namespace hypersio::util::simd
@@ -159,8 +157,7 @@ using VectorGroupOps = NeonGroupOps;
 
 #else
 
-/** No vector unit (or HYPERSIO_FORCE_SCALAR_PROBES): the reference
- *  backend is also the "vector" one. */
+/** No vector unit: the reference backend is also the "vector" one. */
 using VectorGroupOps = ScalarGroupOps;
 
 #endif

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/legacy_event_queue.hh"
 
 namespace hypersio::sim
 {
@@ -168,9 +167,8 @@ TEST(EventHandle, DefaultIsInvalid)
 }
 
 // Regression: cancelling an event after it fired must be a detected
-// no-op. The legacy kernel tombstoned the dead id forever, so its
-// pending() underflowed and empty() lied (see the companion test
-// below, which pins down the old behaviour).
+// no-op. The pre-slab kernel tombstoned the dead id forever, so its
+// pending() underflowed and empty() lied.
 TEST(EventQueue, CancelAfterFireReturnsFalse)
 {
     EventQueue q;
@@ -188,22 +186,6 @@ TEST(EventQueue, CancelAfterFireReturnsFalse)
     q.run();
     EXPECT_EQ(fired, 2);
     EXPECT_TRUE(q.empty());
-}
-
-// The same sequence against the preserved legacy kernel: cancel
-// claims success on a fired event and corrupts the accounting. This
-// documents that CancelAfterFireReturnsFalse genuinely fails on the
-// old implementation (its EXPECTs invert here).
-TEST(LegacyEventQueue, CancelAfterFireCorruptsAccounting)
-{
-    LegacyEventQueue q;
-    int fired = 0;
-    LegacyEventHandle h = q.schedule(10, [&] { ++fired; });
-    q.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(q.cancel(h)); // bug: the event already fired
-    EXPECT_NE(q.pending(), 0u); // size_t underflow
-    EXPECT_FALSE(q.empty());
 }
 
 // A handle must die with its event even when the slot is recycled:
@@ -382,8 +364,6 @@ TEST(EventQueueDeathTest, ScheduleAfterOverflowPanics)
 
 TEST(EventQueueDeathTest, FusedHopOverflowPanics)
 {
-    if (!EventQueue::FusionCompiledIn)
-        GTEST_SKIP() << "fusion compiled out";
     EXPECT_DEATH(
         {
             EventQueue q;
@@ -405,8 +385,6 @@ TEST(EventQueueFusion, RefusesOutsideRun)
 
 TEST(EventQueueFusion, WarpsNowAndBurnsExactlyOneSeq)
 {
-    if (!EventQueue::FusionCompiledIn)
-        GTEST_SKIP() << "fusion compiled out";
     EventQueue q;
     Tick fused_at = 0;
     uint64_t seq_before = 0;
@@ -434,8 +412,6 @@ TEST(EventQueueFusion, WarpsNowAndBurnsExactlyOneSeq)
 // ordered it last. Strictly-later pending work is safe.
 TEST(EventQueueFusion, RefusesUnlessHeapTopStrictlyLater)
 {
-    if (!EventQueue::FusionCompiledIn)
-        GTEST_SKIP() << "fusion compiled out";
     EventQueue q;
     bool other_ran = false;
     q.schedule(12, [&] { other_ran = true; });
@@ -454,8 +430,6 @@ TEST(EventQueueFusion, RefusesUnlessHeapTopStrictlyLater)
 // later live event, and skipping fusion is the safe direction.
 TEST(EventQueueFusion, RefusesOnTombstonedTop)
 {
-    if (!EventQueue::FusionCompiledIn)
-        GTEST_SKIP() << "fusion compiled out";
     EventQueue q;
     EventHandle dead = q.schedule(12, [] {});
     q.schedule(10, [&] { EXPECT_FALSE(q.tryFuseAdvance(2)); });
@@ -468,8 +442,6 @@ TEST(EventQueueFusion, RefusesOnTombstonedTop)
 // limit would instead execute its continuation, so it must refuse.
 TEST(EventQueueFusion, RefusesPastRunLimit)
 {
-    if (!EventQueue::FusionCompiledIn)
-        GTEST_SKIP() << "fusion compiled out";
     EventQueue q;
     q.schedule(10, [&] {
         EXPECT_FALSE(q.tryFuseAdvance(6)); // 16 past the limit
@@ -492,11 +464,8 @@ TEST(EventQueueFusion, RuntimeKnobDisablesAndReenables)
         fused += q.tryFuseAdvance(1) ? 1 : 0;
     });
     q.run();
-    // Re-enabling only takes effect when fusion is compiled in; the
-    // knob never reports (or does) more than the build allows.
-    const int expect = EventQueue::FusionCompiledIn ? 1 : 0;
-    EXPECT_EQ(fused, expect);
-    EXPECT_EQ(q.fusedHops(), static_cast<uint64_t>(expect));
+    EXPECT_EQ(fused, 1);
+    EXPECT_EQ(q.fusedHops(), 1u);
 }
 
 // End-to-end ledger parity: a chain run with fusion (fall back when
@@ -529,11 +498,8 @@ TEST(EventQueueFusion, ChainLedgerMatchesEventPerHop)
     const auto b = drive(perhop, false);
     EXPECT_EQ(a, b);
     EXPECT_EQ(perhop.fusedHops(), 0u);
-    if (EventQueue::FusionCompiledIn) {
-        EXPECT_GT(fused.fusedHops(), 0u);
-        EXPECT_EQ(perhop.executed(),
-                  fused.executed() + fused.fusedHops());
-    }
+    EXPECT_GT(fused.fusedHops(), 0u);
+    EXPECT_EQ(perhop.executed(), fused.executed() + fused.fusedHops());
 }
 
 // ---- Refused-slot fast-forward primitives ------------------------------

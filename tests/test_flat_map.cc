@@ -77,8 +77,6 @@ TEST(FlatMap, EnumKeys)
     EXPECT_EQ(map[Id::C], 3);
 }
 
-#ifndef HYPERSIO_LEGACY_STRUCTURES
-
 /**
  * Replicates the flat implementation's bucket function so tests can
  * pick keys by home slot. Kept in sync with FlatMap::mix/the bucket
@@ -167,8 +165,6 @@ TEST(FlatMap, ReserveDoesNotInvalidatePointers)
         EXPECT_EQ(*pointers[key], key ^ 0x5aa5);
     }
 }
-
-#endif // !HYPERSIO_LEGACY_STRUCTURES
 
 TEST(FlatMap, RehashPreservesAllEntries)
 {

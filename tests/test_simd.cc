@@ -151,11 +151,8 @@ TEST(GroupOps, FlatMapMatchesUnorderedMapAtLargeCapacity)
         }
     }
     ASSERT_EQ(map.size(), ref.size());
-#ifndef HYPERSIO_LEGACY_STRUCTURES
-    // Power-of-two capacities are a flat-layout property; the whole
-    // point of this size is to reach bucket bits >= 2^18.
+    // The whole point of this size is to reach bucket bits >= 2^18.
     ASSERT_GE(map.capacity(), size_t{1} << 18);
-#endif
     size_t walked = 0;
     map.forEach([&](uint64_t k, uint64_t v) {
         auto it = ref.find(k);

@@ -303,19 +303,6 @@ operator<<(std::ostream &os, const DropGolden &g)
               << g.statsHash << std::dec << "ULL}";
 }
 
-/** Executed-event counts of the per-slot process, per kernel flavour. */
-struct PerSlotEvents
-{
-    uint64_t fused;
-    uint64_t perHop;
-
-    uint64_t
-    forThisBuild() const
-    {
-        return sim::EventQueue::FusionCompiledIn ? fused : perHop;
-    }
-};
-
 DropGolden
 observe(System &system, const RunResults &r)
 {
@@ -336,12 +323,12 @@ observe(System &system, const RunResults &r)
 
 void
 expectPinned(const char *name, System &system, const RunResults &r,
-             const DropGolden &pinned, const PerSlotEvents &per_slot)
+             const DropGolden &pinned, uint64_t per_slot_events)
 {
     const DropGolden got = observe(system, r);
     EXPECT_GT(got.packetsDropped, 0u) << name << ": no drops to skip";
     EXPECT_EQ(got, pinned) << name << ": observed " << got;
-    EXPECT_LT(system.eventQueue().executed(), per_slot.forThisBuild())
+    EXPECT_LT(system.eventQueue().executed(), per_slot_events)
         << name << ": the fast-forward elided no arrival events";
 }
 
@@ -351,7 +338,8 @@ TEST(SystemDropGolden, BaseWebsearchAtAdmitBatchOneAndFour)
     {
         unsigned batch;
         DropGolden golden;
-        PerSlotEvents perSlot;
+        /** Executed events of the per-slot process (fusion on). */
+        uint64_t perSlotEvents;
     };
     // Both runs admit the same packets in the same order through a
     // 1-entry PTB, so only the drop counts and timing differ.
@@ -359,11 +347,11 @@ TEST(SystemDropGolden, BaseWebsearchAtAdmitBatchOneAndFour)
         {1,
          {123762u, 7920654480u, 159166u, 0u, 0xcbf29ce484222325ULL,
           0xb9f7999575cf29a8ULL},
-         {145528u, 159166u}},
+         145528u},
         {4,
          {33838u, 8339770080u, 64619u, 0u, 0xcbf29ce484222325ULL,
           0xb9f7999575cf29a8ULL},
-         {50981u, 64619u}},
+         50981u},
     };
     const auto tr =
         makeTrace(16, "RR1", workload::Benchmark::Websearch, 0.02);
@@ -373,7 +361,8 @@ TEST(SystemDropGolden, BaseWebsearchAtAdmitBatchOneAndFour)
         System system(config);
         const RunResults r = system.run(tr);
         const std::string name = "batch" + std::to_string(pin.batch);
-        expectPinned(name.c_str(), system, r, pin.golden, pin.perSlot);
+        expectPinned(name.c_str(), system, r, pin.golden,
+                     pin.perSlotEvents);
     }
 }
 
@@ -396,7 +385,7 @@ TEST(SystemDropGolden, BaseChurnWithEviction)
                  DropGolden{6447u, 445088880u, 10209u, 24u,
                             0xa05e9e628a5cabfbULL,
                             0x2d1f7d8febef38dfULL},
-                 PerSlotEvents{8956u, 10209u});
+                 8956u);
 }
 
 TEST(ExperimentRunnerTest, CachesTracesAcrossPoints)
