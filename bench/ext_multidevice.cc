@@ -42,15 +42,15 @@ main(int argc, char **argv)
                 hypertrio ? core::SystemConfig::hypertrio()
                           : core::SystemConfig::base();
             config.seed = opts.seed;
-            core::MultiSystem system(config, devices);
-            const core::MultiRunResults r = system.run(tr);
+            core::System system(config, devices);
+            const core::RunResults r = system.run(tr);
             std::printf("%8u %12s %16.1f %16.1f %13.1f%%\n",
-                        devices, config.name.c_str(), r.totalGbps,
-                        r.totalGbps / devices,
+                        devices, config.name.c_str(), r.achievedGbps,
+                        r.achievedGbps / devices,
                         r.iotlbHitRate * 100.0);
             const std::string tag = config.name + "@dev" +
                                     std::to_string(devices);
-            report.addScalar(tag + ".total_gbps", r.totalGbps);
+            report.addScalar(tag + ".total_gbps", r.achievedGbps);
             report.addScalar(tag + ".iotlb_hit_rate",
                              r.iotlbHitRate);
         }

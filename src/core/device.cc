@@ -93,8 +93,9 @@ Device::Device(const DeviceConfig &config, sim::EventQueue &queue,
     _context.exportStats(statGroup().child("context_cache"));
 }
 
-unsigned
-Device::admit(const trace::PacketRecord &packet)
+void
+Device::accept(const trace::PacketRecord &packet,
+               CompletionSink &sink)
 {
     const int idx = _ptb.allocate(packet, now());
     HYPERSIO_ASSERT(idx >= 0, "accept() called with a full PTB");
@@ -110,27 +111,10 @@ Device::admit(const trace::PacketRecord &packet)
         _prefetchUnit->observePacket(packet.sid);
         HYPERSIO_SHADOW(deviceSidObserved(packet.sid));
     }
-    return static_cast<unsigned>(idx);
-}
-
-void
-Device::accept(const trace::PacketRecord &packet,
-               CompletionSink &sink)
-{
-    const unsigned idx = admit(packet);
     _ptb.entry(idx).sink = &sink;
     // The arrival event keeps working after accept() returns (batch
     // admission, scheduling the next arrival), so the chain start is
     // not in tail position: the first hop is always a real event.
-    issueNext(idx, /*may_fuse=*/false);
-}
-
-void
-Device::accept(const trace::PacketRecord &packet,
-               std::function<void()> done)
-{
-    const unsigned idx = admit(packet);
-    _ptb.entry(idx).done = std::move(done);
     issueNext(idx, /*may_fuse=*/false);
 }
 
@@ -146,23 +130,14 @@ Device::issueNext(unsigned idx, bool may_fuse)
         if (entry.nextReq >= trace::NumReqClasses) {
             // All three translations done: packet fully processed.
             _packetLatency.sample(ticksToNs(now() - entry.accepted));
-            if (CompletionSink *sink = entry.sink) {
-                // The sink path frees the entry before notifying,
-                // like the callback path — the sink may accept a new
-                // packet reentrantly — so the record is copied out
-                // first.
-                const trace::PacketRecord packet = entry.packet;
-                entry.sink = nullptr;
-                _ptb.release(idx);
-                HYPERSIO_SHADOW(
-                    devicePacketCompleted(idx, _ptb.inUse()));
-                sink->packetDone(packet);
-                return;
-            }
-            std::function<void()> done = std::move(entry.done);
+            // The entry is freed before notifying — the sink may
+            // accept a new packet reentrantly — so the record is
+            // copied out first.
+            const trace::PacketRecord packet = entry.packet;
+            CompletionSink &sink = *entry.sink;
             _ptb.release(idx);
             HYPERSIO_SHADOW(devicePacketCompleted(idx, _ptb.inUse()));
-            done();
+            sink.packetDone(packet);
             return;
         }
         const auto cls = static_cast<trace::ReqClass>(entry.nextReq);

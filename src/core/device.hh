@@ -82,18 +82,10 @@ class Device : public sim::SimObject
      * Accepts a packet (the caller applied its page ops already) and
      * starts its translation chain. `sink.packetDone(packet)` fires
      * when all three translations complete; the packet is then fully
-     * processed. The sink must outlive the packet — this is the
-     * allocation-free form the run loops use on every arrival.
+     * processed. The sink must outlive the packet.
      */
     void accept(const trace::PacketRecord &packet,
                 CompletionSink &sink);
-
-    /**
-     * Callback form of accept() for tests and ad-hoc drivers; `done`
-     * fires when all three translations complete.
-     */
-    void accept(const trace::PacketRecord &packet,
-                std::function<void()> done);
 
     /**
      * A prefetched translation left the chipset for this device
@@ -161,6 +153,11 @@ class Device : public sim::SimObject
     /** Live PTB slots. */
     unsigned ptbInUse() const { return _ptb.inUse(); }
     uint64_t pbHits() const { return _pbHits.count(); }
+    /** Accept-to-complete latency of every completed packet (ns). */
+    const stats::Histogram &packetLatency() const
+    {
+        return _packetLatency;
+    }
     uint64_t prefetchesSent() const { return _prefetchesSent.count(); }
     /** Fills dropped because their page was invalidated mid-flight. */
     uint64_t demandFillsSquashed() const
@@ -173,8 +170,6 @@ class Device : public sim::SimObject
     }
 
   private:
-    /** Shared accept() front half; returns the allocated PTB index. */
-    unsigned admit(const trace::PacketRecord &packet);
     /**
      * Issues the remaining translation requests of PTB entry `idx`,
      * fusing consecutive deterministic hits into one dispatch when

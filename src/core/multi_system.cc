@@ -11,227 +11,6 @@
 namespace hypersio::core
 {
 
-MultiSystem::MultiSystem(const SystemConfig &config,
-                         unsigned num_devices)
-    : _config(config), _stats("system"), _tables(config.seed)
-{
-    if (num_devices == 0)
-        fatal("multi-device system needs at least one device");
-    if (config.device.devtlb.policy == cache::ReplPolicyKind::Oracle)
-        fatal("oracle DevTLB replacement is not supported in "
-              "multi-device mode");
-
-    // Runtime leg of the event-fusion knob (see System's ctor).
-    _queue.setFusionEnabled(_config.eventFusion);
-    _memory = std::make_unique<mem::MemoryModel>(_config.memory,
-                                                 _queue, _stats);
-    _iommu = std::make_unique<iommu::Iommu>(
-        _config.iommu, _queue, _stats, *_memory, _tables);
-
-    const Tick pcie = _config.pcieOneWay;
-    _devices.reserve(num_devices);
-    _historyReaders.reserve(num_devices);
-    _links.resize(num_devices);
-    for (LinkState &link : _links)
-        link.owner = this;
-
-    for (unsigned d = 0; d < num_devices; ++d) {
-        stats::StatGroup &dev_stats =
-            _stats.child("dev" + std::to_string(d));
-
-        HistoryReader *reader = nullptr;
-        if (_config.device.prefetch.enabled &&
-            _config.device.prefetch.kind ==
-                PrefetchKind::SidPredictor) {
-            // Fills route back to this device (set post-construction
-            // via the captured index into _devices).
-            auto fill = [this, d](mem::DomainId did, mem::Iova iova,
-                                  mem::PageSize size,
-                                  mem::Addr host) {
-                _devices[d]->prefetchFillDispatched(did, iova, size);
-                _queue.scheduleAfter(
-                    _config.pcieOneWay,
-                    [this, d, did, iova, size, host]() {
-                        _devices[d]->prefetchFill(did, iova, size,
-                                                  host);
-                    });
-            };
-            _historyReaders.push_back(
-                std::make_unique<HistoryReader>(
-                    _config.device.prefetch, _queue, dev_stats,
-                    *_iommu, *_memory, std::move(fill)));
-            reader = _historyReaders.back().get();
-        }
-
-        // Each device routes its demand path through its own pooled
-        // round-trip records (one XlatePort per device).
-        _xlatePorts.push_back(std::make_unique<XlatePort>(
-            _queue, *_iommu, reader, pcie));
-        DevicePorts ports;
-        ports.translate = [port = _xlatePorts.back().get()](
-                              mem::DomainId did, mem::Iova iova,
-                              mem::PageSize size, bool may_fuse,
-                              DevicePorts::ResponseFn done) {
-            port->translate(did, iova, size, may_fuse,
-                            std::move(done));
-        };
-        if (reader) {
-            ports.prefetch = [this, reader,
-                              pcie](mem::DomainId did) {
-                _queue.scheduleAfter(
-                    pcie, [reader, did]() { reader->prefetch(did); });
-            };
-        }
-        if (_config.device.prefetch.enabled &&
-            _config.device.prefetch.kind == PrefetchKind::MmuDma) {
-            // A predicted page crosses PCIe, translates through the
-            // prefetch-tagged IOMMU path, and a valid result returns
-            // to the issuing device as a prefetch fill (MultiSystem
-            // has no tenant retirement, so no pending counter).
-            ports.prefetchPage = [this, d, pcie](mem::DomainId did,
-                                                 mem::Iova iova,
-                                                 mem::PageSize size) {
-                _queue.scheduleAfter(pcie, [this, d, did, iova,
-                                            size]() {
-                    iommu::IommuRequest req;
-                    req.domain = did;
-                    req.iova = iova;
-                    req.size = size;
-                    req.prefetch = true;
-                    _iommu->translate(
-                        req,
-                        [this, d, did, iova,
-                         size](const iommu::IommuResponse &resp) {
-                            if (!resp.valid)
-                                return;
-                            _devices[d]->prefetchFillDispatched(
-                                did, iova, size);
-                            _queue.scheduleAfter(
-                                _config.pcieOneWay,
-                                [this, d, did, iova, size,
-                                 host = resp.hostAddr]() {
-                                    _devices[d]->prefetchFill(
-                                        did, iova, size, host);
-                                });
-                        });
-                });
-            };
-        }
-
-        _devices.push_back(std::make_unique<Device>(
-            _config.device, _queue, dev_stats, std::move(ports)));
-    }
-}
-
-MultiSystem::~MultiSystem() = default;
-
-void
-MultiSystem::applyOps(const trace::HyperTrace &trace,
-                      const trace::PacketRecord &pkt, unsigned dev)
-{
-    const mem::DomainId did =
-        iommu::ContextCache::resolve(pkt.sid, pkt.pasid)
-            .domain;
-    for (uint16_t i = 0; i < pkt.opCount; ++i) {
-        const trace::PageOp &op = trace.ops[pkt.opBegin + i];
-        mem::PageTable &table = _tables.get(did);
-        if (op.isMap) {
-            table.map(op.pageBase, op.size);
-        } else {
-            table.unmap(op.pageBase);
-            _devices[dev]->invalidatePage(did, op.pageBase,
-                                          op.size);
-            _iommu->invalidate(did, op.pageBase, op.size);
-        }
-    }
-}
-
-MultiRunResults
-MultiSystem::run(const trace::HyperTrace &trace)
-{
-    HYPERSIO_ASSERT(!_ran, "MultiSystem::run() may only run once");
-    _ran = true;
-
-    const auto n = static_cast<unsigned>(_devices.size());
-    MultiRunResults results;
-    results.perDeviceGbps.assign(n, 0.0);
-    if (trace.packets.empty())
-        return results;
-
-    // Pre-split the trace: tenant t's packets drive device t % N,
-    // keeping each tenant's packet order intact.
-    for (uint32_t i = 0; i < trace.packets.size(); ++i) {
-        const unsigned dev = trace.packets[i].sid % n;
-        _links[dev].packetIdx.push_back(i);
-    }
-
-    const Tick interval = _config.link.packetInterval();
-
-    // One independent arrival process per device link.
-    std::vector<std::function<void()>> arrivals(n);
-    for (unsigned d = 0; d < n; ++d) {
-        arrivals[d] = [this, d, n, interval, &trace, &arrivals]() {
-            LinkState &link = _links[d];
-            if (link.cursor >= link.packetIdx.size())
-                return;
-            const trace::PacketRecord &pkt =
-                trace.packets[link.packetIdx[link.cursor]];
-
-            if (_devices[d]->ptbFull()) {
-                ++link.dropped;
-            } else {
-                applyOps(trace, pkt, d);
-                ++link.cursor;
-                _devices[d]->accept(pkt, link);
-            }
-            if (link.cursor < link.packetIdx.size()) {
-                // Re-arm by reference: the closure itself is never
-                // copied per arrival slot.
-                _queue.scheduleAfter(
-                    interval, [fn = &arrivals[d]] { (*fn)(); });
-            }
-        };
-        if (!_links[d].packetIdx.empty())
-            _queue.schedule(0, [fn = &arrivals[d]] { (*fn)(); });
-    }
-
-    _queue.run();
-
-    results.elapsed = _lastCompletion + interval;
-    for (unsigned d = 0; d < n; ++d) {
-        results.packetsProcessed += _links[d].processed;
-        results.packetsDropped += _links[d].dropped;
-        results.perDeviceGbps[d] =
-            achievedGbps(_links[d].bytes, results.elapsed);
-        results.totalGbps += results.perDeviceGbps[d];
-    }
-    results.utilization =
-        results.totalGbps / (_config.link.gbps * n);
-
-    const auto &iotlb = _iommu->iotlbStats();
-    results.iotlbHitRate =
-        iotlb.lookups == 0
-            ? 0.0
-            : static_cast<double>(iotlb.hits) /
-                  static_cast<double>(iotlb.lookups);
-    const auto *walks = _stats.child("iommu").find("walks");
-    results.walks =
-        walks ? static_cast<uint64_t>(walks->value()) : 0;
-    return results;
-}
-
-void
-MultiSystem::dumpStats(std::ostream &os) const
-{
-    _stats.dump(os);
-}
-
-void
-MultiSystem::dumpStatsJson(std::ostream &os, unsigned indent) const
-{
-    stats::writeJson(_stats, os, indent);
-}
-
 ShardedMultiSystem::ShardedMultiSystem(const SystemConfig &config,
                                        unsigned shards,
                                        unsigned jobs)

@@ -1,14 +1,10 @@
 /**
  * @file
- * Multi-device system: several I/O devices — one per host link, as
- * in the paper's Fig. 1 multi-host sharing scenario — translating
- * through one shared chipset (IOMMU, paging caches, memory).
- *
- * Each device keeps its own link, PTB, DevTLB, and Prefetch Unit;
- * tenants are distributed round-robin across devices (tenant t
- * drives device t % N). The shared IOMMU sees the union of all
- * devices' demand and prefetch traffic, so its IOTLB, paging caches,
- * and walker slots become contended resources.
+ * Hyper-scale sharding: the tenant population split across
+ * independent System shards, each with its own link, device,
+ * chipset, and event queue, run on a small worker pool. (Several
+ * devices sharing one chipset are a single System with a device
+ * count; see core/system.hh.)
  */
 
 #ifndef HYPERSIO_CORE_MULTI_SYSTEM_HH
@@ -18,105 +14,12 @@
 #include <memory>
 #include <vector>
 
-#include "core/chipset.hh"
 #include "core/config.hh"
-#include "core/device.hh"
 #include "core/system.hh"
-#include "core/xlate_port.hh"
-#include "trace/record.hh"
 #include "trace/stream.hh"
 
 namespace hypersio::core
 {
-
-/** Aggregate results of a multi-device run. */
-struct MultiRunResults
-{
-    /** Sum of all links' achieved bandwidth. */
-    double totalGbps = 0.0;
-    /** Aggregate utilisation relative to N x link rate. */
-    double utilization = 0.0;
-    uint64_t packetsProcessed = 0;
-    uint64_t packetsDropped = 0;
-    Tick elapsed = 0;
-    /** Per-device achieved bandwidth. */
-    std::vector<double> perDeviceGbps;
-    /** Shared-IOMMU IOTLB hit rate. */
-    double iotlbHitRate = 0.0;
-    uint64_t walks = 0;
-};
-
-/**
- * N devices sharing one translation subsystem. Constructed from one
- * per-device configuration (every device is identical, as VFs of the
- * same physical part would be).
- */
-class MultiSystem
-{
-  public:
-    MultiSystem(const SystemConfig &config, unsigned num_devices);
-    ~MultiSystem();
-
-    MultiSystem(const MultiSystem &) = delete;
-    MultiSystem &operator=(const MultiSystem &) = delete;
-
-    /**
-     * Runs the trace with packets routed to device (sid % N). May be
-     * called once per MultiSystem.
-     */
-    MultiRunResults run(const trace::HyperTrace &trace);
-
-    unsigned numDevices() const
-    {
-        return static_cast<unsigned>(_devices.size());
-    }
-
-    /** The shared event queue (fusion telemetry in tests/benches). */
-    const sim::EventQueue &eventQueue() const { return _queue; }
-
-    /** Dumps the statistics tree (shared chipset + per device). */
-    void dumpStats(std::ostream &os) const;
-
-    /** Same tree as JSON; indent 0 writes one compact line. */
-    void dumpStatsJson(std::ostream &os, unsigned indent = 2) const;
-
-  private:
-    void applyOps(const trace::HyperTrace &trace,
-                  const trace::PacketRecord &pkt, unsigned dev);
-
-    SystemConfig _config;
-    sim::EventQueue _queue;
-    stats::StatGroup _stats;
-    std::unique_ptr<mem::MemoryModel> _memory;
-    iommu::PageTableDirectory _tables;
-    std::unique_ptr<iommu::Iommu> _iommu;
-    std::vector<std::unique_ptr<HistoryReader>> _historyReaders;
-    std::vector<std::unique_ptr<XlatePort>> _xlatePorts;
-    std::vector<std::unique_ptr<Device>> _devices;
-
-    struct LinkState : Device::CompletionSink
-    {
-        std::vector<uint32_t> packetIdx; ///< trace indices for this dev
-        size_t cursor = 0;
-        uint64_t processed = 0;
-        uint64_t dropped = 0;
-        uint64_t bytes = 0;
-        MultiSystem *owner = nullptr; ///< completion bookkeeping
-
-        /** Device completion for this link (allocation-free). */
-        void
-        packetDone(const trace::PacketRecord &pkt) override
-        {
-            ++processed;
-            bytes += pkt.wireBytes ? pkt.wireBytes
-                                   : owner->_config.link.packetBytes;
-            owner->_lastCompletion = owner->_queue.now();
-        }
-    };
-    std::vector<LinkState> _links;
-    Tick _lastCompletion = 0;
-    bool _ran = false;
-};
 
 /**
  * One tenant retirement on the merged global timeline. Entries are

@@ -20,7 +20,6 @@
 #define HYPERSIO_CORE_PTB_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "mem/page_table.hh"
@@ -60,11 +59,8 @@ struct PtbEntry
     /** A prefetch was already triggered for this packet. */
     bool prefetchIssued = false;
     Tick accepted = 0;
-    /** Completion target (the run loop); null when `done` is used. */
+    /** Completion target (the run loop). */
     PacketCompletionSink *sink = nullptr;
-    /** Fires when all three translations complete (callback form;
-     *  tests and ad-hoc drivers). */
-    std::function<void()> done;
     /** Domain of the request currently outstanding. */
     mem::DomainId did = 0;
     /** Request class currently outstanding (set by each resolve). */
@@ -131,7 +127,6 @@ class PendingTranslationBuffer
         HYPERSIO_ASSERT(idx < _pool.size() && _pool[idx].busy,
                         "double free of PTB entry %u", idx);
         _pool[idx].busy = false;
-        _pool[idx].done = nullptr;
         _free.push_back(idx);
     }
 

@@ -11,33 +11,27 @@ namespace hypersio::core
 {
 
 /**
- * Wires the device-to-chipset ports with PCIe latency on each hop:
- * demand path device → IOMMU → device (state pooled in _xlatePort),
- * prefetch path device → history reader (which later fills back
- * through its own callback).
+ * Wires one device's ports with PCIe latency on each hop: demand
+ * path device → IOMMU → device (state pooled in the link's
+ * XlatePort), prefetch path device → history reader (which later
+ * fills back through its own callback).
  */
 DevicePorts
-System::makeDevicePorts()
+System::makeDevicePorts(Link &link)
 {
-    if (!_xlatePort) {
-        _xlatePort = std::make_unique<XlatePort>(
-            _queue, *_iommu, _historyReader.get(),
-            _config.pcieOneWay);
-    }
+    link.xlatePort = std::make_unique<XlatePort>(
+        _queue, *_iommu, link.historyReader.get(), _config.pcieOneWay);
     DevicePorts ports;
-    ports.translate = [port = _xlatePort.get()](
+    ports.translate = [port = link.xlatePort.get()](
                           mem::DomainId did, mem::Iova iova,
                           mem::PageSize size, bool may_fuse,
                           DevicePorts::ResponseFn done) {
         port->translate(did, iova, size, may_fuse, std::move(done));
     };
-    if (_historyReader) {
-        ports.prefetch = [this](mem::DomainId did) {
-            _queue.scheduleAfter(
-                _config.pcieOneWay,
-                [reader = _historyReader.get(), did] {
-                    reader->prefetch(did);
-                });
+    if (HistoryReader *reader = link.historyReader.get()) {
+        ports.prefetch = [this, reader](mem::DomainId did) {
+            _queue.scheduleAfter(_config.pcieOneWay,
+                                 [reader, did] { reader->prefetch(did); });
         };
     }
     if (_config.device.prefetch.enabled &&
@@ -48,12 +42,12 @@ System::makeDevicePorts()
         // prefetch fill. The pending counter gates streaming-run
         // retirement for the issue-to-completion window; the return
         // hop is then covered by the fill wire counter.
-        ports.prefetchPage = [this](mem::DomainId did,
-                                    mem::Iova iova,
-                                    mem::PageSize size) {
+        ports.prefetchPage = [this, &link](mem::DomainId did,
+                                           mem::Iova iova,
+                                           mem::PageSize size) {
             ++_mmuPrefetchesInFlight[did];
             _queue.scheduleAfter(
-                _config.pcieOneWay, [this, did, iova, size]() {
+                _config.pcieOneWay, [this, &link, did, iova, size]() {
                     iommu::IommuRequest req;
                     req.domain = did;
                     req.iova = iova;
@@ -61,7 +55,7 @@ System::makeDevicePorts()
                     req.prefetch = true;
                     _iommu->translate(
                         req,
-                        [this, did, iova,
+                        [this, &link, did, iova,
                          size](const iommu::IommuResponse &resp) {
                             uint32_t *pending =
                                 _mmuPrefetchesInFlight.find(did);
@@ -73,7 +67,7 @@ System::makeDevicePorts()
                                 _mmuPrefetchesInFlight.erase(did);
                             if (resp.valid) {
                                 dispatchPrefetchFill(
-                                    did, iova, size,
+                                    link, did, iova, size,
                                     resp.hostAddr);
                             }
                         });
@@ -84,27 +78,31 @@ System::makeDevicePorts()
 }
 
 void
-System::dispatchPrefetchFill(mem::DomainId did, mem::Iova iova,
-                             mem::PageSize size, mem::Addr host_addr)
+System::dispatchPrefetchFill(Link &link, mem::DomainId did,
+                             mem::Iova iova, mem::PageSize size,
+                             mem::Addr host_addr)
 {
     ++_fillsInFlight[did];
     // The device records the fill as in flight now: an invalidate of
     // this page during the PCIe hop squashes the fill instead of
     // installing a stale translation.
-    _device->prefetchFillDispatched(did, iova, size);
+    link.device->prefetchFillDispatched(did, iova, size);
     _queue.scheduleAfter(
-        _config.pcieOneWay, [this, did, iova, size, host_addr]() {
+        _config.pcieOneWay,
+        [this, &link, did, iova, size, host_addr]() {
             uint32_t *wire = _fillsInFlight.find(did);
             HYPERSIO_ASSERT(wire && *wire > 0,
                             "prefetch fill without a wire counter");
             --*wire;
-            _device->prefetchFill(did, iova, size, host_addr);
+            link.device->prefetchFill(did, iova, size, host_addr);
         });
 }
 
-System::System(const SystemConfig &config)
+System::System(const SystemConfig &config, unsigned devices)
     : _config(config), _stats("system"), _tables(config.seed)
 {
+    if (devices == 0)
+        fatal("a system needs at least one device");
     // Event fusion is bit-identical either way, so this only selects
     // the schedule being measured.
     _queue.setFusionEnabled(_config.eventFusion);
@@ -113,68 +111,103 @@ System::System(const SystemConfig &config)
     _iommu = std::make_unique<iommu::Iommu>(
         _config.iommu, _queue, _stats, *_memory, _tables);
 
-    if (_config.device.prefetch.enabled &&
-        _config.device.prefetch.kind == PrefetchKind::SidPredictor) {
-        // The History Reader drives the paper's scheme; prefetch
-        // completions return to the device via dispatchPrefetchFill
-        // (the MmuDma mechanism has no reader — its completions come
-        // straight from the IOMMU in makeDevicePorts()).
-        auto fill = [this](mem::DomainId did, mem::Iova iova,
-                           mem::PageSize size, mem::Addr host_addr) {
-            dispatchPrefetchFill(did, iova, size, host_addr);
-        };
-        _historyReader = std::make_unique<HistoryReader>(
-            _config.device.prefetch, _queue, _stats, *_iommu,
-            *_memory, std::move(fill));
-    }
-
-    // With Belady replacement the device needs the future-knowledge
-    // feed, which is only available once run() sees the trace; the
-    // device is then built lazily there.
-    if (_config.device.devtlb.policy !=
-        cache::ReplPolicyKind::Oracle) {
-        _device = std::make_unique<Device>(_config.device, _queue,
-                                           _stats,
-                                           makeDevicePorts());
+    _links.resize(devices);
+    for (unsigned d = 0; d < devices; ++d) {
+        Link &link = _links[d];
+        link.stats = devices == 1
+                         ? &_stats
+                         : &_stats.child("dev" + std::to_string(d));
+        if (_config.device.prefetch.enabled &&
+            _config.device.prefetch.kind ==
+                PrefetchKind::SidPredictor) {
+            // The History Reader drives the paper's scheme; prefetch
+            // completions return to this device via
+            // dispatchPrefetchFill (the MmuDma mechanism has no
+            // reader — its completions come straight from the IOMMU
+            // in makeDevicePorts()).
+            auto fill = [this, &link](mem::DomainId did,
+                                      mem::Iova iova,
+                                      mem::PageSize size,
+                                      mem::Addr host_addr) {
+                dispatchPrefetchFill(link, did, iova, size,
+                                     host_addr);
+            };
+            link.historyReader = std::make_unique<HistoryReader>(
+                _config.device.prefetch, _queue, *link.stats, *_iommu,
+                *_memory, std::move(fill));
+        }
+        // With Belady replacement the device needs the
+        // future-knowledge feed, which is only available once run()
+        // sees the trace; the device is then built lazily there.
+        if (_config.device.devtlb.policy !=
+            cache::ReplPolicyKind::Oracle) {
+            link.device = std::make_unique<Device>(
+                _config.device, _queue, *link.stats,
+                makeDevicePorts(link));
+        }
     }
 }
 
 System::~System() = default;
 
 void
-System::buildOracleFeed(const trace::HyperTrace &trace)
+System::buildOracleDevices(const trace::HyperTrace &trace)
 {
-    // Pre-pass: the DevTLB key sequence in lookup order (three
-    // requests per packet, in Ring/Data/Notify order). Dropped
-    // packets never reach the DevTLB, so the feed — advanced once
-    // per performed lookup — stays aligned with the simulation.
-    std::vector<uint64_t> keys;
-    keys.reserve(trace.packets.size() * 3);
-    for (const auto &pkt : trace.packets) {
-        const mem::DomainId did =
-        iommu::ContextCache::resolve(pkt.sid, pkt.pasid)
-            .domain;
-        for (unsigned c = 0; c < trace::NumReqClasses; ++c) {
-            const auto cls = static_cast<trace::ReqClass>(c);
-            keys.push_back(iommu::translationKey(
-                did, pkt.iova(cls), pkt.pageSize(cls)));
+    // Pre-pass: each device's DevTLB key sequence in lookup order
+    // (three requests per packet of its link, in Ring/Data/Notify
+    // order). Dropped packets never reach the DevTLB, so the feed —
+    // advanced once per performed lookup — stays aligned with the
+    // device's simulation.
+    for (Link &link : _links) {
+        std::vector<uint64_t> keys;
+        keys.reserve(link.count * 3);
+        for (uint64_t k = 0; k < link.count; ++k) {
+            const trace::PacketRecord &pkt =
+                trace.packets[link.traceIndex(k)];
+            const mem::DomainId did =
+                iommu::ContextCache::resolve(pkt.sid, pkt.pasid)
+                    .domain;
+            for (unsigned c = 0; c < trace::NumReqClasses; ++c) {
+                const auto cls = static_cast<trace::ReqClass>(c);
+                keys.push_back(iommu::translationKey(
+                    did, pkt.iova(cls), pkt.pageSize(cls)));
+            }
         }
+        link.oracleFeed = std::make_unique<cache::OracleFeed>(keys);
+        link.device = std::make_unique<Device>(
+            _config.device, _queue, *link.stats, makeDevicePorts(link),
+            link.oracleFeed.get());
     }
-    _oracleFeed = std::make_unique<cache::OracleFeed>(keys);
 }
 
 RunResults
 System::run(const trace::HyperTrace &trace, bool bypass_translation)
 {
-    HYPERSIO_ASSERT(_cursor == 0 && _processed == 0,
-                    "System::run() may only be called once");
+    HYPERSIO_ASSERT(!_ran, "System::run() may only be called once");
+    _ran = true;
+    if (_links.size() > 1 && oracle::shadowChecker()) {
+        fatal("shadow checking needs a single-device System: the "
+              "oracle's PTB and DevTLB mirrors model one device, and "
+              "the PTB indices of %zu devices would collide",
+              _links.size());
+    }
 
-    if (!_device) {
-        // Oracle-replacement run: build the feed, then the device.
-        buildOracleFeed(trace);
-        _device = std::make_unique<Device>(
-            _config.device, _queue, _stats, makeDevicePorts(),
-            _oracleFeed.get());
+    // Tenant t's packets ride link t % N in trace order. One link
+    // carries the whole trace, so it needs no index list.
+    if (_links.size() == 1) {
+        _links[0].count = trace.packets.size();
+    } else {
+        for (size_t i = 0; i < trace.packets.size(); ++i) {
+            _links[trace.packets[i].sid % _links.size()]
+                .order.push_back(static_cast<uint32_t>(i));
+        }
+        for (Link &link : _links)
+            link.count = link.order.size();
+    }
+
+    if (!_links[0].device) {
+        // Oracle-replacement run: build the feeds, then the devices.
+        buildOracleDevices(trace);
     }
 
     if (trace.packets.empty()) {
@@ -184,13 +217,13 @@ System::run(const trace::HyperTrace &trace, bool bypass_translation)
     }
 
 #ifdef HYPERSIO_CHECKED
-    // Auto-install a fail-fast differential oracle for this run
-    // unless one is already active on this thread (tests/fuzzing
-    // install their own collecting checker) or auto-checking is
-    // disabled (HYPERSIO_SHADOW=off).
+    // Auto-install a fail-fast differential oracle for a
+    // single-device run unless one is already active on this thread
+    // (tests/fuzzing install their own collecting checker) or
+    // auto-checking is disabled (HYPERSIO_SHADOW=off).
     std::unique_ptr<oracle::ShadowChecker> auto_checker;
     std::optional<oracle::ShadowScope> shadow_scope;
-    if (!oracle::shadowChecker() &&
+    if (_links.size() == 1 && !oracle::shadowChecker() &&
         oracle::shadowAutoCheckEnabled() && !bypass_translation) {
         auto_checker = std::make_unique<oracle::ShadowChecker>(
             toShadowConfig(_config), &_tables, /*fail_fast=*/true);
@@ -199,32 +232,34 @@ System::run(const trace::HyperTrace &trace, bool bypass_translation)
 #endif
 
     const Tick interval = _config.link.packetInterval();
-    const uint64_t total = trace.packets.size();
     const unsigned batch = _config.admitBatch ? _config.admitBatch : 1;
 
-    // The link arrival process. At admitBatch == 1 (the default),
-    // one packet per arrival slot — the classic process. Larger
-    // batches drain up to `batch` pending arrivals per dispatch and
-    // space events by the batch's summed serialization time. A PTB
-    // drop ends the batch, and the slots that are bound to be
-    // refused after it are billed in one step
+    // One arrival process per link, all running this body. At
+    // admitBatch == 1 (the default), one packet per arrival slot —
+    // the classic process. Larger batches drain up to `batch` pending
+    // arrivals per dispatch and space events by the batch's summed
+    // serialization time. A PTB drop ends the batch, and the slots
+    // that are bound to be refused after it are billed in one step
     // (fastForwardRefusedSlots). Packets with an explicit wire size
     // occupy the link for their own serialization time (small
     // packets arrive faster, leaving less time per translation).
-    std::function<void()> arrival = [&]() {
+    auto arrive = [&](Link &link, std::function<void()> *self) {
+        Device &device = *link.device;
         bool refused = false;
-        for (unsigned b = 0; b < batch && _cursor < total; ++b) {
-            const trace::PacketRecord &pkt = trace.packets[_cursor];
+        for (unsigned b = 0; b < batch && link.cursor < link.count;
+             ++b) {
+            const trace::PacketRecord &pkt =
+                trace.packets[link.traceIndex(link.cursor)];
 
             if (bypass_translation) {
                 // Native mode: no address translation at all.
-                ++_cursor;
+                ++link.cursor;
                 ++_processed;
                 _bytesProcessed += wireBytesOf(pkt);
                 _lastCompletion = _queue.now();
                 continue;
             }
-            if (_device->ptbFull()) {
+            if (device.ptbFull()) {
                 // Dropped; the same packet retries next slot.
                 ++_dropped;
                 HYPERSIO_SHADOW(devicePacketDropped());
@@ -232,11 +267,11 @@ System::run(const trace::HyperTrace &trace, bool bypass_translation)
                 break;
             }
             applyOps(pkt, trace.ops.data() + pkt.opBegin);
-            ++_cursor;
-            _device->accept(pkt, *this);
+            ++link.cursor;
+            device.accept(pkt, *this);
         }
 
-        if (_cursor < total) {
+        if (link.cursor < link.count) {
             // The next arrival follows the serialization time of
             // the packets now occupying the wire (the retried packet
             // first on a drop, the next ones otherwise). Re-arm
@@ -244,29 +279,33 @@ System::run(const trace::HyperTrace &trace, bool bypass_translation)
             // itself is never copied per slot.
             Tick gap = 0;
             const uint64_t ahead =
-                std::min<uint64_t>(batch, total - _cursor);
+                std::min<uint64_t>(batch, link.count - link.cursor);
             for (uint64_t i = 0; i < ahead; ++i) {
                 const Tick ser = serializationTicks(
-                    wireBytesOf(trace.packets[_cursor + i]),
+                    wireBytesOf(
+                        trace.packets[link.traceIndex(link.cursor + i)]),
                     _config.link.gbps);
                 gap += ser == 0 ? interval : ser;
             }
             _queue.scheduleAfter(
                 refused ? fastForwardRefusedSlots(gap) : gap,
-                [&arrival] { arrival(); });
+                [self] { (*self)(); });
         }
     };
 
-    _queue.schedule(0, [&arrival] { arrival(); });
+    std::vector<std::function<void()>> arrivals(_links.size());
+    for (size_t d = 0; d < _links.size(); ++d) {
+        if (_links[d].count == 0)
+            continue;
+        std::function<void()> *self = &arrivals[d];
+        *self = [&arrive, &link = _links[d], self] {
+            arrive(link, self);
+        };
+        _queue.schedule(0, [self] { (*self)(); });
+    }
     _queue.run();
 
-    HYPERSIO_SHADOW(systemRunCompleted(
-        bypass_translation, _processed,
-        _device->translationsIssued(), _device->devtlbOccupancy(),
-        _device->prefetchBufferOccupancy(),
-        _iommu->iotlbOccupancy(), _iommu->l2Occupancy(),
-        _iommu->l3Occupancy(), _device->ptbInUse()));
-
+    shadowRunCompleted(bypass_translation);
     return collectResults(wireBytesOf(trace.packets.front()));
 }
 
@@ -274,9 +313,15 @@ RunResults
 System::runStream(trace::PacketStream &stream,
                   const StreamRunOptions &opts)
 {
-    HYPERSIO_ASSERT(!_streamRan && _cursor == 0 && _processed == 0,
+    HYPERSIO_ASSERT(!_ran,
                     "System::runStream() may only be called once");
-    _streamRan = true;
+    _ran = true;
+    if (_links.size() > 1) {
+        fatal("streaming runs need a single-device System: one "
+              "PacketStream head cannot feed %zu links without "
+              "buffering",
+              _links.size());
+    }
 
     // Fires before anything can panic so run-start hooks that
     // install PanicContext repro lines cover the whole run.
@@ -285,11 +330,12 @@ System::runStream(trace::PacketStream &stream,
     _snapshotEvery = opts.snapshotEveryPackets;
     _onSnapshot = opts.onSnapshot;
 
-    if (!_device) {
+    if (!_links[0].device) {
         fatal("streaming runs do not support Oracle DevTLB "
               "replacement (the Belady feed needs the full trace "
               "up front)");
     }
+    Device &device = *_links[0].device;
 
     const trace::PacketRecord *first = stream.peek();
     if (!first) {
@@ -333,7 +379,7 @@ System::runStream(trace::PacketStream &stream,
             const trace::PacketRecord *head = _stream->peek();
             if (!head)
                 break;
-            if (_device->ptbFull()) {
+            if (device.ptbFull()) {
                 // Dropped; the same packet retries next slot.
                 ++_dropped;
                 HYPERSIO_SHADOW(devicePacketDropped());
@@ -343,11 +389,10 @@ System::runStream(trace::PacketStream &stream,
             // Copy the record out: advance() invalidates peek().
             const trace::PacketRecord pkt = *head;
             applyOps(pkt, _stream->ops());
-            ++_cursor;
             if (_evictStream)
                 ++_outstanding[pkt.sid];
             _stream->advance();
-            _device->accept(pkt, *this);
+            device.accept(pkt, *this);
         }
 
         if (_evictStream)
@@ -396,14 +441,19 @@ System::runStream(trace::PacketStream &stream,
     _streamArrival = nullptr;
     _stream = nullptr;
 
-    HYPERSIO_SHADOW(systemRunCompleted(
-        /*bypass=*/false, _processed,
-        _device->translationsIssued(), _device->devtlbOccupancy(),
-        _device->prefetchBufferOccupancy(),
-        _iommu->iotlbOccupancy(), _iommu->l2Occupancy(),
-        _iommu->l3Occupancy(), _device->ptbInUse()));
-
+    shadowRunCompleted(/*bypass_translation=*/false);
     return collectResults(first_bytes);
+}
+
+void
+System::shadowRunCompleted([[maybe_unused]] bool bypass_translation)
+{
+    [[maybe_unused]] const Device &device = *_links[0].device;
+    HYPERSIO_SHADOW(systemRunCompleted(
+        bypass_translation, _processed, device.translationsIssued(),
+        device.devtlbOccupancy(), device.prefetchBufferOccupancy(),
+        _iommu->iotlbOccupancy(), _iommu->l2Occupancy(),
+        _iommu->l3Occupancy(), device.ptbInUse()));
 }
 
 Tick
@@ -455,7 +505,22 @@ System::collectResults(uint64_t first_wire_bytes)
     results.configName = _config.name;
     results.packetsProcessed = _processed;
     results.packetsDropped = _dropped;
-    results.translations = _device->translationsIssued();
+    // Device counters sum over the links; at N == 1 every ratio is
+    // the single device's own.
+    uint64_t devtlb_hits = 0;
+    uint64_t devtlb_lookups = 0;
+    uint64_t pb_hits = 0;
+    double latency_sum = 0.0;
+    uint64_t latency_samples = 0;
+    for (const Link &link : _links) {
+        const Device &device = *link.device;
+        results.translations += device.translationsIssued();
+        devtlb_hits += device.devtlbStats().hits;
+        devtlb_lookups += device.devtlbStats().lookups;
+        pb_hits += device.pbHits();
+        latency_sum += device.packetLatency().sum();
+        latency_samples += device.packetLatency().samples();
+    }
     // The first packet occupies the wire for one serialization
     // interval before its arrival event; include it so a perfectly
     // translated run reports exactly the nominal link rate.
@@ -464,18 +529,17 @@ System::collectResults(uint64_t first_wire_bytes)
         serializationTicks(first_wire_bytes, _config.link.gbps);
     results.achievedGbps =
         achievedGbps(_bytesProcessed, results.elapsed);
-    results.utilization = results.achievedGbps / _config.link.gbps;
+    results.utilization =
+        results.achievedGbps / (_config.link.gbps * _links.size());
 
-    const auto &devtlb = _device->devtlbStats();
     results.devtlbHitRate =
-        devtlb.lookups == 0
-            ? 0.0
-            : static_cast<double>(devtlb.hits) /
-                  static_cast<double>(devtlb.lookups);
+        devtlb_lookups == 0 ? 0.0
+                            : static_cast<double>(devtlb_hits) /
+                                  static_cast<double>(devtlb_lookups);
     results.pbHitRate =
         results.translations == 0
             ? 0.0
-            : static_cast<double>(_device->pbHits()) /
+            : static_cast<double>(pb_hits) /
                   static_cast<double>(results.translations);
     const auto &iotlb = _iommu->iotlbStats();
     results.iotlbHitRate =
@@ -489,9 +553,10 @@ System::collectResults(uint64_t first_wire_bytes)
     const auto *reqs = _stats.child("iommu").find("requests");
     results.iommuRequests =
         reqs ? static_cast<uint64_t>(reqs->value()) : 0;
-    const auto *lat =
-        _stats.child("device").find("packet_latency_ns");
-    results.avgPacketLatencyNs = lat ? lat->value() : 0.0;
+    results.avgPacketLatencyNs =
+        latency_samples == 0
+            ? 0.0
+            : latency_sum / static_cast<double>(latency_samples);
     return results;
 }
 
@@ -510,8 +575,10 @@ System::applyOps(const trace::PacketRecord &pkt,
         } else {
             table.unmap(op.pageBase);
             // Invalidate every cached copy of the dying translation:
-            // device TLB, prefetch buffer, and chipset IOTLB.
-            _device->invalidatePage(did, op.pageBase, op.size);
+            // device TLB, prefetch buffer, and chipset IOTLB. Only
+            // the tenant's own device can hold one.
+            linkOf(pkt.sid).device->invalidatePage(did, op.pageBase,
+                                                   op.size);
             _iommu->invalidate(did, op.pageBase, op.size);
             HYPERSIO_SHADOW(
                 systemUnmapped(did, op.pageBase, op.size));
@@ -560,10 +627,12 @@ System::tryRetireSid(trace::SourceId sid)
     });
     std::sort(dids, dids + ndids);
 
+    Link &link = linkOf(sid);
     for (size_t i = 0; i < ndids; ++i) {
         const mem::DomainId did = dids[i];
         // Gate 2: no history-reader prefetch burst in flight.
-        if (_historyReader && _historyReader->prefetchInFlight(did))
+        if (link.historyReader &&
+            link.historyReader->prefetchInFlight(did))
             return false;
         // Gate 3: no prefetched translation on the PCIe wire.
         if (const uint32_t *wire = _fillsInFlight.find(did);
@@ -580,7 +649,7 @@ System::tryRetireSid(trace::SourceId sid)
 
     for (size_t i = 0; i < ndids; ++i)
         retireDomain(dids[i]);
-    _device->retireSid(sid);
+    link.device->retireSid(sid);
     _streamRetirements.push_back(
         {_queue.now(), _queue.scheduledSeq(), sid});
     _stream->sidRetired(sid);
@@ -597,6 +666,7 @@ System::retireDomain(mem::DomainId did)
     // unspecified; sort for determinism.
     mem::PageTable *table = _tables.findExisting(did);
     HYPERSIO_ASSERT(table, "retiring a domain without a table");
+    Link &link = linkOf(iommu::ContextCache::sidOf(did));
     using PageRef = std::pair<mem::Iova, mem::PageSize>;
     const util::Arena::Scope scratch(_retireArena);
     auto *pages = _retireArena.allocArray<PageRef>(table->size());
@@ -609,14 +679,14 @@ System::retireDomain(mem::DomainId did)
     for (size_t i = 0; i < npages; ++i) {
         const auto [base, size] = pages[i];
         table->unmap(base);
-        _device->invalidatePage(did, base, size);
+        link.device->invalidatePage(did, base, size);
         _iommu->invalidate(did, base, size);
         HYPERSIO_SHADOW(systemUnmapped(did, base, size));
     }
     _tables.erase(did);
-    if (_historyReader)
-        _historyReader->retire(did);
-    _device->retireDomain(did);
+    if (link.historyReader)
+        link.historyReader->retire(did);
+    link.device->retireDomain(did);
 }
 
 void

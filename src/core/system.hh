@@ -97,18 +97,32 @@ struct StreamRetirement
  * One simulated system instance. Construct, then run() a trace.
  * run() may be called once per System (state is not reset between
  * traces; build a fresh System per experiment point).
+ *
+ * A System may hold several identical devices, one per host link, as
+ * in the paper's Fig. 1 multi-host sharing scenario: every device
+ * keeps its own link, PTB, DevTLB, Prefetch Unit and History Reader,
+ * while the IOMMU, paging caches and memory are shared, so they see
+ * the union of all devices' traffic. Tenant t drives device t % N.
  */
 class System : private Device::CompletionSink
 {
   public:
-    explicit System(const SystemConfig &config);
+    /**
+     * @param devices device (and host link) count. With one, the
+     *        device's stats sit under the root (`device`,
+     *        `history_reader`); with more, under `dev0`, `dev1`, ...
+     */
+    explicit System(const SystemConfig &config, unsigned devices = 1);
     ~System();
 
     System(const System &) = delete;
     System &operator=(const System &) = delete;
 
     /**
-     * Simulates the full trace and returns the results.
+     * Simulates the full trace and returns the results. With several
+     * devices the results aggregate over them: bytes, packets and
+     * hit counts are summed, and utilization is relative to N times
+     * the link rate.
      * @param bypass_translation "native" mode: packets complete at
      *        link rate without any address translation (used by the
      *        Fig. 5 motivation experiment)
@@ -127,7 +141,8 @@ class System : private Device::CompletionSink
      * the tenant population.
      *
      * Not supported with Oracle DevTLB replacement (the Belady feed
-     * needs the full trace up front).
+     * needs the full trace up front), nor with several devices (one
+     * stream head cannot feed N links without buffering).
      */
     RunResults runStream(trace::PacketStream &stream,
                          const StreamRunOptions &opts = {});
@@ -149,21 +164,50 @@ class System : private Device::CompletionSink
     /** The statistics tree (JSON capture, tests). */
     const stats::StatGroup &statsRoot() const { return _stats; }
 
-    /** Direct access for tests. */
-    Device &device() { return *_device; }
+    /** Direct access for tests (device 0 with several). */
+    Device &device() { return *_links[0].device; }
     iommu::Iommu &iommuUnit() { return *_iommu; }
     sim::EventQueue &eventQueue() { return _queue; }
     /** Read-only queue access (snapshot callbacks read now()). */
     const sim::EventQueue &eventQueue() const { return _queue; }
     /** The run's functional page tables (shadow checking, tests). */
     const iommu::PageTableDirectory &tables() const { return _tables; }
-    /** The chipset history reader, if prefetching is on (tests). */
+    /** Device 0's history reader, if prefetching is on (tests). */
     const HistoryReader *historyReader() const
     {
-        return _historyReader.get();
+        return _links[0].historyReader.get();
     }
 
   private:
+    /** One device, its chipset-side ports, and its host link. */
+    struct Link
+    {
+        std::unique_ptr<HistoryReader> historyReader;
+        std::unique_ptr<XlatePort> xlatePort;
+        std::unique_ptr<cache::OracleFeed> oracleFeed;
+        std::unique_ptr<Device> device;
+        /** Parent of the device's stats: the root, or `devN`. */
+        stats::StatGroup *stats = nullptr;
+
+        // run() arrival state.
+        /** Trace indices of this link's packets; empty at N == 1,
+         *  where the link carries the whole trace in order. */
+        std::vector<uint32_t> order;
+        uint64_t count = 0;  ///< packets this link carries
+        uint64_t cursor = 0; ///< next of them to arrive
+
+        uint64_t traceIndex(uint64_t k) const
+        {
+            return order.empty() ? k : order[k];
+        }
+    };
+
+    /** The link tenant `sid` drives. */
+    Link &linkOf(trace::SourceId sid)
+    {
+        return _links[sid % _links.size()];
+    }
+
     /**
      * Device completion (one sink for both run loops): bytes and SID
      * come from the completed packet itself, so accept() needs no
@@ -173,17 +217,18 @@ class System : private Device::CompletionSink
 
     void applyOps(const trace::PacketRecord &pkt,
                   const trace::PageOp *ops);
-    void buildOracleFeed(const trace::HyperTrace &trace);
-    /** Wires the device-to-chipset ports through _xlatePort. */
-    DevicePorts makeDevicePorts();
+    /** Builds each link's Belady feed, then its device. */
+    void buildOracleDevices(const trace::HyperTrace &trace);
+    /** Wires `link`'s device-to-chipset ports through its XlatePort. */
+    DevicePorts makeDevicePorts(Link &link);
     /**
-     * Sends a completed prefetch translation back to the device over
-     * PCIe, with the per-DID wire counter and the device's squash
-     * record maintained — shared by the History-Reader fill path and
-     * the MMU-prefetch completion path.
+     * Sends a completed prefetch translation back to `link`'s device
+     * over PCIe, with the per-DID wire counter and the device's
+     * squash record maintained — shared by the History-Reader fill
+     * path and the MMU-prefetch completion path.
      */
-    void dispatchPrefetchFill(mem::DomainId did, mem::Iova iova,
-                              mem::PageSize size,
+    void dispatchPrefetchFill(Link &link, mem::DomainId did,
+                              mem::Iova iova, mem::PageSize size,
                               mem::Addr host_addr);
     uint64_t wireBytesOf(const trace::PacketRecord &pkt) const;
     /**
@@ -197,6 +242,8 @@ class System : private Device::CompletionSink
     Tick fastForwardRefusedSlots(Tick gap);
     /** Results from the run counters (shared by run/runStream). */
     RunResults collectResults(uint64_t first_wire_bytes);
+    /** The oracle's end-of-run cross-check (single device only). */
+    void shadowRunCompleted(bool bypass_translation);
 
     // ---- Streaming-run eviction machinery ----------------------------
     /** Drains detach notices and retires every SID that can go. */
@@ -219,13 +266,11 @@ class System : private Device::CompletionSink
     std::unique_ptr<mem::MemoryModel> _memory;
     iommu::PageTableDirectory _tables;
     std::unique_ptr<iommu::Iommu> _iommu;
-    std::unique_ptr<HistoryReader> _historyReader;
-    std::unique_ptr<XlatePort> _xlatePort;
-    std::unique_ptr<cache::OracleFeed> _oracleFeed;
-    std::unique_ptr<Device> _device;
+    /** Sized once by the constructor: ports capture Link addresses. */
+    std::vector<Link> _links;
 
-    // Link/run state.
-    uint64_t _cursor = 0;
+    // Run state, summed over the links.
+    bool _ran = false;
     uint64_t _processed = 0;
     uint64_t _dropped = 0;
     uint64_t _bytesProcessed = 0;
@@ -235,7 +280,6 @@ class System : private Device::CompletionSink
     trace::PacketStream *_stream = nullptr;
     bool _evictStream = false;
     bool _streamStalled = false;
-    bool _streamRan = false;
     Tick _streamInterval = 0;
     /** Snapshot cadence/hook of the active streaming run. */
     uint64_t _snapshotEvery = 0;

@@ -127,9 +127,9 @@ class EventQueue
 
     /**
      * Sequence number of the most recently scheduled event. Part of
-     * the kernel's total order (tick, priority, seq); the sharded
-     * MultiSystem reuses it as the deterministic tie-breaker when
-     * merging per-shard timelines.
+     * the kernel's total order (tick, priority, seq);
+     * ShardedMultiSystem reuses it as the deterministic tie-breaker
+     * when merging per-shard timelines.
      */
     uint64_t scheduledSeq() const { return _nextSeq; }
 

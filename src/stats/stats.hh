@@ -179,6 +179,7 @@ class Histogram : public StatBase
     void sample(double v, uint64_t count = 1);
 
     uint64_t samples() const { return _samples; }
+    double sum() const { return _sum; }
     double mean() const;
     double stddev() const;
     double min() const { return _min; }

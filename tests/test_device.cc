@@ -81,6 +81,25 @@ packet(trace::SourceId sid, mem::Iova data = 0xbbe00000)
     return pkt;
 }
 
+/** Records the packets a device completes. */
+struct RecordingSink : Device::CompletionSink
+{
+    std::vector<trace::PacketRecord> completed;
+    Device *device = nullptr; ///< when set, asserts entry released
+
+    void
+    packetDone(const trace::PacketRecord &pkt) override
+    {
+        if (device) {
+            // The PTB entry must be released before the sink runs,
+            // so a completion can immediately admit a new packet
+            // even on a single-entry PTB.
+            EXPECT_FALSE(device->ptbFull());
+        }
+        completed.push_back(pkt);
+    }
+};
+
 DeviceConfig
 deviceConfig(bool prefetch = false)
 {
@@ -97,8 +116,8 @@ TEST(Device, RequestsAreSerializedWithinPacket)
 {
     Fixture f;
     Device device(deviceConfig(), f.queue, f.stats, f.ports());
-    bool done = false;
-    device.accept(packet(0), [&] { done = true; });
+    RecordingSink sink;
+    device.accept(packet(0), sink);
     f.queue.run();
 
     // Only the first (ring) request is outstanding: the data-buffer
@@ -113,7 +132,7 @@ TEST(Device, RequestsAreSerializedWithinPacket)
     f.respondAll();
     f.queue.run();
     ASSERT_EQ(f.requests.size(), 0u); // notify hits the fresh fill
-    EXPECT_TRUE(done);
+    EXPECT_EQ(sink.completed.size(), 1u);
 }
 
 TEST(Device, DevtlbFillServesLaterPackets)
@@ -121,16 +140,16 @@ TEST(Device, DevtlbFillServesLaterPackets)
     Fixture f;
     Device device(deviceConfig(), f.queue, f.stats,
                   f.ports(100 * TicksPerNs));
-    int completed = 0;
-    device.accept(packet(0), [&] { ++completed; });
+    RecordingSink sink;
+    device.accept(packet(0), sink);
     f.queue.run();
-    EXPECT_EQ(completed, 1);
+    EXPECT_EQ(sink.completed.size(), 1u);
     const Tick after_first = f.queue.now();
 
     // Same pages again: everything hits the DevTLB (2 ns per step).
-    device.accept(packet(0), [&] { ++completed; });
+    device.accept(packet(0), sink);
     f.queue.run();
-    EXPECT_EQ(completed, 2);
+    EXPECT_EQ(sink.completed.size(), 2u);
     EXPECT_EQ(f.queue.now() - after_first, 3 * 2 * TicksPerNs);
 }
 
@@ -141,7 +160,8 @@ TEST(Device, PtbFullReportsBeforeAccept)
     config.ptbEntries = 1;
     Device device(config, f.queue, f.stats, f.ports());
     EXPECT_FALSE(device.ptbFull());
-    device.accept(packet(0), [] {});
+    RecordingSink sink;
+    device.accept(packet(0), sink);
     f.queue.run();
     EXPECT_TRUE(device.ptbFull()); // ring request outstanding
     f.respondAll();
@@ -155,7 +175,8 @@ TEST(Device, InvalidTranslationDoesNotFillDevtlb)
 {
     Fixture f;
     Device device(deviceConfig(), f.queue, f.stats, f.ports());
-    device.accept(packet(0), [] {});
+    RecordingSink sink;
+    device.accept(packet(0), sink);
     f.queue.run();
     ASSERT_EQ(f.requests.size(), 1u);
     iommu::IommuResponse fault;
@@ -174,8 +195,9 @@ TEST(Device, PrefetchTriggersOncePerPacket)
     Device device(deviceConfig(true), f.queue, f.stats, f.ports());
     // Train the predictor: tenants 0,1,0,1 with history 2 → the
     // table fills after 3 packets.
+    RecordingSink sink;
     for (trace::SourceId s : {0u, 1u, 0u}) {
-        device.accept(packet(s), [] {});
+        device.accept(packet(s), sink);
         f.queue.run();
         f.respondAll();
         f.queue.run();
@@ -184,7 +206,7 @@ TEST(Device, PrefetchTriggersOncePerPacket)
     }
     f.prefetches.clear();
     // A fresh data buffer forces DevTLB misses on this packet.
-    device.accept(packet(1, 0xcbe00000), [] {});
+    device.accept(packet(1, 0xcbe00000), sink);
     f.queue.run();
     f.respondAll();
     f.queue.run();
@@ -212,8 +234,8 @@ TEST(Device, PrefetchFillServesFromPb)
     Device device(deviceConfig(true), f.queue, f.stats, f.ports());
     pbFill(device, 0, 0x34800000, mem::PageSize::Size4K, 0xAA000);
     pbFill(device, 0, 0xbbe00000, mem::PageSize::Size2M, 0xBB0000);
-    bool done = false;
-    device.accept(packet(0), [&] { done = true; });
+    RecordingSink sink;
+    device.accept(packet(0), sink);
     f.queue.run();
     // Ring and data hit the PB; only the notify request goes out
     // (its ring-page PB entry was consumed by the ring request).
@@ -222,7 +244,7 @@ TEST(Device, PrefetchFillServesFromPb)
     EXPECT_EQ(device.pbHits(), 2u);
     f.respondAll();
     f.queue.run();
-    EXPECT_TRUE(done);
+    EXPECT_EQ(sink.completed.size(), 1u);
 }
 
 TEST(Device, InvalidatePageDropsDevtlbAndPb)
@@ -230,17 +252,17 @@ TEST(Device, InvalidatePageDropsDevtlbAndPb)
     Fixture f;
     Device device(deviceConfig(true), f.queue, f.stats,
                   f.ports(10));
-    int completed = 0;
-    device.accept(packet(0), [&] { ++completed; });
+    RecordingSink sink;
+    device.accept(packet(0), sink);
     f.queue.run();
-    EXPECT_EQ(completed, 1);
+    EXPECT_EQ(sink.completed.size(), 1u);
     pbFill(device, 0, 0xbbe00000, mem::PageSize::Size2M, 0xBB);
 
     device.invalidatePage(0, 0xbbe00000, mem::PageSize::Size2M);
     const auto before = device.devtlbStats().hits;
-    device.accept(packet(0), [&] { ++completed; });
+    device.accept(packet(0), sink);
     f.queue.run();
-    EXPECT_EQ(completed, 2);
+    EXPECT_EQ(sink.completed.size(), 2u);
     // Ring and notify still hit; the data page had to re-translate.
     EXPECT_EQ(device.devtlbStats().hits, before + 2);
     EXPECT_EQ(device.pbHits(), 0u);
@@ -250,7 +272,8 @@ TEST(Device, InvalidateSquashesInFlightDemandFill)
 {
     Fixture f;
     Device device(deviceConfig(), f.queue, f.stats, f.ports());
-    device.accept(packet(0), [] {});
+    RecordingSink sink;
+    device.accept(packet(0), sink);
     f.queue.run();
     ASSERT_EQ(f.requests.size(), 1u); // ring request on the wire
 
@@ -312,7 +335,8 @@ TEST(Device, ContextCacheWarmsOnFirstUse)
 {
     Fixture f;
     Device device(deviceConfig(), f.queue, f.stats, f.ports(10));
-    device.accept(packet(5), [] {});
+    RecordingSink sink;
+    device.accept(packet(5), sink);
     f.queue.run();
     EXPECT_EQ(device.contextStats().hits, 2u); // req 2 and 3
     EXPECT_EQ(device.contextStats().misses(), 1u);
@@ -322,31 +346,13 @@ TEST(Device, TranslationCounterCountsAllRequests)
 {
     Fixture f;
     Device device(deviceConfig(), f.queue, f.stats, f.ports(10));
+    RecordingSink sink;
     for (int i = 0; i < 5; ++i) {
-        device.accept(packet(0), [] {});
+        device.accept(packet(0), sink);
         f.queue.run(); // complete before the next accept
     }
     EXPECT_EQ(device.translationsIssued(), 15u);
 }
-
-/** Records completed packets; the allocation-free accept() form. */
-struct RecordingSink : Device::CompletionSink
-{
-    std::vector<trace::PacketRecord> completed;
-    Device *device = nullptr; ///< when set, asserts entry released
-
-    void
-    packetDone(const trace::PacketRecord &pkt) override
-    {
-        if (device) {
-            // The PTB entry must be released before the sink runs,
-            // so a completion can immediately admit a new packet
-            // even on a single-entry PTB.
-            EXPECT_FALSE(device->ptbFull());
-        }
-        completed.push_back(pkt);
-    }
-};
 
 TEST(Device, CompletionSinkReceivesTheCompletedPacket)
 {
@@ -374,21 +380,6 @@ TEST(Device, CompletionSinkRunsAfterEntryRelease)
     device.accept(packet(0), sink);
     f.queue.run();
     EXPECT_EQ(sink.completed.size(), 1u);
-}
-
-TEST(Device, SinkAndCallbackCompletionsCoexist)
-{
-    Fixture f;
-    Device device(deviceConfig(), f.queue, f.stats, f.ports(10));
-    RecordingSink sink;
-    int callback_done = 0;
-    device.accept(packet(0), sink);
-    device.accept(packet(1), [&] { ++callback_done; });
-    f.queue.run();
-    EXPECT_EQ(sink.completed.size(), 1u);
-    EXPECT_EQ(sink.completed[0].sid, 0u);
-    EXPECT_EQ(callback_done, 1);
-    EXPECT_EQ(device.ptbInUse(), 0u);
 }
 
 } // namespace

@@ -21,7 +21,6 @@
 #include <string>
 #include <utility>
 
-#include "core/multi_system.hh"
 #include "core/system.hh"
 #include "oracle/shadow.hh"
 #include "workload/adversarial.hh"
@@ -297,8 +296,8 @@ TEST(EventFusion, MultiSystemGoldenEquality)
         SystemConfig config = SystemConfig::hypertrio();
         config.seed = Seed;
         config.eventFusion = fusion;
-        MultiSystem system(config, /*num_devices=*/2);
-        const MultiRunResults results = system.run(trace);
+        System system(config, /*devices=*/2);
+        const RunResults results = system.run(trace);
         std::ostringstream stats;
         system.dumpStats(stats);
         return std::tuple(results.packetsProcessed,

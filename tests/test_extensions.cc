@@ -7,9 +7,9 @@
 #include <fstream>
 #include <set>
 
-#include "core/multi_system.hh"
 #include "core/overrides.hh"
 #include "core/system.hh"
+#include "oracle/shadow.hh"
 #include "trace/constructor.hh"
 #include "trace/trace_file.hh"
 #include "workload/benchmarks.hh"
@@ -97,36 +97,56 @@ smallTrace(unsigned tenants)
                                  trace::parseInterleaving("RR1"));
 }
 
-TEST(MultiSystemTest, SingleDeviceMatchesSystem)
+/** `group`'s direct child group named `name`, or nullptr. */
+const stats::StatGroup *
+childGroup(const stats::StatGroup &group, const std::string &name)
+{
+    const stats::StatGroup *found = nullptr;
+    group.forEachChild([&](const stats::StatGroup &child) {
+        if (child.name() == name)
+            found = &child;
+    });
+    return found;
+}
+
+TEST(MultiSystemTest, DevicePacketCountersSumToTrace)
 {
     const auto tr = smallTrace(8);
-    System single(SystemConfig::hypertrio());
-    MultiSystem multi(SystemConfig::hypertrio(), 1);
-    const RunResults rs = single.run(tr);
-    const MultiRunResults rm = multi.run(tr);
-    EXPECT_EQ(rm.packetsProcessed, rs.packetsProcessed);
-    EXPECT_NEAR(rm.totalGbps, rs.achievedGbps,
-                rs.achievedGbps * 0.01);
+    System system(SystemConfig::hypertrio(), 2);
+    system.run(tr);
+    // Each device's stats sit in its own devN group; there is no
+    // root-level device group.
+    EXPECT_EQ(childGroup(system.statsRoot(), "device"), nullptr);
+    uint64_t total = 0;
+    for (const char *dev : {"dev0", "dev1"}) {
+        const stats::StatGroup *group =
+            childGroup(system.statsRoot(), dev);
+        ASSERT_NE(group, nullptr) << dev;
+        const stats::StatGroup *device = childGroup(*group, "device");
+        ASSERT_NE(device, nullptr) << dev;
+        const stats::StatBase *packets = device->find("packets");
+        ASSERT_NE(packets, nullptr) << dev;
+        EXPECT_GT(packets->value(), 0.0) << dev;
+        total += static_cast<uint64_t>(packets->value());
+    }
+    EXPECT_EQ(total, tr.packets.size());
 }
 
 TEST(MultiSystemTest, ProcessesAllPacketsAcrossDevices)
 {
     const auto tr = smallTrace(16);
-    MultiSystem multi(SystemConfig::hypertrio(), 4);
-    const MultiRunResults r = multi.run(tr);
+    System multi(SystemConfig::hypertrio(), 4);
+    const RunResults r = multi.run(tr);
     EXPECT_EQ(r.packetsProcessed, tr.packets.size());
-    ASSERT_EQ(r.perDeviceGbps.size(), 4u);
-    for (double gbps : r.perDeviceGbps)
-        EXPECT_GT(gbps, 0.0);
 }
 
 TEST(MultiSystemTest, AggregateBandwidthScalesWithDevices)
 {
     const auto tr = smallTrace(32);
-    MultiSystem one(SystemConfig::hypertrio(), 1);
-    MultiSystem four(SystemConfig::hypertrio(), 4);
-    const double g1 = one.run(tr).totalGbps;
-    const double g4 = four.run(tr).totalGbps;
+    System one(SystemConfig::hypertrio(), 1);
+    System four(SystemConfig::hypertrio(), 4);
+    const double g1 = one.run(tr).achievedGbps;
+    const double g4 = four.run(tr).achievedGbps;
     // Four links carry strictly more aggregate traffic.
     EXPECT_GT(g4, g1 * 2.0);
 }
@@ -134,10 +154,40 @@ TEST(MultiSystemTest, AggregateBandwidthScalesWithDevices)
 TEST(MultiSystemTest, UtilizationNormalisedToDeviceCount)
 {
     const auto tr = smallTrace(16);
-    MultiSystem multi(SystemConfig::hypertrio(), 2);
-    const MultiRunResults r = multi.run(tr);
+    System multi(SystemConfig::hypertrio(), 2);
+    const RunResults r = multi.run(tr);
     EXPECT_LE(r.utilization, 1.0 + 1e-9);
     EXPECT_GT(r.utilization, 0.0);
+}
+
+TEST(MultiSystemDeathTest, StreamingNeedsOneDevice)
+{
+    const auto tr = smallTrace(4);
+    EXPECT_EXIT(
+        {
+            System multi(SystemConfig::hypertrio(), 2);
+            trace::MaterializedStream stream(tr);
+            multi.runStream(stream);
+        },
+        ::testing::ExitedWithCode(1),
+        "streaming runs need a single-device System");
+}
+
+TEST(MultiSystemDeathTest, ShadowCheckerNeedsOneDevice)
+{
+    const auto tr = smallTrace(4);
+    const SystemConfig config = SystemConfig::hypertrio();
+    EXPECT_EXIT(
+        {
+            System multi(config, 2);
+            oracle::ShadowChecker checker(toShadowConfig(config),
+                                          &multi.tables(),
+                                          /*fail_fast=*/false);
+            oracle::ShadowScope scope(checker);
+            multi.run(tr);
+        },
+        ::testing::ExitedWithCode(1),
+        "shadow checking needs a single-device System");
 }
 
 TEST(WireBytes, SmallPacketsShortenArrivalIntervals)
