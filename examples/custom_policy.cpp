@@ -57,15 +57,14 @@ class ClassPinningPolicy : public cache::ReplacementPolicy
     }
 
     size_t
-    victim(size_t set, const std::vector<size_t> &ways,
-           const uint64_t *keys) override
+    victim(size_t set, const uint64_t *keys) override
     {
         // Prefer the least-recent *data* (2 MB) entry; fall back to
         // plain LRU when the set holds only control pages.
-        size_t best = ways.front();
+        size_t best = 0;
         uint64_t best_use = UINT64_MAX;
         bool best_is_data = false;
-        for (size_t w : ways) {
+        for (size_t w = 0; w < _ways; ++w) {
             const bool is_data = (keys[w] >> 39) & 1; // size bit
             const uint64_t use = _lastUse[set * _ways + w];
             const bool better =

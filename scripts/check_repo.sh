@@ -4,7 +4,8 @@
 #
 #   1. No build tree may be tracked in git (they are generated; see
 #      .gitignore's build*/ rule).
-#   2. The tier-1 build + ctest suite must pass. The default build
+#   2. The tier-1 build + ctest suite must pass, and the build must
+#      be warning-free (-DHYPERSIO_WERROR=ON). The default build
 #      has HYPERSIO_CHECKED=ON, so every tier-1 System run already
 #      executes under the fail-fast shadow oracle.
 #   3. A longer adversarial fuzz campaign than the ctest smoke:
@@ -77,13 +78,13 @@ if git ls-files | grep -q '^build'; then
 fi
 echo "   ok"
 
-echo "== 2/9 tier-1 build + ctest (shadow oracle compiled in)"
+echo "== 2/9 tier-1 build (warnings are errors) + ctest (shadow oracle compiled in)"
 # Every configure pins the build type: `cmake -B` on an existing
 # tree silently keeps whatever CMAKE_BUILD_TYPE is cached there, and
 # the layer bench's rates are only comparable across runs at the
 # same (RelWithDebInfo) codegen.
 BUILD_TYPE="-DCMAKE_BUILD_TYPE=RelWithDebInfo"
-cmake -B "$BUILD_DIR" -S . "$BUILD_TYPE"
+cmake -B "$BUILD_DIR" -S . "$BUILD_TYPE" -DHYPERSIO_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 

@@ -25,6 +25,8 @@
 #       target", so flags work without naming it
 #   scripts/profile.sh -n 40 fig10_scalability --quick --tenants 8
 #       profiles the fig10 sweep, printing the top 40 symbols
+#   scripts/profile.sh hypersio_sim_cli --bench iperf3 --tenants 1024
+#       profiles one CLI run (here e2e walk_path's input)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -47,7 +49,8 @@ cmake -B "$PROFILE_DIR" -S . -DHYPERSIO_CHECKED=OFF \
     -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS=-pg > /dev/null
 cmake --build "$PROFILE_DIR" -j "$(nproc)" --target "$TARGET"
 
-BIN="$(find "$PROFILE_DIR" -type f -name "$TARGET" -perm -u+x \
+# The CLI's target is hypersio_sim_cli; its binary is hypersio_sim.
+BIN="$(find "$PROFILE_DIR" -type f -name "${TARGET%_cli}" -perm -u+x \
     | head -n 1)"
 if [ -z "$BIN" ]; then
     echo "profile.sh: built no executable named '$TARGET'" >&2

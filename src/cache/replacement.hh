@@ -13,6 +13,7 @@
 #ifndef HYPERSIO_CACHE_REPLACEMENT_HH
 #define HYPERSIO_CACHE_REPLACEMENT_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -64,72 +65,99 @@ class ReplacementPolicy
     virtual void invalidate(size_t set, size_t way) = 0;
 
     /**
-     * Chooses a victim among the valid ways of `set`. `keys[w]` is
-     * the key resident in way w; all ways passed in are valid.
-     * @param ways the candidate way indices (all valid, all evictable)
+     * Chooses a victim way of the full set `set`. `keys[w]` is the
+     * key resident in way w, for every way of the set; the cache
+     * asks only when all of them are valid and evictable.
      */
-    virtual size_t victim(size_t set, const std::vector<size_t> &ways,
-                          const uint64_t *keys) = 0;
+    virtual size_t victim(size_t set, const uint64_t *keys) = 0;
 
     /** Clears all recency/frequency state. */
     virtual void reset() = 0;
 };
 
-/** Least Recently Used: evicts the oldest-referenced way. */
-class LruPolicy : public ReplacementPolicy
+/**
+ * Base of the rank-ordered policies (LRU, FIFO, LFU): one uint64_t
+ * rank word per way, kept contiguous per set, and the victim is the
+ * way with the smallest rank. Invalid ways rank 0.
+ */
+class RankPolicy : public ReplacementPolicy
 {
   public:
     void
     init(size_t num_sets, size_t num_ways) override
     {
-        _lastUse.assign(num_sets * num_ways, 0);
+        _rank.assign(num_sets * num_ways, 0);
         _ways = num_ways;
         _seq = 0;
     }
 
-    void
-    touch(size_t set, size_t way, uint64_t) override
-    {
-        _lastUse[set * _ways + way] = ++_seq;
-    }
-
-    void
-    insert(size_t set, size_t way, uint64_t) override
-    {
-        _lastUse[set * _ways + way] = ++_seq;
-    }
-
     void invalidate(size_t set, size_t way) override
     {
-        _lastUse[set * _ways + way] = 0;
+        _rank[set * _ways + way] = 0;
     }
 
+    /**
+     * The first way of minimum rank: ties go to the lowest way. The
+     * select is written as conditional moves, not a data-dependent
+     * branch, so the scan costs the same whichever way wins; which
+     * way holds the minimum is effectively random, and a branchy
+     * scan mispredicts on it.
+     */
     size_t
-    victim(size_t set, const std::vector<size_t> &ways,
-           const uint64_t *) override
+    victim(size_t set, const uint64_t *) override
     {
-        size_t best = ways.front();
-        uint64_t best_use = _lastUse[set * _ways + best];
-        for (size_t w : ways) {
-            uint64_t use = _lastUse[set * _ways + w];
-            if (use < best_use) {
-                best = w;
-                best_use = use;
-            }
+        const uint64_t *rank = &_rank[set * _ways];
+        size_t best = 0;
+        uint64_t best_rank = rank[0];
+        for (size_t w = 1; w < _ways; ++w) {
+            const bool lower = rank[w] < best_rank;
+            best = lower ? w : best;
+            best_rank = lower ? rank[w] : best_rank;
         }
         return best;
     }
 
     void reset() override
     {
-        std::fill(_lastUse.begin(), _lastUse.end(), 0);
+        std::fill(_rank.begin(), _rank.end(), 0);
         _seq = 0;
     }
 
-  private:
-    std::vector<uint64_t> _lastUse;
+  protected:
+    std::vector<uint64_t> _rank;
     size_t _ways = 0;
+    /** Monotonic use stamp; 0 is reserved for invalid ways. */
     uint64_t _seq = 0;
+};
+
+/** Least Recently Used: the rank is the way's last-use stamp. */
+class LruPolicy : public RankPolicy
+{
+  public:
+    void
+    touch(size_t set, size_t way, uint64_t) override
+    {
+        _rank[set * _ways + way] = ++_seq;
+    }
+
+    void
+    insert(size_t set, size_t way, uint64_t) override
+    {
+        _rank[set * _ways + way] = ++_seq;
+    }
+};
+
+/** First-In First-Out: the rank is the way's insertion stamp. */
+class FifoPolicy : public RankPolicy
+{
+  public:
+    void touch(size_t, size_t, uint64_t) override {}
+
+    void
+    insert(size_t set, size_t way, uint64_t) override
+    {
+        _rank[set * _ways + way] = ++_seq;
+    }
 };
 
 /**
@@ -138,8 +166,12 @@ class LruPolicy : public ReplacementPolicy
  * aging out stale frequency information (cf. RRIP-style aging).
  * Count ties break by recency (least recently used first), so stale
  * low-count entries age out instead of pinning a set.
+ *
+ * The rank word packs both keys of that order: the count above bit
+ * 48 and the last-use stamp below it, so one unsigned compare is the
+ * (count, last use) lexicographic compare.
  */
-class LfuPolicy : public ReplacementPolicy
+class LfuPolicy : public RankPolicy
 {
   public:
     /** @param counter_bits width of the per-entry counter (paper: 4). */
@@ -151,141 +183,47 @@ class LfuPolicy : public ReplacementPolicy
     }
 
     void
-    init(size_t num_sets, size_t num_ways) override
-    {
-        _count.assign(num_sets * num_ways, 0);
-        _lastUse.assign(num_sets * num_ways, 0);
-        _ways = num_ways;
-        _seq = 0;
-    }
-
-    void
     touch(size_t set, size_t way, uint64_t) override
     {
-        bump(set, way);
-        _lastUse[set * _ways + way] = ++_seq;
+        uint64_t *row = &_rank[set * _ways];
+        if ((row[way] >> CountShift) == _maxCount) {
+            // Saturated: halve every counter in the row, then bump.
+            for (size_t w = 0; w < _ways; ++w)
+                row[w] = (row[w] >> (CountShift + 1) << CountShift) |
+                         (row[w] & StampMask);
+        }
+        row[way] = ((row[way] >> CountShift) + 1) << CountShift |
+                   nextStamp();
     }
 
     void
     insert(size_t set, size_t way, uint64_t) override
     {
-        _count[set * _ways + way] = 1;
-        _lastUse[set * _ways + way] = ++_seq;
-    }
-
-    void invalidate(size_t set, size_t way) override
-    {
-        _count[set * _ways + way] = 0;
-        _lastUse[set * _ways + way] = 0;
-    }
-
-    size_t
-    victim(size_t set, const std::vector<size_t> &ways,
-           const uint64_t *) override
-    {
-        size_t best = ways.front();
-        uint32_t best_count = _count[set * _ways + best];
-        uint64_t best_use = _lastUse[set * _ways + best];
-        for (size_t w : ways) {
-            const uint32_t count = _count[set * _ways + w];
-            const uint64_t use = _lastUse[set * _ways + w];
-            if (count < best_count ||
-                (count == best_count && use < best_use)) {
-                best = w;
-                best_count = count;
-                best_use = use;
-            }
-        }
-        return best;
-    }
-
-    void reset() override
-    {
-        std::fill(_count.begin(), _count.end(), 0);
-        std::fill(_lastUse.begin(), _lastUse.end(), 0);
-        _seq = 0;
+        _rank[set * _ways + way] = uint64_t(1) << CountShift |
+                                   nextStamp();
     }
 
     /** Exposed for testing: current counter value of (set, way). */
     uint32_t
     counter(size_t set, size_t way) const
     {
-        return _count[set * _ways + way];
+        return uint32_t(_rank[set * _ways + way] >> CountShift);
     }
 
   private:
-    void
-    bump(size_t set, size_t way)
+    static constexpr unsigned CountShift = 48;
+    static constexpr uint64_t StampMask =
+        (uint64_t(1) << CountShift) - 1;
+
+    uint64_t
+    nextStamp()
     {
-        uint32_t &c = _count[set * _ways + way];
-        if (c < _maxCount) {
-            ++c;
-            return;
-        }
-        // Saturated: halve every counter in the row, then bump.
-        for (size_t w = 0; w < _ways; ++w)
-            _count[set * _ways + w] >>= 1;
-        ++c;
+        HYPERSIO_ASSERT(_seq < StampMask,
+                        "LFU use stamp overflows its 48-bit field");
+        return ++_seq;
     }
 
-    std::vector<uint32_t> _count;
-    std::vector<uint64_t> _lastUse;
-    size_t _ways = 0;
-    uint64_t _seq = 0;
     const uint32_t _maxCount;
-};
-
-/** First-In First-Out: evicts the oldest-inserted way. */
-class FifoPolicy : public ReplacementPolicy
-{
-  public:
-    void
-    init(size_t num_sets, size_t num_ways) override
-    {
-        _inserted.assign(num_sets * num_ways, 0);
-        _ways = num_ways;
-        _seq = 0;
-    }
-
-    void touch(size_t, size_t, uint64_t) override {}
-
-    void
-    insert(size_t set, size_t way, uint64_t) override
-    {
-        _inserted[set * _ways + way] = ++_seq;
-    }
-
-    void invalidate(size_t set, size_t way) override
-    {
-        _inserted[set * _ways + way] = 0;
-    }
-
-    size_t
-    victim(size_t set, const std::vector<size_t> &ways,
-           const uint64_t *) override
-    {
-        size_t best = ways.front();
-        uint64_t best_seq = _inserted[set * _ways + best];
-        for (size_t w : ways) {
-            uint64_t seq = _inserted[set * _ways + w];
-            if (seq < best_seq) {
-                best = w;
-                best_seq = seq;
-            }
-        }
-        return best;
-    }
-
-    void reset() override
-    {
-        std::fill(_inserted.begin(), _inserted.end(), 0);
-        _seq = 0;
-    }
-
-  private:
-    std::vector<uint64_t> _inserted;
-    size_t _ways = 0;
-    uint64_t _seq = 0;
 };
 
 /** Uniform-random victim selection (deterministic from a seed). */
@@ -294,22 +232,22 @@ class RandomPolicy : public ReplacementPolicy
   public:
     explicit RandomPolicy(uint64_t seed = 1) : _rng(seed) {}
 
-    void init(size_t, size_t) override {}
+    void init(size_t, size_t num_ways) override { _ways = num_ways; }
     void touch(size_t, size_t, uint64_t) override {}
     void insert(size_t, size_t, uint64_t) override {}
     void invalidate(size_t, size_t) override {}
 
     size_t
-    victim(size_t, const std::vector<size_t> &ways,
-           const uint64_t *) override
+    victim(size_t, const uint64_t *) override
     {
-        return ways[_rng.below(ways.size())];
+        return _rng.below(_ways);
     }
 
     void reset() override {}
 
   private:
     Rng _rng;
+    size_t _ways = 0;
 };
 
 /**
@@ -335,18 +273,17 @@ class OraclePolicy : public ReplacementPolicy
     explicit OraclePolicy(const FutureOracle &oracle) : _oracle(oracle)
     {}
 
-    void init(size_t, size_t) override {}
+    void init(size_t, size_t num_ways) override { _ways = num_ways; }
     void touch(size_t, size_t, uint64_t) override {}
     void insert(size_t, size_t, uint64_t) override {}
     void invalidate(size_t, size_t) override {}
 
     size_t
-    victim(size_t, const std::vector<size_t> &ways,
-           const uint64_t *keys) override
+    victim(size_t, const uint64_t *keys) override
     {
-        size_t best = ways.front();
-        uint64_t best_next = _oracle.nextUse(keys[best]);
-        for (size_t w : ways) {
+        size_t best = 0;
+        uint64_t best_next = _oracle.nextUse(keys[0]);
+        for (size_t w = 1; w < _ways; ++w) {
             uint64_t next = _oracle.nextUse(keys[w]);
             if (next > best_next) {
                 best = w;
@@ -360,6 +297,7 @@ class OraclePolicy : public ReplacementPolicy
 
   private:
     const FutureOracle &_oracle;
+    size_t _ways = 0;
 };
 
 /**

@@ -194,7 +194,6 @@ class SetAssocCache
             _subFill.resize(sets * _config.ways, 0);
             _subVictim.resize(sets * _config.ways, 0);
         }
-        _victimKeys.resize(_config.ways);
         _policy->init(sets, _config.ways);
     }
 
@@ -283,13 +282,7 @@ class SetAssocCache
         }
 
         // All ways valid: ask the policy for a victim.
-        _victimWays.clear();
-        for (size_t w = 0; w < _config.ways; ++w) {
-            _victimWays.push_back(w);
-            _victimKeys[w] = _tagKeys[base + w];
-        }
-        size_t victim = _policy->victim(set, _victimWays,
-                                        _victimKeys.data());
+        const size_t victim = _policy->victim(set, &_tagKeys[base]);
         HYPERSIO_ASSERT(victim < _config.ways, "policy victim range");
 
         Eviction evicted{_tagKeys[base + victim],
@@ -616,13 +609,7 @@ class SetAssocCache
         // valid sub-slot is reported as the representative eviction;
         // mirrors derive the rest from its shared tag (an eviction
         // whose tag differs from the fill's tag is always whole-tag).
-        _victimWays.clear();
-        for (size_t w = 0; w < _config.ways; ++w) {
-            _victimWays.push_back(w);
-            _victimKeys[w] = _tagKeys[base + w];
-        }
-        const size_t victim =
-            _policy->victim(set, _victimWays, _victimKeys.data());
+        const size_t victim = _policy->victim(set, &_tagKeys[base]);
         HYPERSIO_ASSERT(victim < _config.ways, "policy victim range");
 
         const size_t vbase = subBase(set, victim);
@@ -687,10 +674,6 @@ class SetAssocCache
 
     size_t _setsPerPartition = 1;
     CacheStats _stats;
-
-    // Scratch buffers for victim selection (avoid per-miss alloc).
-    std::vector<size_t> _victimWays;
-    std::vector<uint64_t> _victimKeys;
 };
 
 } // namespace hypersio::cache

@@ -40,6 +40,25 @@ devtlbAddr(mem::DomainId did, trace::SourceId sid, mem::Iova iova,
             iommu::translationIndex(iova, size), partition};
 }
 
+/** The DevTLB's replacement policy: Belady when given a feed. */
+std::unique_ptr<cache::ReplacementPolicy>
+devtlbPolicy(const cache::CacheConfig &devtlb, cache::OracleFeed *oracle)
+{
+    if (!oracle)
+        return cache::makePolicy(devtlb.policy, devtlb.seed,
+                                 devtlb.lfuBits);
+    // Sub-entry tags carry domain-stripped shared keys, while the
+    // feed knows only full translation keys: every nextUse() would
+    // answer "never", and Belady would always evict way 0.
+    if (devtlb.subEntries > 1) {
+        fatal("Oracle DevTLB replacement needs devtlb.subEntries = 1 "
+              "(got %zu): sub-entry tags hold shared keys the Belady "
+              "feed cannot see",
+              devtlb.subEntries);
+    }
+    return std::make_unique<cache::OraclePolicy>(*oracle);
+}
+
 } // namespace
 
 Device::Device(const DeviceConfig &config, sim::EventQueue &queue,
@@ -47,13 +66,7 @@ Device::Device(const DeviceConfig &config, sim::EventQueue &queue,
                cache::OracleFeed *oracle)
     : SimObject("device", queue, parent), _config(config),
       _ports(std::move(ports)), _ptb(config.ptbEntries),
-      _devtlb(config.devtlb,
-              oracle ? std::unique_ptr<cache::ReplacementPolicy>(
-                           std::make_unique<cache::OraclePolicy>(
-                               *oracle))
-                     : cache::makePolicy(config.devtlb.policy,
-                                         config.devtlb.seed,
-                                         config.devtlb.lfuBits)),
+      _devtlb(config.devtlb, devtlbPolicy(config.devtlb, oracle)),
       _context(config.contextCache),
       _prefetchUnit(config.prefetch.enabled
                         ? std::make_unique<PrefetchUnit>(

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/oracle_feed.hh"
 #include "cache/set_assoc_cache.hh"
 
 namespace hypersio::cache
@@ -434,16 +435,18 @@ TEST(SetAssocCacheSubEntry, SingleSubEntryMatchesClassicExactly)
             auto a = classic.insert(key, index, int(i));
             auto b = sub1.insert(key, index, int(i));
             ASSERT_EQ(a.has_value(), b.has_value());
-            if (a)
+            if (a) {
                 ASSERT_EQ(a->key, b->key);
+            }
             break;
           }
           case 1: {
             int *a = classic.lookup(key, index);
             int *b = sub1.lookup(key, index);
             ASSERT_EQ(a == nullptr, b == nullptr);
-            if (a)
+            if (a) {
                 ASSERT_EQ(*a, *b);
+            }
             break;
           }
           default:
@@ -477,6 +480,106 @@ TEST(SetAssocCacheSubEntry, HashedIndexCoIndexesSharedLayouts)
     });
     EXPECT_EQ(sets_seen, 4u);
 }
+
+// ---- Eviction order, pinned per policy -------------------------------
+
+/** A policy x sub-entry width and the eviction-sequence hash it
+ *  must reproduce. */
+struct EvictionCase
+{
+    const char *name;
+    ReplPolicyKind policy;
+    size_t subEntries;
+    uint64_t hash;
+};
+
+void
+PrintTo(const EvictionCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class EvictionSequenceTest
+    : public ::testing::TestWithParam<EvictionCase>
+{};
+
+/**
+ * Replays one skewed multi-tenant access stream (lookup, fill on
+ * miss, every 29th access an invalidate) through a partitioned
+ * 4-way cache and hashes every eviction it reports plus the final
+ * counters. Six tenants share one page layout, so sub-entry tags
+ * fill up and whole tags get evicted. The pinned hashes were
+ * measured on the scan-based policies that preceded the rank-word
+ * layout; any change to which way a policy evicts moves them.
+ */
+TEST_P(EvictionSequenceTest, MatchesPinnedHash)
+{
+    const EvictionCase &c = GetParam();
+    Rng rng(2024);
+    std::vector<uint64_t> seq;
+    for (int i = 0; i < 20000; ++i) {
+        const uint64_t page =
+            rng.below(8) == 0 ? rng.below(256) : rng.below(24);
+        seq.push_back(tenantKey(uint32_t(rng.below(6)), page));
+    }
+    OracleFeed feed(seq);
+    CacheConfig config{64, 4, 2, c.policy, 3};
+    config.subEntries = c.subEntries;
+    auto cache = c.policy == ReplPolicyKind::Oracle
+                     ? SetAssocCache<uint64_t>(
+                           config, std::make_unique<OraclePolicy>(feed))
+                     : SetAssocCache<uint64_t>(config);
+
+    uint64_t hash = 0xcbf29ce484222325ull;
+    auto mix = [&hash](uint64_t word) {
+        hash = (hash ^ word) * 0x100000001b3ull;
+    };
+    for (size_t i = 0; i < seq.size(); ++i) {
+        feed.advance();
+        const uint64_t key = seq[i];
+        const uint32_t partition = uint32_t(key >> 40);
+        if (i % 29 == 28) {
+            cache.invalidate(key, key, partition);
+            continue;
+        }
+        if (cache.lookup(key, key, partition))
+            continue;
+        if (auto evicted = cache.insert(key, key, i, partition)) {
+            mix(evicted->key);
+            mix(evicted->value);
+        }
+    }
+    mix(cache.stats().hits);
+    mix(cache.stats().evictions);
+    mix(cache.occupancy());
+    EXPECT_GT(cache.stats().evictions, 1000u);
+    EXPECT_EQ(hash, c.hash) << std::hex << "0x" << hash;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, EvictionSequenceTest,
+    ::testing::Values(
+        EvictionCase{"lru_sub1", ReplPolicyKind::LRU, 1,
+                     0x19768fb9e75295a6ull},
+        EvictionCase{"lru_sub4", ReplPolicyKind::LRU, 4,
+                     0xa5ce6ae2f5771a84ull},
+        EvictionCase{"lfu_sub1", ReplPolicyKind::LFU, 1,
+                     0x1cde33cd620e024dull},
+        EvictionCase{"lfu_sub4", ReplPolicyKind::LFU, 4,
+                     0x9ac27bc50c4afee4ull},
+        EvictionCase{"fifo_sub1", ReplPolicyKind::FIFO, 1,
+                     0x0231a51ea0d7afe2ull},
+        EvictionCase{"fifo_sub4", ReplPolicyKind::FIFO, 4,
+                     0xb0f099b390d6e5b4ull},
+        EvictionCase{"random_sub1", ReplPolicyKind::Random, 1,
+                     0xc1d6064f226dbf37ull},
+        EvictionCase{"random_sub4", ReplPolicyKind::Random, 4,
+                     0x941a2e3d0486a3ddull},
+        EvictionCase{"oracle_sub1", ReplPolicyKind::Oracle, 1,
+                     0x5f424e582ed8143dull}),
+    [](const ::testing::TestParamInfo<EvictionCase> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace hypersio::cache

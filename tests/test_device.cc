@@ -382,5 +382,22 @@ TEST(Device, CompletionSinkRunsAfterEntryRelease)
     EXPECT_EQ(sink.completed.size(), 1u);
 }
 
+TEST(DeviceDeathTest, OracleDevtlbRefusesSubEntryTags)
+{
+    // The Belady feed holds full translation keys; sub-entry tags
+    // would hand the policy shared keys it never sees.
+    EXPECT_EXIT(
+        {
+            Fixture f;
+            DeviceConfig config = deviceConfig();
+            config.devtlb.policy = cache::ReplPolicyKind::Oracle;
+            config.devtlb.subEntries = 4;
+            cache::OracleFeed feed({1, 2, 3});
+            Device device(config, f.queue, f.stats, f.ports(), &feed);
+        },
+        ::testing::ExitedWithCode(1),
+        "Oracle DevTLB replacement needs devtlb.subEntries = 1");
+}
+
 } // namespace
 } // namespace hypersio::core

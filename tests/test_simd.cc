@@ -107,8 +107,9 @@ TEST(GroupOps, FlatMapLayoutIsBackendIndependent)
             uint64_t *sv = scalar.find(k);
             uint64_t *vv = vector.find(k);
             ASSERT_EQ(sv == nullptr, vv == nullptr);
-            if (sv)
+            if (sv) {
                 EXPECT_EQ(*sv, *vv);
+            }
             break;
           }
           default:
@@ -199,8 +200,9 @@ TEST(GroupOps, SetAssocCacheBehavesIdenticallyAcrossBackends)
             uint64_t *sv = scalar.lookup(key, index);
             uint64_t *vv = vector.lookup(key, index);
             ASSERT_EQ(sv == nullptr, vv == nullptr);
-            if (sv)
+            if (sv) {
                 EXPECT_EQ(*sv, *vv);
+            }
         }
     }
     EXPECT_EQ(scalar.stats().hits, vector.stats().hits);
