@@ -54,9 +54,16 @@
 #      proxies) is deterministic, so any drift means a mechanism's
 #      behavior changed and the bake-off needs re-reading before
 #      the baseline is regenerated on purpose.
+#  10. The workload generator, the arrival loop and the streaming
+#      workloads must run clean under AddressSanitizer and
+#      UndefinedBehaviorSanitizer: test_workload, test_trace,
+#      test_hyperscale, test_system, test_soak, test_extensions and
+#      test_runner (which hold the hostile-input death tests), the
+#      fuzz smoke, and the hypersio_sim hostile-input ctest cases.
 #
-# Two build trees: the checked default (gates 2, 3, 5, 8, 9) and a
-# -DHYPERSIO_CHECKED=OFF tree (gates 4, 6, 7).
+# Three build trees: the checked default (gates 2, 3, 5, 8, 9), a
+# -DHYPERSIO_CHECKED=OFF tree (gates 4, 6, 7) and an ASan+UBSan tree
+# (gate 10; only the targets it runs are built).
 #
 # scripts/coverage.sh (gcov line coverage) is a separate, slower
 # workflow and is not part of this gate.
@@ -68,7 +75,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 UNCHECKED_DIR="${BUILD_DIR}-unchecked"
 
-echo "== 1/9 repo hygiene: no tracked build artifacts"
+echo "== 1/10 repo hygiene: no tracked build artifacts"
 if git ls-files | grep -q '^build'; then
     echo "FAIL: build trees are tracked in git:" >&2
     git ls-files | grep '^build' | head >&2
@@ -78,7 +85,7 @@ if git ls-files | grep -q '^build'; then
 fi
 echo "   ok"
 
-echo "== 2/9 tier-1 build (warnings are errors) + ctest (shadow oracle compiled in)"
+echo "== 2/10 tier-1 build (warnings are errors) + ctest (shadow oracle compiled in)"
 # Every configure pins the build type: `cmake -B` on an existing
 # tree silently keeps whatever CMAKE_BUILD_TYPE is cached there, and
 # the layer bench's rates are only comparable across runs at the
@@ -88,7 +95,7 @@ cmake -B "$BUILD_DIR" -S . "$BUILD_TYPE" -DHYPERSIO_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 
-echo "== 3/9 extended adversarial fuzz campaign"
+echo "== 3/10 extended adversarial fuzz campaign"
 # The ctest invocation above already ran the bounded smoke; this is
 # the long campaign: more packets, multiple seeds. Reproduce any
 # failure with the HYPERSIO_FUZZ_SEED printed in its repro line.
@@ -102,7 +109,7 @@ if ! HYPERSIO_FUZZ_PACKETS=400 HYPERSIO_FUZZ_ROUNDS=3 \
 fi
 grep 'translation requests checked' "$FUZZ_LOG"
 
-echo "== 4/9 shadow checking is observation-only (checked vs not)"
+echo "== 4/10 shadow checking is observation-only (checked vs not)"
 cmake -B "$UNCHECKED_DIR" -S . "$BUILD_TYPE" \
     -DHYPERSIO_CHECKED=OFF > /dev/null
 cmake --build "$UNCHECKED_DIR" -j "$(nproc)" \
@@ -120,7 +127,7 @@ if ! cmp -s "$BUILD_DIR/fig10_checked.out" \
 fi
 echo "   ok: fig10 --quick output byte-identical"
 
-echo "== 5/9 bench JSON regression gate (fig10, quick scale)"
+echo "== 5/10 bench JSON regression gate (fig10, quick scale)"
 # Deterministic settings: quick scale, 8-tenant sweep, fixed seed.
 # --jobs only changes scheduling, never results, but pin it anyway
 # so the config block is stable too.
@@ -137,7 +144,7 @@ else
     cp "$FRESH" BENCH_fig10.json
 fi
 
-echo "== 6/9 layer bench: in-binary A/Bs + deterministic counts"
+echo "== 6/10 layer bench: in-binary A/Bs + deterministic counts"
 # Without the shadow oracle: its mirrors would dominate the layers
 # being timed. The A/B equality asserts run inside the binary and
 # fail it on any divergence.
@@ -165,7 +172,7 @@ python3 scripts/bench_compare.py \
     BENCH_translation_path_flat_baseline.json "$LAYER_FRESH" \
     --counts-only --ignore-missing
 
-echo "== 7/9 hyper-scale streaming bench: bounded RSS + regression"
+echo "== 7/10 hyper-scale streaming bench: bounded RSS + regression"
 # Measured without the shadow oracle (its mirrors would scale with
 # the mirrored state being bounded, muddying the RSS reading); the
 # unchecked build from gate 4 serves. The in-process assertions
@@ -191,7 +198,7 @@ else
     cp "$HYPERSCALE_FRESH" BENCH_hyperscale.json
 fi
 
-echo "== 8/9 soak harness: telemetry stream + drift/leak gate"
+echo "== 8/10 soak harness: telemetry stream + drift/leak gate"
 # Runs from the *checked* build on purpose: the soak regime's value
 # is churn + adversarial episodes under the fail-fast shadow oracle,
 # so the RSS budget is sized for the mirrors' overhead. --jobs 1
@@ -217,7 +224,7 @@ else
     cp "$SOAK_FRESH" BENCH_soak.json
 fi
 
-echo "== 9/9 mechanism tournament: bake-off regression gate"
+echo "== 9/10 mechanism tournament: bake-off regression gate"
 # Runs from the *checked* build: every competitor (sub-entry
 # sharing, MMU-aware prefetch, the paper's partitioning, and their
 # combinations) then executes under the fail-fast shadow oracle, so
@@ -242,5 +249,28 @@ else
          "BENCH_tournament.json"
     cp "$TOURN_FRESH" BENCH_tournament.json
 fi
+
+echo "== 10/10 ASan+UBSan: workload, trace and run layers"
+# UBSan only prints by default; halt_on_error makes every report fail
+# its binary, so each exit status is the verdict.
+ASAN_DIR="${BUILD_DIR}-asan"
+ASAN_TESTS="test_workload test_trace test_hyperscale test_system
+    test_soak test_extensions test_runner"
+cmake -B "$ASAN_DIR" -S . "$BUILD_TYPE" \
+    -DHYPERSIO_SANITIZE=address,undefined > /dev/null
+cmake --build "$ASAN_DIR" -j "$(nproc)" --target $ASAN_TESTS \
+    fuzz_translation hypersio_sim_cli
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+for test in $ASAN_TESTS fuzz_translation; do
+    if ! "$ASAN_DIR/tests/$test" > "$ASAN_DIR/$test.log" 2>&1; then
+        tail -n 60 "$ASAN_DIR/$test.log" >&2
+        echo "FAIL: $test under ASan+UBSan" >&2
+        exit 1
+    fi
+    echo "   ok: $test"
+done
+# The CLI cases pass on their fatal() line; ASan and UBSan abort at
+# their first report, before any fatal() could print.
+(cd "$ASAN_DIR" && ctest -R '^hypersio_sim_rejects_' --output-on-failure)
 
 echo "check_repo: all gates passed"

@@ -1,9 +1,11 @@
 #include "core/runner.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -245,14 +247,15 @@ BenchOptions::parse(int argc, char **argv)
         } else if (arg == "--scale") {
             double value = 0.0;
             if (!parseDouble(next_value("--scale"), value) ||
-                value <= 0.0)
-                fatal("--scale needs a positive number");
+                !std::isfinite(value) || value <= 0.0)
+                fatal("--scale needs a finite positive number");
             opts.scale = value;
         } else if (arg == "--tenants") {
             uint64_t value = 0;
             if (!parseU64(next_value("--tenants"), value) ||
-                value == 0)
-                fatal("--tenants needs a positive integer");
+                value == 0 ||
+                value > std::numeric_limits<unsigned>::max())
+                fatal("--tenants needs a positive 32-bit integer");
             opts.maxTenants = static_cast<unsigned>(value);
         } else if (arg == "--seed") {
             uint64_t value = 0;
@@ -262,7 +265,8 @@ BenchOptions::parse(int argc, char **argv)
         } else if (arg == "--jobs" || arg == "-j") {
             uint64_t value = 0;
             if (!parseU64(next_value("--jobs"), value) ||
-                value == 0)
+                value == 0 ||
+                value > std::numeric_limits<unsigned>::max())
                 fatal("--jobs needs a positive integer");
             opts.jobs = static_cast<unsigned>(value);
         } else if (arg == "--json" || arg == "--stats-json") {

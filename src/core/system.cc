@@ -158,22 +158,22 @@ System::buildOracleDevices(const trace::HyperTrace &trace)
     // order). Dropped packets never reach the DevTLB, so the feed —
     // advanced once per performed lookup — stays aligned with the
     // device's simulation.
-    for (Link &link : _links) {
-        std::vector<uint64_t> keys;
-        keys.reserve(link.count * 3);
-        for (uint64_t k = 0; k < link.count; ++k) {
-            const trace::PacketRecord &pkt =
-                trace.packets[link.traceIndex(k)];
-            const mem::DomainId did =
-                iommu::ContextCache::resolve(pkt.sid, pkt.pasid)
-                    .domain;
-            for (unsigned c = 0; c < trace::NumReqClasses; ++c) {
-                const auto cls = static_cast<trace::ReqClass>(c);
-                keys.push_back(iommu::translationKey(
-                    did, pkt.iova(cls), pkt.pageSize(cls)));
-            }
+    std::vector<std::vector<uint64_t>> keys(_links.size());
+    if (_links.size() == 1)
+        keys[0].reserve(trace.packets.size() * 3);
+    for (const trace::PacketRecord &pkt : trace.packets) {
+        const mem::DomainId did =
+            iommu::ContextCache::resolve(pkt.sid, pkt.pasid).domain;
+        std::vector<uint64_t> &link_keys = keys[pkt.sid % _links.size()];
+        for (unsigned c = 0; c < trace::NumReqClasses; ++c) {
+            const auto cls = static_cast<trace::ReqClass>(c);
+            link_keys.push_back(iommu::translationKey(
+                did, pkt.iova(cls), pkt.pageSize(cls)));
         }
-        link.oracleFeed = std::make_unique<cache::OracleFeed>(keys);
+    }
+    for (size_t d = 0; d < _links.size(); ++d) {
+        Link &link = _links[d];
+        link.oracleFeed = std::make_unique<cache::OracleFeed>(keys[d]);
         link.device = std::make_unique<Device>(
             _config.device, _queue, *link.stats, makeDevicePorts(link),
             link.oracleFeed.get());
@@ -192,19 +192,6 @@ System::run(const trace::HyperTrace &trace, bool bypass_translation)
               _links.size());
     }
 
-    // Tenant t's packets ride link t % N in trace order. One link
-    // carries the whole trace, so it needs no index list.
-    if (_links.size() == 1) {
-        _links[0].count = trace.packets.size();
-    } else {
-        for (size_t i = 0; i < trace.packets.size(); ++i) {
-            _links[trace.packets[i].sid % _links.size()]
-                .order.push_back(static_cast<uint32_t>(i));
-        }
-        for (Link &link : _links)
-            link.count = link.order.size();
-    }
-
     if (!_links[0].device) {
         // Oracle-replacement run: build the feeds, then the devices.
         buildOracleDevices(trace);
@@ -216,97 +203,27 @@ System::run(const trace::HyperTrace &trace, bool bypass_translation)
         return empty;
     }
 
-#ifdef HYPERSIO_CHECKED
-    // Auto-install a fail-fast differential oracle for a
-    // single-device run unless one is already active on this thread
-    // (tests/fuzzing install their own collecting checker) or
-    // auto-checking is disabled (HYPERSIO_SHADOW=off).
-    std::unique_ptr<oracle::ShadowChecker> auto_checker;
-    std::optional<oracle::ShadowScope> shadow_scope;
-    if (_links.size() == 1 && !oracle::shadowChecker() &&
-        oracle::shadowAutoCheckEnabled() && !bypass_translation) {
-        auto_checker = std::make_unique<oracle::ShadowChecker>(
-            toShadowConfig(_config), &_tables, /*fail_fast=*/true);
-        shadow_scope.emplace(*auto_checker);
+    // Tenant t's packets ride link t % N in trace order. One link
+    // views the whole trace, so it needs no index list.
+    std::vector<trace::MaterializedStream> views;
+    views.reserve(_links.size());
+    if (_links.size() == 1) {
+        views.emplace_back(trace);
+    } else {
+        std::vector<std::vector<uint32_t>> order(_links.size());
+        for (size_t i = 0; i < trace.packets.size(); ++i) {
+            order[trace.packets[i].sid % _links.size()].push_back(
+                static_cast<uint32_t>(i));
+        }
+        for (std::vector<uint32_t> &indices : order)
+            views.emplace_back(trace, std::move(indices));
     }
-#endif
-
-    const Tick interval = _config.link.packetInterval();
-    const unsigned batch = _config.admitBatch ? _config.admitBatch : 1;
-
-    // One arrival process per link, all running this body. At
-    // admitBatch == 1 (the default), one packet per arrival slot —
-    // the classic process. Larger batches drain up to `batch` pending
-    // arrivals per dispatch and space events by the batch's summed
-    // serialization time. A PTB drop ends the batch, and the slots
-    // that are bound to be refused after it are billed in one step
-    // (fastForwardRefusedSlots). Packets with an explicit wire size
-    // occupy the link for their own serialization time (small
-    // packets arrive faster, leaving less time per translation).
-    auto arrive = [&](Link &link, std::function<void()> *self) {
-        Device &device = *link.device;
-        bool refused = false;
-        for (unsigned b = 0; b < batch && link.cursor < link.count;
-             ++b) {
-            const trace::PacketRecord &pkt =
-                trace.packets[link.traceIndex(link.cursor)];
-
-            if (bypass_translation) {
-                // Native mode: no address translation at all.
-                ++link.cursor;
-                ++_processed;
-                _bytesProcessed += wireBytesOf(pkt);
-                _lastCompletion = _queue.now();
-                continue;
-            }
-            if (device.ptbFull()) {
-                // Dropped; the same packet retries next slot.
-                ++_dropped;
-                HYPERSIO_SHADOW(devicePacketDropped());
-                refused = true;
-                break;
-            }
-            applyOps(pkt, trace.ops.data() + pkt.opBegin);
-            ++link.cursor;
-            device.accept(pkt, *this);
-        }
-
-        if (link.cursor < link.count) {
-            // The next arrival follows the serialization time of
-            // the packets now occupying the wire (the retried packet
-            // first on a drop, the next ones otherwise). Re-arm
-            // through a one-word reference so the arrival closure
-            // itself is never copied per slot.
-            Tick gap = 0;
-            const uint64_t ahead =
-                std::min<uint64_t>(batch, link.count - link.cursor);
-            for (uint64_t i = 0; i < ahead; ++i) {
-                const Tick ser = serializationTicks(
-                    wireBytesOf(
-                        trace.packets[link.traceIndex(link.cursor + i)]),
-                    _config.link.gbps);
-                gap += ser == 0 ? interval : ser;
-            }
-            _queue.scheduleAfter(
-                refused ? fastForwardRefusedSlots(gap) : gap,
-                [self] { (*self)(); });
-        }
-    };
-
-    std::vector<std::function<void()>> arrivals(_links.size());
     for (size_t d = 0; d < _links.size(); ++d) {
-        if (_links[d].count == 0)
-            continue;
-        std::function<void()> *self = &arrivals[d];
-        *self = [&arrive, &link = _links[d], self] {
-            arrive(link, self);
-        };
-        _queue.schedule(0, [self] { (*self)(); });
+        if (!views[d].exhausted())
+            _links[d].stream = &views[d];
     }
-    _queue.run();
-
-    shadowRunCompleted(bypass_translation);
-    return collectResults(wireBytesOf(trace.packets.front()));
+    _bypass = bypass_translation;
+    return runLinks(wireBytesOf(trace.packets.front()));
 }
 
 RunResults
@@ -335,7 +252,6 @@ System::runStream(trace::PacketStream &stream,
               "replacement (the Belady feed needs the full trace "
               "up front)");
     }
-    Device &device = *_links[0].device;
 
     const trace::PacketRecord *first = stream.peek();
     if (!first) {
@@ -345,112 +261,138 @@ System::runStream(trace::PacketStream &stream,
         empty.configName = _config.name;
         return empty;
     }
+    _evictStream = opts.evictDetached;
+    _links[0].stream = &stream;
+    return runLinks(wireBytesOf(*first));
+}
 
+RunResults
+System::runLinks(uint64_t first_wire_bytes)
+{
 #ifdef HYPERSIO_CHECKED
-    // Same auto-installed differential oracle as run().
+    // Auto-install a fail-fast differential oracle for a
+    // single-device run unless one is already active on this thread
+    // (tests/fuzzing install their own collecting checker) or
+    // auto-checking is disabled (HYPERSIO_SHADOW=off).
     std::unique_ptr<oracle::ShadowChecker> auto_checker;
     std::optional<oracle::ShadowScope> shadow_scope;
-    if (!oracle::shadowChecker() &&
-        oracle::shadowAutoCheckEnabled()) {
+    if (_links.size() == 1 && !oracle::shadowChecker() &&
+        oracle::shadowAutoCheckEnabled() && !_bypass) {
         auto_checker = std::make_unique<oracle::ShadowChecker>(
             toShadowConfig(_config), &_tables, /*fail_fast=*/true);
         shadow_scope.emplace(*auto_checker);
     }
 #endif
 
-    _stream = &stream;
-    _evictStream = opts.evictDetached;
-    _streamInterval = _config.link.packetInterval();
-    const uint64_t first_bytes = wireBytesOf(*first);
-
-    // The arrival process mirrors run()'s slot for slot; the only
-    // difference is where the next packet comes from (and that a
-    // batch can also end early because the stream ran dry — only the
-    // head packet is peekable). A stream that runs dry while tenants
-    // await retirement (ChurnStream parked on a full SID space)
-    // parks the process; retirement completions re-arm it through
-    // maybeRestartStreamArrival().
-    const unsigned batch = _config.admitBatch ? _config.admitBatch : 1;
-    std::function<void()> arrival = [&]() {
-        HYPERSIO_ASSERT(_stream->peek(),
-                        "stream arrival fired without a packet");
-        bool refused = false;
-        for (unsigned b = 0; b < batch; ++b) {
-            const trace::PacketRecord *head = _stream->peek();
-            if (!head)
-                break;
-            if (device.ptbFull()) {
-                // Dropped; the same packet retries next slot.
-                ++_dropped;
-                HYPERSIO_SHADOW(devicePacketDropped());
-                refused = true;
-                break;
-            }
-            // Copy the record out: advance() invalidates peek().
-            const trace::PacketRecord pkt = *head;
-            applyOps(pkt, _stream->ops());
-            if (_evictStream)
-                ++_outstanding[pkt.sid];
-            _stream->advance();
-            device.accept(pkt, *this);
-        }
-
-        if (_evictStream)
-            serviceRetirements();
-
-        if (const trace::PacketRecord *next = _stream->peek()) {
-            // Only the head is visible, so the batch window is
-            // approximated as `batch` slots of the head's
-            // serialization time (exact at batch == 1). After a drop
-            // the head cannot change before the next event, so the
-            // window is also the spacing of every refused slot.
-            const Tick ser = serializationTicks(
-                wireBytesOf(*next), _config.link.gbps);
-            const Tick slot = ser == 0 ? _streamInterval : ser;
-            const Tick gap = slot * batch;
-            _queue.scheduleAfter(
-                refused ? fastForwardRefusedSlots(gap) : gap,
-                [&arrival] { arrival(); });
-        } else if (!_stream->exhausted()) {
-            _streamStalled = true;
-        }
-    };
-    _streamArrival = &arrival;
-
-    _queue.schedule(0, [&arrival] { arrival(); });
+    _slotInterval = _config.link.packetInterval();
+    _batch = _config.admitBatch ? _config.admitBatch : 1;
+    for (Link &link : _links) {
+        if (link.stream)
+            _queue.schedule(0, [this, &link] { arrive(link); });
+    }
     for (;;) {
         _queue.run();
         if (!_evictStream)
             break;
         // Drained: every in-flight access is done, so anything still
-        // pending must retire now (and may unpark the stream).
+        // pending must retire now (and may unpark a stream).
         serviceRetirements();
         HYPERSIO_ASSERT(_pendingRetire.empty(),
                         "tenants stuck awaiting retirement after "
                         "the queue drained");
-        if (_streamStalled && _stream->peek()) {
-            _streamStalled = false;
-            _queue.scheduleAfter(_streamInterval,
-                                 [&arrival] { arrival(); });
-            continue;
-        }
-        break;
+        bool restarted = false;
+        for (Link &link : _links)
+            restarted |= maybeRestartArrival(link);
+        if (!restarted)
+            break;
     }
-    HYPERSIO_ASSERT(_stream->exhausted(),
-                    "streaming run ended with the stream unfinished");
-    _streamArrival = nullptr;
-    _stream = nullptr;
+    for (Link &link : _links) {
+        if (!link.stream)
+            continue;
+        HYPERSIO_ASSERT(link.stream->exhausted(),
+                        "run ended with a link's packets unfinished");
+        link.stream = nullptr;
+    }
 
-    shadowRunCompleted(/*bypass_translation=*/false);
-    return collectResults(first_bytes);
+    shadowRunCompleted();
+    return collectResults(first_wire_bytes);
 }
 
 void
-System::shadowRunCompleted([[maybe_unused]] bool bypass_translation)
+System::arrive(Link &link)
+{
+    // At admitBatch == 1 (the default), one packet per arrival slot
+    // — the classic process. Larger batches drain up to `batch`
+    // pending arrivals per dispatch. A PTB drop ends the batch, and
+    // the slots that are bound to be refused after it are billed in
+    // one step (fastForwardRefusedSlots). A stream that runs dry
+    // while tenants await retirement (ChurnStream parked on a full
+    // SID space) parks the process; retirement completions re-arm it
+    // through maybeRestartArrival().
+    trace::PacketStream &stream = *link.stream;
+    Device &device = *link.device;
+    HYPERSIO_ASSERT(stream.peek(), "arrival fired without a packet");
+    bool refused = false;
+    for (unsigned b = 0; b < _batch; ++b) {
+        const trace::PacketRecord *head = stream.peek();
+        if (!head)
+            break;
+        if (_bypass) {
+            // Native mode: no address translation at all.
+            ++_processed;
+            _bytesProcessed += wireBytesOf(*head);
+            _lastCompletion = _queue.now();
+            stream.advance();
+            continue;
+        }
+        if (device.ptbFull()) {
+            // Dropped; the same packet retries next slot.
+            ++_dropped;
+            HYPERSIO_SHADOW(devicePacketDropped());
+            refused = true;
+            break;
+        }
+        // Copy the record out: advance() invalidates peek().
+        const trace::PacketRecord pkt = *head;
+        applyOps(pkt, stream.ops());
+        if (_evictStream)
+            ++_outstanding[pkt.sid];
+        stream.advance();
+        device.accept(pkt, *this);
+    }
+
+    if (_evictStream)
+        serviceRetirements();
+
+    if (const trace::PacketRecord *next = stream.peek()) {
+        // The next arrival follows the serialization time of the
+        // packets now occupying the wire (the retried packet first
+        // on a drop, the next ones otherwise), as far as the stream
+        // shows them. After a drop nothing the window reads changes
+        // before the next event, so the window is also the spacing
+        // of every refused slot. Packets with an explicit wire size
+        // occupy the link for their own serialization time.
+        Tick gap = slotTicks(*next);
+        for (unsigned i = 1; i < _batch; ++i) {
+            const trace::PacketRecord *ahead = stream.peekAhead(i);
+            if (!ahead)
+                break;
+            gap += slotTicks(*ahead);
+        }
+        _queue.scheduleAfter(refused ? fastForwardRefusedSlots(gap)
+                                     : gap,
+                             [this, &link] { arrive(link); });
+    } else if (!stream.exhausted()) {
+        link.stalled = true;
+    }
+}
+
+void
+System::shadowRunCompleted()
 {
     [[maybe_unused]] const Device &device = *_links[0].device;
     HYPERSIO_SHADOW(systemRunCompleted(
-        bypass_translation, _processed, device.translationsIssued(),
+        _bypass, _processed, device.translationsIssued(),
         device.devtlbOccupancy(), device.prefetchBufferOccupancy(),
         _iommu->iotlbOccupancy(), _iommu->l2Occupancy(),
         _iommu->l3Occupancy(), device.ptbInUse()));
@@ -496,6 +438,14 @@ System::wireBytesOf(const trace::PacketRecord &pkt) const
 {
     return pkt.wireBytes != 0 ? pkt.wireBytes
                               : _config.link.packetBytes;
+}
+
+Tick
+System::slotTicks(const trace::PacketRecord &pkt) const
+{
+    const Tick ser =
+        serializationTicks(wireBytesOf(pkt), _config.link.gbps);
+    return ser == 0 ? _slotInterval : ser;
 }
 
 RunResults
@@ -589,7 +539,10 @@ System::applyOps(const trace::PacketRecord &pkt,
 void
 System::serviceRetirements()
 {
-    _stream->drainDetached(_pendingRetire);
+    for (Link &link : _links) {
+        if (link.stream)
+            link.stream->drainDetached(_pendingRetire);
+    }
     if (_pendingRetire.empty())
         return;
     // Retire what can go; keep the rest in detach order. A SID may
@@ -652,7 +605,7 @@ System::tryRetireSid(trace::SourceId sid)
     link.device->retireSid(sid);
     _streamRetirements.push_back(
         {_queue.now(), _queue.scheduledSeq(), sid});
-    _stream->sidRetired(sid);
+    link.stream->sidRetired(sid);
     return true;
 }
 
@@ -698,19 +651,18 @@ System::onStreamPacketDrained(trace::SourceId sid)
                     "counter");
     --*count;
     serviceRetirements();
-    maybeRestartStreamArrival();
+    maybeRestartArrival(linkOf(sid));
 }
 
-void
-System::maybeRestartStreamArrival()
+bool
+System::maybeRestartArrival(Link &link)
 {
-    if (!_streamStalled || !_streamArrival)
-        return;
-    if (!_stream->peek())
-        return;
-    _streamStalled = false;
-    _queue.scheduleAfter(_streamInterval,
-                         [fn = _streamArrival] { (*fn)(); });
+    if (!link.stalled || !link.stream->peek())
+        return false;
+    link.stalled = false;
+    _queue.scheduleAfter(_slotInterval,
+                         [this, &link] { arrive(link); });
+    return true;
 }
 
 void

@@ -5,14 +5,16 @@
  *
  * The link model computes packet arrival times from the nominal
  * bandwidth and packet size; a packet that finds the PTB full is
- * dropped and retried at the next arrival slot. Drops are billed in
- * bulk: only an event can free a PTB entry, so the refusing arrival
- * counts every later slot before the next pending event as dropped
- * at once and re-arms at the first slot that may admit (DESIGN.md
- * §15) — the same drops, ticks and event order as one event per
- * slot. When the trace is exhausted and all in-flight work drains,
- * the achieved bandwidth is total processed bytes divided by elapsed
- * simulated time.
+ * dropped and retried at the next arrival slot. run() and
+ * runStream() drive one arrival body: each link reads its packets
+ * from a trace::PacketStream, a materialized view of the trace for
+ * run(). Drops are billed in bulk: only an event can free a PTB
+ * entry, so the refusing arrival counts every later slot before the
+ * next pending event as dropped at once and re-arms at the first
+ * slot that may admit (DESIGN.md §15) — the same drops, ticks and
+ * event order as one event per slot. When the trace is exhausted
+ * and all in-flight work drains, the achieved bandwidth is total
+ * processed bytes divided by elapsed simulated time.
  */
 
 #ifndef HYPERSIO_CORE_SYSTEM_HH
@@ -49,9 +51,9 @@ struct StreamRunOptions
     /**
      * Retire detached tenants: erase their page tables, history,
      * and predictor state once every in-flight access drains, then
-     * confirm sidRetired() to the stream. Off, a run behaves exactly
-     * like run() over the equivalent materialized trace (state grows
-     * with every tenant ever seen) — the golden equivalence mode.
+     * confirm sidRetired() to the stream. Off, state grows with
+     * every tenant ever seen, as in run(): a stream replaying a
+     * trace's packets then produces run()'s results exactly.
      */
     bool evictDetached = true;
 
@@ -131,14 +133,13 @@ class System : private Device::CompletionSink
                    bool bypass_translation = false);
 
     /**
-     * Simulates a lazily produced packet stream. With eviction off
-     * and a stream mirroring a materialized trace, the run is
-     * event-for-event identical to run() on that trace (same
-     * RunResults, same stats tree). With eviction on, tenants the
-     * stream detaches are fully retired — page tables erased,
-     * cached translations invalidated, history and predictor state
-     * dropped — keeping total state O(active tenants) regardless of
-     * the tenant population.
+     * Simulates a lazily produced packet stream through the same
+     * arrival body as run(). With eviction on, tenants the stream
+     * detaches are fully retired — page tables erased, cached
+     * translations invalidated, history and predictor state dropped
+     * — keeping total state O(active tenants) regardless of the
+     * tenant population; snapshots and stall/restart are likewise
+     * runStream-only.
      *
      * Not supported with Oracle DevTLB replacement (the Belady feed
      * needs the full trace up front), nor with several devices (one
@@ -189,17 +190,10 @@ class System : private Device::CompletionSink
         /** Parent of the device's stats: the root, or `devN`. */
         stats::StatGroup *stats = nullptr;
 
-        // run() arrival state.
-        /** Trace indices of this link's packets; empty at N == 1,
-         *  where the link carries the whole trace in order. */
-        std::vector<uint32_t> order;
-        uint64_t count = 0;  ///< packets this link carries
-        uint64_t cursor = 0; ///< next of them to arrive
-
-        uint64_t traceIndex(uint64_t k) const
-        {
-            return order.empty() ? k : order[k];
-        }
+        /** The link's packets during a run; null when it has none. */
+        trace::PacketStream *stream = nullptr;
+        /** Arrival process parked on a stalled stream. */
+        bool stalled = false;
     };
 
     /** The link tenant `sid` drives. */
@@ -209,15 +203,17 @@ class System : private Device::CompletionSink
     }
 
     /**
-     * Device completion (one sink for both run loops): bytes and SID
-     * come from the completed packet itself, so accept() needs no
-     * per-packet closure.
+     * Device completion: bytes and SID come from the completed
+     * packet itself, so accept() needs no per-packet closure.
      */
     void packetDone(const trace::PacketRecord &pkt) override;
 
     void applyOps(const trace::PacketRecord &pkt,
                   const trace::PageOp *ops);
-    /** Builds each link's Belady feed, then its device. */
+    /**
+     * Builds each link's Belady feed in one pass over the trace, then
+     * its device.
+     */
     void buildOracleDevices(const trace::HyperTrace &trace);
     /** Wires `link`'s device-to-chipset ports through its XlatePort. */
     DevicePorts makeDevicePorts(Link &link);
@@ -231,6 +227,21 @@ class System : private Device::CompletionSink
                               mem::Iova iova, mem::PageSize size,
                               mem::Addr host_addr);
     uint64_t wireBytesOf(const trace::PacketRecord &pkt) const;
+    /** Ticks `pkt` occupies its arrival slot for. */
+    Tick slotTicks(const trace::PacketRecord &pkt) const;
+    /**
+     * Runs every link's arrival process over its stream until the
+     * queue drains (and, when retiring tenants, until every stalled
+     * stream is finished), then collects the results.
+     */
+    RunResults runLinks(uint64_t first_wire_bytes);
+    /**
+     * The one arrival body: admits up to admitBatch packets from
+     * `link`'s stream (or completes them untranslated in native
+     * mode), then re-arms after the serialization time of the
+     * packets peekAhead() shows for the next batch.
+     */
+    void arrive(Link &link);
     /**
      * Refused-slot fast-forward, called by an arrival that just
      * dropped its packet on a full PTB, with `gap` the spacing of its
@@ -240,10 +251,10 @@ class System : private Device::CompletionSink
      * may admit. Panics when nothing is pending (a livelock).
      */
     Tick fastForwardRefusedSlots(Tick gap);
-    /** Results from the run counters (shared by run/runStream). */
+    /** Results from the run counters. */
     RunResults collectResults(uint64_t first_wire_bytes);
     /** The oracle's end-of-run cross-check (single device only). */
-    void shadowRunCompleted(bool bypass_translation);
+    void shadowRunCompleted();
 
     // ---- Streaming-run eviction machinery ----------------------------
     /** Drains detach notices and retires every SID that can go. */
@@ -257,8 +268,11 @@ class System : private Device::CompletionSink
     void retireDomain(mem::DomainId did);
     /** Completion bookkeeping of a streaming-run packet. */
     void onStreamPacketDrained(trace::SourceId sid);
-    /** Re-arms the arrival process after a stall, if unparked. */
-    void maybeRestartStreamArrival();
+    /**
+     * Re-arms `link`'s arrival process after a stall, if unparked.
+     * @return true when it re-armed
+     */
+    bool maybeRestartArrival(Link &link);
 
     SystemConfig _config;
     sim::EventQueue _queue;
@@ -271,20 +285,20 @@ class System : private Device::CompletionSink
 
     // Run state, summed over the links.
     bool _ran = false;
+    /** Native mode of the running run() (no translation). */
+    bool _bypass = false;
+    unsigned _batch = 1;    ///< packets admitted per arrival event
+    Tick _slotInterval = 0; ///< arrival slot of a default-size packet
     uint64_t _processed = 0;
     uint64_t _dropped = 0;
     uint64_t _bytesProcessed = 0;
     Tick _lastCompletion = 0;
 
     // Streaming-run state (runStream only; inert during run()).
-    trace::PacketStream *_stream = nullptr;
     bool _evictStream = false;
-    bool _streamStalled = false;
-    Tick _streamInterval = 0;
     /** Snapshot cadence/hook of the active streaming run. */
     uint64_t _snapshotEvery = 0;
     std::function<void(const System &, uint64_t)> _onSnapshot;
-    std::function<void()> *_streamArrival = nullptr;
     /** In-flight (accepted, not completed) packets per SID. */
     util::FlatMap<trace::SourceId, uint32_t> _outstanding;
     /** Detached SIDs awaiting retirement, in detach order. */

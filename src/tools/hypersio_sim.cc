@@ -15,10 +15,12 @@
  */
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -28,6 +30,8 @@
 #include "hypersio/hypersio.hh"
 #include "util/debug.hh"
 #include "util/json.hh"
+#include "util/logging.hh"
+#include "util/str.hh"
 
 using namespace hypersio;
 
@@ -107,15 +111,20 @@ parse(int argc, char **argv)
         } else if (arg == "--bench") {
             opts.bench = value();
         } else if (arg == "--tenants") {
-            opts.tenants = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 0));
+            uint64_t n = 0;
+            if (!parseU64(value(), n) || n == 0 ||
+                n > std::numeric_limits<unsigned>::max())
+                fatal("--tenants needs a positive 32-bit integer");
+            opts.tenants = static_cast<unsigned>(n);
         } else if (arg == "--scale") {
-            opts.scale = std::strtod(value().c_str(), nullptr);
+            if (!parseDouble(value(), opts.scale) ||
+                !std::isfinite(opts.scale) || opts.scale <= 0.0)
+                fatal("--scale needs a finite positive number");
         } else if (arg == "--interleave") {
             opts.interleave = value();
         } else if (arg == "--seed") {
-            opts.seed =
-                std::strtoull(value().c_str(), nullptr, 0);
+            if (!parseU64(value(), opts.seed))
+                fatal("--seed needs an unsigned integer");
         } else if (arg == "--debug") {
             debug::enable(value());
         } else if (arg == "--debug-list") {

@@ -24,11 +24,20 @@
  * slot is parked awaiting retirement) rather than exhausted();
  * runStream restarts the arrival process when a retirement unparks a
  * slot.
+ *
+ * The arrival process spaces a batch of admitBatch packets by the
+ * summed serialization time of the packets peekAhead(0..batch-1)
+ * shows it. A materialized trace shows its real next packets; a
+ * stream whose next packets depend on retirements that have not
+ * happened yet shows its head in every place, so its batch window is
+ * `batch ×` the head's time (DESIGN.md §11).
  */
 
 #ifndef HYPERSIO_TRACE_STREAM_HH
 #define HYPERSIO_TRACE_STREAM_HH
 
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "trace/record.hh"
@@ -55,6 +64,21 @@ class PacketStream
      * Valid until the next advance()/peek() transition.
      */
     virtual const PageOp *ops() const = 0;
+
+    /**
+     * The packet `i` places behind the head, or nullptr past the
+     * last packet the stream can show; peekAhead(0) is the head.
+     * Valid until the next advance(). The default shows the head in
+     * every place: a stream whose next packets are not decided yet
+     * (they may depend on retirements still to come) spaces a batch
+     * as `batch ×` the head's serialization time.
+     */
+    virtual const PacketRecord *
+    peekAhead(size_t i)
+    {
+        (void)i;
+        return peek();
+    }
 
     /** Consumes the head packet. */
     virtual void advance() = 0;
@@ -88,43 +112,57 @@ class PacketStream
 };
 
 /**
- * Adapter presenting a materialized HyperTrace through the stream
- * interface. runStream(MaterializedStream(t)) is event-for-event
- * identical to run(t); the equivalence tests lean on this.
+ * A materialized HyperTrace, or one link's share of it, through the
+ * stream interface with exact lookahead. System::run() drives every
+ * link through one of these.
  */
 class MaterializedStream : public PacketStream
 {
   public:
+    /** The whole trace, in order; nothing is copied. */
     explicit MaterializedStream(const HyperTrace &trace)
-        : _trace(trace)
+        : _trace(trace), _count(trace.packets.size())
     {}
 
+    /** The trace's packets at the indices `order` lists, in order. */
+    MaterializedStream(const HyperTrace &trace,
+                       std::vector<uint32_t> order)
+        : _trace(trace), _order(std::move(order)), _count(_order.size())
+    {}
+
+    const PacketRecord *peek() override { return at(_cursor); }
+
     const PacketRecord *
-    peek() override
+    peekAhead(size_t i) override
     {
-        return _cursor < _trace.packets.size()
-                   ? &_trace.packets[_cursor]
-                   : nullptr;
+        return at(_cursor + i);
     }
 
     const PageOp *
     ops() const override
     {
-        const PacketRecord &pkt = _trace.packets[_cursor];
-        return _trace.ops.data() + pkt.opBegin;
+        return _trace.ops.data() + at(_cursor)->opBegin;
     }
 
     void advance() override { ++_cursor; }
 
-    bool exhausted() override
-    {
-        return _cursor >= _trace.packets.size();
-    }
+    bool exhausted() override { return _cursor >= _count; }
 
     uint32_t numTenants() const override { return _trace.numTenants; }
 
   private:
+    const PacketRecord *
+    at(size_t k) const
+    {
+        if (k >= _count)
+            return nullptr;
+        return &_trace.packets[_order.empty() ? k : _order[k]];
+    }
+
     const HyperTrace &_trace;
+    /** Trace indices of the viewed packets; empty for the whole. */
+    std::vector<uint32_t> _order;
+    size_t _count;
     size_t _cursor = 0;
 };
 

@@ -1,7 +1,9 @@
 #include "workload/benchmarks.hh"
 
 #include <algorithm>
+#include <cmath>
 
+#include "iommu/context_cache.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -102,17 +104,25 @@ scaleInitPhase(TenantPattern &pattern, uint64_t num_packets)
         1u, std::max(1u, max_accesses));
 }
 
-std::vector<trace::TenantLog>
-generateLogs(Benchmark bench, unsigned num_tenants, uint64_t seed,
-             double scale)
+std::vector<TenantStream>
+tenantStreams(Benchmark bench, unsigned num_tenants, uint64_t seed,
+              double scale)
 {
-    HYPERSIO_ASSERT(num_tenants >= 1, "need at least one tenant");
-    if (scale <= 0.0)
-        fatal("workload scale must be positive (got %f)", scale);
+    if (!std::isfinite(scale) || scale <= 0.0)
+        fatal("workload scale must be a finite positive number "
+              "(got %g)",
+              scale);
+    if (num_tenants < 1 || num_tenants > iommu::ContextCache::SidSpace)
+        fatal("tenant count must be in [1, %u] (got %u): tenants are "
+              "SIDs",
+              iommu::ContextCache::SidSpace, num_tenants);
 
     const BenchmarkProfile profile = benchmarkProfile(bench);
     const uint64_t min_packets = profile.minTranslations / 3;
     const uint64_t max_packets = profile.maxTranslations / 3;
+    // Converting a budget past 2^64 to uint64_t is undefined.
+    if (static_cast<double>(max_packets) * scale >= 0x1p64)
+        fatal("workload scale %g overflows a packet budget", scale);
 
     auto scaled = [&](uint64_t packets) {
         const auto value = static_cast<uint64_t>(
@@ -123,11 +133,9 @@ generateLogs(Benchmark bench, unsigned num_tenants, uint64_t seed,
     TenantPattern pattern = profile.pattern;
     scaleInitPhase(pattern, scaled(min_packets));
 
-    TenantLogGenerator generator(pattern, seed);
     Rng rng(hashCombine(seed, static_cast<uint64_t>(bench)));
-
-    std::vector<trace::TenantLog> logs;
-    logs.reserve(num_tenants);
+    std::vector<TenantStream> tenants;
+    tenants.reserve(num_tenants);
     for (unsigned t = 0; t < num_tenants; ++t) {
         uint64_t packets;
         if (t == 0) {
@@ -137,9 +145,23 @@ generateLogs(Benchmark bench, unsigned num_tenants, uint64_t seed,
         } else {
             packets = rng.range(min_packets, max_packets);
         }
-        logs.push_back(generator.generate(
-            static_cast<trace::SourceId>(t), scaled(packets)));
+        tenants.emplace_back(pattern, seed,
+                             static_cast<trace::SourceId>(t),
+                             scaled(packets));
     }
+    return tenants;
+}
+
+std::vector<trace::TenantLog>
+generateLogs(Benchmark bench, unsigned num_tenants, uint64_t seed,
+             double scale)
+{
+    std::vector<TenantStream> tenants =
+        tenantStreams(bench, num_tenants, seed, scale);
+    std::vector<trace::TenantLog> logs;
+    logs.reserve(tenants.size());
+    for (TenantStream &tenant : tenants)
+        logs.push_back(tenant.drain());
     return logs;
 }
 

@@ -60,21 +60,30 @@ BenchmarkProfile benchmarkProfile(Benchmark bench);
  * `num_packets` packets. The paper's logs are millions of requests
  * with a one-off init of < 100 accesses per page; a fixed-size init
  * would dominate scaled-down logs. Call this before handing a
- * pattern to TenantLogGenerator for short logs (generateLogs does
- * it automatically).
+ * pattern to a TenantStream for short logs (tenantStreams does it
+ * automatically).
  */
 void scaleInitPhase(TenantPattern &pattern, uint64_t num_packets);
 
 /**
- * Generates per-tenant logs for a benchmark.
+ * The per-tenant generators of a benchmark: tenant t is SID t, and
+ * all share the profile's pattern with its init phase scaled.
  *
  * Tenant 0 receives the minimum request count and the last tenant
  * the maximum (so min/max statistics match Table III); the others
  * draw uniformly in between (seeded, deterministic).
  *
+ * fatal() unless `scale` is finite and positive and the tenants fit
+ * the SID space (1 <= num_tenants <= ContextCache::SidSpace).
+ *
  * @param scale multiplies every per-tenant packet count; use < 1 for
  *        quick runs (counts are clamped to at least 64 packets)
  */
+std::vector<TenantStream>
+tenantStreams(Benchmark bench, unsigned num_tenants, uint64_t seed,
+              double scale = 1.0);
+
+/** Per-tenant logs for a benchmark: tenantStreams(), drained. */
 std::vector<trace::TenantLog>
 generateLogs(Benchmark bench, unsigned num_tenants, uint64_t seed,
              double scale = 1.0);

@@ -1,5 +1,6 @@
 #include "workload/soak.hh"
 
+#include "iommu/context_cache.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -8,9 +9,6 @@ namespace hypersio::workload
 
 namespace
 {
-
-/** SID space bound shared with iommu::ContextCache. */
-constexpr uint32_t SidSpace = 4096;
 
 /** Episode seed salt (distinct from the churn slot-bind salt). */
 constexpr uint64_t StormSeedSalt = 0x50a1e;
@@ -26,7 +24,8 @@ SoakStream::SoakStream(const SoakConfig &config)
                         "episodes need at least one storm tenant");
         HYPERSIO_ASSERT(_cfg.stormPackets >= 1,
                         "episodes need at least one packet");
-        HYPERSIO_ASSERT(_stormBase + _cfg.stormTenants <= SidSpace,
+        HYPERSIO_ASSERT(_stormBase + _cfg.stormTenants <=
+                            iommu::ContextCache::SidSpace,
                         "storm SID range [%u, %u) exceeds the SID "
                         "space",
                         _stormBase,

@@ -2,190 +2,11 @@
 
 #include <algorithm>
 
+#include "iommu/context_cache.hh"
 #include "util/logging.hh"
 
 namespace hypersio::workload
 {
-
-// --- TenantStream ---------------------------------------------------
-//
-// Every RNG draw below mirrors one in TenantLogGenerator::generate();
-// the two must stay in lock-step or the streaming path diverges from
-// the materialized one. tests/test_hyperscale.cc enforces packet-for-
-// packet equality across patterns, budgets, and phases.
-
-TenantStream::TenantStream(const TenantPattern &pattern, uint64_t seed,
-                           trace::SourceId sid, uint64_t num_packets,
-                           bool include_init)
-    : _p(pattern), _sid(sid), _budget(num_packets),
-      _rng(hashCombine(seed, hashCombine(0x7e4a37, sid)))
-{
-    HYPERSIO_ASSERT(_p.streams >= 1, "need at least one stream");
-    HYPERSIO_ASSERT(_p.numDataPages >= _p.streams,
-                    "fewer data pages than streams");
-    if (_budget == 0)
-        return;
-
-    // Fixed hot pages are mapped up front by the driver.
-    _pending.push_back({_p.ringPage, mem::PageSize::Size4K, true});
-    _pending.push_back({_p.mailboxPage, mem::PageSize::Size4K, true});
-
-    if (include_init && _p.numInitPages > 0) {
-        _phase = Phase::Init;
-        startInitPage();
-    }
-}
-
-uint64_t
-TenantStream::dataPageBytes() const
-{
-    return mem::pageBytes(_p.hugeDataPages ? mem::PageSize::Size2M
-                                           : mem::PageSize::Size4K);
-}
-
-mem::Iova
-TenantStream::dataPageIova(unsigned idx) const
-{
-    return _p.dataBase +
-           static_cast<uint64_t>(idx) * dataPageBytes();
-}
-
-void
-TenantStream::startInitPage()
-{
-    const mem::Iova base =
-        _p.initBase +
-        static_cast<uint64_t>(_initPage) * mem::PageSize4K;
-    _pending.push_back({base, mem::PageSize::Size4K, true});
-    // Slightly varied access count, always < 100.
-    _initAccesses =
-        _p.accessesPerInitPage == 0
-            ? 0
-            : static_cast<unsigned>(
-                  _rng.range(_p.accessesPerInitPage / 2,
-                             _p.accessesPerInitPage));
-    _initDone = 0;
-}
-
-void
-TenantStream::assignPage(StreamState &st)
-{
-    st.currentPage = _nextFreePage;
-    _nextFreePage = (_nextFreePage + 1) % _p.numDataPages;
-    st.accessesLeft = _p.accessesPerDataPage;
-    st.offset = 0;
-    const mem::Iova iova = dataPageIova(st.currentPage);
-    const mem::PageSize size = _p.hugeDataPages
-                                   ? mem::PageSize::Size2M
-                                   : mem::PageSize::Size4K;
-    if (_pageMapped[st.currentPage])
-        _pending.push_back({iova, size, false}); // recycle: invalidate
-    _pending.push_back({iova, size, true});
-    _pageMapped[st.currentPage] = true;
-}
-
-void
-TenantStream::setupSteady()
-{
-    _streams.assign(_p.streams, StreamState{});
-    _pageMapped.assign(_p.numDataPages, false);
-    _nextFreePage = 0;
-    _rrStream = 0;
-    for (auto &st : _streams)
-        assignPage(st);
-    _steadyReady = true;
-}
-
-void
-TenantStream::emitPacket(trace::PacketRecord &pkt,
-                         std::vector<trace::PageOp> &ops,
-                         mem::Iova data_iova, bool huge)
-{
-    pkt = trace::PacketRecord{};
-    pkt.sid = _sid;
-    pkt.pasid = static_cast<uint16_t>(_pasid);
-    if (_p.smallPacketBytes > 0 && _rng.chance(_p.smallPacketProb))
-        pkt.wireBytes = _p.smallPacketBytes;
-    pkt.opBegin = 0;
-    pkt.opCount = static_cast<uint16_t>(_pending.size());
-    ops.clear();
-    ops.swap(_pending);
-    pkt.dataHuge = huge;
-    pkt.ringIova = _p.ringPage + (_ringCursor * _p.descriptorBytes) %
-                                     (mem::PageSize4K / 2);
-    pkt.dataIova = data_iova;
-    pkt.notifyIova = _p.mailboxPage + mem::PageSize4K - 256 +
-                     (_sid % 64) * 4;
-    ++_ringCursor;
-}
-
-bool
-TenantStream::next(trace::PacketRecord &pkt,
-                   std::vector<trace::PageOp> &ops)
-{
-    if (_emitted >= _budget)
-        return false;
-
-    for (;;) {
-        if (_phase == Phase::Init) {
-            if (_initDone < _initAccesses) {
-                const mem::Iova base =
-                    _p.initBase + static_cast<uint64_t>(_initPage) *
-                                      mem::PageSize4K;
-                emitPacket(pkt, ops,
-                           base + (_initDone * 64) % mem::PageSize4K,
-                           false);
-                ++_initDone;
-                break;
-            }
-            ++_initPage;
-            if (_initPage >= _p.numInitPages) {
-                _phase = Phase::Steady;
-                continue;
-            }
-            startInitPage();
-            continue;
-        }
-
-        if (!_steadyReady)
-            setupSteady();
-
-        // Pick the stream for this packet.
-        unsigned s;
-        if (_p.randomStreamOrder) {
-            s = static_cast<unsigned>(_rng.below(_p.streams));
-        } else {
-            s = _rrStream;
-            _rrStream = (_rrStream + 1) % _p.streams;
-        }
-        StreamState &st = _streams[s];
-        _pasid = _p.processesPerTenant > 1
-                     ? s % _p.processesPerTenant
-                     : 0;
-
-        mem::Iova data_iova;
-        if (_p.jitterProb > 0.0 && _rng.chance(_p.jitterProb)) {
-            unsigned page = static_cast<unsigned>(
-                _rng.below(_p.numDataPages));
-            while (!_pageMapped[page])
-                page = (page + 1) % _p.numDataPages;
-            data_iova = dataPageIova(page) +
-                        _rng.below(dataPageBytes() / 64) * 64;
-        } else {
-            data_iova = dataPageIova(st.currentPage) + st.offset;
-            st.offset += _p.bytesPerPacket;
-            if (st.offset + _p.bytesPerPacket > dataPageBytes())
-                st.offset = 0;
-            if (--st.accessesLeft == 0)
-                assignPage(st);
-        }
-        emitPacket(pkt, ops, data_iova, _p.hugeDataPages);
-        break;
-    }
-
-    ++_emitted;
-    return true;
-}
 
 // --- SpliceStream ---------------------------------------------------
 
@@ -193,41 +14,10 @@ SpliceStream::SpliceStream(Benchmark bench, unsigned num_tenants,
                            uint64_t seed,
                            const trace::Interleaving &mode,
                            double scale)
-    : _numTenants(num_tenants), _mode(mode), _pickRng(mode.seed)
+    : _tenants(tenantStreams(bench, num_tenants, seed, scale)),
+      _numTenants(num_tenants), _mode(mode), _pickRng(mode.seed)
 {
-    HYPERSIO_ASSERT(num_tenants >= 1, "need at least one tenant");
     HYPERSIO_ASSERT(_mode.burst >= 1, "burst must be positive");
-    if (scale <= 0.0)
-        fatal("workload scale must be positive (got %f)", scale);
-
-    // Budget assignment replicates generateLogs: the same profile,
-    // the same init scaling, and the same budget RNG stream.
-    const BenchmarkProfile profile = benchmarkProfile(bench);
-    const uint64_t min_packets = profile.minTranslations / 3;
-    const uint64_t max_packets = profile.maxTranslations / 3;
-    auto scaled = [&](uint64_t packets) {
-        const auto value = static_cast<uint64_t>(
-            static_cast<double>(packets) * scale);
-        return std::max<uint64_t>(value, 64);
-    };
-    TenantPattern pattern = profile.pattern;
-    scaleInitPhase(pattern, scaled(min_packets));
-
-    Rng budget_rng(hashCombine(seed, static_cast<uint64_t>(bench)));
-    _tenants.reserve(num_tenants);
-    for (unsigned t = 0; t < num_tenants; ++t) {
-        uint64_t packets;
-        if (t == 0) {
-            packets = min_packets;
-        } else if (t == num_tenants - 1 && num_tenants > 1) {
-            packets = max_packets;
-        } else {
-            packets = budget_rng.range(min_packets, max_packets);
-        }
-        _tenants.emplace_back(pattern, seed,
-                              static_cast<trace::SourceId>(t),
-                              scaled(packets));
-    }
 }
 
 void
@@ -285,9 +75,9 @@ ChurnStream::ChurnStream(const ChurnConfig &config) : _cfg(config)
                         _cfg.minBudget <= _cfg.maxBudget,
                     "bad budget range");
     HYPERSIO_ASSERT(_cfg.tailMin <= _cfg.tailMax, "bad tail range");
-    // Slots are SIDs; they must fit the context cache's SID space
-    // (iommu::ContextCache::SidSpace).
-    HYPERSIO_ASSERT(_cfg.slots <= 4096, "more slots than SIDs");
+    // Slots are SIDs; they must fit the context cache's SID space.
+    HYPERSIO_ASSERT(_cfg.slots <= iommu::ContextCache::SidSpace,
+                    "more slots than SIDs");
     if (_cfg.slots > _cfg.population)
         _cfg.slots = _cfg.population;
 

@@ -5,15 +5,14 @@
  * The materialized path (generateLogs + constructTrace) builds every
  * tenant's full packet log in memory before the simulation starts,
  * which caps experiments near 1024 tenants. The generators here
- * produce the *same* packet sequences one packet at a time:
+ * present workloads one packet at a time from per-tenant
+ * TenantStreams (workload/tenant_model.hh), the same state machine
+ * generateLogs drains:
  *
- *  - TenantStream is a resumable re-implementation of
- *    TenantLogGenerator::generate(): the same RNG draws in the same
- *    order, the same pending-op attachment, packet for packet. The
- *    equivalence is enforced by tests/test_hyperscale.cc.
- *  - SpliceStream replays generateLogs + constructTrace lazily: one
- *    TenantStream per tenant plus the interleaving cursor, so memory
- *    is O(tenants) small states instead of O(total packets).
+ *  - SpliceStream replays generateLogs + constructTrace lazily: the
+ *    same per-tenant streams (tenantStreams()) plus the interleaving
+ *    cursor, so memory is O(tenants) small states instead of
+ *    O(total packets).
  *  - ChurnStream hosts an unbounded tenant *population* on a bounded
  *    set of SID slots: when a tenant's stream ends, the slot is
  *    parked and its SID reported as detached; once the System
@@ -38,87 +37,11 @@ namespace hypersio::workload
 {
 
 /**
- * Resumable single-tenant packet generator. Replays the exact state
- * machine of TenantLogGenerator::generate() — init phase, steady
- * buffer-ring walk, jitter, small packets — but yields one packet per
- * next() call instead of materializing a TenantLog.
- */
-class TenantStream
-{
-  public:
-    TenantStream() = default;
-
-    /**
-     * Matches TenantLogGenerator(pattern, seed).generate(sid,
-     * num_packets, include_init) packet for packet.
-     */
-    TenantStream(const TenantPattern &pattern, uint64_t seed,
-                 trace::SourceId sid, uint64_t num_packets,
-                 bool include_init = true);
-
-    /**
-     * Produces the next packet and its page ops (pkt.opBegin is 0 and
-     * ops holds pkt.opCount entries). Returns false once the packet
-     * budget is exhausted.
-     */
-    bool next(trace::PacketRecord &pkt,
-              std::vector<trace::PageOp> &ops);
-
-    bool exhausted() const { return _emitted >= _budget; }
-    uint64_t emitted() const { return _emitted; }
-    uint64_t budget() const { return _budget; }
-
-  private:
-    enum class Phase
-    {
-        Init,
-        Steady,
-    };
-
-    struct StreamState
-    {
-        unsigned currentPage = 0;
-        unsigned accessesLeft = 0;
-        uint64_t offset = 0;
-    };
-
-    void startInitPage();
-    void setupSteady();
-    void assignPage(StreamState &st);
-    void emitPacket(trace::PacketRecord &pkt,
-                    std::vector<trace::PageOp> &ops,
-                    mem::Iova data_iova, bool huge);
-    uint64_t dataPageBytes() const;
-    mem::Iova dataPageIova(unsigned idx) const;
-
-    TenantPattern _p;
-    trace::SourceId _sid = 0;
-    uint64_t _budget = 0;
-    Rng _rng{0};
-
-    std::vector<trace::PageOp> _pending;
-    uint64_t _ringCursor = 0;
-    unsigned _pasid = 0;
-    uint64_t _emitted = 0;
-
-    Phase _phase = Phase::Steady;
-    unsigned _initPage = 0;   ///< current init page index
-    unsigned _initAccesses = 0; ///< accesses drawn for that page
-    unsigned _initDone = 0;   ///< accesses already emitted on it
-
-    bool _steadyReady = false;
-    std::vector<StreamState> _streams;
-    std::vector<bool> _pageMapped;
-    unsigned _nextFreePage = 0;
-    unsigned _rrStream = 0;
-};
-
-/**
  * Lazy equivalent of constructTrace(generateLogs(bench, tenants,
- * seed, scale), mode): same per-tenant budgets, same interleaving
- * decisions, same packets — verified byte-identical by the golden
- * tests. Tenant count is bounded by the SID space (< 4096); use
- * ChurnStream beyond that.
+ * seed, scale), mode): the same per-tenant streams, the same
+ * interleaving decisions, the same packets. Tenant count is bounded
+ * by the SID space (iommu::ContextCache::SidSpace); use ChurnStream
+ * beyond that.
  */
 class SpliceStream : public trace::PacketStream
 {

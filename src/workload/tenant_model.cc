@@ -1,15 +1,214 @@
 #include "workload/tenant_model.hh"
 
 #include <algorithm>
-#include <deque>
 #include <list>
 #include <unordered_map>
 
 #include "util/logging.hh"
-#include "util/rng.hh"
 
 namespace hypersio::workload
 {
+
+TenantStream::TenantStream(const TenantPattern &pattern, uint64_t seed,
+                           trace::SourceId sid, uint64_t num_packets,
+                           bool include_init)
+    : _p(pattern), _sid(sid), _budget(num_packets),
+      // All randomness is tenant-local and deterministic.
+      _rng(hashCombine(seed, hashCombine(0x7e4a37, sid)))
+{
+    HYPERSIO_ASSERT(_p.streams >= 1, "need at least one stream");
+    HYPERSIO_ASSERT(_p.numDataPages >= _p.streams,
+                    "fewer data pages than streams");
+    if (_budget == 0)
+        return;
+
+    // Fixed hot pages are mapped up front by the driver.
+    _pending.push_back({_p.ringPage, mem::PageSize::Size4K, true});
+    _pending.push_back({_p.mailboxPage, mem::PageSize::Size4K, true});
+
+    if (include_init && _p.numInitPages > 0) {
+        _phase = Phase::Init;
+        startInitPage();
+    }
+}
+
+uint64_t
+TenantStream::dataPageBytes() const
+{
+    return mem::pageBytes(_p.hugeDataPages ? mem::PageSize::Size2M
+                                           : mem::PageSize::Size4K);
+}
+
+mem::Iova
+TenantStream::dataPageIova(unsigned idx) const
+{
+    return _p.dataBase +
+           static_cast<uint64_t>(idx) * dataPageBytes();
+}
+
+void
+TenantStream::startInitPage()
+{
+    const mem::Iova base =
+        _p.initBase +
+        static_cast<uint64_t>(_initPage) * mem::PageSize4K;
+    _pending.push_back({base, mem::PageSize::Size4K, true});
+    // Slightly varied access count, always < 100.
+    _initAccesses =
+        _p.accessesPerInitPage == 0
+            ? 0
+            : static_cast<unsigned>(
+                  _rng.range(_p.accessesPerInitPage / 2,
+                             _p.accessesPerInitPage));
+    _initDone = 0;
+}
+
+void
+TenantStream::assignPage(StreamState &st)
+{
+    st.currentPage = _nextFreePage;
+    _nextFreePage = (_nextFreePage + 1) % _p.numDataPages;
+    st.accessesLeft = _p.accessesPerDataPage;
+    st.offset = 0;
+    const mem::Iova iova = dataPageIova(st.currentPage);
+    const mem::PageSize size = _p.hugeDataPages
+                                   ? mem::PageSize::Size2M
+                                   : mem::PageSize::Size4K;
+    if (_pageMapped[st.currentPage])
+        _pending.push_back({iova, size, false}); // recycle: invalidate
+    _pending.push_back({iova, size, true});
+    _pageMapped[st.currentPage] = true;
+}
+
+void
+TenantStream::setupSteady()
+{
+    // Buffer pages stay mapped until the ring wraps around and the
+    // driver recycles them: the unmap/remap pair lands just before
+    // reuse, which invalidates stale cached translations exactly
+    // once per ring cycle (~accessesPerDataPage accesses, Fig. 8b).
+    _streams.assign(_p.streams, StreamState{});
+    _pageMapped.assign(_p.numDataPages, false);
+    _nextFreePage = 0;
+    _rrStream = 0;
+    for (auto &st : _streams)
+        assignPage(st);
+    _steadyReady = true;
+}
+
+void
+TenantStream::emitPacket(trace::PacketRecord &pkt,
+                         std::vector<trace::PageOp> &ops,
+                         mem::Iova data_iova, bool huge)
+{
+    pkt = trace::PacketRecord{};
+    pkt.sid = _sid;
+    pkt.pasid = static_cast<uint16_t>(_pasid);
+    if (_p.smallPacketBytes > 0 && _rng.chance(_p.smallPacketProb))
+        pkt.wireBytes = _p.smallPacketBytes;
+    pkt.opBegin = 0;
+    pkt.opCount = static_cast<uint16_t>(_pending.size());
+    ops.clear();
+    ops.swap(_pending);
+    pkt.dataHuge = huge;
+    // Ring descriptors cycle through the lower half of the control
+    // page; the mailbox sits in its upper 256 bytes.
+    pkt.ringIova = _p.ringPage + (_ringCursor * _p.descriptorBytes) %
+                                     (mem::PageSize4K / 2);
+    pkt.dataIova = data_iova;
+    pkt.notifyIova = _p.mailboxPage + mem::PageSize4K - 256 +
+                     (_sid % 64) * 4;
+    ++_ringCursor;
+}
+
+bool
+TenantStream::next(trace::PacketRecord &pkt,
+                   std::vector<trace::PageOp> &ops)
+{
+    if (_emitted >= _budget)
+        return false;
+
+    for (;;) {
+        // --- Initialisation phase (group 3) -----------------------
+        if (_phase == Phase::Init) {
+            if (_initDone < _initAccesses) {
+                const mem::Iova base =
+                    _p.initBase + static_cast<uint64_t>(_initPage) *
+                                      mem::PageSize4K;
+                emitPacket(pkt, ops,
+                           base + (_initDone * 64) % mem::PageSize4K,
+                           false);
+                ++_initDone;
+                break;
+            }
+            ++_initPage;
+            if (_initPage >= _p.numInitPages) {
+                _phase = Phase::Steady;
+                continue;
+            }
+            startInitPage();
+            continue;
+        }
+
+        // --- Steady state (groups 1 + 2) --------------------------
+        if (!_steadyReady)
+            setupSteady();
+
+        // Pick the stream for this packet.
+        unsigned s;
+        if (_p.randomStreamOrder) {
+            s = static_cast<unsigned>(_rng.below(_p.streams));
+        } else {
+            s = _rrStream;
+            _rrStream = (_rrStream + 1) % _p.streams;
+        }
+        StreamState &st = _streams[s];
+        _pasid = _p.processesPerTenant > 1
+                     ? s % _p.processesPerTenant
+                     : 0;
+
+        mem::Iova data_iova;
+        if (_p.jitterProb > 0.0 && _rng.chance(_p.jitterProb)) {
+            // Irregular access: revisit a random still-mapped buffer
+            // page at a random offset (e.g. a retransmission or an
+            // out-of-order completion).
+            unsigned page = static_cast<unsigned>(
+                _rng.below(_p.numDataPages));
+            while (!_pageMapped[page])
+                page = (page + 1) % _p.numDataPages;
+            data_iova = dataPageIova(page) +
+                        _rng.below(dataPageBytes() / 64) * 64;
+        } else {
+            data_iova = dataPageIova(st.currentPage) + st.offset;
+            st.offset += _p.bytesPerPacket;
+            if (st.offset + _p.bytesPerPacket > dataPageBytes())
+                st.offset = 0;
+            if (--st.accessesLeft == 0)
+                assignPage(st); // advance to the next ring slot
+        }
+        emitPacket(pkt, ops, data_iova, _p.hugeDataPages);
+        break;
+    }
+
+    ++_emitted;
+    return true;
+}
+
+trace::TenantLog
+TenantStream::drain()
+{
+    trace::TenantLog log;
+    log.sid = _sid;
+    log.packets.reserve(_budget - _emitted);
+    trace::PacketRecord pkt;
+    std::vector<trace::PageOp> ops;
+    while (next(pkt, ops)) {
+        pkt.opBegin = static_cast<uint32_t>(log.ops.size());
+        log.ops.insert(log.ops.end(), ops.begin(), ops.end());
+        log.packets.push_back(pkt);
+    }
+    return log;
+}
 
 TenantLogGenerator::TenantLogGenerator(const TenantPattern &pattern,
                                        uint64_t seed)
@@ -20,168 +219,12 @@ TenantLogGenerator::TenantLogGenerator(const TenantPattern &pattern,
                     "fewer data pages than streams");
 }
 
-namespace
-{
-
-/** State of one connection stream walking the data-buffer ring. */
-struct StreamState
-{
-    unsigned currentPage = 0;   ///< index into the tenant's page ring
-    unsigned accessesLeft = 0;  ///< before advancing to the next page
-    uint64_t offset = 0;        ///< byte offset within the page
-};
-
-} // namespace
-
 trace::TenantLog
 TenantLogGenerator::generate(trace::SourceId sid, uint64_t num_packets,
                              bool include_init) const
 {
-    const TenantPattern &p = _pattern;
-    trace::TenantLog log;
-    log.sid = sid;
-    log.packets.reserve(num_packets);
-
-    // All randomness is tenant-local and deterministic.
-    Rng rng(hashCombine(_seed, hashCombine(0x7e4a37, sid)));
-
-    const mem::PageSize data_size = p.hugeDataPages
-                                        ? mem::PageSize::Size2M
-                                        : mem::PageSize::Size4K;
-    const uint64_t data_page_bytes = mem::pageBytes(data_size);
-
-    auto data_page_iova = [&](unsigned idx) {
-        return p.dataBase + static_cast<uint64_t>(idx) *
-                                data_page_bytes;
-    };
-
-    // Pending ops to attach to the next emitted packet.
-    std::vector<trace::PageOp> pending_ops;
-    auto map_page = [&](mem::Iova base, mem::PageSize size) {
-        pending_ops.push_back({base, size, true});
-    };
-    auto unmap_page = [&](mem::Iova base, mem::PageSize size) {
-        pending_ops.push_back({base, size, false});
-    };
-
-    uint64_t ring_cursor = 0;
-    unsigned current_pasid = 0;
-    auto emit_packet = [&](mem::Iova data_iova, bool huge) {
-        trace::PacketRecord pkt;
-        pkt.sid = sid;
-        pkt.pasid = static_cast<uint16_t>(current_pasid);
-        if (p.smallPacketBytes > 0 &&
-            rng.chance(p.smallPacketProb)) {
-            pkt.wireBytes = p.smallPacketBytes;
-        }
-        pkt.opBegin = static_cast<uint32_t>(log.ops.size());
-        pkt.opCount = static_cast<uint16_t>(pending_ops.size());
-        for (const auto &op : pending_ops)
-            log.ops.push_back(op);
-        pending_ops.clear();
-        pkt.dataHuge = huge;
-        // Ring descriptors cycle through the lower half of the
-        // control page; the mailbox sits in its upper 256 bytes.
-        pkt.ringIova =
-            p.ringPage + (ring_cursor * p.descriptorBytes) %
-                             (mem::PageSize4K / 2);
-        pkt.dataIova = data_iova;
-        pkt.notifyIova = p.mailboxPage + mem::PageSize4K - 256 +
-                         (sid % 64) * 4;
-        ++ring_cursor;
-        log.packets.push_back(pkt);
-    };
-
-    // Fixed hot pages are mapped up front by the driver.
-    map_page(p.ringPage, mem::PageSize::Size4K);
-    map_page(p.mailboxPage, mem::PageSize::Size4K);
-
-    uint64_t emitted = 0;
-
-    // --- Initialisation phase (group 3) ---------------------------
-    if (include_init) {
-        for (unsigned page = 0;
-             page < p.numInitPages && emitted < num_packets; ++page) {
-            const mem::Iova base =
-                p.initBase + static_cast<uint64_t>(page) *
-                                 mem::PageSize4K;
-            map_page(base, mem::PageSize::Size4K);
-            // Slightly varied access count, always < 100.
-            const unsigned accesses =
-                p.accessesPerInitPage == 0
-                    ? 0
-                    : static_cast<unsigned>(rng.range(
-                          p.accessesPerInitPage / 2,
-                          p.accessesPerInitPage));
-            for (unsigned a = 0;
-                 a < accesses && emitted < num_packets; ++a) {
-                emit_packet(base + (a * 64) % mem::PageSize4K, false);
-                ++emitted;
-            }
-        }
-    }
-
-    // --- Steady state (groups 1 + 2) ------------------------------
-    // Buffer pages stay mapped until the ring wraps around and the
-    // driver recycles them: the unmap/remap pair lands just before
-    // reuse, which invalidates stale cached translations exactly
-    // once per ring cycle (~accessesPerDataPage accesses, Fig. 8b).
-    std::vector<StreamState> streams(p.streams);
-    std::vector<bool> page_mapped(p.numDataPages, false);
-    unsigned next_free_page = 0;
-    auto assign_page = [&](StreamState &st) {
-        st.currentPage = next_free_page;
-        next_free_page = (next_free_page + 1) % p.numDataPages;
-        st.accessesLeft = p.accessesPerDataPage;
-        st.offset = 0;
-        const mem::Iova iova = data_page_iova(st.currentPage);
-        if (page_mapped[st.currentPage])
-            unmap_page(iova, data_size); // recycle: invalidate
-        map_page(iova, data_size);
-        page_mapped[st.currentPage] = true;
-    };
-    for (auto &st : streams)
-        assign_page(st);
-
-    unsigned rr_stream = 0;
-    while (emitted < num_packets) {
-        // Pick the stream for this packet.
-        unsigned s;
-        if (p.randomStreamOrder) {
-            s = static_cast<unsigned>(rng.below(p.streams));
-        } else {
-            s = rr_stream;
-            rr_stream = (rr_stream + 1) % p.streams;
-        }
-        StreamState &st = streams[s];
-        current_pasid = p.processesPerTenant > 1
-                            ? s % p.processesPerTenant
-                            : 0;
-
-        mem::Iova data_iova;
-        if (p.jitterProb > 0.0 && rng.chance(p.jitterProb)) {
-            // Irregular access: revisit a random still-mapped buffer
-            // page at a random offset (e.g. a retransmission or an
-            // out-of-order completion).
-            unsigned page =
-                static_cast<unsigned>(rng.below(p.numDataPages));
-            while (!page_mapped[page])
-                page = (page + 1) % p.numDataPages;
-            data_iova = data_page_iova(page) +
-                        rng.below(data_page_bytes / 64) * 64;
-        } else {
-            data_iova = data_page_iova(st.currentPage) + st.offset;
-            st.offset += p.bytesPerPacket;
-            if (st.offset + p.bytesPerPacket > data_page_bytes)
-                st.offset = 0;
-            if (--st.accessesLeft == 0)
-                assign_page(st); // advance to the next ring slot
-        }
-        emit_packet(data_iova, p.hugeDataPages);
-        ++emitted;
-    }
-
-    return log;
+    return TenantStream(_pattern, _seed, sid, num_packets, include_init)
+        .drain();
 }
 
 size_t

@@ -32,6 +32,7 @@
 
 #include "mem/addr.hh"
 #include "trace/record.hh"
+#include "util/rng.hh"
 
 namespace hypersio::workload
 {
@@ -97,21 +98,100 @@ struct TenantPattern
 };
 
 /**
- * Generates the packet log of one tenant.
+ * The packet generator of one tenant, one packet per next() call.
  *
  * The generator is deterministic in (pattern, sid, seed). The first
  * packets constitute the initialisation phase (group 3); steady-state
  * packets then walk the data-buffer ring. Page map operations are
  * attached to the packet that first uses a page; unmap operations are
- * attached when the driver retires a page.
+ * attached when the driver retires a page. Its state is O(pattern),
+ * whatever the packet budget, so the streaming workloads hold one
+ * per live tenant.
  */
+class TenantStream
+{
+  public:
+    TenantStream() = default;
+
+    /**
+     * @param num_packets packet budget
+     * @param include_init emit the initialisation phase first
+     */
+    TenantStream(const TenantPattern &pattern, uint64_t seed,
+                 trace::SourceId sid, uint64_t num_packets,
+                 bool include_init = true);
+
+    /**
+     * Produces the next packet and its page ops (pkt.opBegin is 0 and
+     * ops holds pkt.opCount entries). Returns false once the packet
+     * budget is exhausted.
+     */
+    bool next(trace::PacketRecord &pkt,
+              std::vector<trace::PageOp> &ops);
+
+    /** The rest of the budget as a materialized log. */
+    trace::TenantLog drain();
+
+    bool exhausted() const { return _emitted >= _budget; }
+    uint64_t emitted() const { return _emitted; }
+    uint64_t budget() const { return _budget; }
+
+  private:
+    enum class Phase
+    {
+        Init,
+        Steady,
+    };
+
+    /** State of one connection stream walking the data-buffer ring. */
+    struct StreamState
+    {
+        unsigned currentPage = 0;  ///< index into the tenant's page ring
+        unsigned accessesLeft = 0; ///< before advancing to the next page
+        uint64_t offset = 0;       ///< byte offset within the page
+    };
+
+    void startInitPage();
+    void setupSteady();
+    void assignPage(StreamState &st);
+    void emitPacket(trace::PacketRecord &pkt,
+                    std::vector<trace::PageOp> &ops,
+                    mem::Iova data_iova, bool huge);
+    uint64_t dataPageBytes() const;
+    mem::Iova dataPageIova(unsigned idx) const;
+
+    TenantPattern _p;
+    trace::SourceId _sid = 0;
+    uint64_t _budget = 0;
+    Rng _rng{0};
+
+    /** Page ops to attach to the next emitted packet. */
+    std::vector<trace::PageOp> _pending;
+    uint64_t _ringCursor = 0;
+    unsigned _pasid = 0;
+    uint64_t _emitted = 0;
+
+    Phase _phase = Phase::Steady;
+    unsigned _initPage = 0;   ///< current init page index
+    unsigned _initAccesses = 0; ///< accesses drawn for that page
+    unsigned _initDone = 0;   ///< accesses already emitted on it
+
+    bool _steadyReady = false;
+    std::vector<StreamState> _streams;
+    std::vector<bool> _pageMapped;
+    unsigned _nextFreePage = 0;
+    unsigned _rrStream = 0;
+};
+
+/** Generates whole packet logs of tenants sharing one pattern. */
 class TenantLogGenerator
 {
   public:
     TenantLogGenerator(const TenantPattern &pattern, uint64_t seed);
 
     /**
-     * Produces `num_packets` packets for tenant `sid`.
+     * Produces `num_packets` packets for tenant `sid`: a drained
+     * TenantStream(pattern, seed, sid, num_packets, include_init).
      * @param include_init emit the initialisation phase first
      */
     trace::TenantLog generate(trace::SourceId sid,

@@ -57,57 +57,129 @@ expectSameOps(const trace::PageOp *a, const trace::PageOp *b,
     }
 }
 
-/** TenantStream must equal TenantLogGenerator::generate exactly. */
+/** FNV-1a over the bytes of one 64-bit word. */
 void
-expectStreamMatchesGenerator(const workload::TenantPattern &pattern,
-                             uint64_t seed, trace::SourceId sid,
-                             uint64_t budget, bool include_init)
+fnvMix(uint64_t &h, uint64_t v)
 {
+    for (unsigned b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+/**
+ * Folds one packet and its page ops into `h`: every field a run
+ * reads (opBegin is a container offset, not workload content).
+ */
+void
+hashPacket(uint64_t &h, const trace::PacketRecord &pkt,
+           const trace::PageOp *ops)
+{
+    fnvMix(h, pkt.sid);
+    fnvMix(h, pkt.pasid);
+    fnvMix(h, pkt.opCount);
+    fnvMix(h, pkt.dataHuge);
+    fnvMix(h, pkt.wireBytes);
+    fnvMix(h, pkt.ringIova);
+    fnvMix(h, pkt.dataIova);
+    fnvMix(h, pkt.notifyIova);
+    for (uint16_t k = 0; k < pkt.opCount; ++k) {
+        fnvMix(h, ops[k].pageBase);
+        fnvMix(h, static_cast<uint64_t>(ops[k].size));
+        fnvMix(h, ops[k].isMap);
+    }
+}
+
+constexpr uint64_t FnvBasis = 0xcbf29ce484222325ULL;
+
+uint64_t
+hashLog(const trace::TenantLog &log)
+{
+    uint64_t h = FnvBasis;
+    for (const trace::PacketRecord &pkt : log.packets)
+        hashPacket(h, pkt, log.ops.data() + pkt.opBegin);
+    return h;
+}
+
+/**
+ * Drains a TenantStream and checks its packets against a hash
+ * measured when the stream and TenantLogGenerator::generate were
+ * still two state machines that agreed packet for packet. The
+ * generator's log must hash the same.
+ */
+void
+expectPinnedTenant(const workload::TenantPattern &pattern,
+                   uint64_t seed, trace::SourceId sid,
+                   uint64_t budget, bool include_init,
+                   uint64_t pinned)
+{
+    workload::TenantStream stream(pattern, seed, sid, budget,
+                                  include_init);
+    trace::PacketRecord pkt;
+    std::vector<trace::PageOp> ops;
+    uint64_t h = FnvBasis;
+    uint64_t n = 0;
+    while (stream.next(pkt, ops)) {
+        ASSERT_EQ(ops.size(), size_t{pkt.opCount}) << "packet " << n;
+        hashPacket(h, pkt, ops.data());
+        ++n;
+    }
+    EXPECT_TRUE(stream.exhausted());
+    EXPECT_EQ(n, budget);
+    EXPECT_EQ(stream.emitted(), budget);
+    EXPECT_EQ(h, pinned) << "budget " << budget << " init "
+                         << include_init << ": observed 0x" << std::hex
+                         << h << "ULL";
+
     const trace::TenantLog log =
         workload::TenantLogGenerator(pattern, seed)
             .generate(sid, budget, include_init);
-    workload::TenantStream stream(pattern, seed, sid, budget,
-                                  include_init);
-
-    trace::PacketRecord pkt;
-    std::vector<trace::PageOp> ops;
-    for (size_t i = 0; i < log.packets.size(); ++i) {
-        ASSERT_FALSE(stream.exhausted()) << "packet " << i;
-        ASSERT_TRUE(stream.next(pkt, ops)) << "packet " << i;
-        expectSamePacket(pkt, log.packets[i], i);
-        ASSERT_EQ(ops.size(), size_t{log.packets[i].opCount});
-        expectSameOps(ops.data(),
-                      log.ops.data() + log.packets[i].opBegin,
-                      log.packets[i].opCount, i);
-    }
-    EXPECT_TRUE(stream.exhausted());
-    EXPECT_FALSE(stream.next(pkt, ops));
-    EXPECT_EQ(stream.emitted(), log.packets.size());
+    EXPECT_EQ(log.sid, sid);
+    EXPECT_EQ(log.packets.size(), budget);
+    EXPECT_EQ(hashLog(log), pinned);
 }
 
-TEST(TenantStream, MatchesGeneratorAcrossBenchmarkProfiles)
+TEST(TenantStream, PinnedAcrossBenchmarkProfiles)
 {
+    // {with init, without init} per benchmark, in AllBenchmarks order.
+    const uint64_t pins[][2] = {
+        {0xccb877d732362fb6ULL, 0x34d8daa7f8c398abULL},
+        {0x5138ceeb1bd4b9e4ULL, 0xdb80ff7ac0c69028ULL},
+        {0x2a1ce6dd1ac35c77ULL, 0xd0e5fb798d536e9bULL},
+    };
+    size_t b = 0;
     for (const workload::Benchmark bench :
          workload::AllBenchmarks) {
         const workload::TenantPattern pattern =
             workload::benchmarkProfile(bench).pattern;
-        expectStreamMatchesGenerator(pattern, 7, 3, 9000, true);
-        expectStreamMatchesGenerator(pattern, 7, 3, 9000, false);
+        expectPinnedTenant(pattern, 7, 3, 9000, true, pins[b][0]);
+        expectPinnedTenant(pattern, 7, 3, 9000, false, pins[b][1]);
+        ++b;
     }
 }
 
-TEST(TenantStream, MatchesGeneratorMidInitCutoff)
+TEST(TenantStream, PinnedMidInitCutoff)
 {
     // A budget that ends inside the init phase exercises the
     // resumable init state machine.
     const workload::TenantPattern pattern =
         workload::benchmarkProfile(workload::Benchmark::Iperf3)
             .pattern;
-    for (const uint64_t budget : {0ull, 1ull, 37ull, 250ull})
-        expectStreamMatchesGenerator(pattern, 11, 9, budget, true);
+    const struct
+    {
+        uint64_t budget;
+        uint64_t hash;
+    } pins[] = {
+        {0, FnvBasis},
+        {1, 0xb68c19f2fe97af63ULL},
+        {37, 0x89032a38a213b736ULL},
+        {250, 0xa5b1c50f93121cedULL},
+    };
+    for (const auto &pin : pins)
+        expectPinnedTenant(pattern, 11, 9, pin.budget, true, pin.hash);
 }
 
-TEST(TenantStream, MatchesGeneratorScalableIovAndSmallPackets)
+TEST(TenantStream, PinnedScalableIovAndSmallPackets)
 {
     workload::TenantPattern p =
         workload::benchmarkProfile(workload::Benchmark::Websearch)
@@ -116,7 +188,36 @@ TEST(TenantStream, MatchesGeneratorScalableIovAndSmallPackets)
     p.streams = 8;
     p.smallPacketBytes = 256;
     p.smallPacketProb = 0.35;
-    expectStreamMatchesGenerator(p, 23, 17, 6000, true);
+    expectPinnedTenant(p, 23, 17, 6000, true,
+                       0x74ba64e1082eda71ULL);
+}
+
+TEST(GenerateLogs, PinnedPerBenchmark)
+{
+    // Every packet and op of an 8-tenant log set at scale 0.02, one
+    // hash per benchmark in AllBenchmarks order.
+    const uint64_t pins[] = {
+        0x97da34fab6acb0a7ULL,
+        0x401af463fe011f1bULL,
+        0x3e06817777a7ab97ULL,
+    };
+    size_t b = 0;
+    for (const workload::Benchmark bench :
+         workload::AllBenchmarks) {
+        const std::vector<trace::TenantLog> logs =
+            workload::generateLogs(bench, 8, 42, 0.02);
+        ASSERT_EQ(logs.size(), 8u);
+        uint64_t h = FnvBasis;
+        for (size_t t = 0; t < logs.size(); ++t) {
+            EXPECT_EQ(logs[t].sid, t);
+            fnvMix(h, logs[t].packets.size());
+            fnvMix(h, hashLog(logs[t]));
+        }
+        EXPECT_EQ(h, pins[b])
+            << workload::benchmarkName(bench) << ": observed 0x"
+            << std::hex << h << "ULL";
+        ++b;
+    }
 }
 
 /** SpliceStream must equal generateLogs + constructTrace exactly. */

@@ -75,6 +75,23 @@ TEST(BenchOptionsDeathTest, JobsRejectsZeroAndGarbage)
                 ::testing::ExitedWithCode(1), "positive integer");
 }
 
+TEST(BenchOptionsDeathTest, HostileWorkloadSizes)
+{
+    // NaN and infinity parse as doubles; 2^32 + 1 parses as a u64
+    // and would narrow to 1 tenant.
+    for (const char *scale : {"nan", "inf", "-inf", "0", "-0.5"}) {
+        EXPECT_EXIT(parseArgs({"--scale", scale}),
+                    ::testing::ExitedWithCode(1),
+                    "--scale needs a finite positive number")
+            << scale;
+    }
+    EXPECT_EXIT(parseArgs({"--tenants", "4294967297"}),
+                ::testing::ExitedWithCode(1),
+                "--tenants needs a positive 32-bit integer");
+    EXPECT_EXIT(parseArgs({"--jobs", "4294967297"}),
+                ::testing::ExitedWithCode(1), "positive integer");
+}
+
 TEST(BenchOptionsDeathTest, UnknownFlagPrintsUsageToStderr)
 {
     // A typo'd flag must exit 1 and put the full usage text on

@@ -369,7 +369,9 @@ TEST(SystemDropGolden, BaseWebsearchAtAdmitBatchOneAndFour)
     }
 }
 
-TEST(SystemDropGolden, BaseChurnWithEviction)
+/** The churn storm of the streamed drop pins. */
+workload::ChurnConfig
+dropChurnConfig()
 {
     workload::ChurnConfig cc;
     cc.bench = workload::Benchmark::Websearch;
@@ -381,7 +383,12 @@ TEST(SystemDropGolden, BaseChurnWithEviction)
     cc.tailProb = 0.1;
     cc.tailMin = 64;
     cc.tailMax = 160;
-    workload::ChurnStream stream(cc);
+    return cc;
+}
+
+TEST(SystemDropGolden, BaseChurnWithEviction)
+{
+    workload::ChurnStream stream(dropChurnConfig());
     System system(SystemConfig::base());
     const RunResults r = system.runStream(stream);
     expectPinned("churn", system, r,
@@ -389,6 +396,90 @@ TEST(SystemDropGolden, BaseChurnWithEviction)
                             0xa05e9e628a5cabfbULL,
                             0x2d1f7d8febef38dfULL},
                  8956u);
+}
+
+// Batch-window pins. A batch's arrival events are spaced by the
+// summed serialization time of the packets the link can see ahead: a
+// trace's per-link view sees the next `admitBatch` packets of its own
+// link exactly, while a stream whose next packets depend on pending
+// retirements sees only its head and spaces the batch as `admitBatch`
+// times the head's time. Measured before run() and runStream() shared
+// one arrival body.
+
+void
+expectWindowPinned(const std::string &name, System &system,
+                   const RunResults &r, const DropGolden &pinned)
+{
+    const DropGolden got = observe(system, r);
+    EXPECT_GT(got.packetsDropped, 0u) << name << ": no drops";
+    EXPECT_EQ(got, pinned) << name << ": observed " << got;
+}
+
+/**
+ * Websearch tenants whose packets are often small on the wire, so a
+ * batch's summed window differs from `batch ×` its head's time.
+ */
+trace::HyperTrace
+smallPacketTrace()
+{
+    workload::TenantPattern pattern =
+        workload::benchmarkProfile(workload::Benchmark::Websearch)
+            .pattern;
+    pattern.smallPacketBytes = 256;
+    pattern.smallPacketProb = 0.5;
+    workload::scaleInitPhase(pattern, 400);
+    const workload::TenantLogGenerator gen(pattern, 42);
+    std::vector<trace::TenantLog> logs;
+    for (trace::SourceId sid = 0; sid < 16; ++sid)
+        logs.push_back(gen.generate(sid, 400));
+    return trace::constructTrace(logs, trace::parseInterleaving("RR1"));
+}
+
+TEST(SystemDropGolden, SmallPacketRunsAtAdmitBatchOneAndFour)
+{
+    // One device at batch 4, and two devices (a per-link view each)
+    // at batch 1 and 4.
+    const struct
+    {
+        unsigned devices;
+        unsigned batch;
+        DropGolden golden;
+    } pins[] = {
+        {1, 4,
+         {86592u, 10294114160u, 127217u, 0u, 0xcbf29ce484222325ULL,
+          0xc2d2e40478ec2407ULL}},
+        {2, 1,
+         {163485u, 1534015440u, 195043u, 0u, 0xcbf29ce484222325ULL,
+          0xd2d2df0ff9ea551dULL}},
+        {2, 4,
+         {29250u, 1802398800u, 54410u, 0u, 0xcbf29ce484222325ULL,
+          0xd2d2df0ff9ea551dULL}},
+    };
+    const auto tr = smallPacketTrace();
+    for (const auto &pin : pins) {
+        SystemConfig config = SystemConfig::base();
+        config.admitBatch = pin.batch;
+        System system(config, pin.devices);
+        const RunResults r = system.run(tr);
+        EXPECT_EQ(r.packetsProcessed, tr.packets.size());
+        const std::string name = std::to_string(pin.devices) +
+                                 " devices, batch " +
+                                 std::to_string(pin.batch);
+        expectWindowPinned(name, system, r, pin.golden);
+    }
+}
+
+TEST(SystemDropGolden, BaseChurnAtAdmitBatchFour)
+{
+    workload::ChurnStream stream(dropChurnConfig());
+    SystemConfig config = SystemConfig::base();
+    config.admitBatch = 4;
+    System system(config);
+    const RunResults r = system.runStream(stream);
+    expectWindowPinned("churn batch4", system, r,
+                       DropGolden{2282u, 563082720u, 5276u, 24u,
+                                  0x121f4372a5313acfULL,
+                                  0x2d1f7d8febef38dfULL});
 }
 
 TEST(ExperimentRunnerTest, CachesTracesAcrossPoints)

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <unordered_set>
 
+#include "iommu/context_cache.hh"
 #include "trace/constructor.hh"
 #include "workload/benchmarks.hh"
+#include "workload/streaming.hh"
 #include "workload/tenant_model.hh"
 
 namespace hypersio::workload
@@ -270,6 +274,51 @@ TEST(Benchmarks, ScaleShrinksLogs)
     // Floor: even tiny scales yield usable logs.
     auto tiny = generateLogs(Benchmark::Mediastream, 4, 42, 1e-6);
     EXPECT_GE(tiny[0].packets.size(), 64u);
+}
+
+TEST(WorkloadSizesDeathTest, ScaleMustBeFinitePositive)
+{
+    const trace::Interleaving rr1 = trace::parseInterleaving("RR1");
+    for (const double scale :
+         {std::nan(""), std::numeric_limits<double>::infinity(), 0.0,
+          -1.0}) {
+        EXPECT_EXIT(generateLogs(Benchmark::Iperf3, 4, 42, scale),
+                    ::testing::ExitedWithCode(1),
+                    "workload scale must be a finite positive number")
+            << scale;
+        EXPECT_EXIT(SpliceStream(Benchmark::Iperf3, 4, 42, rr1, scale),
+                    ::testing::ExitedWithCode(1),
+                    "workload scale must be a finite positive number")
+            << scale;
+    }
+    // Finite, but no budget that large fits a uint64_t.
+    EXPECT_EXIT(generateLogs(Benchmark::Iperf3, 4, 42, 1e300),
+                ::testing::ExitedWithCode(1),
+                "workload scale 1e\\+300 overflows a packet budget");
+}
+
+TEST(WorkloadSizesDeathTest, TenantsMustFitTheSidSpace)
+{
+    const trace::Interleaving rr1 = trace::parseInterleaving("RR1");
+    // Rejected before any log is generated, not by the DID encoding
+    // once the run reaches SID 4096.
+    for (const unsigned tenants :
+         {0u, iommu::ContextCache::SidSpace + 1, 5000u}) {
+        EXPECT_EXIT(generateLogs(Benchmark::Iperf3, tenants, 42, 0.01),
+                    ::testing::ExitedWithCode(1),
+                    "tenant count must be in \\[1, 4096\\]")
+            << tenants;
+        EXPECT_EXIT(SpliceStream(Benchmark::Iperf3, tenants, 42, rr1,
+                                 0.01),
+                    ::testing::ExitedWithCode(1),
+                    "tenant count must be in \\[1, 4096\\]")
+            << tenants;
+    }
+    // The whole SID space is allowed.
+    EXPECT_EQ(tenantStreams(Benchmark::Iperf3,
+                            iommu::ContextCache::SidSpace, 42, 0.001)
+                  .size(),
+              iommu::ContextCache::SidSpace);
 }
 
 TEST(Benchmarks, ProfilesDifferInRegularity)
