@@ -104,7 +104,7 @@ constexpr const char *UsageText =
     "  --rss-budget-mb <n>  fail if peak RSS (VmHWM) exceeds "
     "this many MiB\n"
     "  --inject-fault       plant the DevTLB PTag off-by-one "
-    "(checked builds; must abort with a repro line)\n"
+    "(must abort with a repro line)\n"
     "  --json <file>        write the hypersio-bench-1 report";
 
 Options
@@ -312,14 +312,8 @@ main(int argc, char **argv)
     const Options opts = parseArgs(argc, argv);
     bench::WallTimer timer;
 
-    if (opts.injectFault) {
-#ifdef HYPERSIO_CHECKED
+    if (opts.injectFault)
         oracle::faultInjection().devtlbPtagOffByOne = true;
-#else
-        fatal("--inject-fault needs a HYPERSIO_CHECKED build (the "
-              "injection sites are compiled away otherwise)");
-#endif
-    }
 
     core::BenchOptions report_opts;
     report_opts.scale = opts.scale;

@@ -5,15 +5,15 @@
 #   1. No build tree may be tracked in git (they are generated; see
 #      .gitignore's build*/ rule).
 #   2. The tier-1 build + ctest suite must pass, and the build must
-#      be warning-free (-DHYPERSIO_WERROR=ON). The default build
-#      has HYPERSIO_CHECKED=ON, so every tier-1 System run already
-#      executes under the fail-fast shadow oracle.
+#      be warning-free (-DHYPERSIO_WERROR=ON). The shadow hooks are
+#      always compiled in, so every tier-1 single-device System run
+#      executes under the auto-installed fail-fast shadow oracle.
 #   3. A longer adversarial fuzz campaign than the ctest smoke:
 #      every pattern x system variant at 400 packets x 3 seeds under
 #      the collecting shadow oracle.
 #   4. Shadow checking must be observation-only: fig10_scalability
-#      --quick output is byte-identical between the checked build
-#      and a -DHYPERSIO_CHECKED=OFF build.
+#      --quick output is byte-identical with HYPERSIO_SHADOW=off and
+#      with the variable unset (the oracle on), in the one binary.
 #   5. fig10_scalability at quick scale must emit a valid JSON
 #      report (BENCH_fig10.json) that self-compares with zero drift
 #      and, when a committed baseline exists, matches it exactly
@@ -21,7 +21,7 @@
 #      and scalar) — the simulator is deterministic, so any drift is
 #      a behavior change that needs the baseline regenerated on
 #      purpose. Gates 7, 8 and 9 compare with --exact too.
-#   6. The layer bench (bench/layer_bench, unchecked build) must run
+#   6. The layer bench (bench/layer_bench, HYPERSIO_SHADOW=off) must run
 #      every layer and pass its in-binary A/B asserts: the vector and
 #      scalar group-probe backends make identical hit/miss decisions,
 #      fused and per-hop storms produce identical RunResults, stat
@@ -42,18 +42,18 @@
 #      committed BENCH_hyperscale.json exactly.
 #   8. The soak harness (long-haul churn + adversarial episodes with
 #      interval telemetry) must run its smoke configuration under
-#      the checked build, stream valid hypersio-soak-1 snapshots,
-#      pass scripts/soak_report.py's drift/leak gate, stay inside a
-#      peak-RSS budget, and match the committed BENCH_soak.json's
-#      deterministic scalars exactly.
+#      the fail-fast shadow oracle, stream valid hypersio-soak-1
+#      snapshots, pass scripts/soak_report.py's drift/leak gate, stay
+#      inside a peak-RSS budget, and match the committed
+#      BENCH_soak.json's deterministic scalars exactly.
 #   9. The mechanism tournament (partitioning vs sub-entry sharing
 #      vs MMU-aware prefetch, and their combinations) must complete
-#      its smoke sweep under the checked build's fail-fast shadow
-#      oracle and match the committed BENCH_tournament.json exactly
-#      — every scalar in that report (hit rates, throughputs, area
-#      proxies) is deterministic, so any drift means a mechanism's
-#      behavior changed and the bake-off needs re-reading before
-#      the baseline is regenerated on purpose.
+#      its smoke sweep under the fail-fast shadow oracle and match
+#      the committed BENCH_tournament.json exactly — every scalar
+#      in that report (hit rates, throughputs, area proxies) is
+#      deterministic, so any drift means a mechanism's behavior
+#      changed and the bake-off needs re-reading before the
+#      baseline is regenerated on purpose.
 #  10. The workload generator, the arrival loop and the streaming
 #      workloads must run clean under AddressSanitizer and
 #      UndefinedBehaviorSanitizer: test_workload, test_trace,
@@ -61,9 +61,9 @@
 #      test_runner (which hold the hostile-input death tests), the
 #      fuzz smoke, and the hypersio_sim hostile-input ctest cases.
 #
-# Three build trees: the checked default (gates 2, 3, 5, 8, 9), a
-# -DHYPERSIO_CHECKED=OFF tree (gates 4, 6, 7) and an ASan+UBSan tree
-# (gate 10; only the targets it runs are built).
+# Two build trees: the default (gates 2-9; gates 4, 6 and 7 switch
+# the oracle off at run time with HYPERSIO_SHADOW=off) and an
+# ASan+UBSan tree (gate 10; only the targets it runs are built).
 #
 # scripts/coverage.sh (gcov line coverage) is a separate, slower
 # workflow and is not part of this gate.
@@ -73,7 +73,6 @@ set -eu
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
-UNCHECKED_DIR="${BUILD_DIR}-unchecked"
 
 echo "== 1/10 repo hygiene: no tracked build artifacts"
 if git ls-files | grep -q '^build'; then
@@ -85,7 +84,7 @@ if git ls-files | grep -q '^build'; then
 fi
 echo "   ok"
 
-echo "== 2/10 tier-1 build (warnings are errors) + ctest (shadow oracle compiled in)"
+echo "== 2/10 tier-1 build (warnings are errors) + ctest (shadow oracle on)"
 # Every configure pins the build type: `cmake -B` on an existing
 # tree silently keeps whatever CMAKE_BUILD_TYPE is cached there, and
 # the layer bench's rates are only comparable across runs at the
@@ -110,17 +109,14 @@ fi
 grep 'translation requests checked' "$FUZZ_LOG"
 
 echo "== 4/10 shadow checking is observation-only (checked vs not)"
-cmake -B "$UNCHECKED_DIR" -S . "$BUILD_TYPE" \
-    -DHYPERSIO_CHECKED=OFF > /dev/null
-cmake --build "$UNCHECKED_DIR" -j "$(nproc)" \
-    --target fig10_scalability
-"$BUILD_DIR"/bench/fig10_scalability --quick --tenants 8 --jobs 1 \
-    > "$BUILD_DIR/fig10_checked.out"
-"$UNCHECKED_DIR"/bench/fig10_scalability --quick --tenants 8 \
-    --jobs 1 > "$BUILD_DIR/fig10_unchecked.out"
+# Unset here even if the caller exported it: this leg runs checked.
+env -u HYPERSIO_SHADOW "$BUILD_DIR"/bench/fig10_scalability --quick \
+    --tenants 8 --jobs 1 > "$BUILD_DIR/fig10_checked.out"
+HYPERSIO_SHADOW=off "$BUILD_DIR"/bench/fig10_scalability --quick \
+    --tenants 8 --jobs 1 > "$BUILD_DIR/fig10_unchecked.out"
 if ! cmp -s "$BUILD_DIR/fig10_checked.out" \
         "$BUILD_DIR/fig10_unchecked.out"; then
-    echo "FAIL: HYPERSIO_CHECKED=ON changed simulator output:" >&2
+    echo "FAIL: the shadow oracle changed simulator output:" >&2
     diff "$BUILD_DIR/fig10_checked.out" \
          "$BUILD_DIR/fig10_unchecked.out" >&2 || true
     exit 1
@@ -148,9 +144,8 @@ echo "== 6/10 layer bench: in-binary A/Bs + deterministic counts"
 # Without the shadow oracle: its mirrors would dominate the layers
 # being timed. The A/B equality asserts run inside the binary and
 # fail it on any divergence.
-cmake --build "$UNCHECKED_DIR" -j "$(nproc)" --target layer_bench
 LAYER_FRESH="$BUILD_DIR/BENCH_layer.json"
-"$UNCHECKED_DIR"/bench/layer_bench --json "$LAYER_FRESH"
+HYPERSIO_SHADOW=off "$BUILD_DIR"/bench/layer_bench --json "$LAYER_FRESH"
 if [ -f BENCH_layer.json ]; then
     echo "   comparing against committed BENCH_layer.json baseline" \
          "(counts exact, wall-clock rates skipped)"
@@ -174,16 +169,14 @@ python3 scripts/bench_compare.py \
 
 echo "== 7/10 hyper-scale streaming bench: bounded RSS + regression"
 # Measured without the shadow oracle (its mirrors would scale with
-# the mirrored state being bounded, muddying the RSS reading); the
-# unchecked build from gate 4 serves. The in-process assertions
-# already enforce attaches == retirements == population and empty
-# page-table directories per shard; --rss-budget-mb makes the
-# O(active) memory claim a hard failure. The JSON carries only
-# deterministic scalars, so the baseline comparison is exact.
-cmake --build "$UNCHECKED_DIR" -j "$(nproc)" \
-    --target hyperscale_bench
+# the mirrored state being bounded, muddying the RSS reading). The
+# in-process assertions already enforce attaches == retirements ==
+# population and empty page-table directories per shard;
+# --rss-budget-mb makes the O(active) memory claim a hard failure.
+# The JSON carries only deterministic scalars, so the baseline
+# comparison is exact.
 HYPERSCALE_FRESH="$BUILD_DIR/BENCH_hyperscale.json"
-"$UNCHECKED_DIR"/bench/hyperscale_bench --smoke \
+HYPERSIO_SHADOW=off "$BUILD_DIR"/bench/hyperscale_bench --smoke \
     --rss-budget-mb 512 --json "$HYPERSCALE_FRESH" > /dev/null
 python3 scripts/bench_compare.py "$HYPERSCALE_FRESH" \
     "$HYPERSCALE_FRESH"
@@ -199,7 +192,7 @@ else
 fi
 
 echo "== 8/10 soak harness: telemetry stream + drift/leak gate"
-# Runs from the *checked* build on purpose: the soak regime's value
+# Runs with the oracle on, on purpose: the soak regime's value
 # is churn + adversarial episodes under the fail-fast shadow oracle,
 # so the RSS budget is sized for the mirrors' overhead. --jobs 1
 # pins the snapshot file's line order (any jobs count produces the
@@ -225,7 +218,7 @@ else
 fi
 
 echo "== 9/10 mechanism tournament: bake-off regression gate"
-# Runs from the *checked* build: every competitor (sub-entry
+# Runs with the oracle on: every competitor (sub-entry
 # sharing, MMU-aware prefetch, the paper's partitioning, and their
 # combinations) then executes under the fail-fast shadow oracle, so
 # a passing sweep doubles as an oracle-agreement check for each

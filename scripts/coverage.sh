@@ -1,7 +1,7 @@
 #!/bin/sh
 # Line-coverage report for src/ using plain gcov (no lcov/gcovr).
 #
-# Builds an instrumented tree (-DHYPERSIO_COVERAGE=ON), runs the
+# Builds an instrumented Debug tree (gcc --coverage), runs the
 # full ctest suite, then walks every .gcda the run produced, invokes
 # gcov in JSON-intermediate mode, and aggregates per-file and total
 # line coverage. HYPERSIO_COVERAGE_PATHS selects which top-level
@@ -20,7 +20,8 @@ MIN_PCT="${HYPERSIO_COVERAGE_MIN:-0}"
 COVER_PATHS="${HYPERSIO_COVERAGE_PATHS:-src}"
 
 echo "== coverage: instrumented build ($BUILD_DIR)"
-cmake -B "$BUILD_DIR" -S . -DHYPERSIO_COVERAGE=ON > /dev/null
+cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS=--coverage -DCMAKE_EXE_LINKER_FLAGS=--coverage >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 echo "== coverage: ctest run"
@@ -75,7 +76,7 @@ for path in glob.glob(os.path.join(gcov_dir, "*.gcov.json.gz")):
 if not files:
     print("coverage: no gcov data for "
           + " ".join(p.rstrip(os.sep) for p in prefixes)
-          + " — did the build use -DHYPERSIO_COVERAGE=ON?",
+          + " — was the build compiled with --coverage?",
           file=sys.stderr)
     sys.exit(1)
 

@@ -3,10 +3,10 @@
 #
 # The containers this repo targets have no `perf`, so this uses the
 # gprof call-count instrumentation that ships with binutils: it
-# configures a dedicated `build-profile` tree with `-pg` (and the
-# shadow oracle off, so the profile shows the production path, not
-# the checker mirrors), builds the requested bench target, runs it,
-# and prints the top-N lines of gprof's flat profile.
+# configures a dedicated `build-profile` tree with `-pg`, builds the
+# requested bench target, runs it with HYPERSIO_SHADOW=off (so the
+# profile shows the production path, not the checker mirrors), and
+# prints the top-N lines of gprof's flat profile.
 #
 # Caveat worth knowing before trusting the numbers: -pg inserts a
 # mcount call into every non-inlined function, which both perturbs
@@ -45,8 +45,8 @@ if [ "$#" -gt 0 ]; then
 fi
 
 PROFILE_DIR=build-profile
-cmake -B "$PROFILE_DIR" -S . -DHYPERSIO_CHECKED=OFF \
-    -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS=-pg > /dev/null
+cmake -B "$PROFILE_DIR" -S . -DCMAKE_CXX_FLAGS=-pg \
+    -DCMAKE_EXE_LINKER_FLAGS=-pg > /dev/null
 cmake --build "$PROFILE_DIR" -j "$(nproc)" --target "$TARGET"
 
 # The CLI's target is hypersio_sim_cli; its binary is hypersio_sim.
@@ -62,7 +62,7 @@ fi
 RUN_DIR="$PROFILE_DIR/profile-run"
 mkdir -p "$RUN_DIR"
 echo "== running: $TARGET $*"
-(cd "$RUN_DIR" && "../../$BIN" "$@")
+(cd "$RUN_DIR" && HYPERSIO_SHADOW=off "../../$BIN" "$@")
 
 echo
 echo "== gprof flat profile (top $TOP) — see header caveat"

@@ -27,15 +27,11 @@ devtlbAddr(mem::DomainId did, trace::SourceId sid, mem::Iova iova,
            mem::PageSize size, size_t partitions)
 {
     uint32_t partition = sid;
-#ifdef HYPERSIO_CHECKED
     // Planted bug for validating the shadow oracle: masking the PTag
     // with `partitions` instead of `partitions - 1` collapses every
     // SID into row group 0 of a partitioned DevTLB.
     if (oracle::faultInjection().devtlbPtagOffByOne)
         partition = sid & static_cast<uint32_t>(partitions);
-#else
-    (void)partitions;
-#endif
     return {iommu::translationKey(did, iova, size),
             iommu::translationIndex(iova, size), partition};
 }

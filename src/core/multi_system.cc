@@ -61,10 +61,9 @@ ShardedMultiSystem::run(const StreamFactory &make_stream,
     }
 
     // Shards share nothing at run time (each System owns its event
-    // queue, memory, chipset, and — in checked builds — its own
-    // thread-local shadow checker), so each worker simulates whole
-    // shards independently and results are a pure function of the
-    // per-shard streams.
+    // queue, memory, chipset, and its own thread-local shadow
+    // checker), so each worker simulates whole shards independently
+    // and results are a pure function of the per-shard streams.
     ShardedRunResults results;
     results.perShard.resize(n);
     const unsigned workers = std::min(_jobs, n);

@@ -269,7 +269,6 @@ System::runStream(trace::PacketStream &stream,
 RunResults
 System::runLinks(uint64_t first_wire_bytes)
 {
-#ifdef HYPERSIO_CHECKED
     // Auto-install a fail-fast differential oracle for a
     // single-device run unless one is already active on this thread
     // (tests/fuzzing install their own collecting checker) or
@@ -282,7 +281,6 @@ System::runLinks(uint64_t first_wire_bytes)
             toShadowConfig(_config), &_tables, /*fail_fast=*/true);
         shadow_scope.emplace(*auto_checker);
     }
-#endif
 
     _slotInterval = _config.link.packetInterval();
     _batch = _config.admitBatch ? _config.admitBatch : 1;

@@ -5,9 +5,9 @@
  * that the oracle reports the planted bug — proving the differential
  * harness actually detects the failure class it claims to cover.
  *
- * The knobs are consulted by the timed model only in
- * HYPERSIO_CHECKED builds; production builds compile the injection
- * sites away entirely.
+ * The injection sites are always compiled in. With every knob off,
+ * each costs one inline load of a constant-initialised static and a
+ * branch.
  */
 
 #ifndef HYPERSIO_ORACLE_FAULT_INJECTION_HH
@@ -29,7 +29,12 @@ struct FaultInjection
 };
 
 /** The process-wide injection state. */
-FaultInjection &faultInjection();
+inline FaultInjection &
+faultInjection()
+{
+    static constinit FaultInjection injection;
+    return injection;
+}
 
 /** RAII guard: saves the injection state and restores it on exit. */
 class FaultInjectionScope

@@ -7,17 +7,15 @@
  *     HYPERSIO_SHADOW(deviceDevtlbLookup(sid, did, iova, size,
  *                                        set, hit, value));
  *
- * In HYPERSIO_CHECKED builds this forwards the call to the current
- * thread's ShadowChecker when one is installed (the arguments are
- * evaluated only then, so even O(entries) snapshot arguments cost
- * nothing while no checker is active). In unchecked builds the macro
- * expands to nothing and the oracle adds zero code and zero cycles.
+ * The hooks are always compiled in. Each forwards the call to the
+ * current thread's ShadowChecker when one is installed, and the
+ * arguments are evaluated only then, so even O(entries) snapshot
+ * arguments cost nothing while no checker is active. With none
+ * installed a hook is one inline thread-local load and a branch.
  */
 
 #ifndef HYPERSIO_ORACLE_HOOKS_HH
 #define HYPERSIO_ORACLE_HOOKS_HH
-
-#ifdef HYPERSIO_CHECKED
 
 #include "oracle/shadow.hh"
 
@@ -27,13 +25,5 @@
                 ::hypersio::oracle::shadowChecker())                  \
             shadow_->call;                                            \
     } while (0)
-
-#else
-
-#define HYPERSIO_SHADOW(call)                                         \
-    do {                                                              \
-    } while (0)
-
-#endif // HYPERSIO_CHECKED
 
 #endif // HYPERSIO_ORACLE_HOOKS_HH

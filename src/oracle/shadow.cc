@@ -6,7 +6,6 @@
 
 #include "iommu/iommu.hh"
 #include "iommu/keys.hh"
-#include "oracle/fault_injection.hh"
 #include "oracle/ref_walk.hh"
 #include "util/logging.hh"
 
@@ -19,18 +18,14 @@ namespace
 /** Violations stored per checker; the count keeps going past this. */
 constexpr size_t MaxStoredViolations = 100;
 
-thread_local ShadowChecker *tls_checker = nullptr;
-
-bool
-initialAutoCheck()
+/** The auto-check switch, seeded from HYPERSIO_SHADOW on first use. */
+std::atomic<bool> &
+autoCheck()
 {
-    const char *env = std::getenv("HYPERSIO_SHADOW");
-    if (!env)
-        return true;
-    return std::strcmp(env, "off") != 0 && std::strcmp(env, "0") != 0;
+    static std::atomic<bool> enabled{
+        parseShadowSwitch(std::getenv("HYPERSIO_SHADOW"))};
+    return enabled;
 }
-
-std::atomic<bool> auto_check{initialAutoCheck()};
 
 long long
 optionalSid(const std::optional<uint32_t> &sid)
@@ -46,13 +41,6 @@ optionalSid(const std::optional<uint32_t> &sid)
         if (!(cond))                                                  \
             record(strprintf(__VA_ARGS__));                           \
     } while (0)
-
-FaultInjection &
-faultInjection()
-{
-    static FaultInjection injection;
-    return injection;
-}
 
 ShadowChecker::ShadowChecker(const ShadowConfig &config,
                              const iommu::PageTableDirectory *tables,
@@ -575,33 +563,26 @@ ShadowChecker::systemRunCompleted(bool bypass, uint64_t processed,
 
 // ---- Installation ------------------------------------------------------
 
-ShadowScope::ShadowScope(ShadowChecker &checker)
-    : _previous(tls_checker)
-{
-    tls_checker = &checker;
-}
-
-ShadowScope::~ShadowScope()
-{
-    tls_checker = _previous;
-}
-
-ShadowChecker *
-shadowChecker()
-{
-    return tls_checker;
-}
-
 bool
 shadowAutoCheckEnabled()
 {
-    return auto_check.load(std::memory_order_relaxed);
+    return autoCheck().load(std::memory_order_relaxed);
 }
 
 void
 setShadowAutoCheck(bool enabled)
 {
-    auto_check.store(enabled, std::memory_order_relaxed);
+    autoCheck().store(enabled, std::memory_order_relaxed);
+}
+
+bool
+parseShadowSwitch(const char *value)
+{
+    if (!value || !std::strcmp(value, "on") || !std::strcmp(value, "1"))
+        return true;
+    if (!std::strcmp(value, "off") || !std::strcmp(value, "0"))
+        return false;
+    fatal("HYPERSIO_SHADOW='%s' is not one of on, 1, off, 0", value);
 }
 
 } // namespace hypersio::oracle

@@ -33,6 +33,10 @@
  * diagnostic; in collecting mode (tests, fuzzing) violations
  * accumulate for inspection.
  *
+ * The hooks are always compiled in; a run is checked exactly when a
+ * checker is installed on its thread, by a ShadowScope or by
+ * System's auto-install (see shadowAutoCheckEnabled).
+ *
  * Scope: one checker mirrors one System (one Device + one Iommu).
  * Installation is per thread (ShadowScope), so parallel sweep
  * workers each check their own run independently.
@@ -246,27 +250,44 @@ class ShadowChecker
 class ShadowScope
 {
   public:
-    explicit ShadowScope(ShadowChecker &checker);
-    ~ShadowScope();
+    explicit ShadowScope(ShadowChecker &checker) : _previous(_current)
+    {
+        _current = &checker;
+    }
+    ~ShadowScope() { _current = _previous; }
     ShadowScope(const ShadowScope &) = delete;
     ShadowScope &operator=(const ShadowScope &) = delete;
 
   private:
+    friend ShadowChecker *shadowChecker();
+    static inline thread_local ShadowChecker *_current = nullptr;
     ShadowChecker *_previous;
 };
 
-/** The current thread's shadow checker, or nullptr. */
-ShadowChecker *shadowChecker();
+/**
+ * The current thread's shadow checker, or nullptr. Inline so that a
+ * hook site with no checker installed costs one thread-local load.
+ */
+inline ShadowChecker *
+shadowChecker()
+{
+    return ShadowScope::_current;
+}
 
 /**
- * Whether System::run() may auto-install a fail-fast checker in
- * HYPERSIO_CHECKED builds when none is active. Defaults to on; the
- * HYPERSIO_SHADOW=off (or =0) environment variable and
- * setShadowAutoCheck(false) disable it (e.g. to time an instrumented
- * build without the mirrors).
+ * Whether System::run() may auto-install a fail-fast checker when
+ * none is active. Seeded on first use from the HYPERSIO_SHADOW
+ * environment variable (see parseShadowSwitch); setShadowAutoCheck()
+ * overrides it, e.g. to time a run without the mirrors.
  */
 bool shadowAutoCheckEnabled();
 void setShadowAutoCheck(bool enabled);
+
+/**
+ * Parses a HYPERSIO_SHADOW value: unset (nullptr), "on" and "1" mean
+ * on, "off" and "0" off; anything else fatal()s naming the value.
+ */
+bool parseShadowSwitch(const char *value);
 
 } // namespace hypersio::oracle
 

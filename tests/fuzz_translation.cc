@@ -117,8 +117,6 @@ constexpr SystemVariant Variants[] = {
     {"mmudma", &makeMmuPrefetch},
 };
 
-#ifdef HYPERSIO_CHECKED
-
 /** One fuzzed run; returns translation requests checked. */
 uint64_t
 fuzzOne(workload::AdversarialPattern pattern,
@@ -262,22 +260,6 @@ TEST(FuzzTranslation, StreamingChurnUnderShadowOracle)
     std::printf("fuzz: %llu churn translation requests checked\n",
                 (unsigned long long)checked);
 }
-
-#else // !HYPERSIO_CHECKED
-
-TEST(FuzzTranslation, AdversarialPatternsUnderShadowOracle)
-{
-    GTEST_SKIP()
-        << "built without HYPERSIO_CHECKED; shadow hooks compiled out";
-}
-
-TEST(FuzzTranslation, StreamingChurnUnderShadowOracle)
-{
-    GTEST_SKIP()
-        << "built without HYPERSIO_CHECKED; shadow hooks compiled out";
-}
-
-#endif
 
 /**
  * The generator itself must be deterministic in (pattern, config):

@@ -8,9 +8,9 @@
  * fuzzer covers (tests/fuzz_translation.cc) and every adversarial
  * interleaving pattern.
  *
- * In the checked build each leg additionally runs under a collecting
- * shadow oracle, so the fused path's hook ordering is verified
- * packet by packet while the equality is being established.
+ * Each leg additionally runs under a collecting shadow oracle, so
+ * the fused path's hook ordering is verified packet by packet while
+ * the equality is being established.
  * bench/layer_bench repeats the A/B on its timed fusion storms.
  */
 
@@ -125,9 +125,8 @@ struct Golden
 };
 
 /**
- * Runs `trace` under `variant` with the fusion knob as given. In
- * the checked build the run executes under a collecting shadow
- * oracle and any violation fails the test with the repro context.
+ * Runs `trace` under `variant` with the fusion knob as given. The
+ * run executes under a collecting shadow oracle and any violation fails the test with the repro context.
  */
 Golden
 runLeg(const SystemVariant &variant, const trace::HyperTrace &trace,
@@ -139,7 +138,6 @@ runLeg(const SystemVariant &variant, const trace::HyperTrace &trace,
     System system(config);
 
     Golden leg;
-#ifdef HYPERSIO_CHECKED
     oracle::ShadowChecker checker(toShadowConfig(config),
                                   &system.tables(),
                                   /*fail_fast=*/false);
@@ -154,9 +152,6 @@ runLeg(const SystemVariant &variant, const trace::HyperTrace &trace,
                       << " fusion=" << fusion << " seed=" << seed
                       << ": " << violation;
     }
-#else
-    leg.results = system.run(trace);
-#endif
 
     std::ostringstream stats;
     system.dumpStats(stats);
@@ -243,7 +238,6 @@ TEST(EventFusion, StreamingChurnLedgerParity)
             config.eventFusion = fusion;
             System system(config);
             workload::ChurnStream stream(cc);
-#ifdef HYPERSIO_CHECKED
             oracle::ShadowChecker checker(toShadowConfig(config),
                                           &system.tables(),
                                           /*fail_fast=*/false);
@@ -257,9 +251,6 @@ TEST(EventFusion, StreamingChurnLedgerParity)
                               << " fusion=" << fusion << ": "
                               << violation;
             }
-#else
-            system.runStream(stream);
-#endif
             EXPECT_EQ(system.tables().size(), 0u);
             std::ostringstream stats;
             system.dumpStats(stats);

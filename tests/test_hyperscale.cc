@@ -494,7 +494,6 @@ TEST(TenantEviction, DirectoryEraseGivesFreshDeterministicTables)
     EXPECT_EQ(after.hostAddr, before.hostAddr);
 }
 
-#ifdef HYPERSIO_CHECKED
 TEST(TenantEviction, ChurnStormIsShadowCleanWhenChecked)
 {
     // A full churn storm under the collecting differential oracle:
@@ -526,7 +525,6 @@ TEST(TenantEviction, ChurnStormIsShadowCleanWhenChecked)
     EXPECT_EQ(system.streamRetirements().size(), cfg.population);
     EXPECT_EQ(system.tables().size(), 0u);
 }
-#endif
 
 core::SystemConfig
 mmuPrefetchConfig()

@@ -12,6 +12,7 @@
 #include "core/system.hh"
 #include "mem/memory_model.hh"
 #include "oracle/fault_injection.hh"
+#include "oracle/hooks.hh"
 #include "oracle/ref_cache.hh"
 #include "oracle/ref_predictor.hh"
 #include "oracle/ref_ptb.hh"
@@ -356,9 +357,22 @@ TEST(ShadowScope, InstallsPerThreadAndNests)
     EXPECT_EQ(shadowChecker(), nullptr);
 }
 
-// ---- End-to-end: fault injection and observation-only ------------------
+// The hot path passes O(entries) snapshots as hook arguments, so a
+// hook must evaluate its arguments only while a checker is installed.
+TEST(ShadowHook, EvaluatesArgumentsOnlyUnderAChecker)
+{
+    ShadowChecker checker(smallConfig(), nullptr, false);
+    uint32_t n = 0;
+    HYPERSIO_SHADOW(deviceSidObserved(++n));
+    EXPECT_EQ(n, 0u);
+    {
+        ShadowScope scope(checker);
+        HYPERSIO_SHADOW(deviceSidObserved(++n));
+    }
+    EXPECT_EQ(n, 1u);
+}
 
-#ifdef HYPERSIO_CHECKED
+// ---- End-to-end: fault injection and observation-only ------------------
 
 trace::HyperTrace
 smallTrace(uint64_t seed)
@@ -440,8 +454,6 @@ TEST(ShadowChecker, IsObservationOnly)
     EXPECT_TRUE(checked == unchecked);
 }
 
-#endif // HYPERSIO_CHECKED
-
 TEST(ShadowAutoCheck, TogglesAndRestores)
 {
     const bool was_enabled = shadowAutoCheckEnabled();
@@ -450,6 +462,22 @@ TEST(ShadowAutoCheck, TogglesAndRestores)
     setShadowAutoCheck(true);
     EXPECT_TRUE(shadowAutoCheckEnabled());
     setShadowAutoCheck(was_enabled);
+}
+
+// A misspelt switch must not leave the oracle in the wrong state.
+TEST(ShadowAutoCheckDeathTest, AcceptsOnlyOnOneOffAndZero)
+{
+    EXPECT_TRUE(parseShadowSwitch(nullptr));
+    EXPECT_TRUE(parseShadowSwitch("on"));
+    EXPECT_TRUE(parseShadowSwitch("1"));
+    EXPECT_FALSE(parseShadowSwitch("off"));
+    EXPECT_FALSE(parseShadowSwitch("0"));
+    for (const char *bad : {"OFF", "false", "no", ""}) {
+        EXPECT_EXIT(parseShadowSwitch(bad),
+                    ::testing::ExitedWithCode(1),
+                    std::string("fatal: HYPERSIO_SHADOW='") + bad +
+                        "' is not one of on, 1, off, 0");
+    }
 }
 
 } // namespace

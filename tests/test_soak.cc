@@ -34,10 +34,8 @@
 #include "util/rng.hh"
 #include "workload/soak.hh"
 
-#ifdef HYPERSIO_CHECKED
 #include "oracle/fault_injection.hh"
 #include "oracle/shadow.hh"
-#endif
 
 namespace hypersio
 {
@@ -435,7 +433,6 @@ TEST(SoakSnapshots, ShardedRunIsJobsCountInvariant)
 // Fail-fast repro context
 // ---------------------------------------------------------------
 
-#ifdef HYPERSIO_CHECKED
 TEST(SoakFaultInjection, PlantedFaultAbortsWithReproLine)
 {
     // The soak fail-fast contract end to end: a planted DevTLB PTag
@@ -459,7 +456,6 @@ TEST(SoakFaultInjection, PlantedFaultAbortsWithReproLine)
         },
         "HYPERSIO_SOAK_REPRO: seed=7 shard=0 interval=0");
 }
-#endif
 
 } // namespace
 } // namespace hypersio

@@ -106,9 +106,8 @@ TEST(System, MmuPrefetchIssuesAndConsumesStridedFills)
     // strides train the per-(tenant, class) detectors, predicted
     // pages translate through the prefetch-tagged IOMMU path, and
     // completed fills land in the Prefetch Buffer where demand
-    // lookups consume them. In checked builds the auto-installed
-    // shadow verifies every issued page against the reference
-    // detector.
+    // lookups consume them. The auto-installed shadow verifies every
+    // issued page against the reference detector.
     SystemConfig config = SystemConfig::base();
     config.name = "mmu-prefetch";
     config.device.prefetch.enabled = true;
