@@ -12,7 +12,7 @@
  *                through a functional replay of the translation
  *                structures without the event kernel, and through a
  *                TLB-less walk storm that lands every probe on the
- *                page-table maps; plus an admission-batch sweep
+ *                page-table maps
  *   fusion       hit/chipset/walk storms with hit-path event fusion
  *                on and off (SystemConfig::eventFusion)
  *   workload     trace generation, materialized (generateLogs +
@@ -830,9 +830,9 @@ runTranslation(const Options &opts, JsonReport &report)
 {
     std::printf("\n[translation] HyperTRIO over adversarial "
                 "hyper-traces\n");
-    std::printf("%-16s %12s %12s %12s %10s %10s\n", "pattern",
+    std::printf("%-16s %12s %12s %12s %10s %10s %10s\n", "pattern",
                 "system pkt/s", "struct pkt/s", "walk pkt/s", "walks",
-                "iotlb");
+                "iotlb", "drops");
 
     uint64_t packets = 0;
     double sys_wall = 0.0;
@@ -888,10 +888,11 @@ runTranslation(const Options &opts, JsonReport &report)
         const double pps = bench::perSecond(n, sys.wall);
         const double fn_pps = bench::perSecond(n, fwall);
         const double ws_pps = bench::perSecond(n, wwall);
-        std::printf("%-16s %12.0f %12.0f %12.0f %10llu %10llu\n",
+        std::printf("%-16s %12.0f %12.0f %12.0f %10llu %10llu %10llu\n",
                     name.c_str(), pps, fn_pps, ws_pps,
                     (unsigned long long)sys.results.walks,
-                    (unsigned long long)sys.iotlb);
+                    (unsigned long long)sys.iotlb,
+                    (unsigned long long)sys.results.packetsDropped);
 
         const std::string p = name + "_";
         report.addScalar(p + "packets", count(n));
@@ -905,6 +906,8 @@ runTranslation(const Options &opts, JsonReport &report)
         report.addScalar(p + "l2_lookups", count(sys.l2));
         report.addScalar(p + "l3_lookups", count(sys.l3));
         report.addScalar(p + "walks", count(sys.results.walks));
+        report.addScalar(p + "drop_events",
+                         count(sys.results.packetsDropped));
         report.addScalar(p + "iommu_requests",
                          count(sys.results.iommuRequests));
         report.addScalar(p + "functional_packets_per_sec", fn_pps);
@@ -920,29 +923,6 @@ runTranslation(const Options &opts, JsonReport &report)
         sys_wall += sys.wall;
         fn_wall += fwall;
         ws_wall += wwall;
-    }
-
-    // Admission batching: drops (refused arrival slots) and walks are
-    // deterministic per batch width; batch 1 is the classic
-    // one-arrival-per-event process.
-    const trace::HyperTrace trace =
-        adversarialTrace(opts, workload::AdversarialPattern::UniformRandom);
-    std::printf("%-16s %12s %10s %10s\n", "admit batch", "packets/s",
-                "drops", "walks");
-    for (const unsigned batch : {1u, 4u, 16u}) {
-        core::SystemConfig cfg = core::SystemConfig::hypertrio();
-        cfg.admitBatch = batch;
-        const SystemRun run = timeSystemRun(opts.reps, cfg, trace);
-        const core::RunResults &r = run.results;
-        const double pps =
-            bench::perSecond(trace.packets.size(), run.wall);
-        std::printf("%-16u %12.0f %10llu %10llu\n", batch, pps,
-                    (unsigned long long)r.packetsDropped,
-                    (unsigned long long)r.walks);
-        const std::string p = "admit_batch_" + std::to_string(batch);
-        report.addScalar(p + "_packets_per_sec", pps);
-        report.addScalar(p + "_drop_events", count(r.packetsDropped));
-        report.addScalar(p + "_walks", count(r.walks));
     }
 
     const double pps = bench::perSecond(packets, sys_wall);

@@ -57,7 +57,8 @@
 #  10. The workload generator, the arrival loop and the streaming
 #      workloads must run clean under AddressSanitizer and
 #      UndefinedBehaviorSanitizer: test_workload, test_trace,
-#      test_hyperscale, test_system, test_soak, test_extensions and
+#      test_hyperscale, test_system, test_event_fusion (the arrival
+#      loop fused and per-hop), test_soak, test_extensions and
 #      test_runner (which hold the hostile-input death tests), the
 #      fuzz smoke, and the hypersio_sim hostile-input ctest cases.
 #
@@ -248,7 +249,7 @@ echo "== 10/10 ASan+UBSan: workload, trace and run layers"
 # its binary, so each exit status is the verdict.
 ASAN_DIR="${BUILD_DIR}-asan"
 ASAN_TESTS="test_workload test_trace test_hyperscale test_system
-    test_soak test_extensions test_runner"
+    test_event_fusion test_soak test_extensions test_runner"
 cmake -B "$ASAN_DIR" -S . "$BUILD_TYPE" \
     -DHYPERSIO_SANITIZE=address,undefined > /dev/null
 cmake --build "$ASAN_DIR" -j "$(nproc)" --target $ASAN_TESTS \

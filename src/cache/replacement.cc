@@ -3,22 +3,22 @@
 namespace hypersio::cache
 {
 
-ReplPolicyKind
-parseReplPolicy(const std::string &name)
+bool
+parseReplPolicy(const std::string &name, ReplPolicyKind &out)
 {
     if (name == "lru" || name == "LRU")
-        return ReplPolicyKind::LRU;
-    if (name == "lfu" || name == "LFU")
-        return ReplPolicyKind::LFU;
-    if (name == "fifo" || name == "FIFO")
-        return ReplPolicyKind::FIFO;
-    if (name == "random" || name == "rand")
-        return ReplPolicyKind::Random;
-    if (name == "oracle" || name == "belady")
-        return ReplPolicyKind::Oracle;
-    fatal("unknown replacement policy '%s' "
-          "(expected lru|lfu|fifo|random|oracle)",
-          name.c_str());
+        out = ReplPolicyKind::LRU;
+    else if (name == "lfu" || name == "LFU")
+        out = ReplPolicyKind::LFU;
+    else if (name == "fifo" || name == "FIFO")
+        out = ReplPolicyKind::FIFO;
+    else if (name == "random" || name == "rand")
+        out = ReplPolicyKind::Random;
+    else if (name == "oracle" || name == "belady")
+        out = ReplPolicyKind::Oracle;
+    else
+        return false;
+    return true;
 }
 
 const char *

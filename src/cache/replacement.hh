@@ -35,8 +35,11 @@ enum class ReplPolicyKind
     Oracle,
 };
 
-/** Parses "lru"/"lfu"/"fifo"/"random"/"oracle"; fatal() on others. */
-ReplPolicyKind parseReplPolicy(const std::string &name);
+/**
+ * Parses "lru"/"lfu"/"fifo"/"random"/"oracle" into `out`.
+ * @return false, leaving `out` alone, for any other name
+ */
+bool parseReplPolicy(const std::string &name, ReplPolicyKind &out);
 
 /** Human-readable policy name. */
 const char *replPolicyName(ReplPolicyKind kind);

@@ -105,17 +105,6 @@ struct SystemConfig
     /** Seed for page-table frame assignment and policy randomness. */
     uint64_t seed = 42;
     /**
-     * Packets admitted per link-arrival event. 1 reproduces the
-     * classic one-event-per-slot arrival process exactly (the
-     * default everywhere). Larger values drain up to this many
-     * pending arrivals per event-kernel dispatch, spacing arrival
-     * events by the batch's total serialization time — the same
-     * offered load with ~1/batch the dispatch overhead. A PTB drop
-     * ends the batch early; the dropped packet retries at the next
-     * arrival event, exactly as in the per-slot process.
-     */
-    unsigned admitBatch = 1;
-    /**
      * Hit-path event fusion (sim/event_queue.hh::tryFuseAdvance):
      * deterministic translation hops run as synchronous
      * continuations instead of separate events. Results are

@@ -1,7 +1,9 @@
 #include "core/overrides.hh"
 
+#include <cmath>
+#include <cstdint>
 #include <fstream>
-#include <functional>
+#include <limits>
 
 #include "util/logging.hh"
 #include "util/str.hh"
@@ -12,181 +14,242 @@ namespace hypersio::core
 namespace
 {
 
-using Setter =
-    std::function<void(SystemConfig &, const std::string &)>;
+/** One "key=value" being applied, and where it came from. */
+struct Setting
+{
+    const std::string &key;
+    const std::string &value;
+    /** "path:line: " for a config-file line, empty for --set. */
+    const std::string &origin;
+
+    [[noreturn]] void
+    reject(const char *why) const
+    {
+        fatal("%soverride %s: '%s' %s", origin.c_str(), key.c_str(),
+              value.c_str(), why);
+    }
+};
+
+using Setter = void (*)(SystemConfig &, const Setting &);
 
 uint64_t
-parseUnsignedOrDie(const std::string &key, const std::string &value)
+parseU64OrDie(const Setting &s)
 {
     uint64_t out = 0;
-    if (!parseU64(value, out))
-        fatal("override %s: '%s' is not an unsigned integer",
-              key.c_str(), value.c_str());
+    if (!parseU64(s.value, out))
+        s.reject("is not an unsigned integer");
     return out;
 }
 
-double
-parseDoubleOrDie(const std::string &key, const std::string &value)
+unsigned
+parseU32OrDie(const Setting &s)
 {
-    double out = 0.0;
-    if (!parseDouble(value, out))
-        fatal("override %s: '%s' is not a number", key.c_str(),
-              value.c_str());
-    return out;
+    const uint64_t out = parseU64OrDie(s);
+    if (out > std::numeric_limits<uint32_t>::max())
+        s.reject("does not fit in 32 bits");
+    return static_cast<unsigned>(out);
+}
+
+/** A latency in ns, as ticks. */
+Tick
+parseNsOrDie(const Setting &s)
+{
+    const uint64_t ns = parseU64OrDie(s);
+    if (ns > MaxTick / TicksPerNs)
+        s.reject("ns overflows the tick range");
+    return ns * TicksPerNs;
 }
 
 bool
-parseBoolOrDie(const std::string &key, const std::string &value)
+parseBoolOrDie(const Setting &s)
 {
-    if (value == "1" || value == "true" || value == "on" ||
-        value == "yes")
+    const std::string &v = s.value;
+    if (v == "1" || v == "true" || v == "on" || v == "yes")
         return true;
-    if (value == "0" || value == "false" || value == "off" ||
-        value == "no")
+    if (v == "0" || v == "false" || v == "off" || v == "no")
         return false;
-    fatal("override %s: '%s' is not a boolean", key.c_str(),
-          value.c_str());
+    s.reject("is not a boolean");
+}
+
+cache::ReplPolicyKind
+parsePolicyOrDie(const Setting &s)
+{
+    cache::ReplPolicyKind kind;
+    if (!cache::parseReplPolicy(s.value, kind))
+        s.reject("is not a replacement policy "
+                 "(lru|lfu|fifo|random|oracle)");
+    return kind;
+}
+
+/**
+ * The link's default arrival slot must be a whole tick or more and
+ * fit a Tick. Checked after either of its two keys is set, so the
+ * last one applied checks the final pair.
+ */
+void
+checkLinkSlot(const Setting &s, const LinkConfig &link)
+{
+    const double ticks =
+        static_cast<double>(link.packetBytes) * 8.0 / link.gbps *
+        TicksPerNs;
+    if (!(ticks >= 1.0 && ticks < 0x1p63))
+        s.reject("gives an arrival slot under 1 tick or past the "
+                 "tick range");
 }
 
 /** The authoritative key table. */
 const std::vector<std::pair<std::string, Setter>> &
 setters()
 {
-    auto u = [](const std::string &k, const std::string &v) {
-        return parseUnsignedOrDie(k, v);
-    };
     static const std::vector<std::pair<std::string, Setter>> table = {
         {"link.gbps",
-         [](SystemConfig &c, const std::string &v) {
-             c.link.gbps = parseDoubleOrDie("link.gbps", v);
+         [](SystemConfig &c, const Setting &s) {
+             double gbps = 0.0;
+             if (!parseDouble(s.value, gbps) || !std::isfinite(gbps) ||
+                 gbps <= 0.0)
+                 s.reject("is not a positive finite number");
+             c.link.gbps = gbps;
+             checkLinkSlot(s, c.link);
          }},
         {"link.packet_bytes",
-         [u](SystemConfig &c, const std::string &v) {
-             c.link.packetBytes = static_cast<unsigned>(
-                 u("link.packet_bytes", v));
+         [](SystemConfig &c, const Setting &s) {
+             c.link.packetBytes = parseU32OrDie(s);
+             if (c.link.packetBytes == 0)
+                 s.reject("must be at least 1");
+             checkLinkSlot(s, c.link);
          }},
         {"pcie.oneway_ns",
-         [u](SystemConfig &c, const std::string &v) {
-             c.pcieOneWay = u("pcie.oneway_ns", v) * TicksPerNs;
+         [](SystemConfig &c, const Setting &s) {
+             c.pcieOneWay = parseNsOrDie(s);
          }},
         {"dram.latency_ns",
-         [u](SystemConfig &c, const std::string &v) {
-             c.memory.accessLatency =
-                 u("dram.latency_ns", v) * TicksPerNs;
+         [](SystemConfig &c, const Setting &s) {
+             c.memory.accessLatency = parseNsOrDie(s);
          }},
         {"dram.max_outstanding",
-         [u](SystemConfig &c, const std::string &v) {
-             c.memory.maxOutstanding = static_cast<unsigned>(
-                 u("dram.max_outstanding", v));
+         [](SystemConfig &c, const Setting &s) {
+             c.memory.maxOutstanding = parseU32OrDie(s);
          }},
         {"ptb.entries",
-         [u](SystemConfig &c, const std::string &v) {
-             c.device.ptbEntries =
-                 static_cast<unsigned>(u("ptb.entries", v));
+         [](SystemConfig &c, const Setting &s) {
+             c.device.ptbEntries = parseU32OrDie(s);
          }},
         {"devtlb.entries",
-         [u](SystemConfig &c, const std::string &v) {
-             c.device.devtlb.entries = u("devtlb.entries", v);
+         [](SystemConfig &c, const Setting &s) {
+             c.device.devtlb.entries = parseU64OrDie(s);
          }},
         {"devtlb.ways",
-         [u](SystemConfig &c, const std::string &v) {
-             c.device.devtlb.ways = u("devtlb.ways", v);
+         [](SystemConfig &c, const Setting &s) {
+             c.device.devtlb.ways = parseU64OrDie(s);
          }},
         {"devtlb.partitions",
-         [u](SystemConfig &c, const std::string &v) {
-             c.device.devtlb.partitions = u("devtlb.partitions", v);
+         [](SystemConfig &c, const Setting &s) {
+             c.device.devtlb.partitions = parseU64OrDie(s);
          }},
         {"devtlb.policy",
-         [](SystemConfig &c, const std::string &v) {
-             c.device.devtlb.policy = cache::parseReplPolicy(v);
+         [](SystemConfig &c, const Setting &s) {
+             c.device.devtlb.policy = parsePolicyOrDie(s);
          }},
         {"devtlb.hit_ns",
-         [u](SystemConfig &c, const std::string &v) {
-             c.device.devtlbHitLatency =
-                 u("devtlb.hit_ns", v) * TicksPerNs;
+         [](SystemConfig &c, const Setting &s) {
+             c.device.devtlbHitLatency = parseNsOrDie(s);
          }},
         {"devtlb.lfu_bits",
-         [u](SystemConfig &c, const std::string &v) {
-             c.device.devtlb.lfuBits =
-                 static_cast<unsigned>(u("devtlb.lfu_bits", v));
+         [](SystemConfig &c, const Setting &s) {
+             c.device.devtlb.lfuBits = parseU32OrDie(s);
          }},
         {"iotlb.entries",
-         [u](SystemConfig &c, const std::string &v) {
-             c.iommu.iotlb.entries = u("iotlb.entries", v);
+         [](SystemConfig &c, const Setting &s) {
+             c.iommu.iotlb.entries = parseU64OrDie(s);
          }},
         {"iotlb.ways",
-         [u](SystemConfig &c, const std::string &v) {
-             c.iommu.iotlb.ways = u("iotlb.ways", v);
+         [](SystemConfig &c, const Setting &s) {
+             c.iommu.iotlb.ways = parseU64OrDie(s);
          }},
         {"iotlb.policy",
-         [](SystemConfig &c, const std::string &v) {
-             c.iommu.iotlb.policy = cache::parseReplPolicy(v);
+         [](SystemConfig &c, const Setting &s) {
+             c.iommu.iotlb.policy = parsePolicyOrDie(s);
          }},
         {"iotlb.hashed",
-         [](SystemConfig &c, const std::string &v) {
-             c.iommu.iotlb.hashIndex =
-                 parseBoolOrDie("iotlb.hashed", v);
+         [](SystemConfig &c, const Setting &s) {
+             c.iommu.iotlb.hashIndex = parseBoolOrDie(s);
          }},
         {"l2tlb.entries",
-         [u](SystemConfig &c, const std::string &v) {
-             c.iommu.l2tlb.entries = u("l2tlb.entries", v);
+         [](SystemConfig &c, const Setting &s) {
+             c.iommu.l2tlb.entries = parseU64OrDie(s);
          }},
         {"l2tlb.ways",
-         [u](SystemConfig &c, const std::string &v) {
-             c.iommu.l2tlb.ways = u("l2tlb.ways", v);
+         [](SystemConfig &c, const Setting &s) {
+             c.iommu.l2tlb.ways = parseU64OrDie(s);
          }},
         {"l2tlb.partitions",
-         [u](SystemConfig &c, const std::string &v) {
-             c.iommu.l2tlb.partitions = u("l2tlb.partitions", v);
+         [](SystemConfig &c, const Setting &s) {
+             c.iommu.l2tlb.partitions = parseU64OrDie(s);
          }},
         {"l3tlb.entries",
-         [u](SystemConfig &c, const std::string &v) {
-             c.iommu.l3tlb.entries = u("l3tlb.entries", v);
+         [](SystemConfig &c, const Setting &s) {
+             c.iommu.l3tlb.entries = parseU64OrDie(s);
          }},
         {"l3tlb.ways",
-         [u](SystemConfig &c, const std::string &v) {
-             c.iommu.l3tlb.ways = u("l3tlb.ways", v);
+         [](SystemConfig &c, const Setting &s) {
+             c.iommu.l3tlb.ways = parseU64OrDie(s);
          }},
         {"l3tlb.partitions",
-         [u](SystemConfig &c, const std::string &v) {
-             c.iommu.l3tlb.partitions = u("l3tlb.partitions", v);
+         [](SystemConfig &c, const Setting &s) {
+             c.iommu.l3tlb.partitions = parseU64OrDie(s);
          }},
         {"iommu.walkers",
-         [u](SystemConfig &c, const std::string &v) {
-             c.iommu.walkers =
-                 static_cast<unsigned>(u("iommu.walkers", v));
+         [](SystemConfig &c, const Setting &s) {
+             c.iommu.walkers = parseU32OrDie(s);
          }},
         {"iommu.paging_levels",
-         [u](SystemConfig &c, const std::string &v) {
-             c.iommu.pagingLevels = static_cast<unsigned>(
-                 u("iommu.paging_levels", v));
+         [](SystemConfig &c, const Setting &s) {
+             c.iommu.pagingLevels = parseU32OrDie(s);
          }},
         {"prefetch.enabled",
-         [](SystemConfig &c, const std::string &v) {
-             c.device.prefetch.enabled =
-                 parseBoolOrDie("prefetch.enabled", v);
+         [](SystemConfig &c, const Setting &s) {
+             c.device.prefetch.enabled = parseBoolOrDie(s);
          }},
         {"prefetch.buffer",
-         [u](SystemConfig &c, const std::string &v) {
-             c.device.prefetch.bufferEntries =
-                 static_cast<unsigned>(u("prefetch.buffer", v));
+         [](SystemConfig &c, const Setting &s) {
+             c.device.prefetch.bufferEntries = parseU32OrDie(s);
          }},
         {"prefetch.history",
-         [u](SystemConfig &c, const std::string &v) {
-             c.device.prefetch.historyLength =
-                 static_cast<unsigned>(u("prefetch.history", v));
+         [](SystemConfig &c, const Setting &s) {
+             c.device.prefetch.historyLength = parseU32OrDie(s);
          }},
         {"prefetch.pages",
-         [u](SystemConfig &c, const std::string &v) {
-             c.device.prefetch.pagesPerPrefetch =
-                 static_cast<unsigned>(u("prefetch.pages", v));
+         [](SystemConfig &c, const Setting &s) {
+             c.device.prefetch.pagesPerPrefetch = parseU32OrDie(s);
          }},
         {"seed",
-         [u](SystemConfig &c, const std::string &v) {
-             c.seed = u("seed", v);
+         [](SystemConfig &c, const Setting &s) {
+             c.seed = parseU64OrDie(s);
          }},
     };
     return table;
+}
+
+/** Applies `text`; every fatal() it raises starts with `origin`. */
+void
+applyOverrideFrom(SystemConfig &config, const std::string &text,
+                  const std::string &origin)
+{
+    const size_t eq = text.find('=');
+    if (eq == std::string::npos)
+        fatal("%soverride '%s' is not of the form key=value",
+              origin.c_str(), text.c_str());
+    const std::string key(trim(text.substr(0, eq)));
+    const std::string value(trim(text.substr(eq + 1)));
+    for (const auto &[name, setter] : setters()) {
+        if (name == key) {
+            setter(config, Setting{key, value, origin});
+            return;
+        }
+    }
+    fatal("%sunknown configuration key '%s' (see "
+          "supportedOverrideKeys())",
+          origin.c_str(), key.c_str());
 }
 
 } // namespace
@@ -194,21 +257,7 @@ setters()
 void
 applyOverride(SystemConfig &config, const std::string &text)
 {
-    const size_t eq = text.find('=');
-    if (eq == std::string::npos)
-        fatal("override '%s' is not of the form key=value",
-              text.c_str());
-    const std::string key(trim(text.substr(0, eq)));
-    const std::string value(trim(text.substr(eq + 1)));
-    for (const auto &[name, setter] : setters()) {
-        if (name == key) {
-            setter(config, value);
-            return;
-        }
-    }
-    fatal("unknown configuration key '%s' (see "
-          "supportedOverrideKeys())",
-          key.c_str());
+    applyOverrideFrom(config, text, "");
 }
 
 void
@@ -235,7 +284,8 @@ loadConfigFile(SystemConfig &config, const std::string &path)
         const std::string_view body = trim(line);
         if (body.empty())
             continue;
-        applyOverride(config, std::string(body));
+        applyOverrideFrom(config, std::string(body),
+                          strprintf("%s:%u: ", path.c_str(), lineno));
     }
 }
 

@@ -30,8 +30,10 @@ namespace hypersio::core
 {
 
 /**
- * Applies one "key=value" override. Unknown keys and malformed
- * values are user errors (fatal()).
+ * Applies one "key=value" override. Unknown keys and malformed or
+ * out-of-range values (a 32-bit field past 2^32 - 1, a latency past
+ * the tick range, a link slot under one tick) are user errors
+ * (fatal()).
  */
 void applyOverride(SystemConfig &config, const std::string &text);
 
@@ -41,7 +43,8 @@ void applyOverrides(SystemConfig &config,
 
 /**
  * Loads overrides from a config file: one "key = value" per line,
- * '#' starts a comment, blank lines ignored.
+ * '#' starts a comment, blank lines ignored. Errors name the file
+ * and line ("path:line: ...").
  */
 void loadConfigFile(SystemConfig &config, const std::string &path);
 

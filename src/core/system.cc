@@ -283,7 +283,6 @@ System::runLinks(uint64_t first_wire_bytes)
     }
 
     _slotInterval = _config.link.packetInterval();
-    _batch = _config.admitBatch ? _config.admitBatch : 1;
     for (Link &link : _links) {
         if (link.stream)
             _queue.schedule(0, [this, &link] { arrive(link); });
@@ -319,44 +318,36 @@ System::runLinks(uint64_t first_wire_bytes)
 void
 System::arrive(Link &link)
 {
-    // At admitBatch == 1 (the default), one packet per arrival slot
-    // — the classic process. Larger batches drain up to `batch`
-    // pending arrivals per dispatch. A PTB drop ends the batch, and
-    // the slots that are bound to be refused after it are billed in
-    // one step (fastForwardRefusedSlots). A stream that runs dry
-    // while tenants await retirement (ChurnStream parked on a full
-    // SID space) parks the process; retirement completions re-arm it
-    // through maybeRestartArrival().
+    // One packet per arrival slot: it is admitted, or refused on a
+    // full PTB and retried at the next slot. The slots that are bound
+    // to be refused after a drop are billed in one step
+    // (fastForwardRefusedSlots). A stream that runs dry while tenants
+    // await retirement (ChurnStream parked on a full SID space) parks
+    // the process; retirement completions re-arm it through
+    // maybeRestartArrival().
     trace::PacketStream &stream = *link.stream;
-    Device &device = *link.device;
-    HYPERSIO_ASSERT(stream.peek(), "arrival fired without a packet");
+    const trace::PacketRecord *head = stream.peek();
+    HYPERSIO_ASSERT(head, "arrival fired without a packet");
     bool refused = false;
-    for (unsigned b = 0; b < _batch; ++b) {
-        const trace::PacketRecord *head = stream.peek();
-        if (!head)
-            break;
-        if (_bypass) {
-            // Native mode: no address translation at all.
-            ++_processed;
-            _bytesProcessed += wireBytesOf(*head);
-            _lastCompletion = _queue.now();
-            stream.advance();
-            continue;
-        }
-        if (device.ptbFull()) {
-            // Dropped; the same packet retries next slot.
-            ++_dropped;
-            HYPERSIO_SHADOW(devicePacketDropped());
-            refused = true;
-            break;
-        }
+    if (_bypass) {
+        // Native mode: no address translation at all.
+        ++_processed;
+        _bytesProcessed += wireBytesOf(*head);
+        _lastCompletion = _queue.now();
+        stream.advance();
+    } else if (link.device->ptbFull()) {
+        // Dropped; the same packet retries next slot.
+        ++_dropped;
+        HYPERSIO_SHADOW(devicePacketDropped());
+        refused = true;
+    } else {
         // Copy the record out: advance() invalidates peek().
         const trace::PacketRecord pkt = *head;
         applyOps(pkt, stream.ops());
         if (_evictStream)
             ++_outstanding[pkt.sid];
         stream.advance();
-        device.accept(pkt, *this);
+        link.device->accept(pkt, *this);
     }
 
     if (_evictStream)
@@ -364,19 +355,12 @@ System::arrive(Link &link)
 
     if (const trace::PacketRecord *next = stream.peek()) {
         // The next arrival follows the serialization time of the
-        // packets now occupying the wire (the retried packet first
-        // on a drop, the next ones otherwise), as far as the stream
-        // shows them. After a drop nothing the window reads changes
-        // before the next event, so the window is also the spacing
-        // of every refused slot. Packets with an explicit wire size
-        // occupy the link for their own serialization time.
-        Tick gap = slotTicks(*next);
-        for (unsigned i = 1; i < _batch; ++i) {
-            const trace::PacketRecord *ahead = stream.peekAhead(i);
-            if (!ahead)
-                break;
-            gap += slotTicks(*ahead);
-        }
+        // packet now at the head (the retried one after a drop).
+        // Packets with an explicit wire size occupy the link for
+        // their own serialization time. After a drop the head does
+        // not change before the next event, so `gap` is also the
+        // spacing of every refused slot.
+        const Tick gap = slotTicks(*next);
         _queue.scheduleAfter(refused ? fastForwardRefusedSlots(gap)
                                      : gap,
                              [this, &link] { arrive(link); });
@@ -565,22 +549,19 @@ System::tryRetireSid(trace::SourceId sid)
     }
 
     // The SID's domains (one per PASID the tenant used). Directory
-    // iteration order is unspecified; sort for determinism. The
-    // list lives in the retirement arena: this function reruns on
-    // every completion while the tenant drains.
-    const util::Arena::Scope scratch(_retireArena);
-    auto *dids = _retireArena.allocArray<mem::DomainId>(
-        _tables.size());
-    size_t ndids = 0;
+    // iteration order is unspecified; sort for determinism. This
+    // reruns on every completion while the tenant drains, so the
+    // list reuses _retireDids' storage.
+    auto &dids = _retireDids;
+    dids.clear();
     _tables.forEachDomain([&](const mem::DomainId &did) {
         if (iommu::ContextCache::sidOf(did) == sid)
-            dids[ndids++] = did;
+            dids.push_back(did);
     });
-    std::sort(dids, dids + ndids);
+    std::sort(dids.begin(), dids.end());
 
     Link &link = linkOf(sid);
-    for (size_t i = 0; i < ndids; ++i) {
-        const mem::DomainId did = dids[i];
+    for (const mem::DomainId did : dids) {
         // Gate 2: no history-reader prefetch burst in flight.
         if (link.historyReader &&
             link.historyReader->prefetchInFlight(did))
@@ -598,8 +579,8 @@ System::tryRetireSid(trace::SourceId sid)
         }
     }
 
-    for (size_t i = 0; i < ndids; ++i)
-        retireDomain(dids[i]);
+    for (const mem::DomainId did : dids)
+        retireDomain(did);
     link.device->retireSid(sid);
     _streamRetirements.push_back(
         {_queue.now(), _queue.scheduledSeq(), sid});
@@ -618,17 +599,14 @@ System::retireDomain(mem::DomainId did)
     mem::PageTable *table = _tables.findExisting(did);
     HYPERSIO_ASSERT(table, "retiring a domain without a table");
     Link &link = linkOf(iommu::ContextCache::sidOf(did));
-    using PageRef = std::pair<mem::Iova, mem::PageSize>;
-    const util::Arena::Scope scratch(_retireArena);
-    auto *pages = _retireArena.allocArray<PageRef>(table->size());
-    size_t npages = 0;
+    auto &pages = _retirePages;
+    pages.clear();
     table->forEachMapping(
         [&](mem::Iova base, mem::PageSize size) {
-            pages[npages++] = {base, size};
+            pages.emplace_back(base, size);
         });
-    std::sort(pages, pages + npages);
-    for (size_t i = 0; i < npages; ++i) {
-        const auto [base, size] = pages[i];
+    std::sort(pages.begin(), pages.end());
+    for (const auto &[base, size] : pages) {
         table->unmap(base);
         link.device->invalidatePage(did, base, size);
         _iommu->invalidate(did, base, size);

@@ -23,7 +23,7 @@
 #include <memory>
 #include <optional>
 #include <string>
-
+#include <utility>
 #include <vector>
 
 #include "cache/oracle_feed.hh"
@@ -36,7 +36,6 @@
 #include "mem/memory_model.hh"
 #include "trace/record.hh"
 #include "trace/stream.hh"
-#include "util/arena.hh"
 #include "util/flat_map.hh"
 #include "util/json.hh"
 
@@ -236,10 +235,9 @@ class System : private Device::CompletionSink
      */
     RunResults runLinks(uint64_t first_wire_bytes);
     /**
-     * The one arrival body: admits up to admitBatch packets from
-     * `link`'s stream (or completes them untranslated in native
-     * mode), then re-arms after the serialization time of the
-     * packets peekAhead() shows for the next batch.
+     * The one arrival body: admits `link`'s head packet, or refuses
+     * it on a full PTB (or completes it untranslated in native mode),
+     * then re-arms one slot of the next head packet later.
      */
     void arrive(Link &link);
     /**
@@ -287,7 +285,6 @@ class System : private Device::CompletionSink
     bool _ran = false;
     /** Native mode of the running run() (no translation). */
     bool _bypass = false;
-    unsigned _batch = 1;    ///< packets admitted per arrival event
     Tick _slotInterval = 0; ///< arrival slot of a default-size packet
     uint64_t _processed = 0;
     uint64_t _dropped = 0;
@@ -313,13 +310,14 @@ class System : private Device::CompletionSink
     util::FlatMap<mem::DomainId, uint32_t> _mmuPrefetchesInFlight;
     std::vector<StreamRetirement> _streamRetirements;
     /**
-     * Scratch for retirement transients (a retiring SID's sorted
-     * domain list, a dying table's sorted page list). Retirement
-     * retries on every completion while a tenant drains, so these
-     * would otherwise be a heap round trip each attempt; the arena
-     * reuses the same chunk run after run.
+     * Retirement scratch, cleared per call and kept at capacity so a
+     * draining tenant's retries allocate nothing: a retiring SID's
+     * sorted domains (tryRetireSid) and a dying table's sorted pages
+     * (retireDomain). Two vectors, not one, because retireDomain
+     * runs inside tryRetireSid's loop over the domains.
      */
-    util::Arena _retireArena;
+    std::vector<mem::DomainId> _retireDids;
+    std::vector<std::pair<mem::Iova, mem::PageSize>> _retirePages;
 };
 
 } // namespace hypersio::core

@@ -24,13 +24,6 @@
  * slot is parked awaiting retirement) rather than exhausted();
  * runStream restarts the arrival process when a retirement unparks a
  * slot.
- *
- * The arrival process spaces a batch of admitBatch packets by the
- * summed serialization time of the packets peekAhead(0..batch-1)
- * shows it. A materialized trace shows its real next packets; a
- * stream whose next packets depend on retirements that have not
- * happened yet shows its head in every place, so its batch window is
- * `batch ×` the head's time (DESIGN.md §11).
  */
 
 #ifndef HYPERSIO_TRACE_STREAM_HH
@@ -65,21 +58,6 @@ class PacketStream
      */
     virtual const PageOp *ops() const = 0;
 
-    /**
-     * The packet `i` places behind the head, or nullptr past the
-     * last packet the stream can show; peekAhead(0) is the head.
-     * Valid until the next advance(). The default shows the head in
-     * every place: a stream whose next packets are not decided yet
-     * (they may depend on retirements still to come) spaces a batch
-     * as `batch ×` the head's serialization time.
-     */
-    virtual const PacketRecord *
-    peekAhead(size_t i)
-    {
-        (void)i;
-        return peek();
-    }
-
     /** Consumes the head packet. */
     virtual void advance() = 0;
 
@@ -113,8 +91,8 @@ class PacketStream
 
 /**
  * A materialized HyperTrace, or one link's share of it, through the
- * stream interface with exact lookahead. System::run() drives every
- * link through one of these.
+ * stream interface. System::run() drives every link through one of
+ * these.
  */
 class MaterializedStream : public PacketStream
 {
@@ -131,12 +109,6 @@ class MaterializedStream : public PacketStream
     {}
 
     const PacketRecord *peek() override { return at(_cursor); }
-
-    const PacketRecord *
-    peekAhead(size_t i) override
-    {
-        return at(_cursor + i);
-    }
 
     const PageOp *
     ops() const override

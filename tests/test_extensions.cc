@@ -88,6 +88,97 @@ TEST(Overrides, ConfigFileParsing)
     EXPECT_EQ(config.device.devtlb.partitions, 8u);
 }
 
+TEST(Overrides, RangeChecksAcceptTheLargestValues)
+{
+    SystemConfig config = SystemConfig::base();
+    const uint64_t max_ns = MaxTick / TicksPerNs;
+    applyOverride(config, "pcie.oneway_ns=" + std::to_string(max_ns));
+    EXPECT_EQ(config.pcieOneWay, max_ns * TicksPerNs);
+    applyOverride(config, "ptb.entries=4294967295");
+    EXPECT_EQ(config.device.ptbEntries, 4294967295u);
+}
+
+TEST(OverridesDeathTest, ThirtyTwoBitKeysRejectTruncation)
+{
+    for (const char *key :
+         {"link.packet_bytes", "dram.max_outstanding", "ptb.entries",
+          "devtlb.lfu_bits", "iommu.walkers", "iommu.paging_levels",
+          "prefetch.buffer", "prefetch.history", "prefetch.pages"}) {
+        SystemConfig config = SystemConfig::base();
+        EXPECT_EXIT(
+            applyOverride(config, std::string(key) + "=4294967297"),
+            ::testing::ExitedWithCode(1),
+            std::string("override ") + key +
+                ": '4294967297' does not fit in 32 bits")
+            << key;
+    }
+}
+
+TEST(OverridesDeathTest, LinkGbpsMustBePositiveAndFinite)
+{
+    for (const char *gbps : {"0", "-5", "nan", "inf"}) {
+        SystemConfig config = SystemConfig::base();
+        EXPECT_EXIT(
+            applyOverride(config, std::string("link.gbps=") + gbps),
+            ::testing::ExitedWithCode(1),
+            "override link.gbps: '.*' is not a positive finite number")
+            << gbps;
+    }
+    // Finite and positive, but a 1542-byte slot rounds to 0 ticks.
+    SystemConfig config = SystemConfig::base();
+    EXPECT_EXIT(applyOverride(config, "link.gbps=1e300"),
+                ::testing::ExitedWithCode(1),
+                "override link.gbps: '1e300' gives an arrival slot "
+                "under 1 tick");
+}
+
+TEST(OverridesDeathTest, PacketBytesMustBeAtLeastOne)
+{
+    SystemConfig config = SystemConfig::base();
+    EXPECT_EXIT(applyOverride(config, "link.packet_bytes=0"),
+                ::testing::ExitedWithCode(1),
+                "override link.packet_bytes: '0' must be at least 1");
+    // The later of the link's two keys checks the pair.
+    applyOverride(config, "link.gbps=1000000");
+    EXPECT_EXIT(applyOverride(config, "link.packet_bytes=1"),
+                ::testing::ExitedWithCode(1),
+                "override link.packet_bytes: '1' gives an arrival "
+                "slot under 1 tick");
+}
+
+TEST(OverridesDeathTest, LatencyKeysMustNotOverflowTicks)
+{
+    for (const char *key :
+         {"pcie.oneway_ns", "dram.latency_ns", "devtlb.hit_ns"}) {
+        SystemConfig config = SystemConfig::base();
+        EXPECT_EXIT(
+            applyOverride(config,
+                          std::string(key) + "=99999999999999999"),
+            ::testing::ExitedWithCode(1),
+            std::string("override ") + key +
+                ": '99999999999999999' ns overflows the tick range")
+            << key;
+    }
+}
+
+TEST(OverridesDeathTest, ConfigFileErrorsNamePathAndLine)
+{
+    const auto path = std::filesystem::temp_directory_path() /
+                      "hypersio_overrides_bad.cfg";
+    {
+        std::ofstream out(path);
+        out << "# comment line\n";
+        out << "ptb.entries = 8\n";
+        out << "devtlb.policy = mru\n";
+    }
+    SystemConfig config = SystemConfig::base();
+    EXPECT_EXIT(loadConfigFile(config, path.string()),
+                ::testing::ExitedWithCode(1),
+                "hypersio_overrides_bad.cfg:3: override devtlb.policy: "
+                "'mru' is not a replacement policy");
+    std::filesystem::remove(path);
+}
+
 trace::HyperTrace
 smallTrace(unsigned tenants)
 {

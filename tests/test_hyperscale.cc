@@ -408,31 +408,6 @@ TEST(TenantEviction, ChurnRetiresEveryTenantAndFreesAllState)
     EXPECT_EQ(system.historyReader()->historySize(), 0u);
 }
 
-TEST(TenantEviction, BatchedStreamAdmissionRetiresEveryTenant)
-{
-    // Batched arrivals change event timing, never the packet set:
-    // every virtual tenant must still attach, drain, and retire.
-    workload::ChurnConfig cfg;
-    cfg.population = 120;
-    cfg.slots = 8;
-    cfg.seed = 7;
-    cfg.minBudget = 24;
-    cfg.maxBudget = 64;
-    cfg.tailMin = 200;
-    cfg.tailMax = 400;
-
-    core::SystemConfig sys_cfg = core::SystemConfig::hypertrio();
-    sys_cfg.admitBatch = 4;
-    core::System system(sys_cfg);
-    workload::ChurnStream churn(cfg);
-    const core::RunResults results = system.runStream(churn);
-
-    EXPECT_GT(results.packetsProcessed, 0u);
-    EXPECT_EQ(churn.attaches(), cfg.population);
-    EXPECT_EQ(system.streamRetirements().size(), cfg.population);
-    EXPECT_EQ(system.tables().size(), 0u);
-}
-
 TEST(TenantEviction, RetirementLogIsOrderedAndCoversAllSids)
 {
     workload::ChurnConfig cfg;

@@ -17,11 +17,19 @@ namespace
 
 TEST(ParsePolicy, AcceptsKnownNames)
 {
-    EXPECT_EQ(parseReplPolicy("lru"), ReplPolicyKind::LRU);
-    EXPECT_EQ(parseReplPolicy("LFU"), ReplPolicyKind::LFU);
-    EXPECT_EQ(parseReplPolicy("fifo"), ReplPolicyKind::FIFO);
-    EXPECT_EQ(parseReplPolicy("random"), ReplPolicyKind::Random);
-    EXPECT_EQ(parseReplPolicy("belady"), ReplPolicyKind::Oracle);
+    const auto parsed = [](const char *name) {
+        ReplPolicyKind kind{};
+        EXPECT_TRUE(parseReplPolicy(name, kind)) << name;
+        return kind;
+    };
+    EXPECT_EQ(parsed("lru"), ReplPolicyKind::LRU);
+    EXPECT_EQ(parsed("LFU"), ReplPolicyKind::LFU);
+    EXPECT_EQ(parsed("fifo"), ReplPolicyKind::FIFO);
+    EXPECT_EQ(parsed("random"), ReplPolicyKind::Random);
+    EXPECT_EQ(parsed("belady"), ReplPolicyKind::Oracle);
+    ReplPolicyKind kind = ReplPolicyKind::LFU;
+    EXPECT_FALSE(parseReplPolicy("mru", kind));
+    EXPECT_EQ(kind, ReplPolicyKind::LFU);
     EXPECT_STREQ(replPolicyName(ReplPolicyKind::LFU), "lfu");
 }
 

@@ -159,48 +159,6 @@ TEST(System, DropsOnlyHappenWhenPtbIsSmall)
     EXPECT_EQ(r_large.packetsDropped, 0u);
 }
 
-TEST(System, AdmitBatchZeroIsTreatedAsOne)
-{
-    // 0 is the "unset" spelling; both must replay the classic
-    // one-event-per-slot arrival process, event for event.
-    const auto tr = makeTrace(8, "RAND1");
-    SystemConfig one = SystemConfig::hypertrio();
-    one.admitBatch = 1;
-    SystemConfig zero = SystemConfig::hypertrio();
-    zero.admitBatch = 0;
-    System a(one), b(zero);
-    EXPECT_EQ(a.run(tr), b.run(tr));
-}
-
-TEST(System, BatchedAdmissionConservesPackets)
-{
-    const auto tr = makeTrace(8, "RAND1");
-    for (unsigned batch : {2u, 4u, 16u}) {
-        SystemConfig config = SystemConfig::hypertrio();
-        config.admitBatch = batch;
-        System system(config);
-        const RunResults r = system.run(tr);
-        EXPECT_EQ(r.packetsProcessed, tr.packets.size())
-            << "batch " << batch;
-        EXPECT_EQ(r.translations, tr.packets.size() * 3)
-            << "batch " << batch;
-    }
-}
-
-TEST(System, BatchedAdmissionSurvivesTinyPtb)
-{
-    // A full PTB ends the batch early and the packet retries at the
-    // next arrival event — drops are events, never lost packets.
-    const auto tr = makeTrace(32);
-    SystemConfig config = SystemConfig::base();
-    config.device.ptbEntries = 1;
-    config.admitBatch = 8;
-    System system(config);
-    const RunResults r = system.run(tr);
-    EXPECT_GT(r.packetsDropped, 0u);
-    EXPECT_EQ(r.packetsProcessed, tr.packets.size());
-}
-
 TEST(System, DeterministicAcrossRuns)
 {
     const auto tr = makeTrace(16, "RAND1");
@@ -334,38 +292,17 @@ expectPinned(const char *name, System &system, const RunResults &r,
         << name << ": the fast-forward elided no arrival events";
 }
 
-TEST(SystemDropGolden, BaseWebsearchAtAdmitBatchOneAndFour)
+TEST(SystemDropGolden, BaseWebsearch)
 {
-    struct Pin
-    {
-        unsigned batch;
-        DropGolden golden;
-        /** Executed events of the per-slot process (fusion on). */
-        uint64_t perSlotEvents;
-    };
-    // Both runs admit the same packets in the same order through a
-    // 1-entry PTB, so only the drop counts and timing differ.
-    const Pin pins[] = {
-        {1,
-         {123762u, 7920654480u, 159166u, 0u, 0xcbf29ce484222325ULL,
-          0xb9f7999575cf29a8ULL},
-         145528u},
-        {4,
-         {33838u, 8339770080u, 64619u, 0u, 0xcbf29ce484222325ULL,
-          0xb9f7999575cf29a8ULL},
-         50981u},
-    };
     const auto tr =
         makeTrace(16, "RR1", workload::Benchmark::Websearch, 0.02);
-    for (const Pin &pin : pins) {
-        SystemConfig config = SystemConfig::base();
-        config.admitBatch = pin.batch;
-        System system(config);
-        const RunResults r = system.run(tr);
-        const std::string name = "batch" + std::to_string(pin.batch);
-        expectPinned(name.c_str(), system, r, pin.golden,
-                     pin.perSlotEvents);
-    }
+    System system(SystemConfig::base());
+    const RunResults r = system.run(tr);
+    expectPinned("websearch", system, r,
+                 DropGolden{123762u, 7920654480u, 159166u, 0u,
+                            0xcbf29ce484222325ULL,
+                            0xb9f7999575cf29a8ULL},
+                 145528u);
 }
 
 /** The churn storm of the streamed drop pins. */
@@ -397,26 +334,9 @@ TEST(SystemDropGolden, BaseChurnWithEviction)
                  8956u);
 }
 
-// Batch-window pins. A batch's arrival events are spaced by the
-// summed serialization time of the packets the link can see ahead: a
-// trace's per-link view sees the next `admitBatch` packets of its own
-// link exactly, while a stream whose next packets depend on pending
-// retirements sees only its head and spaces the batch as `admitBatch`
-// times the head's time. Measured before run() and runStream() shared
-// one arrival body.
-
-void
-expectWindowPinned(const std::string &name, System &system,
-                   const RunResults &r, const DropGolden &pinned)
-{
-    const DropGolden got = observe(system, r);
-    EXPECT_GT(got.packetsDropped, 0u) << name << ": no drops";
-    EXPECT_EQ(got, pinned) << name << ": observed " << got;
-}
-
 /**
- * Websearch tenants whose packets are often small on the wire, so a
- * batch's summed window differs from `batch ×` its head's time.
+ * Websearch tenants whose packets are often small on the wire, so
+ * consecutive arrival slots differ in length.
  */
 trace::HyperTrace
 smallPacketTrace()
@@ -434,51 +354,34 @@ smallPacketTrace()
     return trace::constructTrace(logs, trace::parseInterleaving("RR1"));
 }
 
-TEST(SystemDropGolden, SmallPacketRunsAtAdmitBatchOneAndFour)
+TEST(SystemDropGolden, SmallPacketRuns)
 {
-    // One device at batch 4, and two devices (a per-link view each)
-    // at batch 1 and 4.
+    // Each arrival slot lasts its head packet's own serialization
+    // time: one link over the whole trace, and two links each over
+    // its own share of it. Both measured while a batched-admission
+    // mode still shared the arrival body.
     const struct
     {
         unsigned devices;
-        unsigned batch;
         DropGolden golden;
     } pins[] = {
-        {1, 4,
-         {86592u, 10294114160u, 127217u, 0u, 0xcbf29ce484222325ULL,
+        {1,
+         {558401u, 9936267600u, 605425u, 0u, 0xcbf29ce484222325ULL,
           0xc2d2e40478ec2407ULL}},
-        {2, 1,
+        {2,
          {163485u, 1534015440u, 195043u, 0u, 0xcbf29ce484222325ULL,
-          0xd2d2df0ff9ea551dULL}},
-        {2, 4,
-         {29250u, 1802398800u, 54410u, 0u, 0xcbf29ce484222325ULL,
           0xd2d2df0ff9ea551dULL}},
     };
     const auto tr = smallPacketTrace();
     for (const auto &pin : pins) {
-        SystemConfig config = SystemConfig::base();
-        config.admitBatch = pin.batch;
-        System system(config, pin.devices);
+        System system(SystemConfig::base(), pin.devices);
         const RunResults r = system.run(tr);
         EXPECT_EQ(r.packetsProcessed, tr.packets.size());
-        const std::string name = std::to_string(pin.devices) +
-                                 " devices, batch " +
-                                 std::to_string(pin.batch);
-        expectWindowPinned(name, system, r, pin.golden);
+        const DropGolden got = observe(system, r);
+        EXPECT_GT(got.packetsDropped, 0u) << pin.devices << " devices";
+        EXPECT_EQ(got, pin.golden)
+            << pin.devices << " devices: observed " << got;
     }
-}
-
-TEST(SystemDropGolden, BaseChurnAtAdmitBatchFour)
-{
-    workload::ChurnStream stream(dropChurnConfig());
-    SystemConfig config = SystemConfig::base();
-    config.admitBatch = 4;
-    System system(config);
-    const RunResults r = system.runStream(stream);
-    expectWindowPinned("churn batch4", system, r,
-                       DropGolden{2282u, 563082720u, 5276u, 24u,
-                                  0x121f4372a5313acfULL,
-                                  0x2d1f7d8febef38dfULL});
 }
 
 TEST(ExperimentRunnerTest, CachesTracesAcrossPoints)
