@@ -1140,12 +1140,10 @@ runFusion(const Options &opts, JsonReport &report)
                         "seq ledger mismatch: %llu != %llu",
                         (unsigned long long)perhop.scheduledSeq,
                         (unsigned long long)fused.scheduledSeq);
-        // With PTB drops the legs fast-forward refused arrival slots
-        // over different spans (DESIGN.md §15), so the dispatch
-        // ledger closes exactly only on drop-free runs.
-        HYPERSIO_ASSERT(fused.results.packetsDropped != 0 ||
-                            perhop.dispatched ==
-                                fused.dispatched + fused.fusedHops,
+        // Refused arrival slots are parked in both legs alike
+        // (DESIGN.md §15), so every elided hop is one dispatch less.
+        HYPERSIO_ASSERT(perhop.dispatched ==
+                            fused.dispatched + fused.fusedHops,
                         "event ledger mismatch: %llu != %llu + %llu",
                         (unsigned long long)perhop.dispatched,
                         (unsigned long long)fused.dispatched,

@@ -58,9 +58,11 @@
 #      workloads must run clean under AddressSanitizer and
 #      UndefinedBehaviorSanitizer: test_workload, test_trace,
 #      test_hyperscale, test_system, test_event_fusion (the arrival
-#      loop fused and per-hop), test_soak, test_extensions and
-#      test_runner (which hold the hostile-input death tests), the
-#      fuzz smoke, and the hypersio_sim hostile-input ctest cases.
+#      loop fused and per-hop), test_event_queue (parked slots) and
+#      test_memory_model (fused walk completions), test_soak,
+#      test_extensions and test_runner (which hold the hostile-input
+#      death tests), the fuzz smoke, and the hypersio_sim
+#      hostile-input ctest cases.
 #
 # Two build trees: the default (gates 2-9; gates 4, 6 and 7 switch
 # the oracle off at run time with HYPERSIO_SHADOW=off) and an
@@ -249,7 +251,8 @@ echo "== 10/10 ASan+UBSan: workload, trace and run layers"
 # its binary, so each exit status is the verdict.
 ASAN_DIR="${BUILD_DIR}-asan"
 ASAN_TESTS="test_workload test_trace test_hyperscale test_system
-    test_event_fusion test_soak test_extensions test_runner"
+    test_event_fusion test_event_queue test_memory_model test_soak
+    test_extensions test_runner"
 cmake -B "$ASAN_DIR" -S . "$BUILD_TYPE" \
     -DHYPERSIO_SANITIZE=address,undefined > /dev/null
 cmake --build "$ASAN_DIR" -j "$(nproc)" --target $ASAN_TESTS \

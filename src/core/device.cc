@@ -121,9 +121,10 @@ Device::accept(const trace::PacketRecord &packet,
         HYPERSIO_SHADOW(deviceSidObserved(packet.sid));
     }
     _ptb.entry(idx).sink = &sink;
-    // The arrival event keeps working after accept() returns (batch
-    // admission, scheduling the next arrival), so the chain start is
-    // not in tail position: the first hop is always a real event.
+    // The arrival event keeps working after accept() returns
+    // (retirement service, re-arming or parking the next arrival), so
+    // the chain start is not in tail position: the first hop is
+    // always a real event.
     issueNext(idx, /*may_fuse=*/false);
 }
 

@@ -319,16 +319,13 @@ void
 System::arrive(Link &link)
 {
     // One packet per arrival slot: it is admitted, or refused on a
-    // full PTB and retried at the next slot. The slots that are bound
-    // to be refused after a drop are billed in one step
-    // (fastForwardRefusedSlots). A stream that runs dry while tenants
-    // await retirement (ChurnStream parked on a full SID space) parks
-    // the process; retirement completions re-arm it through
-    // maybeRestartArrival().
+    // full PTB and retried at the next slot. A stream that runs dry
+    // while tenants await retirement (ChurnStream parked on a full
+    // SID space) parks the process; retirement completions re-arm it
+    // through maybeRestartArrival().
     trace::PacketStream &stream = *link.stream;
     const trace::PacketRecord *head = stream.peek();
     HYPERSIO_ASSERT(head, "arrival fired without a packet");
-    bool refused = false;
     if (_bypass) {
         // Native mode: no address translation at all.
         ++_processed;
@@ -339,7 +336,6 @@ System::arrive(Link &link)
         // Dropped; the same packet retries next slot.
         ++_dropped;
         HYPERSIO_SHADOW(devicePacketDropped());
-        refused = true;
     } else {
         // Copy the record out: advance() invalidates peek().
         const trace::PacketRecord pkt = *head;
@@ -357,13 +353,19 @@ System::arrive(Link &link)
         // The next arrival follows the serialization time of the
         // packet now at the head (the retried one after a drop).
         // Packets with an explicit wire size occupy the link for
-        // their own serialization time. After a drop the head does
-        // not change before the next event, so `gap` is also the
-        // spacing of every refused slot.
+        // their own serialization time.
         const Tick gap = slotTicks(*next);
-        _queue.scheduleAfter(refused ? fastForwardRefusedSlots(gap)
-                                     : gap,
-                             [this, &link] { arrive(link); });
+        if (link.device->ptbFull() && _pendingRetire.empty()) {
+            // Every slot is refused until a completion frees the PTB,
+            // and a refused slot changes nothing but the drop count:
+            // the head stays, and with no retirement pending its
+            // serviceRetirements() has nothing to do. The kernel
+            // bills those slots (slotsRefused); packetDone() wakes
+            // the slot the completion lets in (DESIGN.md §15).
+            link.parked = _queue.park(gap, *this);
+        } else {
+            _queue.scheduleAfter(gap, [this, &link] { arrive(link); });
+        }
     } else if (!stream.exhausted()) {
         link.stalled = true;
     }
@@ -380,22 +382,13 @@ System::shadowRunCompleted()
         _iommu->l3Occupancy(), device.ptbInUse()));
 }
 
-Tick
-System::fastForwardRefusedSlots(Tick gap)
+void
+System::slotsRefused(uint64_t n)
 {
-    // Only an event can free a PTB entry, and neither the packet at
-    // the head nor the retirement gates move between events, so every
-    // slot strictly before the next pending event is refused exactly
-    // like this one. Bill them here; the re-arm then takes the seq
-    // the last elided re-arm would have taken (DESIGN.md §15).
-    const uint64_t skip =
-        sim::refusedSlotsBefore(_queue.now(), _queue.nextTick(), gap);
-    if (skip == 0)
-        return gap;
-    _dropped += skip;
-    HYPERSIO_SHADOW(devicePacketsDropped(skip));
-    _queue.burnSeqs(skip);
-    return gap * (skip + 1);
+    // Billed before the event that could free the PTB runs, so the
+    // oracle's PTB mirror is still full.
+    _dropped += n;
+    HYPERSIO_SHADOW(devicePacketsDropped(n));
 }
 
 void
@@ -404,6 +397,9 @@ System::packetDone(const trace::PacketRecord &pkt)
     ++_processed;
     _bytesProcessed += wireBytesOf(pkt);
     _lastCompletion = _queue.now();
+    // The freed PTB entry admits the link's parked arrival.
+    Link &link = linkOf(pkt.sid);
+    _queue.wake(link.parked, [this, &link] { arrive(link); });
     // Streaming-run bookkeeping; _evictStream is never set by run().
     if (_evictStream)
         onStreamPacketDrained(pkt.sid);

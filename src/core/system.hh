@@ -8,11 +8,11 @@
  * dropped and retried at the next arrival slot. run() and
  * runStream() drive one arrival body: each link reads its packets
  * from a trace::PacketStream, a materialized view of the trace for
- * run(). Drops are billed in bulk: only an event can free a PTB
- * entry, so the refusing arrival counts every later slot before the
- * next pending event as dropped at once and re-arms at the first
- * slot that may admit (DESIGN.md §15) — the same drops, ticks and
- * event order as one event per slot. When the trace is exhausted
+ * run(). An arrival that leaves the PTB full parks its next slot in
+ * the event kernel instead of re-arming: the kernel bills each slot
+ * it reaches as a drop, and the PTB release wakes the slot at its
+ * reserved key (DESIGN.md §15) — the same drops, ticks and event
+ * order as one event per slot. When the trace is exhausted
  * and all in-flight work drains, the achieved bandwidth is total
  * processed bytes divided by elapsed simulated time.
  */
@@ -105,7 +105,8 @@ struct StreamRetirement
  * while the IOMMU, paging caches and memory are shared, so they see
  * the union of all devices' traffic. Tenant t drives device t % N.
  */
-class System : private Device::CompletionSink
+class System : private Device::CompletionSink,
+               private sim::ParkedSlotSink
 {
   public:
     /**
@@ -193,6 +194,8 @@ class System : private Device::CompletionSink
         trace::PacketStream *stream = nullptr;
         /** Arrival process parked on a stalled stream. */
         bool stalled = false;
+        /** Next arrival slot, parked behind a full PTB. */
+        sim::ParkHandle parked;
     };
 
     /** The link tenant `sid` drives. */
@@ -206,6 +209,8 @@ class System : private Device::CompletionSink
      * packet itself, so accept() needs no per-packet closure.
      */
     void packetDone(const trace::PacketRecord &pkt) override;
+    /** Parked arrival slots reached while the PTB stayed full. */
+    void slotsRefused(uint64_t n) override;
 
     void applyOps(const trace::PacketRecord &pkt,
                   const trace::PageOp *ops);
@@ -237,18 +242,10 @@ class System : private Device::CompletionSink
     /**
      * The one arrival body: admits `link`'s head packet, or refuses
      * it on a full PTB (or completes it untranslated in native mode),
-     * then re-arms one slot of the next head packet later.
+     * then re-arms one slot of the next head packet later — parked
+     * while the PTB is full.
      */
     void arrive(Link &link);
-    /**
-     * Refused-slot fast-forward, called by an arrival that just
-     * dropped its packet on a full PTB, with `gap` the spacing of its
-     * arrival slots. Bills every later slot strictly before the next
-     * pending event as a drop, burns the seqs their re-arms would
-     * have consumed, and returns the delay to the first slot that
-     * may admit. Panics when nothing is pending (a livelock).
-     */
-    Tick fastForwardRefusedSlots(Tick gap);
     /** Results from the run counters. */
     RunResults collectResults(uint64_t first_wire_bytes);
     /** The oracle's end-of-run cross-check (single device only). */

@@ -96,8 +96,9 @@ class XlatePort
         // continuation of one), so the IOMMU may fuse its hit
         // latency. The return hop may fuse only when the IOMMU says
         // the delivery itself is in tail position — a page-table
-        // walk's completion fans out to coalesced waiters and keeps
-        // working afterwards, so those deliveries always schedule.
+        // walk's completion fans out to coalesced waiters and may
+        // start queued walks afterwards, so only its last delivery,
+        // with nothing after it, may fuse.
         _iommu.translate(
             req,
             [this, op](const iommu::IommuResponse &resp) {

@@ -106,7 +106,7 @@ Iommu::translate(const IommuRequest &req, ResponseFn done,
 
     if (_config.walkers == 0 || _activeWalks < _config.walkers) {
         ++_activeWalks;
-        startWalk(key);
+        startWalk(key, may_fuse);
     } else if (req.prefetch) {
         _prefetchQueue.push_back(key);
     } else {
@@ -166,7 +166,7 @@ Iommu::walkAccessesFor(const IommuRequest &req)
 }
 
 void
-Iommu::startWalk(uint64_t key)
+Iommu::startWalk(uint64_t key, bool may_fuse)
 {
     // The walk owns its MSHR entry; late arrivals keep appending to
     // the entry's waiter list until the walk finishes.
@@ -186,23 +186,35 @@ Iommu::startWalk(uint64_t key)
                      accesses,
                      mshr_walk->req.prefetch ? " (prefetch)" : "");
 
-    _memory.access(accesses, [this, key]() {
-        Walk *entry = _mshr.find(key);
-        HYPERSIO_ASSERT(entry, "finished walk lost");
-        Walk walk = std::move(*entry);
-        _mshr.erase(key);
+    _memory.access(
+        accesses,
+        [this, key]() {
+            Walk *entry = _mshr.find(key);
+            HYPERSIO_ASSERT(entry, "finished walk lost");
+            Walk walk = std::move(*entry);
+            _mshr.erase(key);
 
-        const mem::Translation xlate =
-            _tables.get(walk.req.domain).translate(walk.req.iova);
-        finishWalk(walk, xlate);
-
-        --_activeWalks;
-        dispatchQueued();
-    });
+            const mem::Translation xlate =
+                _tables.get(walk.req.domain).translate(walk.req.iova);
+            // No waiter reads the walker count, so it may drop first.
+            --_activeWalks;
+            // With no walk queued dispatchQueued() has nothing to do,
+            // and on unbounded memory nothing follows this callback
+            // in its event (bounded memory starts the next chain), so
+            // the last waiter's delivery is in tail position.
+            const bool idle =
+                _demandQueue.empty() && _prefetchQueue.empty();
+            finishWalk(walk, xlate,
+                       idle && _memory.config().maxOutstanding == 0);
+            if (!idle)
+                dispatchQueued();
+        },
+        may_fuse);
 }
 
 void
-Iommu::finishWalk(Walk &walk, const mem::Translation &xlate)
+Iommu::finishWalk(Walk &walk, const mem::Translation &xlate,
+                  bool last_in_tail)
 {
     IommuResponse resp;
     if (xlate.valid) {
@@ -253,8 +265,16 @@ Iommu::finishWalk(Walk &walk, const mem::Translation &xlate)
                   : std::nullopt));
     }
 
-    for (auto &waiter : walk.waiters)
-        waiter(resp);
+    // The completion runs as the walk's event or fused in its place,
+    // never as the tail of the delivery that started the walk, so the
+    // scope is set here rather than inherited. Every waiter but the
+    // last has another delivery after it and must not fuse.
+    const bool prev = _fusedDelivery;
+    for (size_t i = 0; i < walk.waiters.size(); ++i) {
+        _fusedDelivery = last_in_tail && i + 1 == walk.waiters.size();
+        walk.waiters[i](resp);
+    }
+    _fusedDelivery = prev;
 }
 
 void
@@ -290,7 +310,8 @@ Iommu::dispatchQueued()
         // slot until they run.
         HYPERSIO_ASSERT(_mshr.contains(key), "queued walk lost");
         ++_activeWalks;
-        startWalk(key);
+        // Not in tail position: the loop may start another walk.
+        startWalk(key, /*may_fuse=*/false);
     }
 }
 

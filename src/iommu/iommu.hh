@@ -186,7 +186,8 @@ class Iommu : public sim::SimObject
      * With `may_fuse` (the caller is in tail position of an event
      * callback) an IOTLB hit's fixed latency may collapse into a
      * synchronous `done` at the identical (tick, priority, seq) the
-     * hit event would have had; walks and coalesced requests always
+     * hit event would have had, and so may a walk's completion on
+     * unbounded memory; coalesced requests and queued walks always
      * take the event path.
      */
     void translate(const IommuRequest &req, ResponseFn done,
@@ -195,10 +196,12 @@ class Iommu : public sim::SimObject
     /**
      * True while a `done` callback is being delivered from tail
      * position — the end of an IOTLB-hit event or a fused
-     * continuation of one. Callers that want to fuse their own next
+     * continuation of one, or the last delivery of a walk completion
+     * that nothing follows. Callers that want to fuse their own next
      * hop inside `done` (the XlatePort's PCIe return leg) must check
-     * this: walk completions fan out to coalesced waiters and keep
-     * working afterwards, so their deliveries are never fusible.
+     * this: a walk completion fans out to coalesced waiters and may
+     * start queued walks afterwards, so its other deliveries are
+     * never fusible.
      */
     bool fusedDelivery() const { return _fusedDelivery; }
 
@@ -246,8 +249,12 @@ class Iommu : public sim::SimObject
         std::vector<ResponseFn> waiters;
     };
 
-    void startWalk(uint64_t key);
-    void finishWalk(Walk &walk, const mem::Translation &xlate);
+    /** `may_fuse`: the caller is in tail position (see translate). */
+    void startWalk(uint64_t key, bool may_fuse);
+    /** Fills the caches and delivers to the waiters; the last one
+     *  runs in the fusedDelivery() scope when `last_in_tail`. */
+    void finishWalk(Walk &walk, const mem::Translation &xlate,
+                    bool last_in_tail);
     void dispatchQueued();
     unsigned walkAccessesFor(const IommuRequest &req);
 

@@ -55,15 +55,26 @@ class MemoryModel : public sim::SimObject
     /**
      * Issues a dependent chain of `n_accesses` reads; `done` runs
      * after n * accessLatency (plus any queueing for a free slot).
+     * With `may_fuse` (the caller is in tail position of an event
+     * callback) and unbounded slots, the completion may run
+     * synchronously at the identical (tick, priority, seq) its event
+     * would have had (EventQueue::tryFuseAdvance). Bounded chains
+     * always complete as events: a chain's finish starts the next
+     * queued one.
      */
     void
-    access(unsigned n_accesses, std::function<void()> done)
+    access(unsigned n_accesses, std::function<void()> done,
+           bool may_fuse = false)
     {
         ++_chains;
         _reads += n_accesses;
         const Tick service =
             static_cast<Tick>(n_accesses) * _config.accessLatency;
         if (_config.maxOutstanding == 0) {
+            if (may_fuse && eventQueue().tryFuseAdvance(service)) {
+                done();
+                return;
+            }
             eventQueue().scheduleAfter(service, std::move(done));
             return;
         }

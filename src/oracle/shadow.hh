@@ -121,8 +121,8 @@ class ShadowChecker
     void devicePacketCompleted(unsigned idx, unsigned in_use);
     void devicePacketDropped();
     /**
-     * `n` drops at one unchanged full PTB (the refused-slot
-     * fast-forward): one legality check, `n` events. Same
+     * `n` drops at one unchanged full PTB (a parked arrival slot's
+     * refusals): one legality check, `n` events. Same
      * eventCount() as `n` devicePacketDropped() calls with nothing in
      * between; an illegal drop is recorded once, not `n` times.
      */

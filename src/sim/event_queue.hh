@@ -32,11 +32,17 @@
  * is bit-identical by construction. setFusionEnabled(false) selects
  * the event-per-hop schedule at runtime, so one binary can A/B them.
  *
- * Refused-slot fast-forward (DESIGN.md "Refused-slot fast-forward"):
- * a periodic retry that was refused may skip every later slot that
- * falls strictly before nextTick() — nothing can change its outcome
- * before then — burning the seqs those re-arms would have consumed
- * (burnSeqs()), so again every (tick, priority, seq) key is unchanged.
+ * Parked slots (DESIGN.md "Parked arrivals"): a periodic retry that
+ * only some later event can satisfy — an arrival refused by a full
+ * PTB — parks instead of re-arming. park() reserves the one seq the
+ * re-arm would have taken and pushes nothing. Before any heap top is
+ * dispatched, and inside tryFuseAdvance() right after the hop's seq
+ * is burned, the kernel catches up: each parked slot whose (tick,
+ * priority, seq) key orders first is billed to its owner as refused
+ * slots in one call, burning the seqs their re-arms would have
+ * consumed. wake() turns the slot back into a real event at its
+ * reserved key. Every key is again the one of the event-per-slot
+ * schedule; only executed() falls. Parked slots never refuse fusion.
  */
 
 #ifndef HYPERSIO_SIM_EVENT_QUEUE_HH
@@ -46,6 +52,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -68,6 +75,28 @@ constexpr Priority EarlyPriority = -10;
 constexpr Priority LatePriority = 10;
 
 /**
+ * Refused-slot arithmetic of a parked slot (DESIGN.md §15). A
+ * periodic retry at `now` was just refused, and nothing can change
+ * the outcome before `next`, so every later slot now + k*gap that
+ * falls strictly before `next` is refused too. Returns how many.
+ * The slot that ties with `next` is never counted: it is ordered
+ * against next's key by (priority, seq). A `next` at or before `now`
+ * skips nothing. `next == MaxTick` means nothing is pending, so
+ * nothing can ever end the refusals.
+ */
+inline uint64_t
+refusedSlotsBefore(Tick now, Tick next, Tick gap)
+{
+    HYPERSIO_ASSERT(next != MaxTick,
+                    "slot refused with nothing pending: no event can "
+                    "free what refused it, so the retry would spin "
+                    "forever (now %llu)",
+                    (unsigned long long)now);
+    HYPERSIO_ASSERT(gap > 0, "refused-slot gap must be positive");
+    return next > now ? (next - now - 1) / gap : 0;
+}
+
+/**
  * Opaque handle to a scheduled event. Valid until the event fires or
  * is cancelled; safe to keep after either (cancel becomes a no-op
  * that returns false, thanks to the generation check).
@@ -83,6 +112,34 @@ class EventHandle
     friend class EventQueue;
     explicit EventHandle(uint64_t id) : _id(id) {}
     uint64_t _id = 0;
+};
+
+/**
+ * Owner of a parked slot (EventQueue::park). The kernel bills it for
+ * the refusals it elides, before anything that could end them runs.
+ */
+class ParkedSlotSink
+{
+  public:
+    /** `n` consecutive slots of the parked retry were refused. */
+    virtual void slotsRefused(uint64_t n) = 0;
+
+  protected:
+    ~ParkedSlotSink() = default;
+};
+
+/** Names a parked slot; a default-constructed handle names none. */
+class ParkHandle
+{
+  public:
+    ParkHandle() = default;
+
+    bool valid() const { return _id != 0; }
+
+  private:
+    friend class EventQueue;
+    explicit ParkHandle(uint32_t id) : _id(id) {}
+    uint32_t _id = 0;
 };
 
 /**
@@ -136,21 +193,13 @@ class EventQueue
     /**
      * Tick of the heap top, or MaxTick when the heap is empty. A
      * tombstoned top counts as pending (it may hide a later live
-     * key), so callers skipping ahead to it skip less, never more.
+     * key). Parked slots are not counted.
      */
     Tick
     nextTick() const
     {
         return _heap.empty() ? MaxTick : _heap.front().when;
     }
-
-    /**
-     * Consumes `n` sequence numbers, exactly as `n` elided
-     * schedule() calls would have: the next schedule() gets the seq
-     * the (n+1)-th call of such a chain would have got. Used by the
-     * refused-slot fast-forward (DESIGN.md §15).
-     */
-    void burnSeqs(uint64_t n) { _nextSeq += n; }
 
     /** Number of events currently pending (tombstones excluded). */
     size_t pending() const { return _live; }
@@ -193,6 +242,8 @@ class EventQueue
      *    key, so skipping fusion is the safe direction), and
      *    same-tick events of any priority refuse fusion even when
      *    the elided event would have ordered first.
+     * Parked slots do not refuse: the ones the elided event would
+     * have followed are billed here, the tie slot included.
      */
     bool
     tryFuseAdvance(Tick delay)
@@ -210,6 +261,8 @@ class EventQueue
             return false;
         ++_nextSeq; // the elided event's slot in the total order
         ++_fusedHops;
+        if (_firstParkedAt <= when)
+            catchUp(HeapItem{when, _nextSeq, DefaultPriority, 0});
         _now = when;
         return true;
     }
@@ -228,14 +281,8 @@ class EventQueue
                         "scheduling in the past: %llu < %llu",
                         (unsigned long long)when,
                         (unsigned long long)_now);
-        const uint32_t idx = allocRecord();
-        Record &rec = record(idx);
-        rec.emplace(std::forward<F>(fn));
-        rec.state = Record::Pending;
-        ++_live;
-        heapPush(HeapItem{when, ++_nextSeq, priority, idx});
-        return EventHandle((static_cast<uint64_t>(rec.gen) << 32) |
-                           (idx + 1));
+        return push(HeapItem{when, ++_nextSeq, priority, 0},
+                    std::forward<F>(fn));
     }
 
     /** Schedules `fn` to run `delay` ticks from now. */
@@ -251,6 +298,60 @@ class EventQueue
                         (unsigned long long)_now,
                         (unsigned long long)delay);
         return schedule(when, std::forward<F>(fn), priority);
+    }
+
+    /**
+     * Parks a periodic retry, standing in for `scheduleAfter(gap,
+     * retry)` from a retry that only a later event can satisfy: it
+     * reserves that re-arm's key (now + gap, DefaultPriority, next
+     * seq) and pushes nothing. Until wake(), each slot the retry
+     * would have fired at is billed to `sink` as refused, one gap
+     * after the other, with the seq each re-arm would have taken
+     * burned. The owner must wake the slot from the event that ends
+     * its refusals; a parked slot with nothing else pending panics.
+     */
+    ParkHandle
+    park(Tick gap, ParkedSlotSink &sink)
+    {
+        HYPERSIO_ASSERT(gap > 0, "parked slot gap must be positive");
+        const Tick when = _now + gap;
+        HYPERSIO_ASSERT(when >= _now && when != MaxTick,
+                        "parked slot overflows Tick: now %llu + gap "
+                        "%llu wraps",
+                        (unsigned long long)_now,
+                        (unsigned long long)gap);
+        uint32_t id = 0;
+        while (id < _parked.size() && _parked[id].sink)
+            ++id;
+        if (id == _parked.size())
+            _parked.emplace_back();
+        _parked[id] = Parked{when, ++_nextSeq, gap, &sink};
+        _firstParkedAt = std::min(_firstParkedAt, when);
+        return ParkHandle(id + 1);
+    }
+
+    /**
+     * Turns the parked slot `slot` names into a real event running
+     * `fn` at the slot's reserved (tick, priority, seq) key, and
+     * clears `slot`. No-op when `slot` names none.
+     */
+    template <typename F>
+    void
+    wake(ParkHandle &slot, F &&fn)
+    {
+        if (!slot.valid())
+            return;
+        Parked &p = _parked[slot._id - 1];
+        slot = ParkHandle();
+        HYPERSIO_ASSERT(p.when >= _now, "woke a slot in the past");
+        push(HeapItem{p.when, p.seq, DefaultPriority, 0},
+             std::forward<F>(fn));
+        p.sink = nullptr;
+        _firstParkedAt = MaxTick;
+        for (const Parked &other : _parked) {
+            if (other.sink)
+                _firstParkedAt = std::min(_firstParkedAt, other.when);
+        }
     }
 
     /**
@@ -296,56 +397,23 @@ class EventQueue
         // callbacks do not call run()).
         _inRun = true;
         _runLimit = limit;
-        while (!_heap.empty()) {
-            const HeapItem top = _heap.front();
-            if (top.when > limit)
-                break;
-            Record &rec = record(top.idx);
-            if (rec.state == Record::Cancelled) {
-                heapPopTop();
-                releaseRecord(top.idx, rec);
-                continue;
-            }
-            HYPERSIO_ASSERT(top.when >= _now, "time went backwards");
-            FiredCallback cb(rec);
-            heapPopTop();
-            releaseRecord(top.idx, rec);
-            --_live;
-            _now = top.when;
-            ++_executed;
-            cb();
+        while (dispatchNext(limit)) {
         }
         _inRun = false;
         _runLimit = MaxTick;
-        if (_now < limit && limit != MaxTick)
-            _now = limit;
+        if (limit != MaxTick) {
+            // Slots up to the limit are refused too; the heap top is
+            // past it (dispatchNext panicked on an empty heap).
+            if (_firstParkedAt <= limit)
+                catchUp(HeapItem{limit + 1, 0, MinPriority, 0});
+            if (_now < limit)
+                _now = limit;
+        }
         return _now;
     }
 
     /** Executes exactly one event if any is pending. */
-    bool
-    step()
-    {
-        while (!_heap.empty()) {
-            const HeapItem top = _heap.front();
-            Record &rec = record(top.idx);
-            if (rec.state == Record::Cancelled) {
-                heapPopTop();
-                releaseRecord(top.idx, rec);
-                continue;
-            }
-            HYPERSIO_ASSERT(top.when >= _now, "time went backwards");
-            FiredCallback cb(rec);
-            heapPopTop();
-            releaseRecord(top.idx, rec);
-            --_live;
-            _now = top.when;
-            ++_executed;
-            cb();
-            return true;
-        }
-        return false;
-    }
+    bool step() { return dispatchNext(MaxTick); }
 
   private:
     /** Type-erased operations of one stored callable. */
@@ -488,6 +556,119 @@ class EventQueue
         return a.seq < b.seq;
     }
 
+    /** Orders before every key of the same tick (run(limit)). */
+    static constexpr Priority MinPriority =
+        std::numeric_limits<Priority>::min();
+
+    /** One parked retry: its reserved key, and who is billed. */
+    struct Parked
+    {
+        Tick when = 0;
+        uint64_t seq = 0;
+        Tick gap = 0;
+        /** Null while the entry is free. */
+        ParkedSlotSink *sink = nullptr;
+
+        HeapItem key() const
+        {
+            return HeapItem{when, seq, DefaultPriority, 0};
+        }
+    };
+
+    /** Stores `fn` and pushes it under `key` (its idx is filled). */
+    template <typename F>
+    EventHandle
+    push(HeapItem key, F &&fn)
+    {
+        key.idx = allocRecord();
+        Record &rec = record(key.idx);
+        rec.emplace(std::forward<F>(fn));
+        rec.state = Record::Pending;
+        ++_live;
+        heapPush(key);
+        return EventHandle((static_cast<uint64_t>(rec.gen) << 32) |
+                           (key.idx + 1));
+    }
+
+    /**
+     * Runs the first live event at or before `limit`, after catching
+     * up the parked slots and dropping tombstones ahead of it.
+     * Returns false when none is left (the heap top is past `limit`,
+     * or the heap is empty). Forced inline: it is run()'s loop body,
+     * the kernel's hottest path.
+     */
+    [[gnu::always_inline]] bool
+    dispatchNext(Tick limit)
+    {
+        while (!_heap.empty()) {
+            const HeapItem top = _heap.front();
+            if (top.when > limit)
+                return false;
+            if (_firstParkedAt <= top.when)
+                catchUp(top);
+            Record &rec = record(top.idx);
+            if (rec.state == Record::Cancelled) {
+                heapPopTop();
+                releaseRecord(top.idx, rec);
+                continue;
+            }
+            HYPERSIO_ASSERT(top.when >= _now, "time went backwards");
+            FiredCallback cb(rec);
+            heapPopTop();
+            releaseRecord(top.idx, rec);
+            --_live;
+            _now = top.when;
+            ++_executed;
+            cb();
+            return true;
+        }
+        HYPERSIO_ASSERT(_firstParkedAt == MaxTick,
+                        "slot parked with nothing pending: no event can "
+                        "end its refusals, so the retry would spin "
+                        "forever (now %llu)",
+                        (unsigned long long)_now);
+        return false;
+    }
+
+    /**
+     * Bills every parked slot whose key orders before `stop`, in key
+     * order. The first one is refused, and so is each later slot of
+     * its loop strictly before `bound`, the first tick at which
+     * anything else could run (`stop` or another parked slot): those
+     * 1 + refusedSlotsBefore() slots burn one seq each, the last
+     * being the re-arm the slot now holds. A slot that then ties
+     * with `bound` is ordered by its new seq on the next pass.
+     */
+    void
+    catchUp(const HeapItem &stop)
+    {
+        for (;;) {
+            Parked *first = nullptr;
+            Tick bound = stop.when;
+            for (Parked &p : _parked) {
+                if (!p.sink)
+                    continue;
+                if (!first || before(p.key(), first->key())) {
+                    if (first)
+                        bound = std::min(bound, first->when);
+                    first = &p;
+                } else {
+                    bound = std::min(bound, p.when);
+                }
+            }
+            if (!first || !before(first->key(), stop)) {
+                _firstParkedAt = first ? first->when : MaxTick;
+                return;
+            }
+            const uint64_t n =
+                1 + refusedSlotsBefore(first->when, bound, first->gap);
+            first->when += n * first->gap;
+            _nextSeq += n;
+            first->seq = _nextSeq;
+            first->sink->slotsRefused(n);
+        }
+    }
+
     static constexpr size_t ChunkShift = 8; ///< 256 records/chunk
     static constexpr size_t ChunkSize = size_t(1) << ChunkShift;
     static constexpr size_t ChunkMask = ChunkSize - 1;
@@ -572,33 +753,15 @@ class EventQueue
     uint64_t _nextSeq = 0;
     uint64_t _executed = 0;
     uint64_t _fusedHops = 0;
+    /** Parked slots by ParkHandle id - 1; free entries are reused. */
+    std::vector<Parked> _parked;
+    /** Earliest parked slot's tick; MaxTick when none is parked. */
+    Tick _firstParkedAt = MaxTick;
     /** run()'s `limit` while a run is in progress (fusion horizon). */
     Tick _runLimit = MaxTick;
     bool _inRun = false;
     bool _fusionEnabled = true;
 };
-
-/**
- * Refused-slot fast-forward arithmetic (DESIGN.md §15). A periodic
- * retry at `now` was just refused, and only an event can change the
- * outcome, so every later slot now + k*gap that falls strictly before
- * `next` (EventQueue::nextTick()) is refused too. Returns how many.
- * The slot that ties with `next` is never counted: it must fire as a
- * real event, ordered against next's by (priority, seq). A `next` at
- * or before `now` (a same-tick event) skips nothing. `next == MaxTick`
- * means nothing is pending, so nothing can ever end the refusals.
- */
-inline uint64_t
-refusedSlotsBefore(Tick now, Tick next, Tick gap)
-{
-    HYPERSIO_ASSERT(next != MaxTick,
-                    "slot refused with nothing pending: no event can "
-                    "free what refused it, so the retry would spin "
-                    "forever (now %llu)",
-                    (unsigned long long)now);
-    HYPERSIO_ASSERT(gap > 0, "refused-slot gap must be positive");
-    return next > now ? (next - now - 1) / gap : 0;
-}
 
 } // namespace hypersio::sim
 

@@ -115,13 +115,13 @@ struct Golden
     std::string statsBytes;
     uint64_t fusedHops = 0;
     /**
-     * Drops and the final seq ledger. The per-hop leg can keep more
-     * hop events pending, so its refused arrivals may fast-forward
-     * over shorter spans (DESIGN.md §15); equal drops and an equal
-     * final scheduledSeq() cross-check the seqs those spans burn.
+     * Drops, the final seq ledger and the dispatch count. Both legs
+     * park refused arrival slots alike (DESIGN.md §15), so every
+     * hop the fused leg elides is exactly one dispatch less.
      */
     uint64_t packetsDropped = 0;
     uint64_t scheduledSeq = 0;
+    uint64_t dispatched = 0;
 };
 
 /**
@@ -159,6 +159,7 @@ runLeg(const SystemVariant &variant, const trace::HyperTrace &trace,
     leg.fusedHops = system.eventQueue().fusedHops();
     leg.packetsDropped = leg.results.packetsDropped;
     leg.scheduledSeq = system.eventQueue().scheduledSeq();
+    leg.dispatched = system.eventQueue().executed();
     return leg;
 }
 
@@ -200,12 +201,15 @@ TEST(EventFusion, GoldenEqualityAcrossVariantsAndPatterns)
             EXPECT_EQ(fused.scheduledSeq, perhop.scheduledSeq)
                 << "seq ledger diverged";
             EXPECT_EQ(perhop.fusedHops, 0u);
+            EXPECT_EQ(perhop.dispatched,
+                      fused.dispatched + fused.fusedHops)
+                << "dispatch ledger diverged";
             total_dropped += fused.packetsDropped;
             total_fused += fused.fusedHops;
         }
     }
     EXPECT_GT(total_fused, 0u) << "fast path never engaged";
-    // The refused-slot fast-forward must actually be exercised.
+    // Parked arrival slots must actually be exercised.
     EXPECT_GT(total_dropped, 0u);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -502,7 +503,7 @@ TEST(EventQueueFusion, ChainLedgerMatchesEventPerHop)
     EXPECT_EQ(perhop.executed(), fused.executed() + fused.fusedHops());
 }
 
-// ---- Refused-slot fast-forward primitives ------------------------------
+// ---- Parked slots -------------------------------------------------------
 
 TEST(EventQueueFastForward, NextTickIsMaxTickWhenEmpty)
 {
@@ -527,28 +528,6 @@ TEST(EventQueueFastForward, NextTickCountsATombstonedTop)
     EXPECT_EQ(q.nextTick(), 5u);
 }
 
-TEST(EventQueueFastForward, BurnSeqsMatchesAChainOfReArms)
-{
-    constexpr uint64_t N = 11;
-    EventQueue chain;
-    uint64_t left = N;
-    std::function<void()> rearm = [&] {
-        if (left-- > 0)
-            chain.scheduleAfter(7, [&rearm] { rearm(); });
-    };
-    chain.schedule(1, [&rearm] { rearm(); });
-    chain.run();
-    chain.scheduleAfter(7, [] {});
-
-    EventQueue burned;
-    burned.schedule(1, [] {});
-    burned.burnSeqs(N);
-    burned.scheduleAfter(7 * (N + 1), [] {});
-
-    EXPECT_EQ(burned.scheduledSeq(), chain.scheduledSeq());
-    EXPECT_EQ(burned.scheduledSeq(), N + 2);
-}
-
 TEST(EventQueueFastForward, RefusedSlotsBeforeCountsStrictlyEarlierSlots)
 {
     constexpr Tick Now = 100;
@@ -562,17 +541,60 @@ TEST(EventQueueFastForward, RefusedSlotsBeforeCountsStrictlyEarlierSlots)
     EXPECT_EQ(refusedSlotsBefore(Now, Now + 5 * Gap + 3, Gap), 5u);
 }
 
-// A full PTB with nothing pending can never drain: the per-slot loop
-// would retry forever, the fast-forward panics instead.
-TEST(EventQueueFastForwardDeathTest, RefusalWithNothingPendingPanics)
+/**
+ * A miniature of System's arrival loop: a retry every `gap` ticks is
+ * refused while the resource is busy. The per-slot leg re-arms after
+ * each refusal, which is the schedule parking must reproduce; the
+ * parked leg parks instead, and release() wakes the slot, as
+ * System::packetDone does.
+ */
+class RetryLoop : public ParkedSlotSink
 {
-    EXPECT_DEATH(
-        {
-            EventQueue q;
-            (void)refusedSlotsBefore(q.now(), q.nextTick(), 7);
-        },
-        "nothing pending");
-}
+  public:
+    RetryLoop(EventQueue &q, bool parked, Tick gap)
+        : _q(q), _parked(parked), _gap(gap)
+    {}
+    RetryLoop(const RetryLoop &) = delete;
+    RetryLoop &operator=(const RetryLoop &) = delete;
+
+    void slotsRefused(uint64_t n) override { refusals += n; }
+
+    /** One arrival slot. */
+    void
+    fire()
+    {
+        if (!_busy) {
+            admittedAt = _q.now();
+            seqAtAdmission = _q.scheduledSeq();
+            _q.scheduleAfter(3, [] {}); // the admitted work
+            return;
+        }
+        ++refusals;
+        if (_parked)
+            _slot = _q.park(_gap, *this);
+        else
+            _q.scheduleAfter(_gap, [this] { fire(); });
+    }
+
+    /** Frees the resource: a parked slot fires at its own key. */
+    void
+    release()
+    {
+        _busy = false;
+        _q.wake(_slot, [this] { fire(); });
+    }
+
+    uint64_t refusals = 0;
+    Tick admittedAt = 0;
+    uint64_t seqAtAdmission = 0;
+
+  private:
+    EventQueue &_q;
+    bool _parked;
+    Tick _gap;
+    bool _busy = true;
+    ParkHandle _slot;
+};
 
 /** What one retry loop observed (see driveRetry). */
 struct RetryOutcome
@@ -593,48 +615,49 @@ struct RetryOutcome
 };
 
 /**
- * A miniature of System's arrival loop: a retry every `gap` ticks is
- * refused until a release event at `release_at` frees the resource.
- * With `fast_forward` each refusal bills the guaranteed refusals at
- * once, exactly as System::fastForwardRefusedSlots does.
+ * Retries from tick 1 every `gap` ticks until a release event at
+ * `release_at` frees the resource, per slot or parked.
  */
 RetryOutcome
-driveRetry(bool fast_forward, Tick gap, Tick release_at,
+driveRetry(bool parked, Tick gap, Tick release_at,
            Priority release_priority)
 {
     EventQueue q;
-    bool busy = true;
-    RetryOutcome out;
-    q.schedule(release_at, [&busy] { busy = false; },
+    RetryLoop loop(q, parked, gap);
+    q.schedule(release_at, [&loop] { loop.release(); },
                release_priority);
-    std::function<void()> retry = [&] {
-        if (!busy) {
-            out.admittedAt = q.now();
-            out.seqAtAdmission = q.scheduledSeq();
-            q.scheduleAfter(3, [] {}); // the admitted work
-            return;
-        }
-        ++out.refusals;
-        Tick delay = gap;
-        if (fast_forward) {
-            const uint64_t skip =
-                refusedSlotsBefore(q.now(), q.nextTick(), gap);
-            out.refusals += skip;
-            q.burnSeqs(skip);
-            delay = gap * (skip + 1);
-        }
-        q.scheduleAfter(delay, [&retry] { retry(); });
-    };
-    q.schedule(1, [&retry] { retry(); });
+    q.schedule(1, [&loop] { loop.fire(); });
     q.run();
+    RetryOutcome out;
+    out.admittedAt = loop.admittedAt;
+    out.seqAtAdmission = loop.seqAtAdmission;
+    out.refusals = loop.refusals;
     out.finalSeq = q.scheduledSeq();
     out.executed = q.executed();
     return out;
 }
 
+// Slots reached while parked burn the seqs their re-arms would have
+// taken, so the woken slot fires at the chain's tick with its seq.
+TEST(EventQueueFastForward, ParkedSlotBurnsTheSeqsOfAChainOfReArms)
+{
+    constexpr uint64_t N = 11;
+    constexpr Tick Gap = 7;
+    // Slots 1, 1 + Gap, ..., 1 + N * Gap are refused; the release
+    // falls between slot N and slot N + 1.
+    const RetryOutcome parked =
+        driveRetry(true, Gap, 1 + N * Gap + 3, DefaultPriority);
+    EXPECT_EQ(parked.refusals, N + 1);
+    EXPECT_EQ(parked.admittedAt, 1 + (N + 1) * Gap);
+    // Seqs: the release, the first retry, then one per re-arm.
+    EXPECT_EQ(parked.seqAtAdmission, N + 3);
+    // The first retry, the release, the woken slot, the admitted work.
+    EXPECT_EQ(parked.executed, 4u);
+}
+
 // Ties included (release on a slot tick, at every priority): the
-// fast-forward admits at the same tick with the same seq ledger, and
-// dispatches fewer events whenever it skipped anything.
+// parked loop admits at the same tick with the same seq ledger, and
+// dispatches fewer events whenever it was refused more than once.
 TEST(EventQueueFastForward, RetryScheduleMatchesPerSlotLoop)
 {
     constexpr Tick Gap = 7;
@@ -645,18 +668,204 @@ TEST(EventQueueFastForward, RetryScheduleMatchesPerSlotLoop)
                          " priority " + std::to_string(prio));
             const RetryOutcome per_slot =
                 driveRetry(false, Gap, release, prio);
-            const RetryOutcome fast =
+            const RetryOutcome parked =
                 driveRetry(true, Gap, release, prio);
-            EXPECT_TRUE(fast.sameSchedule(per_slot))
-                << "admitted " << fast.admittedAt << " vs "
+            EXPECT_TRUE(parked.sameSchedule(per_slot))
+                << "admitted " << parked.admittedAt << " vs "
                 << per_slot.admittedAt << ", refusals "
-                << fast.refusals << " vs " << per_slot.refusals;
-            EXPECT_LE(fast.executed, per_slot.executed);
-            if (per_slot.refusals > 2) {
-                EXPECT_LT(fast.executed, per_slot.executed);
+                << parked.refusals << " vs " << per_slot.refusals;
+            EXPECT_LE(parked.executed, per_slot.executed);
+            if (per_slot.refusals > 1) {
+                EXPECT_LT(parked.executed, per_slot.executed);
             }
         }
     }
+}
+
+/** (now, scheduledSeq, refusals...) at each observation point. */
+using Observations = std::vector<std::vector<uint64_t>>;
+
+/** One leg of a scenario: what it observed, and its dispatches. */
+struct ScenarioLeg
+{
+    Observations seen;
+    uint64_t executed = 0;
+    uint64_t fusedHops = 0;
+};
+
+/**
+ * Runs `setup` (which schedules the scenario's events on the queue
+ * and its retry loops) per slot and parked; every observation, the
+ * drops billed by then included, must agree.
+ */
+void
+expectParkedMatchesPerSlot(
+    const std::vector<Tick> &gaps,
+    const std::function<void(EventQueue &, std::deque<RetryLoop> &,
+                             const std::function<void()> &)> &setup,
+    bool expect_fusion = false)
+{
+    ScenarioLeg legs[2];
+    for (const bool parked : {false, true}) {
+        EventQueue q;
+        std::deque<RetryLoop> loops;
+        for (const Tick gap : gaps)
+            loops.emplace_back(q, parked, gap);
+        ScenarioLeg &leg = legs[parked];
+        const std::function<void()> observe = [&] {
+            std::vector<uint64_t> row{q.now(), q.scheduledSeq()};
+            for (const RetryLoop &loop : loops)
+                row.push_back(loop.refusals);
+            leg.seen.push_back(std::move(row));
+        };
+        setup(q, loops, observe);
+        observe();
+        for (const RetryLoop &loop : loops) {
+            leg.seen.push_back({loop.admittedAt, loop.seqAtAdmission,
+                                loop.refusals});
+        }
+        leg.executed = q.executed();
+        leg.fusedHops = q.fusedHops();
+    }
+    EXPECT_EQ(legs[1].seen, legs[0].seen);
+    EXPECT_LT(legs[1].executed, legs[0].executed);
+    if (expect_fusion) {
+        EXPECT_GT(legs[1].fusedHops, legs[0].fusedHops);
+    }
+}
+
+// Catch-up runs before a tombstoned top is dropped as before a live
+// one, and cancelled keys on slot ticks change nothing.
+TEST(EventQueueParking, TombstonedTopsAreCaughtUpTo)
+{
+    expectParkedMatchesPerSlot(
+        {7}, [](EventQueue &q, std::deque<RetryLoop> &loops,
+                const std::function<void()> &observe) {
+            RetryLoop &loop = loops[0];
+            q.schedule(90, [&loop] { loop.release(); });
+            q.schedule(1, [&loop] { loop.fire(); });
+            const EventHandle mid = q.schedule(30, [] {});
+            const EventHandle tie = q.schedule(29, [] {}, LatePriority);
+            q.schedule(31, observe);
+            EXPECT_TRUE(q.cancel(mid));
+            EXPECT_TRUE(q.cancel(tie));
+            q.run();
+        });
+}
+
+// A fused hop passes parked slots: the ones its event would have
+// followed are billed first. At a tie the slot goes first only when
+// its re-arm was made before the hop was issued.
+TEST(EventQueueParking, FusedHopPassesParkedSlots)
+{
+    expectParkedMatchesPerSlot(
+        {7},
+        [](EventQueue &q, std::deque<RetryLoop> &loops,
+           const std::function<void()> &observe) {
+            RetryLoop &loop = loops[0];
+            // Slots at 1, 8, 15, 22, 29, 36, ...
+            auto hop = [&q](Tick delay, std::function<void()> next) {
+                if (q.tryFuseAdvance(delay)) {
+                    next();
+                    return;
+                }
+                q.scheduleAfter(delay, std::move(next));
+            };
+            q.schedule(100, [&loop] { loop.release(); });
+            q.schedule(1, [&loop] { loop.fire(); });
+            q.schedule(10, [&q, &observe, hop] {
+                observe();
+                // 10 -> 22 passes slot 15 and ties slot 22, whose
+                // re-arm (made at 15) orders after the hop.
+                hop(12, [&q, &observe, hop] {
+                    observe();
+                    // 22 -> 25 passes slot 22 itself.
+                    hop(3, [&q, &observe, hop] {
+                        observe();
+                        // 25 -> 29 ties slot 29, whose re-arm (made
+                        // at 22) orders first.
+                        hop(4, [&q, &observe] {
+                            observe();
+                            q.scheduleAfter(1, observe);
+                        });
+                    });
+                });
+            });
+            q.run();
+        },
+        /*expect_fusion=*/true);
+}
+
+// Two parked loops with different gaps interleave their refusals in
+// key order, each bounded by the other's next slot. Released together
+// just before their slots meet, both woken slots fire on one tick in
+// the order of the seqs their re-arms reserved, which the admission
+// seqs show. From 1 and 3 (gaps 7 and 5) the slots meet at 43, 78,
+// ...; from 3 and 1 at 31, 66, ..., where the loop that parked first
+// re-arms last.
+TEST(EventQueueParking, TwoParkedLoopsWithDifferentGaps)
+{
+    const struct
+    {
+        Tick startA, startB;
+        Tick releaseA, releaseB;
+        Priority priorityB;
+    } cases[] = {{1, 3, 200, 123, LatePriority},
+                 {1, 3, 40, 40, DefaultPriority},
+                 {1, 3, 78, 78, EarlyPriority},
+                 {3, 1, 28, 28, DefaultPriority}};
+    for (const auto &c : cases) {
+        SCOPED_TRACE("starts " + std::to_string(c.startA) + ", " +
+                     std::to_string(c.startB) + " releases " +
+                     std::to_string(c.releaseA) + ", " +
+                     std::to_string(c.releaseB));
+        expectParkedMatchesPerSlot(
+            {7, 5}, [&c](EventQueue &q, std::deque<RetryLoop> &loops,
+                         const std::function<void()> &observe) {
+                RetryLoop &a = loops[0];
+                RetryLoop &b = loops[1];
+                q.schedule(c.releaseB, [&b] { b.release(); },
+                           c.priorityB);
+                q.schedule(c.releaseA, [&a] { a.release(); });
+                q.schedule(c.startA, [&a] { a.fire(); });
+                q.schedule(c.startB, [&b] { b.fire(); });
+                for (const Tick t : {31u, 43u, 60u, 78u, 150u})
+                    q.schedule(t, observe, LatePriority);
+                q.run();
+            });
+    }
+}
+
+// run(limit) bills the slots up to the limit and leaves the rest
+// parked; the limit itself may land between slots or on one.
+TEST(EventQueueParking, RunLimitStopsBetweenSlots)
+{
+    expectParkedMatchesPerSlot(
+        {7}, [](EventQueue &q, std::deque<RetryLoop> &loops,
+                const std::function<void()> &observe) {
+            RetryLoop &loop = loops[0];
+            q.schedule(100, [&loop] { loop.release(); });
+            q.schedule(1, [&loop] { loop.fire(); });
+            q.run(40); // slots 1..36; 43 is past the limit
+            observe();
+            q.run(43); // slot 43 exactly at the limit
+            observe();
+            q.run();
+        });
+}
+
+// A parked slot with nothing else pending can never be woken: the
+// per-slot loop would retry forever, the kernel panics instead.
+TEST(EventQueueFastForwardDeathTest, RefusalWithNothingPendingPanics)
+{
+    EXPECT_DEATH(
+        {
+            EventQueue q;
+            RetryLoop loop(q, /*parked=*/true, 7);
+            q.schedule(1, [&loop] { loop.fire(); });
+            q.run();
+        },
+        "nothing pending");
 }
 
 } // namespace

@@ -225,6 +225,78 @@ TEST(IommuTest, WalkerLimitSerializesWalks)
     EXPECT_EQ(done[1], 2 * 24 * 50 * TicksPerNs);
 }
 
+// A walk completion's deliveries are in tail position — and so may
+// fuse their own next hop — only for the last waiter, with no walk
+// queued behind it and unbounded memory behind it.
+TEST(IommuTest, OnlyATailWalkDeliveryIsFusible)
+{
+    const auto page = [](mem::DomainId did) {
+        return IommuRequest{did, 0x1000, mem::PageSize::Size4K, false};
+    };
+    struct Case
+    {
+        const char *name;
+        unsigned walkers;
+        unsigned memorySlots;
+        std::vector<mem::DomainId> requests;
+        std::vector<bool> fusible; ///< per delivery, in order
+    };
+    const Case cases[] = {
+        // Two coalesced waiters: only the last is the tail.
+        {"coalesced", 0, 0, {1, 1}, {false, true}},
+        // One walker: dispatchQueued() follows the first completion.
+        {"queued walk", 1, 0, {1, 2}, {false, true}},
+        // One memory slot: the first finish starts the next chain.
+        {"bounded memory", 0, 1, {1, 2}, {false, false}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        sim::EventQueue queue;
+        stats::StatGroup stats{"test"};
+        mem::MemoryModel memory{{50, c.memorySlots}, queue, stats};
+        PageTableDirectory tables{42};
+        IommuConfig config;
+        config.walkers = c.walkers;
+        Iommu iommu(config, queue, stats, memory, tables);
+        std::vector<bool> fusible;
+        for (const mem::DomainId did : c.requests) {
+            tables.get(did).map(0x1000, mem::PageSize::Size4K);
+            iommu.translate(page(did), [&](const IommuResponse &) {
+                fusible.push_back(iommu.fusedDelivery());
+            });
+        }
+        queue.run();
+        EXPECT_EQ(fusible, c.fusible);
+        EXPECT_EQ(queue.fusedHops(), 0u);
+    }
+}
+
+// From tail position a walk on unbounded memory completes in place of
+// its event: same tick, one hop elided.
+TEST(IommuTest, TailWalkFusesItsCompletion)
+{
+    Fixture f;
+    auto iommu = f.make();
+    f.tables.get(1).map(0x1000, mem::PageSize::Size4K);
+    Tick done_at = 0;
+    bool fusible = false;
+    f.queue.schedule(7, [&] {
+        iommu->translate({1, 0x1000, mem::PageSize::Size4K, false},
+                         [&](const IommuResponse &resp) {
+                             EXPECT_TRUE(resp.valid);
+                             done_at = f.queue.now();
+                             fusible = iommu->fusedDelivery();
+                         },
+                         /*may_fuse=*/true);
+    });
+    f.queue.run();
+    EXPECT_EQ(done_at, 7 + 24 * 50 * TicksPerNs);
+    EXPECT_TRUE(fusible);
+    EXPECT_EQ(f.queue.fusedHops(), 1u);
+    EXPECT_EQ(f.queue.executed(), 1u);
+    EXPECT_FALSE(iommu->fusedDelivery());
+}
+
 TEST(IommuTest, DemandWalksRunBeforeQueuedPrefetches)
 {
     Fixture f;

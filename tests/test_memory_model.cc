@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mem/memory_model.hh"
 
 namespace hypersio::mem
@@ -106,6 +108,43 @@ TEST(MemoryModel, ZeroAccessChainCompletesAtOnce)
     memory.access(0, [&] { done_at = f.queue.now(); });
     f.queue.run();
     EXPECT_EQ(done_at, 0u);
+}
+
+// A tail-position chain on unbounded memory completes synchronously
+// at the tick and seq its event would have had; a bounded chain's
+// finish starts the next queued one, so it never fuses, and neither
+// does a chain issued outside tail position.
+TEST(MemoryModel, OnlyUnboundedTailChainsFuse)
+{
+    const struct
+    {
+        unsigned slots;
+        bool mayFuse;
+    } cases[] = {{0, true}, {2, true}, {0, false}};
+    for (const auto &c : cases) {
+        SCOPED_TRACE("maxOutstanding " + std::to_string(c.slots) +
+                     " may_fuse " + std::to_string(c.mayFuse));
+        const bool fuses = c.slots == 0 && c.mayFuse;
+        Fixture f;
+        MemoryModel memory({50, c.slots}, f.queue, f.stats);
+        Tick done_at = 0;
+        uint64_t seq_at_done = 0;
+        f.queue.schedule(10, [&] {
+            memory.access(
+                3,
+                [&] {
+                    done_at = f.queue.now();
+                    seq_at_done = f.queue.scheduledSeq();
+                },
+                c.mayFuse);
+        });
+        f.queue.run();
+        EXPECT_EQ(done_at, 160u);
+        // The outer event's seq, then the chain's own.
+        EXPECT_EQ(seq_at_done, 2u);
+        EXPECT_EQ(f.queue.fusedHops(), fuses ? 1u : 0u);
+        EXPECT_EQ(f.queue.executed(), fuses ? 1u : 2u);
+    }
 }
 
 } // namespace

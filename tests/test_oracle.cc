@@ -272,8 +272,8 @@ TEST(ShadowChecker, CollectsViolationsInsteadOfDying)
     EXPECT_EQ(checker.translationChecks(), 1u);
 }
 
-// The refused-slot fast-forward reports a run of drops at one full
-// PTB through a single bulk hook; it must count exactly the events n
+// A parked arrival slot reports a run of drops at one full PTB
+// through a single bulk hook; it must count exactly the events n
 // single drops would, and stay clean while the PTB is full.
 TEST(ShadowChecker, BulkDropsCountLikeSingleDropsAtAFullPtb)
 {

@@ -222,13 +222,14 @@ TEST(System, PacketLatencyIsBoundedBelowByHitPath)
 
 // ---- Pinned drop/retry goldens -----------------------------------------
 //
-// The refused-slot fast-forward (DESIGN.md §15) bills the arrival
-// slots a full PTB is bound to refuse in one step instead of one event
-// each. Everything simulated must stay exactly what the one-event-per-
-// slot arrival process produced: drops, elapsed time, the final seq
-// ledger, the retirement log and the stat-tree bytes. The pins below
-// were measured with that per-slot process, as were the event counts
-// the fast-forward must now beat.
+// Parked arrival slots (DESIGN.md §15) bill the slots a full PTB
+// refuses without an event each. Everything simulated must stay
+// exactly what the one-event-per-slot arrival process produced:
+// drops, elapsed time, the final seq ledger, the retirement log and
+// the stat-tree bytes. The pins below were measured with that
+// per-slot process, or with the refused-slot fast-forward that
+// reproduced it before parking, as were the event counts parking
+// must beat.
 
 /** FNV-1a 64: a compact pin for long golden byte strings. */
 uint64_t
@@ -289,7 +290,7 @@ expectPinned(const char *name, System &system, const RunResults &r,
     EXPECT_GT(got.packetsDropped, 0u) << name << ": no drops to skip";
     EXPECT_EQ(got, pinned) << name << ": observed " << got;
     EXPECT_LT(system.eventQueue().executed(), per_slot_events)
-        << name << ": the fast-forward elided no arrival events";
+        << name << ": parking elided no arrival events";
 }
 
 TEST(SystemDropGolden, BaseWebsearch)
@@ -303,6 +304,52 @@ TEST(SystemDropGolden, BaseWebsearch)
                             0xcbf29ce484222325ULL,
                             0xb9f7999575cf29a8ULL},
                  145528u);
+}
+
+// The same run with walks that queue: one walker, where every walk
+// completion runs dispatchQueued() at its own tick, and two memory
+// slots, where walks wait for a slot and must never fuse. With the
+// 1-entry PTB nothing actually queues; with four entries both do.
+// Pinned with the refused-slot fast-forward.
+TEST(SystemDropGolden, BaseWebsearchQueuedWalks)
+{
+    const auto tr =
+        makeTrace(16, "RR1", workload::Benchmark::Websearch, 0.02);
+    const struct
+    {
+        const char *name;
+        unsigned ptbEntries;
+        unsigned walkers;
+        unsigned memorySlots;
+        DropGolden golden;
+        uint64_t events;
+    } pins[] = {
+        {"iommu.walkers=1", 1, 1, 0,
+         {123762u, 7920654480u, 159166u, 0u, 0xcbf29ce484222325ULL,
+          0xb9f7999575cf29a8ULL},
+         38907u},
+        {"dram.max_outstanding=2", 1, 0, 2,
+         {123762u, 7920654480u, 159166u, 0u, 0xcbf29ce484222325ULL,
+          0xb9f7999575cf29a8ULL},
+         38907u},
+        {"ptb.entries=4 iommu.walkers=1", 4, 1, 0,
+         {24773u, 1815912960u, 58519u, 0u, 0xcbf29ce484222325ULL,
+          0x144871a04a34bdaeULL},
+         33630u},
+        {"ptb.entries=4 dram.max_outstanding=2", 4, 0, 2,
+         {24760u, 1815111120u, 58716u, 0u, 0xcbf29ce484222325ULL,
+          0xc9a5028818abe66fULL},
+         34144u},
+    };
+    for (const auto &pin : pins) {
+        SystemConfig config = SystemConfig::base();
+        config.device.ptbEntries = pin.ptbEntries;
+        config.iommu.walkers = pin.walkers;
+        config.memory.maxOutstanding = pin.memorySlots;
+        System system(config);
+        const RunResults r = system.run(tr);
+        expectPinned(pin.name, system, r, pin.golden, pin.events);
+    }
 }
 
 /** The churn storm of the streamed drop pins. */
@@ -332,6 +379,25 @@ TEST(SystemDropGolden, BaseChurnWithEviction)
                             0xa05e9e628a5cabfbULL,
                             0x2d1f7d8febef38dfULL},
                  8956u);
+}
+
+// The same storm under HyperTRIO with a 1-entry PTB. Its prefetch
+// fills and bursts hold retirements back in events that free no PTB
+// entry, so an arrival refused while a retirement is pending re-arms
+// per slot rather than parking (DESIGN.md §15): parking there would
+// move retirements, which the retirement-log hash shows.
+TEST(SystemDropGolden, PrefetchChurnWithEviction)
+{
+    workload::ChurnStream stream(dropChurnConfig());
+    SystemConfig config = SystemConfig::hypertrio();
+    config.device.ptbEntries = 1;
+    System system(config);
+    const RunResults r = system.runStream(stream);
+    expectPinned("prefetch churn", system, r,
+                 DropGolden{6615u, 455451120u, 11931u, 24u,
+                            0x12e9399703808c53ULL,
+                            0x705140904c22c930ULL},
+                 5876u);
 }
 
 /**
