@@ -12,9 +12,10 @@ HistoryReader::HistoryReader(const PrefetchConfig &config,
                              sim::EventQueue &queue,
                              stats::StatGroup &parent,
                              iommu::Iommu &iommu,
-                             mem::MemoryModel &memory, FillFn fill)
+                             mem::MemoryModel &memory,
+                             uint16_t device)
     : SimObject("history_reader", queue, parent), _config(config),
-      _iommu(iommu), _memory(memory), _fill(std::move(fill)),
+      _iommu(iommu), _memory(memory), _device(device),
       _started(statGroup().makeCounter("started",
                                        "prefetches started")),
       _deduped(statGroup().makeCounter(
@@ -54,41 +55,35 @@ HistoryReader::prefetch(mem::DomainId did)
     TenantHistory *hist = _history.find(did);
     if (!hist)
         return; // nothing known about this tenant yet
-    if (hist->inFlight) {
+    if (hist->burst != 0) {
         ++_deduped;
         return;
     }
     if (hist->recent.empty())
         return;
-    hist->inFlight = true;
+    hist->burst = 1;
     ++_started;
 
     // Fetch the tenant's history from main memory, then translate.
-    _memory.access(_config.historyReadAccesses,
-                   [this, did]() { issueTranslations(did); });
+    _memory.access(_config.historyReadAccesses, *this, did);
 }
 
 void
-HistoryReader::issueTranslations(mem::DomainId did)
+HistoryReader::chainDone(uint64_t tag)
 {
-    // Only ever reached from prefetch()'s memory callback with the
-    // in-flight flag set, so the entry is pinned until the flag
-    // clears (retire() refuses in-flight DIDs).
+    // The burst pins the entry until it ends (retire() refuses
+    // in-flight DIDs).
+    const auto did = static_cast<mem::DomainId>(tag);
     TenantHistory *hist = _history.find(did);
-    HYPERSIO_ASSERT(hist && hist->inFlight,
+    HYPERSIO_ASSERT(hist && hist->burst == 1,
                     "history burst issued without in-flight state");
     const unsigned count = std::min<unsigned>(
         _config.pagesPerPrefetch,
         static_cast<unsigned>(hist->recent.size()));
 
-    if (count == 0) {
-        hist->inFlight = false;
-        return;
-    }
-
-    // The in-flight flag clears when the last translation lands, so
-    // a tenant has at most one prefetch burst outstanding.
-    auto remaining = std::make_shared<unsigned>(count);
+    // The burst ends when the last translation lands, so a tenant
+    // has at most one prefetch burst outstanding.
+    hist->burst = count;
     for (unsigned i = 0; i < count; ++i) {
         const HistoryPage page = hist->recent[i];
         ++_issued;
@@ -98,27 +93,22 @@ HistoryReader::issueTranslations(mem::DomainId did)
         req.domain = did;
         req.iova = page.pageBase;
         req.size = page.size;
-        req.prefetch = true;
+        req.tag = {iommu::Requester::HistoryPrefetch, _device, 0};
         // may_fuse stays false: the loop keeps issuing after each
         // translate returns, so this is not a tail position — a
         // fused IOTLB hit would deliver (and advance time) before
         // the burst's remaining pages were even issued.
-        _iommu.translate(
-            req,
-            [this, did, page, remaining](
-                const iommu::IommuResponse &resp) {
-                if (resp.valid && _fill)
-                    _fill(did, page.pageBase, page.size,
-                          resp.hostAddr);
-                if (--*remaining == 0) {
-                    TenantHistory *h = _history.find(did);
-                    HYPERSIO_ASSERT(h, "history entry vanished "
-                                       "under an in-flight burst");
-                    h->inFlight = false;
-                }
-            },
-            /*may_fuse=*/false);
+        _iommu.translate(req, /*may_fuse=*/false);
     }
+}
+
+void
+HistoryReader::prefetchTranslated(mem::DomainId did)
+{
+    TenantHistory *hist = _history.find(did);
+    HYPERSIO_ASSERT(hist && hist->burst > 0,
+                    "history entry vanished under an in-flight burst");
+    --hist->burst;
 }
 
 void
@@ -127,7 +117,7 @@ HistoryReader::retire(mem::DomainId did)
     TenantHistory *hist = _history.find(did);
     if (!hist)
         return;
-    HYPERSIO_ASSERT(!hist->inFlight,
+    HYPERSIO_ASSERT(hist->burst == 0,
                     "retiring a DID with a prefetch burst in flight");
     HYPERSIO_SHADOW(historyRetired(did));
     _history.erase(did);
@@ -137,7 +127,7 @@ bool
 HistoryReader::prefetchInFlight(mem::DomainId did) const
 {
     const TenantHistory *hist = _history.find(did);
-    return hist && hist->inFlight;
+    return hist && hist->burst != 0;
 }
 
 } // namespace hypersio::core

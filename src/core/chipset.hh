@@ -9,15 +9,16 @@
  * receives. When the device's Prefetch Unit sends a predicted SID,
  * the reader fetches that tenant's history from memory (a short
  * dependent read chain) and issues IOMMU translation requests for
- * the most recent pages. Completions flow back to the device's
- * Prefetch Buffer and, as a side effect of walking, warm the IOTLB
- * and paging-structure caches.
+ * the most recent pages. Completions return through the IOMMU's
+ * TranslationSink (the System), which routes each to the device's
+ * Prefetch Buffer and closes the burst here (prefetchTranslated());
+ * as a side effect of walking they warm the IOTLB and
+ * paging-structure caches.
  */
 
 #ifndef HYPERSIO_CORE_CHIPSET_HH
 #define HYPERSIO_CORE_CHIPSET_HH
 
-#include <functional>
 #include <vector>
 
 #include "core/config.hh"
@@ -40,16 +41,17 @@ struct HistoryPage
  * hardware cost is independent of the tenant count: only the state
  * machine lives in the chipset; histories live in main memory.
  */
-class HistoryReader : public sim::SimObject
+class HistoryReader : public sim::SimObject, private mem::MemoryClient
 {
   public:
-    using FillFn = std::function<void(mem::DomainId, mem::Iova,
-                                      mem::PageSize, mem::Addr)>;
-
+    /**
+     * @param device the device whose bursts this reader issues; its
+     *        translations carry it in their requester tag
+     */
     HistoryReader(const PrefetchConfig &config,
                   sim::EventQueue &queue, stats::StatGroup &parent,
                   iommu::Iommu &iommu, mem::MemoryModel &memory,
-                  FillFn fill);
+                  uint16_t device);
 
     /** Notes a demand access (updates the in-memory history). */
     void observe(mem::DomainId did, mem::Iova iova,
@@ -57,6 +59,13 @@ class HistoryReader : public sim::SimObject
 
     /** Starts a prefetch for `did` (deduplicated per tenant). */
     void prefetch(mem::DomainId did);
+
+    /**
+     * One translation of `did`'s burst completed (the sink routes
+     * every HistoryPrefetch answer here, after its fill); the burst
+     * ends with its last.
+     */
+    void prefetchTranslated(mem::DomainId did);
 
     /**
      * Drops `did`'s history (tenant detach). The caller must first
@@ -77,15 +86,20 @@ class HistoryReader : public sim::SimObject
     struct TenantHistory
     {
         std::vector<HistoryPage> recent; ///< front = most recent
-        bool inFlight = false;
+        /**
+         * Steps of the outstanding burst: 1 while the history read
+         * is out, then one per translation; 0 when none runs.
+         */
+        unsigned burst = 0;
     };
 
-    void issueTranslations(mem::DomainId did);
+    /** The history read of `did`'s burst returned: translate. */
+    void chainDone(uint64_t did) override;
 
     PrefetchConfig _config;
     iommu::Iommu &_iommu;
     mem::MemoryModel &_memory;
-    FillFn _fill;
+    uint16_t _device;
     util::FlatMap<mem::DomainId, TenantHistory> _history;
 
     stats::Counter &_started;

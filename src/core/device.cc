@@ -58,10 +58,10 @@ devtlbPolicy(const cache::CacheConfig &devtlb, cache::OracleFeed *oracle)
 } // namespace
 
 Device::Device(const DeviceConfig &config, sim::EventQueue &queue,
-               stats::StatGroup &parent, DevicePorts ports,
-               cache::OracleFeed *oracle)
+               stats::StatGroup &parent, ChipsetPort &chipset,
+               uint16_t index, cache::OracleFeed *oracle)
     : SimObject("device", queue, parent), _config(config),
-      _ports(std::move(ports)), _ptb(config.ptbEntries),
+      _chipset(chipset), _index(index), _ptb(config.ptbEntries),
       _devtlb(config.devtlb, devtlbPolicy(config.devtlb, oracle)),
       _context(config.contextCache),
       _prefetchUnit(config.prefetch.enabled
@@ -91,8 +91,6 @@ Device::Device(const DeviceConfig &config, sim::EventQueue &queue,
           "packet_latency_ns", "accept-to-complete latency", 0,
           20000, 40))
 {
-    HYPERSIO_ASSERT(_ports.translate != nullptr,
-                    "device needs a translate port");
     if (_prefetchUnit &&
         _config.prefetch.kind == PrefetchKind::MmuDma)
         _mmuPages.resize(_config.prefetch.pagesPerPrefetch);
@@ -242,8 +240,8 @@ Device::resolve(unsigned idx, trace::ReqClass cls, bool may_fuse)
 
     // Miss in both: consult the SID-predictor (prefetch trigger; at
     // most one prefetch per packet) and send the request on. The
-    // entry records what is on the wire; the response continuation
-    // re-derives everything from it, so its closure stays two words.
+    // entry records what is on the wire; the response, tagged with
+    // the slot, re-derives everything from it.
     entry.did = did;
     entry.curCls = cls;
     if (!entry.prefetchIssued) {
@@ -255,10 +253,12 @@ Device::resolve(unsigned idx, trace::ReqClass cls, bool may_fuse)
     }
 
     markFillInFlight(addr.key);
-    _ports.translate(did, iova, size, may_fuse,
-                     [this, idx](const iommu::IommuResponse &resp) {
-                         onTranslateResponse(idx, resp);
-                     });
+    iommu::IommuRequest req;
+    req.domain = did;
+    req.iova = iova;
+    req.size = size;
+    req.tag = {iommu::Requester::Demand, _index, idx};
+    _chipset.translate(req, may_fuse);
     return false;
 }
 
@@ -286,8 +286,7 @@ Device::consumeFill(uint64_t key)
 }
 
 void
-Device::onTranslateResponse(unsigned idx,
-                            const iommu::IommuResponse &resp)
+Device::translated(unsigned idx, const iommu::IommuResponse &resp)
 {
     PtbEntry &entry = _ptb.entry(idx);
     const trace::PacketRecord &pkt = entry.packet;
@@ -323,7 +322,7 @@ Device::onTranslateResponse(unsigned idx,
 void
 Device::maybePrefetch(trace::SourceId sid)
 {
-    if (!_prefetchUnit || !_ports.prefetch)
+    if (!_prefetchUnit)
         return;
     const auto predicted = _prefetchUnit->predict(sid);
     HYPERSIO_SHADOW(deviceSidPredicted(sid, predicted));
@@ -333,14 +332,14 @@ Device::maybePrefetch(trace::SourceId sid)
     HYPERSIO_DPRINTF(PrefetchFlag, now(),
                      "predict sid=%u -> sid=%u", sid, *predicted);
     // DID == SID for predicted tenants too (hypervisor assignment).
-    _ports.prefetch(
-        iommu::ContextCache::resolve(*predicted).domain);
+    _chipset.prefetch(_index,
+                      iommu::ContextCache::resolve(*predicted).domain);
 }
 
 void
 Device::maybeMmuPrefetch(mem::DomainId did, trace::ReqClass cls)
 {
-    if (!_prefetchUnit || !_ports.prefetchPage)
+    if (!_prefetchUnit)
         return;
     mem::PageSize size = mem::PageSize::Size4K;
     const size_t pages = _prefetchUnit->predictStrided(
@@ -354,7 +353,12 @@ Device::maybeMmuPrefetch(mem::DomainId did, trace::ReqClass cls)
         HYPERSIO_SHADOW(deviceMmuPrefetchIssued(
             did, static_cast<unsigned>(cls),
             static_cast<unsigned>(k), _mmuPages[k], size));
-        _ports.prefetchPage(did, _mmuPages[k], size);
+        iommu::IommuRequest req;
+        req.domain = did;
+        req.iova = _mmuPages[k];
+        req.size = size;
+        req.tag = {iommu::Requester::MmuPrefetch, _index, 0};
+        _chipset.prefetchPage(req);
     }
 }
 

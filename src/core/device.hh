@@ -5,14 +5,15 @@
  * Owns the packet-handling front end: Context Cache, Pending
  * Translation Buffer, (optionally partitioned) Device TLB, and the
  * Prefetch Unit. The device does not know about the chipset's
- * internals: translation and prefetch requests leave through
- * callbacks the System wires up with PCIe latency in between.
+ * internals: translation and prefetch requests leave through its
+ * ChipsetPort (the System, which adds the PCIe latency), tagged with
+ * the device's index and, for demand requests, the PTB slot; the
+ * answer to a demand request comes back as translated(slot, resp).
  */
 
 #ifndef HYPERSIO_CORE_DEVICE_HH
 #define HYPERSIO_CORE_DEVICE_HH
 
-#include <functional>
 #include <memory>
 #include <unordered_set>
 
@@ -29,35 +30,42 @@ namespace hypersio::core
 {
 
 /**
- * Device-to-chipset ports, wired by the System. `translate` must
- * eventually call the response function exactly once; `prefetch`
- * is fire-and-forget (results come back via prefetchFill()).
- *
- * `translate`'s bool is the may-fuse flag: true when the caller is
- * in tail position of an event callback, so the port may collapse
- * its deterministic hops via EventQueue::tryFuseAdvance() and run
- * the continuation synchronously at the same (tick, priority, seq)
- * a scheduled hop would have had. With false the port must schedule
- * event-per-hop. The response function must likewise be invoked
- * only from tail position (a scheduled event's end, or a fused
- * continuation of one) or outside run() entirely.
+ * The device's outbound link to the chipset, implemented by the
+ * System. Every request carries the issuing device's requester tag.
  */
-struct DevicePorts
+class ChipsetPort
 {
-    using ResponseFn =
-        std::function<void(const iommu::IommuResponse &)>;
-
-    std::function<void(mem::DomainId, mem::Iova, mem::PageSize, bool,
-                       ResponseFn)>
-        translate;
-    std::function<void(mem::DomainId)> prefetch;
+  public:
     /**
-     * MMU-aware prefetch of one predicted page (fire-and-forget;
-     * results come back via prefetchFill()). Wired only when
-     * PrefetchKind::MmuDma is selected.
+     * Sends demand request `req` (tag: Demand, device, PTB slot);
+     * the answer must come back exactly once, as
+     * Device::translated(slot, resp).
+     *
+     * With `may_fuse` the caller is in tail position of an event
+     * callback, so the port may collapse its deterministic hops via
+     * EventQueue::tryFuseAdvance() and run the continuation
+     * synchronously at the same (tick, priority, seq) a scheduled
+     * hop would have had; without it the port must schedule
+     * event-per-hop. translated() must likewise be called only from
+     * tail position (a scheduled event's end, or a fused
+     * continuation of one) or outside run() entirely.
      */
-    std::function<void(mem::DomainId, mem::Iova, mem::PageSize)>
-        prefetchPage;
+    virtual void translate(const iommu::IommuRequest &req,
+                           bool may_fuse) = 0;
+    /**
+     * SID-predictor prefetch of `did`'s history for `device`
+     * (fire-and-forget; results come back via prefetchFill()).
+     */
+    virtual void prefetch(uint16_t device, mem::DomainId did) = 0;
+    /**
+     * MMU-aware prefetch of one predicted page (tag: MmuPrefetch,
+     * device; fire-and-forget, results come back via
+     * prefetchFill()).
+     */
+    virtual void prefetchPage(const iommu::IommuRequest &req) = 0;
+
+  protected:
+    ~ChipsetPort() = default;
 };
 
 /** The I/O device performance model. */
@@ -65,12 +73,13 @@ class Device : public sim::SimObject
 {
   public:
     /**
+     * @param index the device's index in its System (requester tags)
      * @param oracle future-knowledge feed for Belady DevTLB
      *        replacement, or nullptr for ordinary policies
      */
     Device(const DeviceConfig &config, sim::EventQueue &queue,
-           stats::StatGroup &parent, DevicePorts ports,
-           cache::OracleFeed *oracle = nullptr);
+           stats::StatGroup &parent, ChipsetPort &chipset,
+           uint16_t index, cache::OracleFeed *oracle = nullptr);
 
     /** Completion interface of the run loops (see ptb.hh). */
     using CompletionSink = PacketCompletionSink;
@@ -86,6 +95,9 @@ class Device : public sim::SimObject
      */
     void accept(const trace::PacketRecord &packet,
                 CompletionSink &sink);
+
+    /** The chipset answered PTB entry `idx`'s outstanding request. */
+    void translated(unsigned idx, const iommu::IommuResponse &resp);
 
     /**
      * A prefetched translation left the chipset for this device
@@ -185,12 +197,9 @@ class Device : public sim::SimObject
      * @return true when the hit hop was fused (time already advanced
      *         to the hit's tick) and the caller may continue the
      *         chain synchronously; false when the continuation was
-     *         scheduled or handed to the translate port.
+     *         scheduled or handed to the chipset port.
      */
     bool resolve(unsigned idx, trace::ReqClass cls, bool may_fuse);
-    /** The chipset answered entry `idx`'s outstanding request. */
-    void onTranslateResponse(unsigned idx,
-                             const iommu::IommuResponse &resp);
     /** Triggers a SID prediction + prefetch on a PB miss. */
     void maybePrefetch(trace::SourceId sid);
     /** Issues the (did, cls) stream's predicted pages (MmuDma). */
@@ -217,7 +226,8 @@ class Device : public sim::SimObject
     bool consumeFill(uint64_t key);
 
     DeviceConfig _config;
-    DevicePorts _ports;
+    ChipsetPort &_chipset;
+    uint16_t _index;
     PendingTranslationBuffer _ptb;
     cache::SetAssocCache<mem::Addr> _devtlb;
     iommu::ContextCache _context;

@@ -10,71 +10,85 @@
 namespace hypersio::core
 {
 
-/**
- * Wires one device's ports with PCIe latency on each hop: demand
- * path device → IOMMU → device (state pooled in the link's
- * XlatePort), prefetch path device → history reader (which later
- * fills back through its own callback).
- */
-DevicePorts
-System::makeDevicePorts(Link &link)
+void
+System::translate(const iommu::IommuRequest &req, bool may_fuse)
 {
-    link.xlatePort = std::make_unique<XlatePort>(
-        _queue, *_iommu, link.historyReader.get(), _config.pcieOneWay);
-    DevicePorts ports;
-    ports.translate = [port = link.xlatePort.get()](
-                          mem::DomainId did, mem::Iova iova,
-                          mem::PageSize size, bool may_fuse,
-                          DevicePorts::ResponseFn done) {
-        port->translate(did, iova, size, may_fuse, std::move(done));
-    };
-    if (HistoryReader *reader = link.historyReader.get()) {
-        ports.prefetch = [this, reader](mem::DomainId did) {
-            _queue.scheduleAfter(_config.pcieOneWay,
-                                 [reader, did] { reader->prefetch(did); });
-        };
+    if (may_fuse && _queue.tryFuseAdvance(_config.pcieOneWay)) {
+        atChipset(req);
+        return;
     }
-    if (_config.device.prefetch.enabled &&
-        _config.device.prefetch.kind == PrefetchKind::MmuDma) {
-        // MMU-aware prefetch: one predicted page crosses PCIe to the
-        // chipset, translates through the regular (prefetch-tagged)
-        // IOMMU path, and a valid result is dispatched back as a
-        // prefetch fill. The pending counter gates streaming-run
-        // retirement for the issue-to-completion window; the return
-        // hop is then covered by the fill wire counter.
-        ports.prefetchPage = [this, &link](mem::DomainId did,
-                                           mem::Iova iova,
-                                           mem::PageSize size) {
-            ++_mmuPrefetchesInFlight[did];
-            _queue.scheduleAfter(
-                _config.pcieOneWay, [this, &link, did, iova, size]() {
-                    iommu::IommuRequest req;
-                    req.domain = did;
-                    req.iova = iova;
-                    req.size = size;
-                    req.prefetch = true;
-                    _iommu->translate(
-                        req,
-                        [this, &link, did, iova,
-                         size](const iommu::IommuResponse &resp) {
-                            uint32_t *pending =
-                                _mmuPrefetchesInFlight.find(did);
-                            HYPERSIO_ASSERT(
-                                pending && *pending > 0,
-                                "MMU prefetch completion without "
-                                "a pending counter");
-                            if (--*pending == 0)
-                                _mmuPrefetchesInFlight.erase(did);
-                            if (resp.valid) {
-                                dispatchPrefetchFill(
-                                    link, did, iova, size,
-                                    resp.hostAddr);
-                            }
-                        });
-                });
-        };
+    _queue.scheduleAfter(_config.pcieOneWay,
+                         [this, req] { atChipset(req); });
+}
+
+void
+System::atChipset(const iommu::IommuRequest &req)
+{
+    if (HistoryReader *reader =
+            _links[req.tag.device].historyReader.get())
+        reader->observe(req.domain, req.iova, req.size);
+    // atChipset is always the tail of its event (or of a fused
+    // continuation of one), so the IOMMU may fuse its hit latency.
+    _iommu->translate(req, /*may_fuse=*/true);
+}
+
+void
+System::prefetch(uint16_t device, mem::DomainId did)
+{
+    HistoryReader *reader = _links[device].historyReader.get();
+    _queue.scheduleAfter(_config.pcieOneWay,
+                         [reader, did] { reader->prefetch(did); });
+}
+
+void
+System::prefetchPage(const iommu::IommuRequest &req)
+{
+    // MMU-aware prefetch: one predicted page crosses PCIe to the
+    // chipset and translates through the regular (prefetch-tagged)
+    // IOMMU path. The pending counter gates streaming-run retirement
+    // for the issue-to-completion window; the return hop is then
+    // covered by the fill wire counter.
+    ++_mmuPrefetchesInFlight[req.domain];
+    _queue.scheduleAfter(_config.pcieOneWay,
+                         [this, req] { _iommu->translate(req); });
+}
+
+void
+System::translated(const iommu::IommuRequest &req,
+                   const iommu::IommuResponse &resp, bool tail)
+{
+    Link &link = _links[req.tag.device];
+    if (req.tag.kind == iommu::Requester::Demand) {
+        // The PCIe return hop may fuse only when the IOMMU says the
+        // delivery itself is in tail position.
+        const uint32_t slot = req.tag.slot;
+        if (tail && _queue.tryFuseAdvance(_config.pcieOneWay)) {
+            link.device->translated(slot, resp);
+            return;
+        }
+        _queue.scheduleAfter(_config.pcieOneWay, [&link, slot, resp] {
+            link.device->translated(slot, resp);
+        });
+        return;
     }
-    return ports;
+    if (req.tag.kind == iommu::Requester::MmuPrefetch) {
+        uint32_t *pending = _mmuPrefetchesInFlight.find(req.domain);
+        HYPERSIO_ASSERT(pending && *pending > 0,
+                        "MMU prefetch completion without a pending "
+                        "counter");
+        if (--*pending == 0)
+            _mmuPrefetchesInFlight.erase(req.domain);
+    }
+    // A prefetched page's own iova is its page base; an answer
+    // coalesced onto another's walk carries that walk's iova, on the
+    // same page.
+    if (resp.valid) {
+        dispatchPrefetchFill(link, req.domain,
+                             mem::pageBase(req.iova, req.size),
+                             req.size, resp.hostAddr);
+    }
+    if (req.tag.kind == iommu::Requester::HistoryPrefetch)
+        link.historyReader->prefetchTranslated(req.domain);
 }
 
 void
@@ -101,15 +115,17 @@ System::dispatchPrefetchFill(Link &link, mem::DomainId did,
 System::System(const SystemConfig &config, unsigned devices)
     : _config(config), _stats("system"), _tables(config.seed)
 {
-    if (devices == 0)
-        fatal("a system needs at least one device");
+    // Requester tags carry the device index in 16 bits.
+    if (devices == 0 || devices > UINT16_MAX + 1u)
+        fatal("a system needs 1 to 65536 devices (got %u)", devices);
     // Event fusion is bit-identical either way, so this only selects
     // the schedule being measured.
     _queue.setFusionEnabled(_config.eventFusion);
     _memory = std::make_unique<mem::MemoryModel>(_config.memory,
                                                  _queue, _stats);
     _iommu = std::make_unique<iommu::Iommu>(
-        _config.iommu, _queue, _stats, *_memory, _tables);
+        _config.iommu, _queue, _stats, *_memory, _tables,
+        translationSink());
 
     _links.resize(devices);
     for (unsigned d = 0; d < devices; ++d) {
@@ -120,21 +136,12 @@ System::System(const SystemConfig &config, unsigned devices)
         if (_config.device.prefetch.enabled &&
             _config.device.prefetch.kind ==
                 PrefetchKind::SidPredictor) {
-            // The History Reader drives the paper's scheme; prefetch
-            // completions return to this device via
-            // dispatchPrefetchFill (the MmuDma mechanism has no
-            // reader — its completions come straight from the IOMMU
-            // in makeDevicePorts()).
-            auto fill = [this, &link](mem::DomainId did,
-                                      mem::Iova iova,
-                                      mem::PageSize size,
-                                      mem::Addr host_addr) {
-                dispatchPrefetchFill(link, did, iova, size,
-                                     host_addr);
-            };
+            // The History Reader drives the paper's scheme (the
+            // MmuDma mechanism has none: its pages go straight to
+            // the IOMMU in prefetchPage()).
             link.historyReader = std::make_unique<HistoryReader>(
                 _config.device.prefetch, _queue, *link.stats, *_iommu,
-                *_memory, std::move(fill));
+                *_memory, static_cast<uint16_t>(d));
         }
         // With Belady replacement the device needs the
         // future-knowledge feed, which is only available once run()
@@ -142,8 +149,8 @@ System::System(const SystemConfig &config, unsigned devices)
         if (_config.device.devtlb.policy !=
             cache::ReplPolicyKind::Oracle) {
             link.device = std::make_unique<Device>(
-                _config.device, _queue, *link.stats,
-                makeDevicePorts(link));
+                _config.device, _queue, *link.stats, chipsetPort(),
+                static_cast<uint16_t>(d));
         }
     }
 }
@@ -175,8 +182,8 @@ System::buildOracleDevices(const trace::HyperTrace &trace)
         Link &link = _links[d];
         link.oracleFeed = std::make_unique<cache::OracleFeed>(keys[d]);
         link.device = std::make_unique<Device>(
-            _config.device, _queue, *link.stats, makeDevicePorts(link),
-            link.oracleFeed.get());
+            _config.device, _queue, *link.stats, chipsetPort(),
+            static_cast<uint16_t>(d), link.oracleFeed.get());
     }
 }
 

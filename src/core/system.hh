@@ -31,7 +31,6 @@
 #include "core/config.hh"
 #include "core/device.hh"
 #include "core/run_results.hh"
-#include "core/xlate_port.hh"
 #include "iommu/iommu.hh"
 #include "mem/memory_model.hh"
 #include "trace/record.hh"
@@ -106,7 +105,9 @@ struct StreamRetirement
  * the union of all devices' traffic. Tenant t drives device t % N.
  */
 class System : private Device::CompletionSink,
-               private sim::ParkedSlotSink
+               private sim::ParkedSlotSink,
+               private ChipsetPort,
+               private iommu::TranslationSink
 {
   public:
     /**
@@ -180,11 +181,10 @@ class System : private Device::CompletionSink,
     }
 
   private:
-    /** One device, its chipset-side ports, and its host link. */
+    /** One device, its History Reader, and its host link. */
     struct Link
     {
         std::unique_ptr<HistoryReader> historyReader;
-        std::unique_ptr<XlatePort> xlatePort;
         std::unique_ptr<cache::OracleFeed> oracleFeed;
         std::unique_ptr<Device> device;
         /** Parent of the device's stats: the root, or `devN`. */
@@ -219,8 +219,29 @@ class System : private Device::CompletionSink,
      * its device.
      */
     void buildOracleDevices(const trace::HyperTrace &trace);
-    /** Wires `link`'s device-to-chipset ports through its XlatePort. */
-    DevicePorts makeDevicePorts(Link &link);
+    // ---- The chipset side of every device's translation path ------
+    /** Demand request, device → PCIe → History Reader + IOMMU. */
+    void translate(const iommu::IommuRequest &req,
+                   bool may_fuse) override;
+    /** SID-predictor prefetch, device → PCIe → History Reader. */
+    void prefetch(uint16_t device, mem::DomainId did) override;
+    /** MMU-aware prefetch, device → PCIe → IOMMU. */
+    void prefetchPage(const iommu::IommuRequest &req) override;
+    /**
+     * Every IOMMU answer, routed by its requester tag: a demand
+     * answer crosses PCIe back to its device's PTB slot (fused when
+     * `tail`), a prefetch answer becomes a prefetch fill of its
+     * device and closes its History Reader burst or MMU counter.
+     */
+    void translated(const iommu::IommuRequest &req,
+                    const iommu::IommuResponse &resp,
+                    bool tail) override;
+    /** A demand request reached the chipset: history + IOMMU. */
+    void atChipset(const iommu::IommuRequest &req);
+    /** This system as its devices' port and the IOMMU's sink (the
+     *  bases are private, so the conversions happen here). */
+    ChipsetPort &chipsetPort() { return *this; }
+    iommu::TranslationSink &translationSink() { return *this; }
     /**
      * Sends a completed prefetch translation back to `link`'s device
      * over PCIe, with the per-DID wire counter and the device's
@@ -275,7 +296,7 @@ class System : private Device::CompletionSink,
     std::unique_ptr<mem::MemoryModel> _memory;
     iommu::PageTableDirectory _tables;
     std::unique_ptr<iommu::Iommu> _iommu;
-    /** Sized once by the constructor: ports capture Link addresses. */
+    /** Sized once by the constructor: events capture Link addresses. */
     std::vector<Link> _links;
 
     // Run state, summed over the links.

@@ -13,9 +13,10 @@ debug::Flag IommuFlag("IOMMU", "IOMMU requests, walks, and fills");
 
 Iommu::Iommu(const IommuConfig &config, sim::EventQueue &queue,
              stats::StatGroup &parent, mem::MemoryModel &memory,
-             PageTableDirectory &tables)
+             PageTableDirectory &tables, TranslationSink &sink)
     : SimObject("iommu", queue, parent), _config(config),
-      _memory(memory), _tables(tables), _iotlb(config.iotlb),
+      _memory(memory), _tables(tables), _sink(sink),
+      _iotlb(config.iotlb),
       _l2(config.l2tlb), _l3(config.l3tlb),
       _requests(statGroup().makeCounter("requests",
                                         "translation requests")),
@@ -46,23 +47,21 @@ Iommu::Iommu(const IommuConfig &config, sim::EventQueue &queue,
 }
 
 void
-Iommu::translate(const IommuRequest &req, ResponseFn done,
-                 bool may_fuse)
+Iommu::translate(const IommuRequest &req, bool may_fuse)
 {
     ++_requests;
-    if (req.prefetch)
+    if (req.prefetch())
         ++_prefetchRequests;
 
     const uint64_t key = translationKey(req.domain, req.iova, req.size);
     const uint64_t index = translationIndex(req.iova, req.size);
 
-    // 1. IOTLB: final-translation cache. The hit's latency is fixed,
-    // so the delivery goes through a pooled HitDelivery slot either
-    // way: fused (tail caller, clear window) it runs synchronously
-    // at the hit's exact tick; otherwise it is the hit event, whose
-    // (this, slot) closure stays inline in the event slab. Both
-    // deliveries run inside the fusedDelivery() scope — they are the
-    // tail of their dispatch, unlike a walk's waiter fan-out.
+    // 1. IOTLB: final-translation cache. The hit's latency is fixed:
+    // fused (tail caller, clear window) the delivery runs
+    // synchronously at the hit's exact tick; otherwise it is the hit
+    // event, whose (this, req, resp) closure stays inline in the
+    // event slab. Either way the delivery is the tail of its
+    // dispatch, unlike a walk's waiter fan-out.
     IommuResponse *hit = _iotlb.lookup(key, index, req.domain);
     HYPERSIO_SHADOW(iommuIotlbLookup(
         req.domain, req.iova, req.size,
@@ -70,19 +69,17 @@ Iommu::translate(const IommuRequest &req, ResponseFn done,
         hit ? hit->hostAddr : 0));
     if (hit) {
         ++_iotlbHits;
-        const uint32_t slot = _hits.alloc();
-        HitDelivery &pending = _hits.at(slot);
-        pending.done = std::move(done);
-        pending.resp = *hit;
-        pending.resp.iotlbHit = true;
+        IommuResponse resp = *hit;
+        resp.iotlbHit = true;
         if (may_fuse &&
             eventQueue().tryFuseAdvance(_config.iotlbHitLatency)) {
-            deliverHit(slot);
+            _sink.translated(req, resp, /*tail=*/true);
             return;
         }
         eventQueue().scheduleAfter(
-            _config.iotlbHitLatency,
-            [this, slot]() { deliverHit(slot); });
+            _config.iotlbHitLatency, [this, req, resp] {
+                _sink.translated(req, resp, /*tail=*/true);
+            });
         return;
     }
 
@@ -91,7 +88,7 @@ Iommu::translate(const IommuRequest &req, ResponseFn done,
         ++_coalesced;
         HYPERSIO_SHADOW(
             iommuCoalesced(req.domain, req.iova, req.size));
-        walk->waiters.push_back(std::move(done));
+        walk->waiters.push_back(req.tag);
         return;
     }
 
@@ -100,36 +97,18 @@ Iommu::translate(const IommuRequest &req, ResponseFn done,
     HYPERSIO_ASSERT(inserted, "duplicate MSHR entry");
     walk->req = req;
     walk->key = key;
-    walk->waiters.push_back(std::move(done));
+    walk->waiters.push_back(req.tag);
     HYPERSIO_SHADOW(
         iommuMshrAllocated(req.domain, req.iova, req.size));
 
     if (_config.walkers == 0 || _activeWalks < _config.walkers) {
         ++_activeWalks;
         startWalk(key, may_fuse);
-    } else if (req.prefetch) {
+    } else if (req.prefetch()) {
         _prefetchQueue.push_back(key);
     } else {
         _demandQueue.push_back(key);
     }
-}
-
-void
-Iommu::deliverHit(uint32_t slot)
-{
-    // Move the record out and recycle the slot before delivering:
-    // the callback may translate again (chained requests) and reuse
-    // the pool reentrantly, exactly like XlatePort::respond.
-    HitDelivery pending = std::move(_hits.at(slot));
-    _hits.at(slot).done = nullptr;
-    _hits.release(slot);
-    // Save/restore rather than clear: a delivery may chain into
-    // another translate() whose hit delivers (and unwinds) nested
-    // inside this one.
-    const bool prev = _fusedDelivery;
-    _fusedDelivery = true;
-    pending.done(pending.resp);
-    _fusedDelivery = prev;
 }
 
 unsigned
@@ -184,32 +163,32 @@ Iommu::startWalk(uint64_t key, bool may_fuse)
                      mshr_walk->req.domain,
                      (unsigned long long)mshr_walk->req.iova,
                      accesses,
-                     mshr_walk->req.prefetch ? " (prefetch)" : "");
+                     mshr_walk->req.prefetch() ? " (prefetch)" : "");
 
-    _memory.access(
-        accesses,
-        [this, key]() {
-            Walk *entry = _mshr.find(key);
-            HYPERSIO_ASSERT(entry, "finished walk lost");
-            Walk walk = std::move(*entry);
-            _mshr.erase(key);
+    _memory.access(accesses, *this, key, may_fuse);
+}
 
-            const mem::Translation xlate =
-                _tables.get(walk.req.domain).translate(walk.req.iova);
-            // No waiter reads the walker count, so it may drop first.
-            --_activeWalks;
-            // With no walk queued dispatchQueued() has nothing to do,
-            // and on unbounded memory nothing follows this callback
-            // in its event (bounded memory starts the next chain), so
-            // the last waiter's delivery is in tail position.
-            const bool idle =
-                _demandQueue.empty() && _prefetchQueue.empty();
-            finishWalk(walk, xlate,
-                       idle && _memory.config().maxOutstanding == 0);
-            if (!idle)
-                dispatchQueued();
-        },
-        may_fuse);
+void
+Iommu::chainDone(uint64_t key)
+{
+    Walk *entry = _mshr.find(key);
+    HYPERSIO_ASSERT(entry, "finished walk lost");
+    Walk walk = std::move(*entry);
+    _mshr.erase(key);
+
+    const mem::Translation xlate =
+        _tables.get(walk.req.domain).translate(walk.req.iova);
+    // No waiter reads the walker count, so it may drop first.
+    --_activeWalks;
+    // With no walk queued dispatchQueued() has nothing to do, and on
+    // unbounded memory nothing follows this completion in its event
+    // (bounded memory starts the next chain), so the last waiter's
+    // delivery is in tail position.
+    const bool idle = _demandQueue.empty() && _prefetchQueue.empty();
+    finishWalk(walk, xlate,
+               idle && _memory.config().maxOutstanding == 0);
+    if (!idle)
+        dispatchQueued();
 }
 
 void
@@ -266,15 +245,15 @@ Iommu::finishWalk(Walk &walk, const mem::Translation &xlate,
     }
 
     // The completion runs as the walk's event or fused in its place,
-    // never as the tail of the delivery that started the walk, so the
-    // scope is set here rather than inherited. Every waiter but the
-    // last has another delivery after it and must not fuse.
-    const bool prev = _fusedDelivery;
+    // never as the tail of the delivery that started the walk, so
+    // tail position is decided here. Every waiter but the last has
+    // another delivery after it and must not fuse.
+    IommuRequest req = walk.req;
     for (size_t i = 0; i < walk.waiters.size(); ++i) {
-        _fusedDelivery = last_in_tail && i + 1 == walk.waiters.size();
-        walk.waiters[i](resp);
+        req.tag = walk.waiters[i];
+        _sink.translated(req, resp,
+                         last_in_tail && i + 1 == walk.waiters.size());
     }
-    _fusedDelivery = prev;
 }
 
 void

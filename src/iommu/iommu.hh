@@ -16,7 +16,6 @@
 #define HYPERSIO_IOMMU_IOMMU_HH
 
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "cache/set_assoc_cache.hh"
@@ -25,7 +24,6 @@
 #include "mem/page_table.hh"
 #include "sim/sim_object.hh"
 #include "util/flat_map.hh"
-#include "util/pool.hh"
 
 namespace hypersio::iommu
 {
@@ -151,14 +149,46 @@ struct IommuConfig
     unsigned pagingLevels = 4;
 };
 
-/** One translation request presented to the IOMMU. */
+/** Who asked for a translation, and so where its answer goes. */
+enum class Requester : uint8_t
+{
+    Demand,          ///< a device's PTB entry (packet translation)
+    HistoryPrefetch, ///< a device's IOVA History Reader burst
+    MmuPrefetch,     ///< a device's MMU-aware DMA prefetcher
+};
+
+/**
+ * The requester tag a translation carries from its issuer to the
+ * TranslationSink: the requester kind, the issuing device, and for
+ * demand requests the PTB slot awaiting the answer.
+ */
+struct RequesterTag
+{
+    Requester kind = Requester::Demand;
+    uint16_t device = 0;
+    uint32_t slot = 0;
+};
+
+/**
+ * One translation request presented to the IOMMU. The members are
+ * ordered to pack into three words.
+ */
 struct IommuRequest
 {
     mem::DomainId domain = 0;
-    mem::Iova iova = 0;
     mem::PageSize size = mem::PageSize::Size4K;
-    bool prefetch = false; ///< issued by the IOVA History Reader
+    RequesterTag tag;
+    mem::Iova iova = 0;
+
+    /** Issued by a prefetcher rather than by a PTB entry. */
+    bool prefetch() const { return tag.kind != Requester::Demand; }
 };
+
+// Three words, so that every event closure carrying a request fits
+// the event kernel's 48-byte inline callback buffer; the largest, an
+// IOTLB hit's, is (Iommu *, request, response).
+static_assert(sizeof(IommuRequest) <= 24,
+              "IommuRequest must stay three words");
 
 /** The IOMMU's answer. */
 struct IommuResponse
@@ -169,41 +199,52 @@ struct IommuResponse
 };
 
 /**
- * The IOMMU performance model. Completion is signalled through a
- * callback; the caller adds any interconnect (PCIe) latency itself.
+ * Where the IOMMU's answers go: one typed call per completed
+ * request, routed by the request's tag.
  */
-class Iommu : public sim::SimObject
+class TranslationSink
 {
   public:
-    using ResponseFn = std::function<void(const IommuResponse &)>;
+    /**
+     * `req` completed with `resp`. For a request coalesced onto
+     * another's walk, `req` is the walk's request (same domain,
+     * page and size) under the coalesced request's tag.
+     *
+     * `tail` is true when the delivery is in tail position — the
+     * end of an IOTLB-hit event or a fused continuation of one, or
+     * the last delivery of a walk completion that nothing follows —
+     * so the sink may fuse its own next hop. A walk completion fans
+     * out to coalesced waiters and may start queued walks afterwards,
+     * so its other deliveries never are.
+     */
+    virtual void translated(const IommuRequest &req,
+                            const IommuResponse &resp, bool tail) = 0;
 
+  protected:
+    ~TranslationSink() = default;
+};
+
+/**
+ * The IOMMU performance model. Completions go to the TranslationSink;
+ * the sink adds any interconnect (PCIe) latency itself.
+ */
+class Iommu : public sim::SimObject, private mem::MemoryClient
+{
+  public:
     Iommu(const IommuConfig &config, sim::EventQueue &queue,
           stats::StatGroup &parent, mem::MemoryModel &memory,
-          PageTableDirectory &tables);
+          PageTableDirectory &tables, TranslationSink &sink);
 
     /**
-     * Asynchronously translates `req`; `done` fires on completion.
-     * With `may_fuse` (the caller is in tail position of an event
-     * callback) an IOTLB hit's fixed latency may collapse into a
-     * synchronous `done` at the identical (tick, priority, seq) the
-     * hit event would have had, and so may a walk's completion on
-     * unbounded memory; coalesced requests and queued walks always
-     * take the event path.
+     * Asynchronously translates `req`; the sink hears of it on
+     * completion. With `may_fuse` (the caller is in tail position of
+     * an event callback) an IOTLB hit's fixed latency may collapse
+     * into a synchronous delivery at the identical (tick, priority,
+     * seq) the hit event would have had, and so may a walk's
+     * completion on unbounded memory; coalesced requests and queued
+     * walks always take the event path.
      */
-    void translate(const IommuRequest &req, ResponseFn done,
-                   bool may_fuse = false);
-
-    /**
-     * True while a `done` callback is being delivered from tail
-     * position — the end of an IOTLB-hit event or a fused
-     * continuation of one, or the last delivery of a walk completion
-     * that nothing follows. Callers that want to fuse their own next
-     * hop inside `done` (the XlatePort's PCIe return leg) must check
-     * this: a walk completion fans out to coalesced waiters and may
-     * start queued walks afterwards, so its other deliveries are
-     * never fusible.
-     */
-    bool fusedDelivery() const { return _fusedDelivery; }
+    void translate(const IommuRequest &req, bool may_fuse = false);
 
     /**
      * Invalidates any cached final translation of the page at `iova`
@@ -246,31 +287,25 @@ class Iommu : public sim::SimObject
     {
         IommuRequest req;
         uint64_t key;
-        std::vector<ResponseFn> waiters;
+        /** Every request waiting on the walk, the walk's own first. */
+        std::vector<RequesterTag> waiters;
     };
 
     /** `may_fuse`: the caller is in tail position (see translate). */
     void startWalk(uint64_t key, bool may_fuse);
+    /** The walk with MSHR key `key` read its last table entry. */
+    void chainDone(uint64_t key) override;
     /** Fills the caches and delivers to the waiters; the last one
-     *  runs in the fusedDelivery() scope when `last_in_tail`. */
+     *  is in tail position when `last_in_tail`. */
     void finishWalk(Walk &walk, const mem::Translation &xlate,
                     bool last_in_tail);
     void dispatchQueued();
     unsigned walkAccessesFor(const IommuRequest &req);
 
-    /** One IOTLB hit awaiting delivery: the hit event captures only
-     *  (this, slot) so the closure stays inline in the event slab. */
-    struct HitDelivery
-    {
-        ResponseFn done;
-        IommuResponse resp;
-    };
-    /** Delivers pooled hit `slot` with the fused-delivery scope set. */
-    void deliverHit(uint32_t slot);
-
     IommuConfig _config;
     mem::MemoryModel &_memory;
     PageTableDirectory &_tables;
+    TranslationSink &_sink;
 
     cache::SetAssocCache<IommuResponse> _iotlb;
     /** Paging-structure caches; the value is unused (presence only). */
@@ -279,10 +314,6 @@ class Iommu : public sim::SimObject
 
     /** In-flight walks by translation key (MSHR coalescing). */
     util::FlatMap<uint64_t, Walk> _mshr;
-    /** Pending IOTLB-hit deliveries (see HitDelivery). */
-    util::SlabPool<HitDelivery> _hits;
-    /** See fusedDelivery(). */
-    bool _fusedDelivery = false;
     unsigned _activeWalks = 0;
     std::deque<uint64_t> _demandQueue;
     std::deque<uint64_t> _prefetchQueue;

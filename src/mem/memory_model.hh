@@ -13,7 +13,6 @@
 #define HYPERSIO_MEM_MEMORY_MODEL_HH
 
 #include <deque>
-#include <functional>
 
 #include "sim/sim_object.hh"
 #include "util/units.hh"
@@ -31,10 +30,26 @@ struct MemoryConfig
 };
 
 /**
+ * Whoever issues dependent chains: the IOMMU's walker (tag: the
+ * walk's MSHR key) and the History Reader (tag: the DID whose
+ * history it reads).
+ */
+class MemoryClient
+{
+  public:
+    /** The chain issued with `tag` completed. */
+    virtual void chainDone(uint64_t tag) = 0;
+
+  protected:
+    ~MemoryClient() = default;
+};
+
+/**
  * Fixed-latency memory with optional bounded concurrency. Callers
- * issue `access(n_reads, done)`; the model invokes `done` when all n
- * serialized reads of a dependent chain complete (a page-table walk
- * is a dependent chain, so its reads serialize: n * latency).
+ * issue `access(n_reads, client, tag)`; the model calls
+ * `client.chainDone(tag)` when all n serialized reads of a dependent
+ * chain complete (a page-table walk is a dependent chain, so its
+ * reads serialize: n * latency).
  */
 class MemoryModel : public sim::SimObject
 {
@@ -53,37 +68,39 @@ class MemoryModel : public sim::SimObject
     const MemoryConfig &config() const { return _config; }
 
     /**
-     * Issues a dependent chain of `n_accesses` reads; `done` runs
-     * after n * accessLatency (plus any queueing for a free slot).
-     * With `may_fuse` (the caller is in tail position of an event
-     * callback) and unbounded slots, the completion may run
-     * synchronously at the identical (tick, priority, seq) its event
-     * would have had (EventQueue::tryFuseAdvance). Bounded chains
-     * always complete as events: a chain's finish starts the next
-     * queued one.
+     * Issues a dependent chain of `n_accesses` reads;
+     * `client.chainDone(tag)` runs after n * accessLatency (plus any
+     * queueing for a free slot). With `may_fuse` (the caller is in
+     * tail position of an event callback) and unbounded slots, the
+     * completion may run synchronously at the identical (tick,
+     * priority, seq) its event would have had
+     * (EventQueue::tryFuseAdvance). Bounded chains always complete
+     * as events: a chain's finish starts the next queued one.
      */
     void
-    access(unsigned n_accesses, std::function<void()> done,
+    access(unsigned n_accesses, MemoryClient &client, uint64_t tag,
            bool may_fuse = false)
     {
         ++_chains;
         _reads += n_accesses;
-        const Tick service =
-            static_cast<Tick>(n_accesses) * _config.accessLatency;
+        const Chain chain{
+            static_cast<Tick>(n_accesses) * _config.accessLatency,
+            &client, tag};
         if (_config.maxOutstanding == 0) {
-            if (may_fuse && eventQueue().tryFuseAdvance(service)) {
-                done();
+            if (may_fuse && eventQueue().tryFuseAdvance(chain.service)) {
+                client.chainDone(tag);
                 return;
             }
-            eventQueue().scheduleAfter(service, std::move(done));
+            eventQueue().scheduleAfter(
+                chain.service, [&client, tag] { client.chainDone(tag); });
             return;
         }
         if (_busy < _config.maxOutstanding) {
             ++_busy;
-            startChain(service, std::move(done));
+            startChain(chain);
         } else {
             ++_queued;
-            _waiting.push_back({service, std::move(done)});
+            _waiting.push_back(chain);
         }
     }
 
@@ -91,29 +108,29 @@ class MemoryModel : public sim::SimObject
     unsigned busy() const { return _busy; }
 
   private:
-    struct Pending
+    struct Chain
     {
         Tick service;
-        std::function<void()> done;
+        MemoryClient *client;
+        uint64_t tag;
     };
 
     void
-    startChain(Tick service, std::function<void()> done)
+    startChain(const Chain &chain)
     {
-        eventQueue().scheduleAfter(
-            service, [this, done = std::move(done)]() {
-                done();
-                finishChain();
-            });
+        eventQueue().scheduleAfter(chain.service, [this, chain] {
+            chain.client->chainDone(chain.tag);
+            finishChain();
+        });
     }
 
     void
     finishChain()
     {
         if (!_waiting.empty()) {
-            Pending next = std::move(_waiting.front());
+            const Chain next = _waiting.front();
             _waiting.pop_front();
-            startChain(next.service, std::move(next.done));
+            startChain(next);
         } else {
             --_busy;
         }
@@ -121,7 +138,7 @@ class MemoryModel : public sim::SimObject
 
     MemoryConfig _config;
     unsigned _busy = 0;
-    std::deque<Pending> _waiting;
+    std::deque<Chain> _waiting;
 
     stats::Counter &_reads;
     stats::Counter &_chains;

@@ -190,17 +190,6 @@ class EventQueue
      */
     uint64_t scheduledSeq() const { return _nextSeq; }
 
-    /**
-     * Tick of the heap top, or MaxTick when the heap is empty. A
-     * tombstoned top counts as pending (it may hide a later live
-     * key). Parked slots are not counted.
-     */
-    Tick
-    nextTick() const
-    {
-        return _heap.empty() ? MaxTick : _heap.front().when;
-    }
-
     /** Number of events currently pending (tombstones excluded). */
     size_t pending() const { return _live; }
 

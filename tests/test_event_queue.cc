@@ -505,29 +505,6 @@ TEST(EventQueueFusion, ChainLedgerMatchesEventPerHop)
 
 // ---- Parked slots -------------------------------------------------------
 
-TEST(EventQueueFastForward, NextTickIsMaxTickWhenEmpty)
-{
-    EventQueue q;
-    EXPECT_EQ(q.nextTick(), MaxTick);
-    q.schedule(9, [] {});
-    q.schedule(4, [] {});
-    EXPECT_EQ(q.nextTick(), 4u);
-    q.run();
-    EXPECT_EQ(q.nextTick(), MaxTick);
-}
-
-// A tombstoned top still reports its tick: skipping to it is always
-// safe, skipping past it might not be.
-TEST(EventQueueFastForward, NextTickCountsATombstonedTop)
-{
-    EventQueue q;
-    EventHandle dead = q.schedule(5, [] {});
-    q.schedule(12, [] {});
-    EXPECT_TRUE(q.cancel(dead));
-    EXPECT_EQ(q.pending(), 1u);
-    EXPECT_EQ(q.nextTick(), 5u);
-}
-
 TEST(EventQueueFastForward, RefusedSlotsBeforeCountsStrictlyEarlierSlots)
 {
     constexpr Tick Now = 100;

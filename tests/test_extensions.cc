@@ -6,12 +6,14 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 
 #include "core/overrides.hh"
 #include "core/system.hh"
 #include "oracle/shadow.hh"
 #include "trace/constructor.hh"
 #include "trace/trace_file.hh"
+#include "util/json.hh"
 #include "workload/benchmarks.hh"
 
 namespace hypersio::core
@@ -221,6 +223,111 @@ TEST(MultiSystemTest, DevicePacketCountersSumToTrace)
         total += static_cast<uint64_t>(packets->value());
     }
     EXPECT_EQ(total, tr.packets.size());
+}
+
+/** The counters of one device that completions are routed to. */
+struct DeviceGolden
+{
+    uint64_t packets;
+    uint64_t translations;
+    uint64_t devtlbHits;
+    uint64_t pbHits;
+    uint64_t prefetchesSent;
+    uint64_t prefetchFills;
+
+    bool operator==(const DeviceGolden &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const DeviceGolden &g)
+{
+    return os << '{' << g.packets << "u, " << g.translations << "u, "
+              << g.devtlbHits << "u, " << g.pbHits << "u, "
+              << g.prefetchesSent << "u, " << g.prefetchFills << "u}";
+}
+
+DeviceGolden
+observeDevice(const System &system, const std::string &dev)
+{
+    const stats::StatGroup *group = childGroup(system.statsRoot(), dev);
+    const stats::StatGroup *device =
+        group ? childGroup(*group, "device") : nullptr;
+    if (!device) {
+        ADD_FAILURE() << "no " << dev << "/device stats";
+        return {};
+    }
+    const auto count = [&](const char *name) {
+        const stats::StatBase *stat = device->find(name);
+        EXPECT_NE(stat, nullptr) << dev << '.' << name;
+        return stat ? static_cast<uint64_t>(stat->value()) : 0;
+    };
+    return {count("packets"),      count("translations"),
+            count("devtlb_hits"),  count("pb_hits"),
+            count("prefetches_sent"), count("prefetch_fills")};
+}
+
+std::string
+resultsJson(const RunResults &r)
+{
+    std::ostringstream os;
+    json::Writer w(os, 0);
+    writeRunResultsJson(w, r);
+    return os.str();
+}
+
+// Every completion returns to the device whose PTB slot (or prefetch
+// unit) issued it. Two devices share the chipset; the oracle refuses
+// N > 1, so these pins are what checks the per-device routing of
+// demand responses and of both prefetchers' fills.
+TEST(MultiSystemTest, PerDeviceRoutingGolden)
+{
+    SystemConfig mmu = SystemConfig::hypertrio();
+    mmu.name = "mmudma";
+    mmu.device.prefetch.kind = PrefetchKind::MmuDma;
+    const struct
+    {
+        SystemConfig config;
+        DeviceGolden dev0;
+        DeviceGolden dev1;
+        const char *results;
+    } pins[] = {
+        {SystemConfig::hypertrio(),
+         {2718u, 8154u, 6932u, 772u, 882u, 1756u},
+         {2718u, 8154u, 6933u, 771u, 884u, 1760u},
+         R"({"config":"hypertrio","packets_processed":5436,)"
+         R"("packets_dropped":66,"translations":16308,)"
+         R"("elapsed_ticks":170587680,)"
+         R"("achieved_gbps":393.1028078932781,)"
+         R"("utilization":0.9827570197331953,)"
+         R"("devtlb_hit_rate":0.8501962227127791,)"
+         R"("pb_hit_rate":0.09461613931812607,)"
+         R"("iotlb_hit_rate":0.9699666295884316,"walks":102,)"
+         R"("iommu_requests":5394,)"
+         R"("avg_packet_latency_ns":336.73551140544515})"},
+        {mmu,
+         {2718u, 8154u, 6904u, 456u, 948u, 624u},
+         {2718u, 8154u, 6903u, 457u, 942u, 621u},
+         R"({"config":"mmudma","packets_processed":5436,)"
+         R"("packets_dropped":66,"translations":16308,)"
+         R"("elapsed_ticks":170217600,)"
+         R"("achieved_gbps":393.95747560769274,)"
+         R"("utilization":0.9848936890192319,)"
+         R"("devtlb_hit_rate":0.8466396860436596,)"
+         R"("pb_hit_rate":0.05598479273975963,)"
+         R"("iotlb_hit_rate":0.7813443072702332,"walks":648,)"
+         R"("iommu_requests":3645,)"
+         R"("avg_packet_latency_ns":315.34649006622516})"},
+    };
+    // Measured before requests carried requester tags.
+    const auto tr = smallTrace(12);
+    for (const auto &pin : pins) {
+        SCOPED_TRACE(pin.config.name);
+        System system(pin.config, 2);
+        const RunResults r = system.run(tr);
+        EXPECT_EQ(observeDevice(system, "dev0"), pin.dev0);
+        EXPECT_EQ(observeDevice(system, "dev1"), pin.dev1);
+        EXPECT_EQ(resultsJson(r), pin.results);
+    }
 }
 
 TEST(MultiSystemTest, ProcessesAllPacketsAcrossDevices)

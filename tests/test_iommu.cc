@@ -13,19 +13,69 @@ namespace hypersio::iommu
 namespace
 {
 
-struct Fixture
+/** Records every delivery the IOMMU makes, with its tick. */
+struct Fixture : TranslationSink
 {
+    explicit Fixture(mem::MemoryConfig memory_config = {50 * TicksPerNs,
+                                                         0})
+        : memory(memory_config, queue, stats)
+    {}
+
     sim::EventQueue queue;
     stats::StatGroup stats{"test"};
-    mem::MemoryModel memory{{50 * TicksPerNs, 0}, queue, stats};
+    mem::MemoryModel memory;
     PageTableDirectory tables{42};
+
+    struct Delivery
+    {
+        IommuRequest req;
+        IommuResponse resp;
+        bool tail;
+        Tick at;
+    };
+    std::vector<Delivery> delivered;
+
+    void
+    translated(const IommuRequest &req, const IommuResponse &resp,
+               bool tail) override
+    {
+        delivered.push_back({req, resp, tail, queue.now()});
+    }
 
     std::unique_ptr<Iommu> make(IommuConfig config = {})
     {
         return std::make_unique<Iommu>(config, queue, stats, memory,
-                                       tables);
+                                       tables, *this);
+    }
+
+    /** Delivered domains in order, prefetches negated. */
+    std::vector<int>
+    order() const
+    {
+        std::vector<int> out;
+        for (const Delivery &d : delivered) {
+            const int did = static_cast<int>(d.req.domain);
+            out.push_back(d.req.prefetch() ? -did : did);
+        }
+        return out;
     }
 };
+
+/** A demand request of PTB slot `slot`. */
+IommuRequest
+demand(mem::DomainId did, mem::Iova iova,
+       mem::PageSize size = mem::PageSize::Size4K, uint32_t slot = 0)
+{
+    return {did, size, {Requester::Demand, 0, slot}, iova};
+}
+
+/** A History Reader prefetch request. */
+IommuRequest
+prefetch(mem::DomainId did, mem::Iova iova)
+{
+    return {did, mem::PageSize::Size4K, {Requester::HistoryPrefetch},
+            iova};
+}
 
 TEST(Keys, TranslationKeyUniqueness)
 {
@@ -77,19 +127,14 @@ TEST(IommuTest, FullWalkCostsTableII)
     Fixture f;
     auto iommu = f.make();
     f.tables.get(1).map(0x1000, mem::PageSize::Size4K);
-
-    Tick done_at = 0;
-    IommuResponse seen;
-    iommu->translate({1, 0x1000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &resp) {
-                         seen = resp;
-                         done_at = f.queue.now();
-                     });
+    iommu->translate(demand(1, 0x1000));
     f.queue.run();
+    ASSERT_EQ(f.delivered.size(), 1u);
+    const IommuResponse &seen = f.delivered[0].resp;
     ASSERT_TRUE(seen.valid);
     EXPECT_FALSE(seen.iotlbHit);
     // Cold caches: full 24-access walk at 50 ns each.
-    EXPECT_EQ(done_at, 24 * 50 * TicksPerNs);
+    EXPECT_EQ(f.delivered[0].at, 24 * 50 * TicksPerNs);
 }
 
 TEST(IommuTest, FullWalk2MCosts19Accesses)
@@ -97,13 +142,10 @@ TEST(IommuTest, FullWalk2MCosts19Accesses)
     Fixture f;
     auto iommu = f.make();
     f.tables.get(1).map(0xbbe00000, mem::PageSize::Size2M);
-    Tick done_at = 0;
-    iommu->translate({1, 0xbbe00000, mem::PageSize::Size2M, false},
-                     [&](const IommuResponse &) {
-                         done_at = f.queue.now();
-                     });
+    iommu->translate(demand(1, 0xbbe00000, mem::PageSize::Size2M));
     f.queue.run();
-    EXPECT_EQ(done_at, 19 * 50 * TicksPerNs);
+    ASSERT_EQ(f.delivered.size(), 1u);
+    EXPECT_EQ(f.delivered[0].at, 19 * 50 * TicksPerNs);
 }
 
 TEST(IommuTest, IotlbHitIsFast)
@@ -112,22 +154,17 @@ TEST(IommuTest, IotlbHitIsFast)
     auto iommu = f.make();
     f.tables.get(1).map(0x1000, mem::PageSize::Size4K);
 
-    iommu->translate({1, 0x1000, mem::PageSize::Size4K, false},
-                     [](const IommuResponse &) {});
+    iommu->translate(demand(1, 0x1000));
     f.queue.run();
 
     Tick start = f.queue.now();
-    Tick done_at = 0;
-    IommuResponse seen;
-    iommu->translate({1, 0x1800, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &resp) {
-                         seen = resp;
-                         done_at = f.queue.now();
-                     });
+    iommu->translate(demand(1, 0x1800));
     f.queue.run();
+    ASSERT_EQ(f.delivered.size(), 2u);
+    const IommuResponse &seen = f.delivered[1].resp;
     ASSERT_TRUE(seen.valid);
     EXPECT_TRUE(seen.iotlbHit);
-    EXPECT_EQ(done_at - start, 2 * TicksPerNs);
+    EXPECT_EQ(f.delivered[1].at - start, 2 * TicksPerNs);
 }
 
 TEST(IommuTest, PagingCachesShortenLaterWalks)
@@ -139,18 +176,14 @@ TEST(IommuTest, PagingCachesShortenLaterWalks)
     f.tables.get(1).map(0x10000000, mem::PageSize::Size4K);
     f.tables.get(1).map(0x10001000, mem::PageSize::Size4K);
 
-    iommu->translate({1, 0x10000000, mem::PageSize::Size4K, false},
-                     [](const IommuResponse &) {});
+    iommu->translate(demand(1, 0x10000000));
     f.queue.run();
 
     const Tick start = f.queue.now();
-    Tick done_at = 0;
-    iommu->translate({1, 0x10001000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &) {
-                         done_at = f.queue.now();
-                     });
+    iommu->translate(demand(1, 0x10001000));
     f.queue.run();
-    EXPECT_EQ(done_at - start, 9 * 50 * TicksPerNs);
+    ASSERT_EQ(f.delivered.size(), 2u);
+    EXPECT_EQ(f.delivered[1].at - start, 9 * 50 * TicksPerNs);
 }
 
 TEST(IommuTest, L3CacheShortensCrossRegionWalks)
@@ -161,18 +194,14 @@ TEST(IommuTest, L3CacheShortensCrossRegionWalks)
     f.tables.get(1).map(0x10000000, mem::PageSize::Size4K);
     f.tables.get(1).map(0x10200000, mem::PageSize::Size4K);
 
-    iommu->translate({1, 0x10000000, mem::PageSize::Size4K, false},
-                     [](const IommuResponse &) {});
+    iommu->translate(demand(1, 0x10000000));
     f.queue.run();
 
     const Tick start = f.queue.now();
-    Tick done_at = 0;
-    iommu->translate({1, 0x10200000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &) {
-                         done_at = f.queue.now();
-                     });
+    iommu->translate(demand(1, 0x10200000));
     f.queue.run();
-    EXPECT_EQ(done_at - start, 14 * 50 * TicksPerNs);
+    ASSERT_EQ(f.delivered.size(), 2u);
+    EXPECT_EQ(f.delivered[1].at - start, 14 * 50 * TicksPerNs);
 }
 
 TEST(IommuTest, MshrCoalescesConcurrentSamePageWalks)
@@ -181,16 +210,15 @@ TEST(IommuTest, MshrCoalescesConcurrentSamePageWalks)
     auto iommu = f.make();
     f.tables.get(1).map(0x1000, mem::PageSize::Size4K);
 
-    int completions = 0;
-    for (int i = 0; i < 3; ++i) {
-        iommu->translate({1, 0x1000, mem::PageSize::Size4K, false},
-                         [&](const IommuResponse &resp) {
-                             EXPECT_TRUE(resp.valid);
-                             ++completions;
-                         });
-    }
+    for (uint32_t slot = 0; slot < 3; ++slot)
+        iommu->translate(demand(1, 0x1000, mem::PageSize::Size4K, slot));
     f.queue.run();
-    EXPECT_EQ(completions, 3);
+    // Every requester hears back, in request order, under its tag.
+    ASSERT_EQ(f.delivered.size(), 3u);
+    for (uint32_t slot = 0; slot < 3; ++slot) {
+        EXPECT_TRUE(f.delivered[slot].resp.valid);
+        EXPECT_EQ(f.delivered[slot].req.tag.slot, slot);
+    }
     // One walk served all three requests.
     const auto *walks = f.stats.child("iommu").find("walks");
     const auto *coalesced = f.stats.child("iommu").find("coalesced");
@@ -207,32 +235,23 @@ TEST(IommuTest, WalkerLimitSerializesWalks)
     f.tables.get(1).map(0x1000, mem::PageSize::Size4K);
     f.tables.get(2).map(0x1000, mem::PageSize::Size4K);
 
-    std::vector<Tick> done;
-    iommu->translate({1, 0x1000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &) {
-                         done.push_back(f.queue.now());
-                     });
-    iommu->translate({2, 0x1000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &) {
-                         done.push_back(f.queue.now());
-                     });
+    iommu->translate(demand(1, 0x1000));
+    iommu->translate(demand(2, 0x1000));
     EXPECT_EQ(iommu->activeWalks(), 1u);
     EXPECT_EQ(iommu->queuedWalks(), 1u);
     f.queue.run();
-    ASSERT_EQ(done.size(), 2u);
+    ASSERT_EQ(f.delivered.size(), 2u);
     // Serialized: second finishes a full walk after the first.
-    EXPECT_EQ(done[0], 24 * 50 * TicksPerNs);
-    EXPECT_EQ(done[1], 2 * 24 * 50 * TicksPerNs);
+    EXPECT_EQ(f.delivered[0].at, 24 * 50 * TicksPerNs);
+    EXPECT_EQ(f.delivered[1].at, 2 * 24 * 50 * TicksPerNs);
 }
 
 // A walk completion's deliveries are in tail position — and so may
 // fuse their own next hop — only for the last waiter, with no walk
-// queued behind it and unbounded memory behind it.
+// queued behind it and unbounded memory behind it. An IOTLB hit's
+// delivery is always the tail of its event.
 TEST(IommuTest, OnlyATailWalkDeliveryIsFusible)
 {
-    const auto page = [](mem::DomainId did) {
-        return IommuRequest{did, 0x1000, mem::PageSize::Size4K, false};
-    };
     struct Case
     {
         const char *name;
@@ -240,6 +259,7 @@ TEST(IommuTest, OnlyATailWalkDeliveryIsFusible)
         unsigned memorySlots;
         std::vector<mem::DomainId> requests;
         std::vector<bool> fusible; ///< per delivery, in order
+        bool warm = false; ///< the pages sit in the IOTLB already
     };
     const Case cases[] = {
         // Two coalesced waiters: only the last is the tail.
@@ -248,26 +268,31 @@ TEST(IommuTest, OnlyATailWalkDeliveryIsFusible)
         {"queued walk", 1, 0, {1, 2}, {false, true}},
         // One memory slot: the first finish starts the next chain.
         {"bounded memory", 0, 1, {1, 2}, {false, false}},
+        // Each hit is its own event: every delivery is the tail.
+        {"iotlb hit", 0, 0, {1, 1, 2}, {true, true, true}, true},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.name);
-        sim::EventQueue queue;
-        stats::StatGroup stats{"test"};
-        mem::MemoryModel memory{{50, c.memorySlots}, queue, stats};
-        PageTableDirectory tables{42};
+        Fixture f({50, c.memorySlots});
         IommuConfig config;
         config.walkers = c.walkers;
-        Iommu iommu(config, queue, stats, memory, tables);
-        std::vector<bool> fusible;
-        for (const mem::DomainId did : c.requests) {
-            tables.get(did).map(0x1000, mem::PageSize::Size4K);
-            iommu.translate(page(did), [&](const IommuResponse &) {
-                fusible.push_back(iommu.fusedDelivery());
-            });
+        auto iommu = f.make(config);
+        for (const mem::DomainId did : c.requests)
+            f.tables.get(did).map(0x1000, mem::PageSize::Size4K);
+        if (c.warm) {
+            for (const mem::DomainId did : c.requests)
+                iommu->translate(demand(did, 0x1000));
+            f.queue.run();
+            f.delivered.clear();
         }
-        queue.run();
+        for (const mem::DomainId did : c.requests)
+            iommu->translate(demand(did, 0x1000));
+        f.queue.run();
+        std::vector<bool> fusible;
+        for (const Fixture::Delivery &d : f.delivered)
+            fusible.push_back(d.tail);
         EXPECT_EQ(fusible, c.fusible);
-        EXPECT_EQ(queue.fusedHops(), 0u);
+        EXPECT_EQ(f.queue.fusedHops(), 0u);
     }
 }
 
@@ -278,23 +303,16 @@ TEST(IommuTest, TailWalkFusesItsCompletion)
     Fixture f;
     auto iommu = f.make();
     f.tables.get(1).map(0x1000, mem::PageSize::Size4K);
-    Tick done_at = 0;
-    bool fusible = false;
     f.queue.schedule(7, [&] {
-        iommu->translate({1, 0x1000, mem::PageSize::Size4K, false},
-                         [&](const IommuResponse &resp) {
-                             EXPECT_TRUE(resp.valid);
-                             done_at = f.queue.now();
-                             fusible = iommu->fusedDelivery();
-                         },
-                         /*may_fuse=*/true);
+        iommu->translate(demand(1, 0x1000), /*may_fuse=*/true);
     });
     f.queue.run();
-    EXPECT_EQ(done_at, 7 + 24 * 50 * TicksPerNs);
-    EXPECT_TRUE(fusible);
+    ASSERT_EQ(f.delivered.size(), 1u);
+    EXPECT_TRUE(f.delivered[0].resp.valid);
+    EXPECT_EQ(f.delivered[0].at, 7 + 24 * 50 * TicksPerNs);
+    EXPECT_TRUE(f.delivered[0].tail);
     EXPECT_EQ(f.queue.fusedHops(), 1u);
     EXPECT_EQ(f.queue.executed(), 1u);
-    EXPECT_FALSE(iommu->fusedDelivery());
 }
 
 TEST(IommuTest, DemandWalksRunBeforeQueuedPrefetches)
@@ -306,23 +324,13 @@ TEST(IommuTest, DemandWalksRunBeforeQueuedPrefetches)
     for (mem::DomainId d = 1; d <= 3; ++d)
         f.tables.get(d).map(0x1000, mem::PageSize::Size4K);
 
-    std::vector<int> order;
     // Occupy the walker.
-    iommu->translate({1, 0x1000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &) {
-                         order.push_back(1);
-                     });
+    iommu->translate(demand(1, 0x1000));
     // Queue a prefetch, then a demand: demand must run first.
-    iommu->translate({2, 0x1000, mem::PageSize::Size4K, true},
-                     [&](const IommuResponse &) {
-                         order.push_back(2);
-                     });
-    iommu->translate({3, 0x1000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &) {
-                         order.push_back(3);
-                     });
+    iommu->translate(prefetch(2, 0x1000));
+    iommu->translate(demand(3, 0x1000));
     f.queue.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+    EXPECT_EQ(f.order(), (std::vector<int>{1, 3, -2}));
 }
 
 TEST(IommuTest, AgingBoundPromotesStarvedPrefetch)
@@ -338,25 +346,15 @@ TEST(IommuTest, AgingBoundPromotesStarvedPrefetch)
     for (mem::DomainId d = 1; d <= 7; ++d)
         f.tables.get(d).map(0x1000, mem::PageSize::Size4K);
 
-    std::vector<int> order;
-    auto demand = [&](mem::DomainId d) {
-        iommu->translate({d, 0x1000, mem::PageSize::Size4K, false},
-                         [&order, d](const IommuResponse &) {
-                             order.push_back(static_cast<int>(d));
-                         });
-    };
     // Occupy the walker, queue the prefetch, then pile up demand.
-    demand(1);
-    iommu->translate({2, 0x1000, mem::PageSize::Size4K, true},
-                     [&](const IommuResponse &) {
-                         order.push_back(-2);
-                     });
+    iommu->translate(demand(1, 0x1000));
+    iommu->translate(prefetch(2, 0x1000));
     for (mem::DomainId d = 3; d <= 7; ++d)
-        demand(d);
+        iommu->translate(demand(d, 0x1000));
     f.queue.run();
     // Two demand walks dispatch past the prefetch (streak 1, 2),
     // then the aging bound promotes it ahead of the remaining three.
-    EXPECT_EQ(order, (std::vector<int>{1, 3, 4, -2, 5, 6, 7}));
+    EXPECT_EQ(f.order(), (std::vector<int>{1, 3, 4, -2, 5, 6, 7}));
     EXPECT_EQ(iommu->prefetchPromotions(), 1u);
 }
 
@@ -370,22 +368,12 @@ TEST(IommuTest, ZeroAgingThresholdKeepsStrictDemandFirst)
     for (mem::DomainId d = 1; d <= 7; ++d)
         f.tables.get(d).map(0x1000, mem::PageSize::Size4K);
 
-    std::vector<int> order;
-    iommu->translate({1, 0x1000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &) {
-                         order.push_back(1);
-                     });
-    iommu->translate({2, 0x1000, mem::PageSize::Size4K, true},
-                     [&](const IommuResponse &) {
-                         order.push_back(-2);
-                     });
+    iommu->translate(demand(1, 0x1000));
+    iommu->translate(prefetch(2, 0x1000));
     for (mem::DomainId d = 3; d <= 7; ++d)
-        iommu->translate({d, 0x1000, mem::PageSize::Size4K, false},
-                         [&order, d](const IommuResponse &) {
-                             order.push_back(static_cast<int>(d));
-                         });
+        iommu->translate(demand(d, 0x1000));
     f.queue.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 3, 4, 5, 6, 7, -2}));
+    EXPECT_EQ(f.order(), (std::vector<int>{1, 3, 4, 5, 6, 7, -2}));
     EXPECT_EQ(iommu->prefetchPromotions(), 0u);
 }
 
@@ -397,8 +385,7 @@ TEST(IommuTest, InvalidateDropsBothSizeKeysOnSizeFlip)
     Fixture f;
     auto iommu = f.make();
     f.tables.get(1).map(0xbbe00000, mem::PageSize::Size2M);
-    iommu->translate({1, 0xbbe00000, mem::PageSize::Size2M, false},
-                     [](const IommuResponse &) {});
+    iommu->translate(demand(1, 0xbbe00000, mem::PageSize::Size2M));
     f.queue.run();
     ASSERT_EQ(iommu->iotlbOccupancy(), 1u);
 
@@ -411,10 +398,10 @@ TEST(IommuTest, InvalidateDropsBothSizeKeysOnSizeFlip)
 
     // The next 2M-declared request must re-walk and return the
     // fresh 4K mapping, not a stale cached 2M translation.
-    IommuResponse seen;
-    iommu->translate({1, 0xbbe00000, mem::PageSize::Size2M, false},
-                     [&](const IommuResponse &r) { seen = r; });
+    iommu->translate(demand(1, 0xbbe00000, mem::PageSize::Size2M));
     f.queue.run();
+    ASSERT_EQ(f.delivered.size(), 2u);
+    const IommuResponse &seen = f.delivered[1].resp;
     ASSERT_TRUE(seen.valid);
     EXPECT_FALSE(seen.iotlbHit);
     EXPECT_EQ(seen.hostAddr,
@@ -425,12 +412,10 @@ TEST(IommuTest, UnmappedPageFaults)
 {
     Fixture f;
     auto iommu = f.make();
-    IommuResponse seen;
-    seen.valid = true;
-    iommu->translate({1, 0xdead000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &resp) { seen = resp; });
+    iommu->translate(demand(1, 0xdead000));
     f.queue.run();
-    EXPECT_FALSE(seen.valid);
+    ASSERT_EQ(f.delivered.size(), 1u);
+    EXPECT_FALSE(f.delivered[0].resp.valid);
     const auto *faults = f.stats.child("iommu").find("faults");
     EXPECT_DOUBLE_EQ(faults->value(), 1.0);
 }
@@ -439,16 +424,14 @@ TEST(IommuTest, FaultsAreNotCached)
 {
     Fixture f;
     auto iommu = f.make();
-    iommu->translate({1, 0x5000, mem::PageSize::Size4K, false},
-                     [](const IommuResponse &) {});
+    iommu->translate(demand(1, 0x5000));
     f.queue.run();
     // Map the page afterwards; the next translation must succeed.
     f.tables.get(1).map(0x5000, mem::PageSize::Size4K);
-    IommuResponse seen;
-    iommu->translate({1, 0x5000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &resp) { seen = resp; });
+    iommu->translate(demand(1, 0x5000));
     f.queue.run();
-    EXPECT_TRUE(seen.valid);
+    ASSERT_EQ(f.delivered.size(), 2u);
+    EXPECT_TRUE(f.delivered[1].resp.valid);
 }
 
 TEST(IommuTest, InvalidateDropsIotlbEntry)
@@ -456,15 +439,14 @@ TEST(IommuTest, InvalidateDropsIotlbEntry)
     Fixture f;
     auto iommu = f.make();
     f.tables.get(1).map(0x1000, mem::PageSize::Size4K);
-    iommu->translate({1, 0x1000, mem::PageSize::Size4K, false},
-                     [](const IommuResponse &) {});
+    iommu->translate(demand(1, 0x1000));
     f.queue.run();
 
     iommu->invalidate(1, 0x1000, mem::PageSize::Size4K);
-    IommuResponse seen;
-    iommu->translate({1, 0x1000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &resp) { seen = resp; });
+    iommu->translate(demand(1, 0x1000));
     f.queue.run();
+    ASSERT_EQ(f.delivered.size(), 2u);
+    const IommuResponse &seen = f.delivered[1].resp;
     EXPECT_TRUE(seen.valid);
     EXPECT_FALSE(seen.iotlbHit); // had to walk again
 }
@@ -477,8 +459,7 @@ TEST(IommuTest, InvalidateKeepsPagingStructureCaches)
     Fixture f;
     auto iommu = f.make();
     f.tables.get(1).map(0x10000000, mem::PageSize::Size4K);
-    iommu->translate({1, 0x10000000, mem::PageSize::Size4K, false},
-                     [](const IommuResponse &) {});
+    iommu->translate(demand(1, 0x10000000));
     f.queue.run();
     ASSERT_EQ(iommu->iotlbOccupancy(), 1u);
     ASSERT_EQ(iommu->l2Occupancy(), 1u);
@@ -490,17 +471,13 @@ TEST(IommuTest, InvalidateKeepsPagingStructureCaches)
     EXPECT_EQ(iommu->l3Occupancy(), 1u); // survived
 
     const Tick start = f.queue.now();
-    Tick done_at = 0;
-    IommuResponse seen;
-    iommu->translate({1, 0x10000000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &resp) {
-                         seen = resp;
-                         done_at = f.queue.now();
-                     });
+    iommu->translate(demand(1, 0x10000000));
     f.queue.run();
+    ASSERT_EQ(f.delivered.size(), 2u);
+    const IommuResponse &seen = f.delivered[1].resp;
     ASSERT_TRUE(seen.valid);
     EXPECT_FALSE(seen.iotlbHit);
-    EXPECT_EQ(done_at - start, 9 * 50 * TicksPerNs);
+    EXPECT_EQ(f.delivered[1].at - start, 9 * 50 * TicksPerNs);
 }
 
 TEST(IommuTest, InvalidateOfUncachedPageIsHarmless)
@@ -517,20 +494,16 @@ TEST(IommuTest, FlushAllDropsPagingCachesToo)
     auto iommu = f.make();
     f.tables.get(1).map(0x10000000, mem::PageSize::Size4K);
     f.tables.get(1).map(0x10001000, mem::PageSize::Size4K);
-    iommu->translate({1, 0x10000000, mem::PageSize::Size4K, false},
-                     [](const IommuResponse &) {});
+    iommu->translate(demand(1, 0x10000000));
     f.queue.run();
     iommu->flushAll();
 
     const Tick start = f.queue.now();
-    Tick done_at = 0;
-    iommu->translate({1, 0x10001000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &) {
-                         done_at = f.queue.now();
-                     });
+    iommu->translate(demand(1, 0x10001000));
     f.queue.run();
     // Full walk again: 24 accesses, not the L2-shortened 9.
-    EXPECT_EQ(done_at - start, 24 * 50 * TicksPerNs);
+    ASSERT_EQ(f.delivered.size(), 2u);
+    EXPECT_EQ(f.delivered[1].at - start, 24 * 50 * TicksPerNs);
 }
 
 TEST(IommuTest, TranslationsFromDifferentDomainsDiffer)
@@ -539,14 +512,11 @@ TEST(IommuTest, TranslationsFromDifferentDomainsDiffer)
     auto iommu = f.make();
     f.tables.get(1).map(0x1000, mem::PageSize::Size4K);
     f.tables.get(2).map(0x1000, mem::PageSize::Size4K);
-    mem::Addr a1 = 0;
-    mem::Addr a2 = 0;
-    iommu->translate({1, 0x1000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &r) { a1 = r.hostAddr; });
-    iommu->translate({2, 0x1000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &r) { a2 = r.hostAddr; });
+    iommu->translate(demand(1, 0x1000));
+    iommu->translate(demand(2, 0x1000));
     f.queue.run();
-    EXPECT_NE(a1, a2);
+    ASSERT_EQ(f.delivered.size(), 2u);
+    EXPECT_NE(f.delivered[0].resp.hostAddr, f.delivered[1].resp.hostAddr);
 }
 
 TEST(IommuTest, FiveLevelWalkCosts35Accesses)
@@ -556,14 +526,11 @@ TEST(IommuTest, FiveLevelWalkCosts35Accesses)
     config.pagingLevels = 5;
     auto iommu = f.make(config);
     f.tables.get(1).map(0x1000, mem::PageSize::Size4K);
-    Tick done_at = 0;
-    iommu->translate({1, 0x1000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &) {
-                         done_at = f.queue.now();
-                     });
+    iommu->translate(demand(1, 0x1000));
     f.queue.run();
     // 5-level 2-D walk: 6 accesses per guest level * 5 + 5 = 35.
-    EXPECT_EQ(done_at, 35 * 50 * TicksPerNs);
+    ASSERT_EQ(f.delivered.size(), 1u);
+    EXPECT_EQ(f.delivered[0].at, 35 * 50 * TicksPerNs);
 }
 
 TEST(IommuTest, FiveLevelPartialWalksShortenToo)
@@ -574,18 +541,14 @@ TEST(IommuTest, FiveLevelPartialWalksShortenToo)
     auto iommu = f.make(config);
     f.tables.get(1).map(0x10000000, mem::PageSize::Size4K);
     f.tables.get(1).map(0x10001000, mem::PageSize::Size4K);
-    iommu->translate({1, 0x10000000, mem::PageSize::Size4K, false},
-                     [](const IommuResponse &) {});
+    iommu->translate(demand(1, 0x10000000));
     f.queue.run();
     const Tick start = f.queue.now();
-    Tick done_at = 0;
-    iommu->translate({1, 0x10001000, mem::PageSize::Size4K, false},
-                     [&](const IommuResponse &) {
-                         done_at = f.queue.now();
-                     });
+    iommu->translate(demand(1, 0x10001000));
     f.queue.run();
     // L2 hit leaves one guest level: 6*1 + 5 = 11 accesses.
-    EXPECT_EQ(done_at - start, 11 * 50 * TicksPerNs);
+    ASSERT_EQ(f.delivered.size(), 2u);
+    EXPECT_EQ(f.delivered[1].at - start, 11 * 50 * TicksPerNs);
 }
 
 TEST(PageTableDirectoryTest, LazyCreation)

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "mem/memory_model.hh"
 
@@ -12,10 +13,34 @@ namespace hypersio::mem
 namespace
 {
 
-struct Fixture
+/** Records every completed chain: its tag, tick and seq. */
+struct Fixture : MemoryClient
 {
     sim::EventQueue queue;
     stats::StatGroup stats{"test"};
+
+    struct Done
+    {
+        uint64_t tag;
+        Tick at;
+        uint64_t seq;
+    };
+    std::vector<Done> done;
+
+    void
+    chainDone(uint64_t tag) override
+    {
+        done.push_back({tag, queue.now(), queue.scheduledSeq()});
+    }
+
+    std::vector<Tick>
+    ticks() const
+    {
+        std::vector<Tick> out;
+        for (const Done &d : done)
+            out.push_back(d.at);
+        return out;
+    }
 };
 
 TEST(MemoryModel, SingleAccessLatency)
@@ -25,31 +50,29 @@ TEST(MemoryModel, SingleAccessLatency)
     config.accessLatency = 50 * TicksPerNs;
     MemoryModel memory(config, f.queue, f.stats);
 
-    Tick done_at = 0;
-    memory.access(1, [&] { done_at = f.queue.now(); });
+    memory.access(1, f, 0);
     f.queue.run();
-    EXPECT_EQ(done_at, 50 * TicksPerNs);
+    EXPECT_EQ(f.ticks(), std::vector<Tick>{50 * TicksPerNs});
 }
 
 TEST(MemoryModel, ChainSerializesAccesses)
 {
     Fixture f;
     MemoryModel memory({50 * TicksPerNs, 0}, f.queue, f.stats);
-    Tick done_at = 0;
     // A full 24-access two-dimensional walk = 1200 ns.
-    memory.access(24, [&] { done_at = f.queue.now(); });
+    memory.access(24, f, 0);
     f.queue.run();
-    EXPECT_EQ(done_at, 1200 * TicksPerNs);
+    EXPECT_EQ(f.ticks(), std::vector<Tick>{1200 * TicksPerNs});
 }
 
 TEST(MemoryModel, UnlimitedModeRunsChainsInParallel)
 {
     Fixture f;
     MemoryModel memory({100, 0}, f.queue, f.stats);
-    std::vector<Tick> finished;
     for (int i = 0; i < 4; ++i)
-        memory.access(1, [&] { finished.push_back(f.queue.now()); });
+        memory.access(1, f, i);
     f.queue.run();
+    const std::vector<Tick> finished = f.ticks();
     ASSERT_EQ(finished.size(), 4u);
     for (Tick t : finished)
         EXPECT_EQ(t, 100u); // all complete together
@@ -59,11 +82,11 @@ TEST(MemoryModel, BoundedModeQueuesExcessChains)
 {
     Fixture f;
     MemoryModel memory({100, 2}, f.queue, f.stats);
-    std::vector<Tick> finished;
     for (int i = 0; i < 4; ++i)
-        memory.access(1, [&] { finished.push_back(f.queue.now()); });
+        memory.access(1, f, i);
     EXPECT_EQ(memory.busy(), 2u);
     f.queue.run();
+    const std::vector<Tick> finished = f.ticks();
     ASSERT_EQ(finished.size(), 4u);
     // Two waves: 2 at t=100, 2 at t=200.
     EXPECT_EQ(finished[0], 100u);
@@ -77,19 +100,21 @@ TEST(MemoryModel, QueuedChainsPreserveOrder)
 {
     Fixture f;
     MemoryModel memory({10, 1}, f.queue, f.stats);
-    std::vector<int> order;
     for (int i = 0; i < 3; ++i)
-        memory.access(1, [&, i] { order.push_back(i); });
+        memory.access(1, f, i);
     f.queue.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    std::vector<uint64_t> order;
+    for (const Fixture::Done &d : f.done)
+        order.push_back(d.tag);
+    EXPECT_EQ(order, (std::vector<uint64_t>{0, 1, 2}));
 }
 
 TEST(MemoryModel, StatsCountReadsAndChains)
 {
     Fixture f;
     MemoryModel memory({10, 1}, f.queue, f.stats);
-    memory.access(24, [] {});
-    memory.access(9, [] {});
+    memory.access(24, f, 0);
+    memory.access(9, f, 1);
     f.queue.run();
     const auto *reads = f.stats.child("memory").find("reads");
     const auto *chains = f.stats.child("memory").find("chains");
@@ -104,10 +129,9 @@ TEST(MemoryModel, ZeroAccessChainCompletesAtOnce)
 {
     Fixture f;
     MemoryModel memory({50, 0}, f.queue, f.stats);
-    Tick done_at = MaxTick;
-    memory.access(0, [&] { done_at = f.queue.now(); });
+    memory.access(0, f, 0);
     f.queue.run();
-    EXPECT_EQ(done_at, 0u);
+    EXPECT_EQ(f.ticks(), std::vector<Tick>{0});
 }
 
 // A tail-position chain on unbounded memory completes synchronously
@@ -127,21 +151,13 @@ TEST(MemoryModel, OnlyUnboundedTailChainsFuse)
         const bool fuses = c.slots == 0 && c.mayFuse;
         Fixture f;
         MemoryModel memory({50, c.slots}, f.queue, f.stats);
-        Tick done_at = 0;
-        uint64_t seq_at_done = 0;
-        f.queue.schedule(10, [&] {
-            memory.access(
-                3,
-                [&] {
-                    done_at = f.queue.now();
-                    seq_at_done = f.queue.scheduledSeq();
-                },
-                c.mayFuse);
-        });
+        f.queue.schedule(10, [&] { memory.access(3, f, 7, c.mayFuse); });
         f.queue.run();
-        EXPECT_EQ(done_at, 160u);
+        ASSERT_EQ(f.done.size(), 1u);
+        EXPECT_EQ(f.done[0].tag, 7u);
+        EXPECT_EQ(f.done[0].at, 160u);
         // The outer event's seq, then the chain's own.
-        EXPECT_EQ(seq_at_done, 2u);
+        EXPECT_EQ(f.done[0].seq, 2u);
         EXPECT_EQ(f.queue.fusedHops(), fuses ? 1u : 0u);
         EXPECT_EQ(f.queue.executed(), fuses ? 1u : 2u);
     }

@@ -235,14 +235,20 @@ TEST(PrefetchUnit, InvalidateDropsEntry)
         pu.lookup(3, 0xbbe00000, mem::PageSize::Size2M, addr));
 }
 
-struct ReaderFixture
+/**
+ * A History Reader on a real IOMMU, whose answers come back here:
+ * each valid one is recorded as a fill, then closes its burst step,
+ * as the System routes them.
+ */
+struct ReaderFixture : iommu::TranslationSink
 {
     sim::EventQueue queue;
     stats::StatGroup stats{"test"};
     mem::MemoryModel memory{{50 * TicksPerNs, 0}, queue, stats};
     iommu::PageTableDirectory tables{42};
     iommu::Iommu iommu{iommu::IommuConfig{}, queue, stats, memory,
-                       tables};
+                       tables, *this};
+    std::unique_ptr<HistoryReader> reader;
 
     struct Fill
     {
@@ -252,22 +258,29 @@ struct ReaderFixture
     };
     std::vector<Fill> fills;
 
-    HistoryReader
+    HistoryReader &
     makeReader(const PrefetchConfig &config)
     {
-        return HistoryReader(
-            config, queue, stats, iommu, memory,
-            [this](mem::DomainId did, mem::Iova iova,
-                   mem::PageSize, mem::Addr host) {
-                fills.push_back({did, iova, host});
-            });
+        reader = std::make_unique<HistoryReader>(config, queue, stats,
+                                                 iommu, memory, 0);
+        return *reader;
+    }
+
+    void
+    translated(const iommu::IommuRequest &req,
+               const iommu::IommuResponse &resp, bool) override
+    {
+        EXPECT_EQ(req.tag.kind, iommu::Requester::HistoryPrefetch);
+        if (resp.valid)
+            fills.push_back({req.domain, req.iova, resp.hostAddr});
+        reader->prefetchTranslated(req.domain);
     }
 };
 
 TEST(HistoryReader, PrefetchesMostRecentDistinctPages)
 {
     ReaderFixture f;
-    HistoryReader reader = f.makeReader(pbConfig());
+    HistoryReader &reader = f.makeReader(pbConfig());
     f.tables.get(1).map(0x34800000, mem::PageSize::Size4K);
     f.tables.get(1).map(0xbbe00000, mem::PageSize::Size2M);
     f.tables.get(1).map(0xf0000000, mem::PageSize::Size4K);
@@ -291,7 +304,7 @@ TEST(HistoryReader, PrefetchesMostRecentDistinctPages)
 TEST(HistoryReader, DuplicateObservationsMoveToFront)
 {
     ReaderFixture f;
-    HistoryReader reader = f.makeReader(pbConfig());
+    HistoryReader &reader = f.makeReader(pbConfig());
     f.tables.get(1).map(0x1000, mem::PageSize::Size4K);
     f.tables.get(1).map(0x2000, mem::PageSize::Size4K);
     reader.observe(1, 0x1000, mem::PageSize::Size4K);
@@ -306,7 +319,7 @@ TEST(HistoryReader, DuplicateObservationsMoveToFront)
 TEST(HistoryReader, DeduplicatesInFlightPrefetches)
 {
     ReaderFixture f;
-    HistoryReader reader = f.makeReader(pbConfig());
+    HistoryReader &reader = f.makeReader(pbConfig());
     f.tables.get(1).map(0x1000, mem::PageSize::Size4K);
     reader.observe(1, 0x1000, mem::PageSize::Size4K);
     reader.prefetch(1);
@@ -323,7 +336,7 @@ TEST(HistoryReader, DeduplicatesInFlightPrefetches)
 TEST(HistoryReader, UnknownTenantIsIgnored)
 {
     ReaderFixture f;
-    HistoryReader reader = f.makeReader(pbConfig());
+    HistoryReader &reader = f.makeReader(pbConfig());
     reader.prefetch(77); // no history yet
     f.queue.run();
     EXPECT_EQ(reader.prefetchesStarted(), 0u);
@@ -335,7 +348,7 @@ TEST(HistoryReader, ChargesHistoryReadLatency)
     ReaderFixture f;
     PrefetchConfig config = pbConfig();
     config.historyReadAccesses = 2;
-    HistoryReader reader = f.makeReader(config);
+    HistoryReader &reader = f.makeReader(config);
     f.tables.get(1).map(0x1000, mem::PageSize::Size4K);
     reader.observe(1, 0x1000, mem::PageSize::Size4K);
     reader.prefetch(1);
@@ -526,7 +539,7 @@ TEST(HistoryReader, HistoryDepthBoundsMemory)
     PrefetchConfig config = pbConfig();
     config.historyDepth = 2;
     config.pagesPerPrefetch = 4;
-    HistoryReader reader = f.makeReader(config);
+    HistoryReader &reader = f.makeReader(config);
     for (mem::Iova page = 0; page < 10; ++page) {
         f.tables.get(1).map(page << 12, mem::PageSize::Size4K);
         reader.observe(1, page << 12, mem::PageSize::Size4K);

@@ -190,8 +190,13 @@ class TraceFileTest : public ::testing::Test
   protected:
     void SetUp() override
     {
+        // One file per test: ctest runs the cases in parallel.
         _path = std::filesystem::temp_directory_path() /
-                "hypersio_trace_test.bin";
+                (std::string("hypersio_trace_test_") +
+                 ::testing::UnitTest::GetInstance()
+                     ->current_test_info()
+                     ->name() +
+                 ".bin");
     }
     void TearDown() override { std::filesystem::remove(_path); }
 
