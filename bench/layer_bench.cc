@@ -2,8 +2,8 @@
  * @file
  * Layer bench: times the simulator one layer at a time, in one binary.
  *
- *   kernel       the slab event kernel on synthetic schedule/fire,
- *                schedule/cancel/fire and closure-size mixes
+ *   kernel       the slab event kernel on synthetic schedule/fire
+ *                and closure-size mixes
  *   probes       the 16-wide group-probe backends (util/simd.hh): the
  *                same FlatMap + SetAssocCache traffic through the
  *                build's vector backend and through the scalar
@@ -194,39 +194,6 @@ scheduleFire(uint64_t events, uint64_t &sink)
     return q.executed();
 }
 
-/**
- * Two events per slot, every other one cancelled before the drain.
- * @return executed + cancelled events (both are kernel work)
- */
-uint64_t
-scheduleCancelFire(uint64_t events, uint64_t &sink)
-{
-    constexpr uint64_t Batch = 128;
-    sim::EventQueue q;
-    Rng rng(0xc6a4a7935bd1e995ULL);
-    uint64_t cancelled = 0;
-    std::vector<sim::EventHandle> victims;
-    for (uint64_t done = 0; done < events; done += 2 * Batch) {
-        victims.clear();
-        for (uint64_t i = 0; i < Batch; ++i) {
-            Payload<32> p;
-            for (auto &w : p.words)
-                w = rng.next();
-            q.scheduleAfter(rng.next() % 1024,
-                            [&sink, p] { sink += p.words.front(); });
-            victims.push_back(q.scheduleAfter(
-                rng.next() % 1024,
-                [&sink, p] { sink += p.words.back(); }));
-        }
-        for (const auto &h : victims)
-            cancelled += q.cancel(h) ? 1 : 0;
-        q.run();
-    }
-    HYPERSIO_ASSERT(cancelled == events / 2,
-                    "cancel bookkeeping went wrong");
-    return q.executed() + cancelled;
-}
-
 void
 runKernel(const Options &opts, JsonReport &report)
 {
@@ -256,13 +223,12 @@ runKernel(const Options &opts, JsonReport &report)
     };
     // Warm the slab outside the timed regions.
     scheduleFire<32>(1u << 12, sink);
-    // 32 B is the translation pipeline's hot-path closure size; the
-    // sweep crosses the record's inline limit (48 B) at 64 B.
+    // Each capture is the payload plus the 8-byte &sink. 40 B fills
+    // the record's 48 inline bytes, the size of the translation
+    // pipeline's largest closure (the IOTLB-hit delivery).
     mix("schedule_fire", scheduleFire<32>);
-    mix("schedule_cancel_fire", scheduleCancelFire);
     mix("closure_8b", scheduleFire<8>);
-    mix("closure_48b", scheduleFire<48>);
-    mix("closure_64b", scheduleFire<64>);
+    mix("closure_40b", scheduleFire<40>);
     // Depends on every callback having run: no dead-code wins.
     std::printf("checksum: %016llx\n", (unsigned long long)sink);
 }

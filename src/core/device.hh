@@ -44,8 +44,8 @@ class ChipsetPort
      * With `may_fuse` the caller is in tail position of an event
      * callback, so the port may collapse its deterministic hops via
      * EventQueue::tryFuseAdvance() and run the continuation
-     * synchronously at the same (tick, priority, seq) a scheduled
-     * hop would have had; without it the port must schedule
+     * synchronously at the same (tick, seq) a scheduled hop would
+     * have had; without it the port must schedule
      * event-per-hop. translated() must likewise be called only from
      * tail position (a scheduled event's end, or a fused
      * continuation of one) or outside run() entirely.

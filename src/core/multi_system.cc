@@ -105,9 +105,9 @@ ShardedMultiSystem::run(const StreamFactory &make_stream,
     }
     results.tenantsRetired = results.retirements.size();
 
-    // Merge rule: the slab kernel's (tick, priority, seq) ordering
-    // with the shard id as the priority band. Per-shard logs are
-    // already in (tick, seq) order, so a stable sort on
+    // Merge rule: the slab kernel's (tick, seq) ordering with the
+    // shard id between the two. Per-shard logs are already in
+    // (tick, seq) order, so a stable sort on
     // (tick, shard, seq) yields the unique global timeline with the
     // per-shard index as the final tie-breaker.
     std::stable_sort(results.retirements.begin(),

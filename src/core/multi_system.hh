@@ -24,9 +24,9 @@ namespace hypersio::core
 /**
  * One tenant retirement on the merged global timeline. Entries are
  * ordered by (tick, shard, seq, per-shard index) — the slab event
- * kernel's (tick, priority, seq) rule with the shard id standing in
- * for the priority band — so the timeline is a pure function of the
- * per-shard simulations, independent of worker-thread scheduling.
+ * kernel's (tick, seq) rule with the shard id between the two — so
+ * the timeline is a pure function of the per-shard simulations,
+ * independent of worker-thread scheduling.
  */
 struct GlobalRetirement
 {

@@ -239,8 +239,8 @@ class Iommu : public sim::SimObject, private mem::MemoryClient
      * Asynchronously translates `req`; the sink hears of it on
      * completion. With `may_fuse` (the caller is in tail position of
      * an event callback) an IOTLB hit's fixed latency may collapse
-     * into a synchronous delivery at the identical (tick, priority,
-     * seq) the hit event would have had, and so may a walk's
+     * into a synchronous delivery at the identical (tick, seq) the
+     * hit event would have had, and so may a walk's
      * completion on unbounded memory; coalesced requests and queued
      * walks always take the event path.
      */

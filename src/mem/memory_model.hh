@@ -72,8 +72,8 @@ class MemoryModel : public sim::SimObject
      * `client.chainDone(tag)` runs after n * accessLatency (plus any
      * queueing for a free slot). With `may_fuse` (the caller is in
      * tail position of an event callback) and unbounded slots, the
-     * completion may run synchronously at the identical (tick,
-     * priority, seq) its event would have had
+     * completion may run synchronously at the identical (tick, seq)
+     * its event would have had
      * (EventQueue::tryFuseAdvance). Bounded chains always complete
      * as events: a chain's finish starts the next queued one.
      */

@@ -4,20 +4,17 @@
  *
  * The performance model is an event-driven simulator: components
  * schedule callbacks at absolute ticks, and the queue executes them
- * in (tick, priority, sequence) order so simulation is fully
- * deterministic.
+ * in (tick, seq) order — seq being the order they were scheduled in —
+ * so simulation is fully deterministic. No event is withdrawn or
+ * prioritised, and run() drains the queue.
  *
  * Internals (see DESIGN.md "Slab event kernel"): events live in a
  * slab of fixed-size records with chunk-stable addresses and
- * free-list recycling. Callbacks are stored through a small-buffer
- * optimization — captures up to CallbackInlineSize bytes go directly
- * into the record, larger ones fall back to one heap allocation.
- * Ordering is a 4-ary index heap over (tick, priority, seq) keys;
- * the heap moves 24-byte keys, never callbacks. Cancellation is O(1)
- * and generation-checked: a cancelled record is tombstoned in place
- * (its callback destroyed immediately) and its slot recycles when
- * the key pops. Handles carry (slot, generation), so cancelling an
- * already-fired or already-cancelled event is a detected no-op.
+ * free-list recycling. Every callback is a Storable closure — at
+ * most CallbackInlineSize bytes, trivially copyable and trivially
+ * destructible, which one static_assert enforces — stored inline
+ * beside one invoke pointer. Ordering is a 4-ary index heap over
+ * (tick, seq) keys; the heap moves 24-byte keys, never callbacks.
  *
  * Event fusion (DESIGN.md "Hit-path event fusion"): a component
  * sitting in tail position of an event callback may collapse its
@@ -25,8 +22,8 @@
  * synchronous continuation via tryFuseAdvance(). The queue advances
  * _now to the exact tick the hop event would have fired at and burns
  * the sequence number that event would have consumed, so every
- * observable total-order key (tick, priority, seq) is identical to
- * the event-per-hop schedule. Fusion is refused whenever any pending
+ * observable total-order key (tick, seq) is identical to the
+ * event-per-hop schedule. Fusion is refused whenever any pending
  * event would fire at or before the hop's tick, so fused work can
  * never run ahead of (or tie with) a regular event — interleaving
  * is bit-identical by construction. setFusionEnabled(false) selects
@@ -38,11 +35,11 @@
  * re-arm would have taken and pushes nothing. Before any heap top is
  * dispatched, and inside tryFuseAdvance() right after the hop's seq
  * is burned, the kernel catches up: each parked slot whose (tick,
- * priority, seq) key orders first is billed to its owner as refused
- * slots in one call, burning the seqs their re-arms would have
- * consumed. wake() turns the slot back into a real event at its
- * reserved key. Every key is again the one of the event-per-slot
- * schedule; only executed() falls. Parked slots never refuse fusion.
+ * seq) key orders first is billed to its owner as refused slots in
+ * one call, burning the seqs their re-arms would have consumed.
+ * wake() turns the slot back into a real event at its reserved key.
+ * Every key is again the one of the event-per-slot schedule; only
+ * executed() falls. Parked slots never refuse fusion.
  */
 
 #ifndef HYPERSIO_SIM_EVENT_QUEUE_HH
@@ -51,8 +48,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -65,24 +60,15 @@
 namespace hypersio::sim
 {
 
-/** Scheduling priority; lower value runs first within the same tick. */
-using Priority = int;
-
-constexpr Priority DefaultPriority = 0;
-/** Used by components that must observe state before others mutate it. */
-constexpr Priority EarlyPriority = -10;
-/** Used by bookkeeping that must run after all same-tick activity. */
-constexpr Priority LatePriority = 10;
-
 /**
  * Refused-slot arithmetic of a parked slot (DESIGN.md §15). A
  * periodic retry at `now` was just refused, and nothing can change
  * the outcome before `next`, so every later slot now + k*gap that
  * falls strictly before `next` is refused too. Returns how many.
  * The slot that ties with `next` is never counted: it is ordered
- * against next's key by (priority, seq). A `next` at or before `now`
- * skips nothing. `next == MaxTick` means nothing is pending, so
- * nothing can ever end the refusals.
+ * against next's key by seq. A `next` at or before `now` skips
+ * nothing. `next == MaxTick` means nothing is pending, so nothing
+ * can ever end the refusals.
  */
 inline uint64_t
 refusedSlotsBefore(Tick now, Tick next, Tick gap)
@@ -95,24 +81,6 @@ refusedSlotsBefore(Tick now, Tick next, Tick gap)
     HYPERSIO_ASSERT(gap > 0, "refused-slot gap must be positive");
     return next > now ? (next - now - 1) / gap : 0;
 }
-
-/**
- * Opaque handle to a scheduled event. Valid until the event fires or
- * is cancelled; safe to keep after either (cancel becomes a no-op
- * that returns false, thanks to the generation check).
- */
-class EventHandle
-{
-  public:
-    EventHandle() = default;
-
-    bool valid() const { return _id != 0; }
-
-  private:
-    friend class EventQueue;
-    explicit EventHandle(uint64_t id) : _id(id) {}
-    uint64_t _id = 0;
-};
 
 /**
  * Owner of a parked slot (EventQueue::park). The kernel bills it for
@@ -148,33 +116,32 @@ class ParkHandle
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
-    using Handle = EventHandle;
-
     /**
-     * Captures up to this many bytes are stored inline in the event
-     * record; larger callables cost one heap allocation. Sized so
-     * every hot-path closure of the translation pipeline (a handful
-     * of words: object pointer, slot index, a response struct) stays
-     * inline.
+     * Capture bytes an event record holds. The largest closure of
+     * the translation pipeline, the IOTLB-hit delivery's (object,
+     * request, response), is exactly this size.
      */
     static constexpr size_t CallbackInlineSize = 48;
+
+    /**
+     * Whether a closure of type F can be scheduled: it fits the
+     * record's inline bytes and alignment, and it is trivially
+     * copyable and trivially destructible, so a record is moved as
+     * plain bytes and never destroyed. Capture pointers, indices and
+     * POD structs; never a type-erased function wrapper or an
+     * owning object.
+     */
+    template <typename F>
+    static constexpr bool Storable =
+        sizeof(std::decay_t<F>) <= CallbackInlineSize &&
+        alignof(std::decay_t<F>) <= alignof(std::max_align_t) &&
+        std::is_trivially_copyable_v<std::decay_t<F>> &&
+        std::is_trivially_destructible_v<std::decay_t<F>>;
 
     EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
-
-    ~EventQueue()
-    {
-        // Destroy callbacks of events that never fired. Cancelled
-        // tombstones already destroyed theirs.
-        for (const HeapItem &item : _heap) {
-            Record &rec = record(item.idx);
-            if (rec.state == Record::Pending)
-                rec.destroyCallback();
-        }
-    }
 
     /** Current simulated time. */
     Tick now() const { return _now; }
@@ -184,17 +151,11 @@ class EventQueue
 
     /**
      * Sequence number of the most recently scheduled event. Part of
-     * the kernel's total order (tick, priority, seq);
-     * ShardedMultiSystem reuses it as the deterministic tie-breaker
-     * when merging per-shard timelines.
+     * the kernel's total order (tick, seq); ShardedMultiSystem
+     * reuses it as the deterministic tie-breaker when merging
+     * per-shard timelines.
      */
     uint64_t scheduledSeq() const { return _nextSeq; }
-
-    /** Number of events currently pending (tombstones excluded). */
-    size_t pending() const { return _live; }
-
-    /** True when no live events remain. */
-    bool empty() const { return _live == 0; }
 
     /** Event records ever allocated (slab high-water mark; tests). */
     size_t poolCapacity() const { return _slabSize; }
@@ -205,7 +166,6 @@ class EventQueue
      * binary).
      */
     void setFusionEnabled(bool on) { _fusionEnabled = on; }
-    bool fusionEnabled() const { return _fusionEnabled; }
 
     /** Hop events elided by tryFuseAdvance() so far (diagnostics
      *  only — never part of a simulation result). */
@@ -221,18 +181,12 @@ class EventQueue
      * caller then runs the continuation synchronously. On failure
      * the caller must schedule exactly as before.
      *
-     * Success requires, conservatively:
-     *  - fusion enabled and a run() in progress (never during step(),
-     *    which promises one callback per call);
-     *  - the hop's tick not beyond the run limit (the per-hop
-     *    schedule leaves the event pending past the limit; so do we);
-     *  - every pending event STRICTLY later than the hop's tick — a
-     *    tombstoned top counts as pending (it may hide a later live
-     *    key, so skipping fusion is the safe direction), and
-     *    same-tick events of any priority refuse fusion even when
-     *    the elided event would have ordered first.
-     * Parked slots do not refuse: the ones the elided event would
-     * have followed are billed here, the tie slot included.
+     * Success requires fusion enabled, a run() in progress, and
+     * every pending event STRICTLY later than the hop's tick:
+     * a same-tick event refuses fusion even though the elided event
+     * would have ordered after it. Parked slots do not refuse: the
+     * ones the elided event would have followed are billed here, the
+     * tie slot included.
      */
     bool
     tryFuseAdvance(Tick delay)
@@ -244,41 +198,35 @@ class EventQueue
                         "fused hop overflows Tick: now %llu + %llu",
                         (unsigned long long)_now,
                         (unsigned long long)delay);
-        if (when > _runLimit)
-            return false;
         if (!_heap.empty() && _heap.front().when <= when)
             return false;
         ++_nextSeq; // the elided event's slot in the total order
         ++_fusedHops;
         if (_firstParkedAt <= when)
-            catchUp(HeapItem{when, _nextSeq, DefaultPriority, 0});
+            catchUp(HeapItem{when, _nextSeq, 0});
         _now = when;
         return true;
     }
 
     /**
      * Schedules `fn` to run at absolute tick `when` (>= now()).
-     * Same-tick events run in priority order, then insertion order.
-     * Any callable convertible to void() is accepted; its captures
-     * are stored inline when they fit (see CallbackInlineSize).
+     * Same-tick events run in the order they were scheduled.
      */
     template <typename F>
-    EventHandle
-    schedule(Tick when, F &&fn, Priority priority = DefaultPriority)
+    void
+    schedule(Tick when, F &&fn)
     {
         HYPERSIO_ASSERT(when >= _now,
                         "scheduling in the past: %llu < %llu",
                         (unsigned long long)when,
                         (unsigned long long)_now);
-        return push(HeapItem{when, ++_nextSeq, priority, 0},
-                    std::forward<F>(fn));
+        push(HeapItem{when, ++_nextSeq, 0}, std::forward<F>(fn));
     }
 
     /** Schedules `fn` to run `delay` ticks from now. */
     template <typename F>
-    EventHandle
-    scheduleAfter(Tick delay, F &&fn,
-                  Priority priority = DefaultPriority)
+    void
+    scheduleAfter(Tick delay, F &&fn)
     {
         const Tick when = _now + delay;
         HYPERSIO_ASSERT(when >= _now,
@@ -286,18 +234,18 @@ class EventQueue
                         "delay %llu wraps",
                         (unsigned long long)_now,
                         (unsigned long long)delay);
-        return schedule(when, std::forward<F>(fn), priority);
+        schedule(when, std::forward<F>(fn));
     }
 
     /**
      * Parks a periodic retry, standing in for `scheduleAfter(gap,
      * retry)` from a retry that only a later event can satisfy: it
-     * reserves that re-arm's key (now + gap, DefaultPriority, next
-     * seq) and pushes nothing. Until wake(), each slot the retry
-     * would have fired at is billed to `sink` as refused, one gap
-     * after the other, with the seq each re-arm would have taken
-     * burned. The owner must wake the slot from the event that ends
-     * its refusals; a parked slot with nothing else pending panics.
+     * reserves that re-arm's key (now + gap, next seq) and pushes
+     * nothing. Until wake(), each slot the retry would have fired at
+     * is billed to `sink` as refused, one gap after the other, with
+     * the seq each re-arm would have taken burned. The owner must
+     * wake the slot from the event that ends its refusals; a parked
+     * slot with nothing else pending panics.
      */
     ParkHandle
     park(Tick gap, ParkedSlotSink &sink)
@@ -321,8 +269,8 @@ class EventQueue
 
     /**
      * Turns the parked slot `slot` names into a real event running
-     * `fn` at the slot's reserved (tick, priority, seq) key, and
-     * clears `slot`. No-op when `slot` names none.
+     * `fn` at the slot's reserved (tick, seq) key, and clears
+     * `slot`. No-op when `slot` names none.
      */
     template <typename F>
     void
@@ -333,8 +281,7 @@ class EventQueue
         Parked &p = _parked[slot._id - 1];
         slot = ParkHandle();
         HYPERSIO_ASSERT(p.when >= _now, "woke a slot in the past");
-        push(HeapItem{p.when, p.seq, DefaultPriority, 0},
-             std::forward<F>(fn));
+        push(p.key(), std::forward<F>(fn));
         p.sink = nullptr;
         _firstParkedAt = MaxTick;
         for (const Parked &other : _parked) {
@@ -344,194 +291,52 @@ class EventQueue
     }
 
     /**
-     * Cancels a scheduled event in O(1). Returns true if the event
-     * was still pending; false for an invalid handle or one whose
-     * event already fired or was already cancelled (the generation
-     * check catches both, so late cancels never corrupt accounting).
-     * The callback is destroyed immediately; the record's heap key
-     * is skipped and recycled when it reaches the top.
+     * Runs events until the queue drains. Fusion is only meaningful
+     * while this loop drives execution (run() never nests —
+     * callbacks do not call run()). Forced inline, so the dispatch
+     * loop sits in its caller (System::runLinks): left to the
+     * compiler it went out of line, and the e2e `walk_path` rate
+     * fell by 15-20%.
      */
-    bool
-    cancel(EventHandle handle)
+    [[gnu::always_inline]] void
+    run()
     {
-        if (!handle.valid())
-            return false;
-        const uint32_t idx =
-            static_cast<uint32_t>(handle._id & 0xffffffffu) - 1;
-        const uint32_t gen = static_cast<uint32_t>(handle._id >> 32);
-        if (idx >= _slabSize)
-            return false;
-        Record &rec = record(idx);
-        if (rec.state != Record::Pending || rec.gen != gen)
-            return false;
-        rec.destroyCallback();
-        rec.state = Record::Cancelled;
-        // Invalidate every outstanding handle to this record,
-        // including the one just used.
-        ++rec.gen;
-        --_live;
-        return true;
-    }
-
-    /**
-     * Runs events until the queue drains or `limit` ticks elapse.
-     * @return the tick of the last executed event (or now()).
-     */
-    Tick
-    run(Tick limit = MaxTick)
-    {
-        // Publish the horizon for tryFuseAdvance(): a fused hop may
-        // never warp past `limit`, and fusion is only meaningful
-        // while this loop is driving execution (run() never nests —
-        // callbacks do not call run()).
         _inRun = true;
-        _runLimit = limit;
-        while (dispatchNext(limit)) {
+        while (dispatchNext()) {
         }
         _inRun = false;
-        _runLimit = MaxTick;
-        if (limit != MaxTick) {
-            // Slots up to the limit are refused too; the heap top is
-            // past it (dispatchNext panicked on an empty heap).
-            if (_firstParkedAt <= limit)
-                catchUp(HeapItem{limit + 1, 0, MinPriority, 0});
-            if (_now < limit)
-                _now = limit;
-        }
-        return _now;
     }
 
-    /** Executes exactly one event if any is pending. */
-    bool step() { return dispatchNext(MaxTick); }
-
   private:
-    /** Type-erased operations of one stored callable. */
-    struct CallbackOps
-    {
-        void (*invoke)(void *buf);
-        /** Move-construct dst's storage from src, destroying src. */
-        void (*relocate)(void *dst, void *src);
-        void (*destroy)(void *buf);
-    };
-
-    template <typename T>
-    struct InlineOps
-    {
-        static T *get(void *buf)
-        {
-            return std::launder(reinterpret_cast<T *>(buf));
-        }
-        static void invoke(void *buf) { (*get(buf))(); }
-        static void
-        relocate(void *dst, void *src)
-        {
-            T *s = get(src);
-            ::new (dst) T(std::move(*s));
-            s->~T();
-        }
-        static void destroy(void *buf) { get(buf)->~T(); }
-        static constexpr CallbackOps ops{&invoke, &relocate,
-                                         &destroy};
-    };
-
-    template <typename T>
-    struct HeapOps
-    {
-        static T *&ptr(void *buf)
-        {
-            return *std::launder(reinterpret_cast<T **>(buf));
-        }
-        static void invoke(void *buf) { (*ptr(buf))(); }
-        static void
-        relocate(void *dst, void *src)
-        {
-            ::new (dst) (T *)(ptr(src));
-        }
-        static void destroy(void *buf) { delete ptr(buf); }
-        static constexpr CallbackOps ops{&invoke, &relocate,
-                                         &destroy};
-    };
-
     /**
-     * One slab record. `when`/`priority`/`seq` live in the heap key,
-     * not here — cancellation and firing only need the callback and
-     * the generation.
+     * One slab record: a Storable closure's bytes and the function
+     * that calls them. `when`/`seq` live in the heap key.
      */
     struct Record
     {
-        enum State : uint8_t { Free, Pending, Cancelled };
-
         alignas(alignof(std::max_align_t))
             unsigned char buf[CallbackInlineSize];
-        const CallbackOps *ops = nullptr;
-        /**
-         * Bumped on cancel and on fire, so stale handles miss. A
-         * 32-bit generation would need 4G reuses of one slot to
-         * alias — beyond any simulated workload.
-         */
-        uint32_t gen = 0;
-        State state = Free;
-
-        template <typename F>
-        void
-        emplace(F &&fn)
-        {
-            using T = std::decay_t<F>;
-            if constexpr (sizeof(T) <= CallbackInlineSize &&
-                          alignof(T) <=
-                              alignof(std::max_align_t) &&
-                          std::is_nothrow_move_constructible_v<T>) {
-                ::new (static_cast<void *>(buf))
-                    T(std::forward<F>(fn));
-                ops = &InlineOps<T>::ops;
-            } else {
-                ::new (static_cast<void *>(buf))
-                    (T *)(new T(std::forward<F>(fn)));
-                ops = &HeapOps<T>::ops;
-            }
-        }
-
-        void
-        destroyCallback()
-        {
-            ops->destroy(buf);
-            ops = nullptr;
-        }
+        void (*invoke)(void *buf);
     };
 
     /**
-     * Moves a firing record's callback onto the stack so the slot
-     * can recycle before the callback runs (callbacks routinely
-     * schedule new events, and a cancel arriving after the fire must
-     * see a released record).
+     * Runs the closure stored in `buf` from a copy on the stack: the
+     * record is already back on the free list, and the closure may
+     * schedule into it.
      */
-    class FiredCallback
+    template <typename T>
+    static void
+    invokeAs(void *buf)
     {
-      public:
-        explicit FiredCallback(Record &rec) : _ops(rec.ops)
-        {
-            _ops->relocate(_buf, rec.buf);
-            rec.ops = nullptr;
-        }
-        ~FiredCallback() { _ops->destroy(_buf); }
-
-        FiredCallback(const FiredCallback &) = delete;
-        FiredCallback &operator=(const FiredCallback &) = delete;
-
-        void operator()() { _ops->invoke(_buf); }
-
-      private:
-        alignas(alignof(std::max_align_t))
-            unsigned char _buf[CallbackInlineSize];
-        const CallbackOps *_ops;
-    };
+        T fn = *std::launder(reinterpret_cast<T *>(buf));
+        fn();
+    }
 
     /** One 4-ary-heap element: the full sort key plus record index. */
     struct HeapItem
     {
         Tick when;
         uint64_t seq;
-        Priority priority;
         uint32_t idx;
     };
 
@@ -540,14 +345,8 @@ class EventQueue
     {
         if (a.when != b.when)
             return a.when < b.when;
-        if (a.priority != b.priority)
-            return a.priority < b.priority;
         return a.seq < b.seq;
     }
-
-    /** Orders before every key of the same tick (run(limit)). */
-    static constexpr Priority MinPriority =
-        std::numeric_limits<Priority>::min();
 
     /** One parked retry: its reserved key, and who is billed. */
     struct Parked
@@ -558,65 +357,60 @@ class EventQueue
         /** Null while the entry is free. */
         ParkedSlotSink *sink = nullptr;
 
-        HeapItem key() const
-        {
-            return HeapItem{when, seq, DefaultPriority, 0};
-        }
+        HeapItem key() const { return HeapItem{when, seq, 0}; }
     };
 
-    /** Stores `fn` and pushes it under `key` (its idx is filled). */
+    /**
+     * Stores `fn` and pushes it under `key` (its idx is filled):
+     * the one path every scheduled closure takes.
+     */
     template <typename F>
-    EventHandle
+    void
     push(HeapItem key, F &&fn)
     {
+        using T = std::decay_t<F>;
+        static_assert(Storable<F>,
+                      "an event closure must fit CallbackInlineSize "
+                      "(48 B) and be trivially copyable and trivially "
+                      "destructible: capture pointers, indices and POD "
+                      "structs, never a type-erased function wrapper "
+                      "or an owning object");
         key.idx = allocRecord();
         Record &rec = record(key.idx);
-        rec.emplace(std::forward<F>(fn));
-        rec.state = Record::Pending;
-        ++_live;
+        ::new (static_cast<void *>(rec.buf)) T(std::forward<F>(fn));
+        rec.invoke = &invokeAs<T>;
         heapPush(key);
-        return EventHandle((static_cast<uint64_t>(rec.gen) << 32) |
-                           (key.idx + 1));
     }
 
     /**
-     * Runs the first live event at or before `limit`, after catching
-     * up the parked slots and dropping tombstones ahead of it.
-     * Returns false when none is left (the heap top is past `limit`,
-     * or the heap is empty). Forced inline: it is run()'s loop body,
-     * the kernel's hottest path.
+     * Runs the heap top, after catching up the parked slots ahead of
+     * it. Returns false when the heap is empty. The slot recycles
+     * before the closure runs (callbacks routinely schedule new
+     * events); invokeAs() copies the closure out first. Forced
+     * inline: it is run()'s loop body, the kernel's hottest path.
      */
     [[gnu::always_inline]] bool
-    dispatchNext(Tick limit)
+    dispatchNext()
     {
-        while (!_heap.empty()) {
-            const HeapItem top = _heap.front();
-            if (top.when > limit)
-                return false;
-            if (_firstParkedAt <= top.when)
-                catchUp(top);
-            Record &rec = record(top.idx);
-            if (rec.state == Record::Cancelled) {
-                heapPopTop();
-                releaseRecord(top.idx, rec);
-                continue;
-            }
-            HYPERSIO_ASSERT(top.when >= _now, "time went backwards");
-            FiredCallback cb(rec);
-            heapPopTop();
-            releaseRecord(top.idx, rec);
-            --_live;
-            _now = top.when;
-            ++_executed;
-            cb();
-            return true;
+        if (_heap.empty()) {
+            HYPERSIO_ASSERT(_firstParkedAt == MaxTick,
+                            "slot parked with nothing pending: no "
+                            "event can end its refusals, so the retry "
+                            "would spin forever (now %llu)",
+                            (unsigned long long)_now);
+            return false;
         }
-        HYPERSIO_ASSERT(_firstParkedAt == MaxTick,
-                        "slot parked with nothing pending: no event can "
-                        "end its refusals, so the retry would spin "
-                        "forever (now %llu)",
-                        (unsigned long long)_now);
-        return false;
+        const HeapItem top = _heap.front();
+        if (_firstParkedAt <= top.when)
+            catchUp(top);
+        HYPERSIO_ASSERT(top.when >= _now, "time went backwards");
+        Record &rec = record(top.idx);
+        heapPopTop();
+        _free.push_back(top.idx);
+        _now = top.when;
+        ++_executed;
+        rec.invoke(rec.buf);
+        return true;
     }
 
     /**
@@ -683,15 +477,6 @@ class EventQueue
     }
 
     void
-    releaseRecord(uint32_t idx, Record &rec)
-    {
-        if (rec.state == Record::Pending)
-            ++rec.gen; // cancelled records bumped theirs already
-        rec.state = Record::Free;
-        _free.push_back(idx);
-    }
-
-    void
     heapPush(HeapItem item)
     {
         size_t i = _heap.size();
@@ -737,7 +522,6 @@ class EventQueue
     std::vector<uint32_t> _free;
     std::vector<HeapItem> _heap;
     size_t _slabSize = 0;
-    size_t _live = 0;
     Tick _now = 0;
     uint64_t _nextSeq = 0;
     uint64_t _executed = 0;
@@ -746,8 +530,6 @@ class EventQueue
     std::vector<Parked> _parked;
     /** Earliest parked slot's tick; MaxTick when none is parked. */
     Tick _firstParkedAt = MaxTick;
-    /** run()'s `limit` while a run is in progress (fusion horizon). */
-    Tick _runLimit = MaxTick;
     bool _inRun = false;
     bool _fusionEnabled = true;
 };

@@ -41,7 +41,8 @@ parseInterleaving(const std::string &text)
 
     uint64_t burst = 1;
     if (prefix_len < upper.size()) {
-        if (!parseU64(upper.substr(prefix_len), burst) || burst == 0)
+        if (!parseU64(upper.substr(prefix_len), burst) || burst == 0 ||
+            burst > UINT32_MAX)
             fatal("bad interleaving burst in '%s'", text.c_str());
     }
     mode.burst = static_cast<unsigned>(burst);

@@ -97,33 +97,68 @@ writePackets(std::ofstream &out, const std::vector<PacketRecord> &pkts,
     }
 }
 
+/** Bytes from the read position of `in` to the end of the file. */
+uint64_t
+bytesLeft(std::ifstream &in)
+{
+    const std::streampos here = in.tellg();
+    in.seekg(0, std::ios::end);
+    const std::streampos end = in.tellg();
+    in.seekg(here);
+    return static_cast<uint64_t>(end - here);
+}
+
 void
 readPackets(std::ifstream &in, uint64_t npackets, uint64_t nops,
             std::vector<PacketRecord> &pkts, std::vector<PageOp> &ops,
             const std::string &path)
 {
+    // saveTrace writes exactly the header and the two arrays, so the
+    // header's counts must account for every byte that follows it;
+    // checking before allocating keeps a corrupt count from asking
+    // for an absurd vector.
+    uint64_t pkt_bytes = 0;
+    uint64_t op_bytes = 0;
+    uint64_t need = 0;
+    const uint64_t left = bytesLeft(in);
+    if (__builtin_mul_overflow(npackets, sizeof(PacketWire),
+                               &pkt_bytes) ||
+        __builtin_mul_overflow(nops, sizeof(OpWire), &op_bytes) ||
+        __builtin_add_overflow(pkt_bytes, op_bytes, &need) ||
+        need != left)
+        fatal("'%s': header counts %llu packets and %llu page ops, "
+              "which do not match the %llu bytes after the header "
+              "(truncated or corrupt trace file)",
+              path.c_str(), (unsigned long long)npackets,
+              (unsigned long long)nops, (unsigned long long)left);
+
     // Bulk-read each wire array with one sized read instead of one
-    // stream extraction per record, then convert in memory. The
-    // malformed-input checks are unchanged: a short read is a
-    // truncated file, an out-of-range page size a corrupt one.
+    // stream extraction per record, then convert in memory.
     std::vector<PacketWire> pkt_wire(npackets);
     if (npackets > 0) {
         in.read(reinterpret_cast<char *>(pkt_wire.data()),
-                static_cast<std::streamsize>(npackets *
-                                             sizeof(PacketWire)));
+                static_cast<std::streamsize>(pkt_bytes));
         if (!in)
-            fatal("truncated trace file '%s'", path.c_str());
+            fatal("read error on '%s'", path.c_str());
     }
     pkts.reserve(npackets);
-    for (const PacketWire &w : pkt_wire)
+    for (const PacketWire &w : pkt_wire) {
+        if (uint64_t(w.opBegin) + w.opCount > nops)
+            fatal("'%s': packet %llu's page ops [%llu, %llu) run past "
+                  "the file's %llu ops",
+                  path.c_str(), (unsigned long long)pkts.size(),
+                  (unsigned long long)w.opBegin,
+                  (unsigned long long)(uint64_t(w.opBegin) + w.opCount),
+                  (unsigned long long)nops);
         pkts.push_back(fromWire(w));
+    }
 
     std::vector<OpWire> op_wire(nops);
     if (nops > 0) {
         in.read(reinterpret_cast<char *>(op_wire.data()),
-                static_cast<std::streamsize>(nops * sizeof(OpWire)));
+                static_cast<std::streamsize>(op_bytes));
         if (!in)
-            fatal("truncated trace file '%s'", path.c_str());
+            fatal("read error on '%s'", path.c_str());
     }
     ops.reserve(nops);
     for (const OpWire &w : op_wire) {

@@ -28,14 +28,14 @@ TEST(EventQueue, ExecutesInTimeOrder)
     EXPECT_EQ(q.executed(), 3u);
 }
 
-TEST(EventQueue, SameTickOrderedByPriorityThenInsertion)
+TEST(EventQueue, SameTickOrderedByInsertion)
 {
     EventQueue q;
     std::vector<int> order;
-    q.schedule(5, [&] { order.push_back(2); }, DefaultPriority);
-    q.schedule(5, [&] { order.push_back(3); }, LatePriority);
-    q.schedule(5, [&] { order.push_back(1); }, EarlyPriority);
-    q.schedule(5, [&] { order.push_back(21); }, DefaultPriority);
+    q.schedule(5, [&] { order.push_back(1); });
+    q.schedule(5, [&] { order.push_back(2); });
+    q.schedule(5, [&] { order.push_back(21); });
+    q.schedule(5, [&] { order.push_back(3); });
     q.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 21, 3}));
 }
@@ -51,81 +51,28 @@ TEST(EventQueue, ScheduleAfterIsRelative)
     EXPECT_EQ(seen, 150u);
 }
 
+/** An event that re-arms itself one tick later until `count` is 10. */
+struct Chain
+{
+    EventQueue *q;
+    int *count;
+
+    void
+    operator()() const
+    {
+        if (++*count < 10)
+            q->scheduleAfter(1, *this);
+    }
+};
+
 TEST(EventQueue, EventsCanScheduleMoreEvents)
 {
     EventQueue q;
     int count = 0;
-    std::function<void()> chain = [&] {
-        if (++count < 10)
-            q.scheduleAfter(1, chain);
-    };
-    q.schedule(0, chain);
+    q.schedule(0, Chain{&q, &count});
     q.run();
     EXPECT_EQ(count, 10);
     EXPECT_EQ(q.now(), 9u);
-}
-
-TEST(EventQueue, CancelPreventsExecution)
-{
-    EventQueue q;
-    bool ran = false;
-    EventHandle h = q.schedule(10, [&] { ran = true; });
-    EXPECT_TRUE(q.cancel(h));
-    EXPECT_FALSE(q.cancel(h)); // second cancel is a no-op
-    q.run();
-    EXPECT_FALSE(ran);
-    EXPECT_EQ(q.executed(), 0u);
-}
-
-TEST(EventQueue, CancelOneOfMany)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(1, [&] { order.push_back(1); });
-    EventHandle h = q.schedule(2, [&] { order.push_back(2); });
-    q.schedule(3, [&] { order.push_back(3); });
-    q.cancel(h);
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
-TEST(EventQueue, RunWithLimitStopsEarly)
-{
-    EventQueue q;
-    int count = 0;
-    q.schedule(10, [&] { ++count; });
-    q.schedule(20, [&] { ++count; });
-    q.run(15);
-    EXPECT_EQ(count, 1);
-    EXPECT_EQ(q.now(), 15u);
-    q.run();
-    EXPECT_EQ(count, 2);
-}
-
-TEST(EventQueue, StepExecutesExactlyOne)
-{
-    EventQueue q;
-    int count = 0;
-    q.schedule(1, [&] { ++count; });
-    q.schedule(2, [&] { ++count; });
-    EXPECT_TRUE(q.step());
-    EXPECT_EQ(count, 1);
-    EXPECT_TRUE(q.step());
-    EXPECT_FALSE(q.step());
-    EXPECT_EQ(count, 2);
-}
-
-TEST(EventQueue, PendingTracksLiveEvents)
-{
-    EventQueue q;
-    EXPECT_TRUE(q.empty());
-    EventHandle a = q.schedule(1, [] {});
-    q.schedule(2, [] {});
-    EXPECT_EQ(q.pending(), 2u);
-    q.cancel(a);
-    EXPECT_EQ(q.pending(), 1u);
-    q.run();
-    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, ZeroDelaySameTickExecution)
@@ -159,86 +106,6 @@ TEST(EventQueue, ManyEventsStaySorted)
     EXPECT_EQ(q.executed(), 1000u);
 }
 
-TEST(EventHandle, DefaultIsInvalid)
-{
-    EventHandle h;
-    EXPECT_FALSE(h.valid());
-    EventQueue q;
-    EXPECT_FALSE(q.cancel(h));
-}
-
-// Regression: cancelling an event after it fired must be a detected
-// no-op. The pre-slab kernel tombstoned the dead id forever, so its
-// pending() underflowed and empty() lied.
-TEST(EventQueue, CancelAfterFireReturnsFalse)
-{
-    EventQueue q;
-    int fired = 0;
-    EventHandle h = q.schedule(10, [&] { ++fired; });
-    q.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_FALSE(q.cancel(h));
-    EXPECT_EQ(q.pending(), 0u);
-    EXPECT_TRUE(q.empty());
-
-    // The queue must remain fully usable after the late cancel.
-    q.scheduleAfter(1, [&] { ++fired; });
-    EXPECT_EQ(q.pending(), 1u);
-    q.run();
-    EXPECT_EQ(fired, 2);
-    EXPECT_TRUE(q.empty());
-}
-
-// A handle must die with its event even when the slot is recycled:
-// a stale cancel may not hit the new occupant.
-TEST(EventQueue, StaleHandleMissesRecycledSlot)
-{
-    EventQueue q;
-    EventHandle old = q.schedule(1, [] {});
-    q.run();
-    // The new event reuses the fired event's slab slot.
-    bool ran = false;
-    q.scheduleAfter(1, [&] { ran = true; });
-    EXPECT_FALSE(q.cancel(old));
-    EXPECT_EQ(q.pending(), 1u);
-    q.run();
-    EXPECT_TRUE(ran);
-}
-
-TEST(EventQueue, SameTickOrderSurvivesInterleavedCancels)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(5, [&] { order.push_back(2); }, DefaultPriority);
-    EventHandle a =
-        q.schedule(5, [&] { order.push_back(9); }, EarlyPriority);
-    q.schedule(5, [&] { order.push_back(3); }, LatePriority);
-    q.schedule(5, [&] { order.push_back(1); }, EarlyPriority);
-    EventHandle b =
-        q.schedule(5, [&] { order.push_back(9); }, DefaultPriority);
-    q.schedule(5, [&] { order.push_back(21); }, DefaultPriority);
-    EXPECT_TRUE(q.cancel(a));
-    EXPECT_TRUE(q.cancel(b));
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 21, 3}));
-}
-
-TEST(EventQueue, RunLimitBoundaryIsInclusive)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(10, [&] { order.push_back(10); });
-    q.schedule(15, [&] { order.push_back(15); });
-    q.schedule(16, [&] { order.push_back(16); });
-    // Events at exactly the limit tick still run.
-    q.run(15);
-    EXPECT_EQ(order, (std::vector<int>{10, 15}));
-    EXPECT_EQ(q.now(), 15u);
-    EXPECT_EQ(q.pending(), 1u);
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{10, 15, 16}));
-}
-
 // Steady-state churn must recycle slab slots, not grow the pool:
 // the high-water mark tracks the peak number of in-flight events,
 // not the total scheduled.
@@ -247,103 +114,48 @@ TEST(EventQueue, SlabRecyclesUnderChurn)
     EventQueue q;
     uint64_t fired = 0;
     for (int round = 0; round < 1000; ++round) {
-        EventHandle keep = q.scheduleAfter(1, [&] { ++fired; });
-        EventHandle drop = q.scheduleAfter(2, [&] { ++fired; });
-        if (round % 2 == 0) {
-            EXPECT_TRUE(q.cancel(drop));
-        } else {
-            (void)keep;
-        }
-        q.run(q.now() + 2);
+        q.scheduleAfter(1, [&] { ++fired; });
+        q.scheduleAfter(2, [&] { ++fired; });
+        q.run();
     }
-    EXPECT_EQ(fired, 1000u + 500u);
-    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(fired, 2000u);
     // Two live events max; one chunk of records is ample.
     EXPECT_LE(q.poolCapacity(), 8u);
 }
 
-/** Counts constructions/destructions of callback captures. */
-struct LifeCounter
+/** A capture member with a destructor, as an owning object has. */
+struct NonTrivialDtor
 {
-    static int alive;
-    LifeCounter() { ++alive; }
-    LifeCounter(const LifeCounter &) { ++alive; }
-    LifeCounter(LifeCounter &&) noexcept { ++alive; }
-    ~LifeCounter() { --alive; }
+    ~NonTrivialDtor() {}
 };
-int LifeCounter::alive = 0;
 
-TEST(EventQueue, SmallClosureStaysInlineAndIsDestroyed)
+// Only closures a record holds as plain bytes can be scheduled:
+// oversized, owning and non-trivially-destructible ones fail to
+// compile. A 48-byte capture, the IOTLB-hit delivery's size, runs.
+TEST(EventQueue, LargestStorableClosureRunsIntact)
 {
-    LifeCounter::alive = 0;
-    {
-        EventQueue q;
-        bool ran = false;
-        LifeCounter c;
-        static_assert(sizeof(bool *) + sizeof(LifeCounter) <=
-                      EventQueue::CallbackInlineSize);
-        q.schedule(1, [&ran, c] { ran = true; });
-        q.run();
-        EXPECT_TRUE(ran);
-    }
-    EXPECT_EQ(LifeCounter::alive, 0);
-}
+    std::array<uint64_t, 7> seven{};
+    NonTrivialDtor owner;
+    auto oversized = [seven] { (void)seven; };
+    auto owning = [owner] { (void)owner; };
+    static_assert(sizeof(oversized) == 56);
+    static_assert(!EventQueue::Storable<decltype(oversized)>);
+    static_assert(!EventQueue::Storable<decltype(owning)>);
+    static_assert(!EventQueue::Storable<std::function<void()>>);
 
-TEST(EventQueue, LargeClosureFallsBackToHeapAndIsDestroyed)
-{
-    LifeCounter::alive = 0;
-    {
-        EventQueue q;
-        uint64_t sum = 0;
-        std::array<uint64_t, 16> payload{};
-        payload.fill(3);
-        LifeCounter c;
-        static_assert(sizeof(payload) >
-                      EventQueue::CallbackInlineSize);
-        q.schedule(1, [&sum, payload, c] {
-            for (uint64_t v : payload)
-                sum += v;
-        });
-        q.run();
-        EXPECT_EQ(sum, 48u);
-
-        // Cancelled oversized closures free their heap copy too.
-        EventHandle h = q.scheduleAfter(1, [&sum, payload, c] {
-            sum += payload[0];
-        });
-        EXPECT_TRUE(q.cancel(h));
-        q.run();
-        EXPECT_EQ(sum, 48u);
-    }
-    EXPECT_EQ(LifeCounter::alive, 0);
-}
-
-// Destroying a queue with events still scheduled must release every
-// callback, inline and heap-allocated alike.
-TEST(EventQueue, DestructorReleasesUnfiredCallbacks)
-{
-    LifeCounter::alive = 0;
-    {
-        EventQueue q;
-        LifeCounter c;
-        std::array<uint64_t, 16> fat{};
-        q.schedule(5, [c] {});
-        q.schedule(6, [c, fat] { (void)fat[0]; });
-    }
-    EXPECT_EQ(LifeCounter::alive, 0);
-}
-
-TEST(EventQueue, StepRefusesToRunPastCancelledTop)
-{
     EventQueue q;
-    int count = 0;
-    EventHandle a = q.schedule(1, [&] { ++count; });
-    q.schedule(2, [&] { ++count; });
-    EXPECT_TRUE(q.cancel(a));
-    EXPECT_TRUE(q.step()); // skips the tombstone, runs tick 2
-    EXPECT_EQ(count, 1);
-    EXPECT_EQ(q.now(), 2u);
-    EXPECT_FALSE(q.step());
+    uint64_t sum = 0;
+    std::array<uint64_t, 5> payload{1, 2, 3, 4, 5};
+    auto fn = [&sum, payload] {
+        for (uint64_t v : payload)
+            sum += v;
+    };
+    static_assert(sizeof(fn) == EventQueue::CallbackInlineSize);
+    static_assert(EventQueue::Storable<decltype(fn)>);
+    q.schedule(1, fn);
+    q.schedule(2, fn);
+    q.run();
+    EXPECT_EQ(sum, 30u);
 }
 
 // now + delay wrapping Tick used to silently schedule in the past
@@ -374,8 +186,8 @@ TEST(EventQueueDeathTest, FusedHopOverflowPanics)
         "fused hop overflows Tick");
 }
 
-// The fast path must refuse outside run(): manual drivers (step(),
-// direct calls between runs) rely on every hop being a real event.
+// The fast path must refuse outside run(): direct calls between runs
+// rely on every hop being a real event.
 TEST(EventQueueFusion, RefusesOutsideRun)
 {
     EventQueue q;
@@ -397,8 +209,8 @@ TEST(EventQueueFusion, WarpsNowAndBurnsExactlyOneSeq)
         fused_at = q.now();
     });
     q.run();
-    // The elided event's tick and its slot in the (tick, priority,
-    // seq) total order are both preserved, so a fused run's sequence
+    // The elided event's tick and its slot in the (tick, seq) total
+    // order are both preserved, so a fused run's sequence
     // ledger is indistinguishable from the event-per-hop run's.
     EXPECT_EQ(fused_at, 13u);
     EXPECT_EQ(seq_after, seq_before + 1);
@@ -427,38 +239,11 @@ TEST(EventQueueFusion, RefusesUnlessHeapTopStrictlyLater)
     EXPECT_EQ(q.fusedHops(), 1u);
 }
 
-// A tombstoned top refuses fusion too: the cancelled key may hide a
-// later live event, and skipping fusion is the safe direction.
-TEST(EventQueueFusion, RefusesOnTombstonedTop)
-{
-    EventQueue q;
-    EventHandle dead = q.schedule(12, [] {});
-    q.schedule(10, [&] { EXPECT_FALSE(q.tryFuseAdvance(2)); });
-    EXPECT_TRUE(q.cancel(dead));
-    q.run();
-    EXPECT_EQ(q.fusedHops(), 0u);
-}
-
-// run(limit) leaves past-limit events pending; a fused hop past the
-// limit would instead execute its continuation, so it must refuse.
-TEST(EventQueueFusion, RefusesPastRunLimit)
-{
-    EventQueue q;
-    q.schedule(10, [&] {
-        EXPECT_FALSE(q.tryFuseAdvance(6)); // 16 past the limit
-        EXPECT_TRUE(q.tryFuseAdvance(5));  // 15 exactly the limit
-    });
-    q.run(15);
-    EXPECT_EQ(q.now(), 15u);
-    EXPECT_EQ(q.fusedHops(), 1u);
-}
-
 TEST(EventQueueFusion, RuntimeKnobDisablesAndReenables)
 {
     EventQueue q;
     int fused = 0;
     q.setFusionEnabled(false);
-    EXPECT_FALSE(q.fusionEnabled());
     q.schedule(10, [&] { fused += q.tryFuseAdvance(1) ? 1 : 0; });
     q.schedule(20, [&] {
         q.setFusionEnabled(true);
@@ -596,13 +381,11 @@ struct RetryOutcome
  * `release_at` frees the resource, per slot or parked.
  */
 RetryOutcome
-driveRetry(bool parked, Tick gap, Tick release_at,
-           Priority release_priority)
+driveRetry(bool parked, Tick gap, Tick release_at)
 {
     EventQueue q;
     RetryLoop loop(q, parked, gap);
-    q.schedule(release_at, [&loop] { loop.release(); },
-               release_priority);
+    q.schedule(release_at, [&loop] { loop.release(); });
     q.schedule(1, [&loop] { loop.fire(); });
     q.run();
     RetryOutcome out;
@@ -623,7 +406,7 @@ TEST(EventQueueFastForward, ParkedSlotBurnsTheSeqsOfAChainOfReArms)
     // Slots 1, 1 + Gap, ..., 1 + N * Gap are refused; the release
     // falls between slot N and slot N + 1.
     const RetryOutcome parked =
-        driveRetry(true, Gap, 1 + N * Gap + 3, DefaultPriority);
+        driveRetry(true, Gap, 1 + N * Gap + 3);
     EXPECT_EQ(parked.refusals, N + 1);
     EXPECT_EQ(parked.admittedAt, 1 + (N + 1) * Gap);
     // Seqs: the release, the first retry, then one per re-arm.
@@ -632,29 +415,24 @@ TEST(EventQueueFastForward, ParkedSlotBurnsTheSeqsOfAChainOfReArms)
     EXPECT_EQ(parked.executed, 4u);
 }
 
-// Ties included (release on a slot tick, at every priority): the
-// parked loop admits at the same tick with the same seq ledger, and
-// dispatches fewer events whenever it was refused more than once.
+// Ties included (release on a slot tick, where the release's older
+// seq orders it first): the parked loop admits at the same tick with
+// the same seq ledger, and dispatches fewer events whenever it was
+// refused more than once.
 TEST(EventQueueFastForward, RetryScheduleMatchesPerSlotLoop)
 {
     constexpr Tick Gap = 7;
     for (const Tick release : {1u, 2u, 8u, 15u, 16u, 22u, 100u, 701u}) {
-        for (const Priority prio :
-             {EarlyPriority, DefaultPriority, LatePriority}) {
-            SCOPED_TRACE("release " + std::to_string(release) +
-                         " priority " + std::to_string(prio));
-            const RetryOutcome per_slot =
-                driveRetry(false, Gap, release, prio);
-            const RetryOutcome parked =
-                driveRetry(true, Gap, release, prio);
-            EXPECT_TRUE(parked.sameSchedule(per_slot))
-                << "admitted " << parked.admittedAt << " vs "
-                << per_slot.admittedAt << ", refusals "
-                << parked.refusals << " vs " << per_slot.refusals;
-            EXPECT_LE(parked.executed, per_slot.executed);
-            if (per_slot.refusals > 1) {
-                EXPECT_LT(parked.executed, per_slot.executed);
-            }
+        SCOPED_TRACE("release " + std::to_string(release));
+        const RetryOutcome per_slot = driveRetry(false, Gap, release);
+        const RetryOutcome parked = driveRetry(true, Gap, release);
+        EXPECT_TRUE(parked.sameSchedule(per_slot))
+            << "admitted " << parked.admittedAt << " vs "
+            << per_slot.admittedAt << ", refusals " << parked.refusals
+            << " vs " << per_slot.refusals;
+        EXPECT_LE(parked.executed, per_slot.executed);
+        if (per_slot.refusals > 1) {
+            EXPECT_LT(parked.executed, per_slot.executed);
         }
     }
 }
@@ -711,25 +489,6 @@ expectParkedMatchesPerSlot(
     }
 }
 
-// Catch-up runs before a tombstoned top is dropped as before a live
-// one, and cancelled keys on slot ticks change nothing.
-TEST(EventQueueParking, TombstonedTopsAreCaughtUpTo)
-{
-    expectParkedMatchesPerSlot(
-        {7}, [](EventQueue &q, std::deque<RetryLoop> &loops,
-                const std::function<void()> &observe) {
-            RetryLoop &loop = loops[0];
-            q.schedule(90, [&loop] { loop.release(); });
-            q.schedule(1, [&loop] { loop.fire(); });
-            const EventHandle mid = q.schedule(30, [] {});
-            const EventHandle tie = q.schedule(29, [] {}, LatePriority);
-            q.schedule(31, observe);
-            EXPECT_TRUE(q.cancel(mid));
-            EXPECT_TRUE(q.cancel(tie));
-            q.run();
-        });
-}
-
 // A fused hop passes parked slots: the ones its event would have
 // followed are billed first. At a tie the slot goes first only when
 // its re-arm was made before the hop was issued.
@@ -741,12 +500,12 @@ TEST(EventQueueParking, FusedHopPassesParkedSlots)
            const std::function<void()> &observe) {
             RetryLoop &loop = loops[0];
             // Slots at 1, 8, 15, 22, 29, 36, ...
-            auto hop = [&q](Tick delay, std::function<void()> next) {
+            auto hop = [&q](Tick delay, auto next) {
                 if (q.tryFuseAdvance(delay)) {
                     next();
                     return;
                 }
-                q.scheduleAfter(delay, std::move(next));
+                q.scheduleAfter(delay, next);
             };
             q.schedule(100, [&loop] { loop.release(); });
             q.schedule(1, [&loop] { loop.fire(); });
@@ -763,7 +522,7 @@ TEST(EventQueueParking, FusedHopPassesParkedSlots)
                         // at 22) orders first.
                         hop(4, [&q, &observe] {
                             observe();
-                            q.scheduleAfter(1, observe);
+                            q.scheduleAfter(1, [&observe] { observe(); });
                         });
                     });
                 });
@@ -779,18 +538,19 @@ TEST(EventQueueParking, FusedHopPassesParkedSlots)
 // the order of the seqs their re-arms reserved, which the admission
 // seqs show. From 1 and 3 (gaps 7 and 5) the slots meet at 43, 78,
 // ...; from 3 and 1 at 31, 66, ..., where the loop that parked first
-// re-arms last.
+// re-arms last. A release scheduled one tick ahead of its tick
+// (`late`) orders after the slot re-armed before it.
 TEST(EventQueueParking, TwoParkedLoopsWithDifferentGaps)
 {
     const struct
     {
         Tick startA, startB;
         Tick releaseA, releaseB;
-        Priority priorityB;
-    } cases[] = {{1, 3, 200, 123, LatePriority},
-                 {1, 3, 40, 40, DefaultPriority},
-                 {1, 3, 78, 78, EarlyPriority},
-                 {3, 1, 28, 28, DefaultPriority}};
+        bool lateB;
+    } cases[] = {{1, 3, 200, 123, true},
+                 {1, 3, 40, 40, false},
+                 {1, 3, 78, 78, false},
+                 {3, 1, 28, 28, false}};
     for (const auto &c : cases) {
         SCOPED_TRACE("starts " + std::to_string(c.startA) + ", " +
                      std::to_string(c.startB) + " releases " +
@@ -801,34 +561,21 @@ TEST(EventQueueParking, TwoParkedLoopsWithDifferentGaps)
                          const std::function<void()> &observe) {
                 RetryLoop &a = loops[0];
                 RetryLoop &b = loops[1];
-                q.schedule(c.releaseB, [&b] { b.release(); },
-                           c.priorityB);
+                if (c.lateB) {
+                    q.schedule(c.releaseB - 1, [&q, &b] {
+                        q.scheduleAfter(1, [&b] { b.release(); });
+                    });
+                } else {
+                    q.schedule(c.releaseB, [&b] { b.release(); });
+                }
                 q.schedule(c.releaseA, [&a] { a.release(); });
                 q.schedule(c.startA, [&a] { a.fire(); });
                 q.schedule(c.startB, [&b] { b.fire(); });
                 for (const Tick t : {31u, 43u, 60u, 78u, 150u})
-                    q.schedule(t, observe, LatePriority);
+                    q.schedule(t, [&observe] { observe(); });
                 q.run();
             });
     }
-}
-
-// run(limit) bills the slots up to the limit and leaves the rest
-// parked; the limit itself may land between slots or on one.
-TEST(EventQueueParking, RunLimitStopsBetweenSlots)
-{
-    expectParkedMatchesPerSlot(
-        {7}, [](EventQueue &q, std::deque<RetryLoop> &loops,
-                const std::function<void()> &observe) {
-            RetryLoop &loop = loops[0];
-            q.schedule(100, [&loop] { loop.release(); });
-            q.schedule(1, [&loop] { loop.fire(); });
-            q.run(40); // slots 1..36; 43 is past the limit
-            observe();
-            q.run(43); // slot 43 exactly at the limit
-            observe();
-            q.run();
-        });
 }
 
 // A parked slot with nothing else pending can never be woken: the

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "trace/constructor.hh"
 #include "trace/record.hh"
@@ -238,6 +242,86 @@ TEST_F(TraceFileTest, TenantLogRoundTrip)
     ASSERT_EQ(loaded.packets.size(), 8u);
     EXPECT_EQ(loaded.translations(), 24u);
     EXPECT_EQ(loaded.ops.size(), original.ops.size());
+}
+
+// A malformed trace file is a user error: each corruption dies with
+// one fatal() naming the file (and the packet, where there is one),
+// never an out-of-bounds read or an uncaught allocation failure.
+TEST_F(TraceFileTest, MalformedFilesAreFatal)
+{
+    std::vector<TenantLog> logs{makeLog(0, 3), makeLog(1, 3)};
+    saveTrace(constructTrace(logs, parseInterleaving("RR1")),
+              _path.string());
+    std::string good;
+    {
+        std::ifstream in(_path, std::ios::binary);
+        good.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    // The header's npackets and nops sit at bytes 24 and 32; each
+    // 48-byte packet record starts with its sid, then its opBegin.
+    constexpr size_t NPackets = 24;
+    constexpr size_t NOps = 32;
+    constexpr size_t FirstOpBegin = 40 + 4;
+    auto set64 = [](std::string &bytes, size_t at, uint64_t v) {
+        std::memcpy(bytes.data() + at, &v, sizeof(v));
+    };
+    auto get64 = [](const std::string &bytes, size_t at) {
+        uint64_t v;
+        std::memcpy(&v, bytes.data() + at, sizeof(v));
+        return v;
+    };
+    const uint64_t nops = get64(good, NOps);
+    ASSERT_GT(nops, 0u);
+    const char *const mismatch =
+        "header counts [0-9]+ packets and [0-9]+ page ops, which do "
+        "not match the [0-9]+ bytes after the header";
+
+    const struct
+    {
+        const char *name;
+        std::string bytes;
+        const char *message;
+    } cases[] = {
+        {"truncated", good.substr(0, good.size() - 1), mismatch},
+        {"huge count",
+         [&] {
+             std::string b = good;
+             set64(b, NPackets, UINT64_MAX / 48 + 1);
+             return b;
+         }(),
+         "header counts 384307168202282326 packets"},
+        {"count that wraps",
+         [&] {
+             // 16 * (nops + 2^60) wraps to 16 * nops: the size still
+             // matches unless the product is overflow-checked.
+             std::string b = good;
+             set64(b, NOps, nops + (uint64_t(1) << 60));
+             return b;
+         }(),
+         mismatch},
+        {"op range past nops",
+         [&] {
+             std::string b = good;
+             const uint32_t begin = 100000000;
+             std::memcpy(b.data() + FirstOpBegin, &begin,
+                         sizeof(begin));
+             return b;
+         }(),
+         "packet 0's page ops \\[100000000, 10000000[0-9]\\) run past"},
+        {"trailing bytes", good + "x", mismatch},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        {
+            std::ofstream out(_path, std::ios::binary | std::ios::trunc);
+            out.write(c.bytes.data(),
+                      static_cast<std::streamsize>(c.bytes.size()));
+        }
+        EXPECT_EXIT(loadTrace(_path.string()),
+                    ::testing::ExitedWithCode(1),
+                    std::string("fatal: '") + _path.string() + "': " +
+                        c.message);
+    }
 }
 
 TEST_F(TraceFileTest, TextDumpContainsPacketsAndOps)
