@@ -14,14 +14,19 @@
 #define HYPERSIO_BENCH_COMMON_HH
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "hypersio/hypersio.hh"
 #include "json_report.hh"
+#include "util/logging.hh"
+#include "util/str.hh"
 
 namespace hypersio::bench
 {
@@ -183,6 +188,59 @@ inline std::ostream *
 progressSink(const core::BenchOptions &opts)
 {
     return opts.verbose ? &std::cerr : nullptr;
+}
+
+/**
+ * A `packets` budget times `scale` (a finite positive `--scale`),
+ * at least one packet. A product past 64 bits is fatal: converting
+ * it to an integer is undefined behaviour.
+ */
+inline uint64_t
+scaledBudget(uint64_t packets, double scale)
+{
+    const double scaled = static_cast<double>(packets) * scale;
+    if (scaled >= 0x1p64) {
+        fatal("--scale %g takes a %llu-packet budget past 64 bits",
+              scale, (unsigned long long)packets);
+    }
+    return scaled < 1.0 ? 1 : static_cast<uint64_t>(scaled);
+}
+
+/**
+ * Prints the process's peak resident set (VmHWM) and, with a nonzero
+ * `budget_mib`, dies when it exceeds the budget or cannot be read:
+ * a missing VmHWM must never pass as 0 KiB, which would turn the
+ * O(active) memory gate into a no-op.
+ */
+inline void
+checkPeakRss(uint64_t budget_mib)
+{
+    uint64_t kib = 0;
+    std::ifstream status("/proc/self/status");
+    std::ostringstream text;
+    if (status)
+        text << status.rdbuf();
+    const bool known = status && parseVmHwmKib(text.str(), kib);
+    const double mib = static_cast<double>(kib) / 1024.0;
+    const std::string budget =
+        budget_mib ? " (budget " + std::to_string(budget_mib) + " MiB)"
+                   : "";
+    if (known)
+        std::printf("%-26s %.1f MiB%s\n", "peak RSS (VmHWM)", mib,
+                    budget.c_str());
+    else
+        std::printf("%-26s %s\n", "peak RSS (VmHWM)", "unavailable");
+    if (budget_mib && !known) {
+        fatal("--rss-budget-mb %llu requested but VmHWM is "
+              "unavailable in /proc/self/status — cannot verify the "
+              "RSS budget",
+              (unsigned long long)budget_mib);
+    }
+    if (budget_mib && mib > static_cast<double>(budget_mib)) {
+        fatal("peak RSS %.1f MiB exceeds the %llu MiB budget — "
+              "O(active) state is broken",
+              mib, (unsigned long long)budget_mib);
+    }
 }
 
 // ---------------------------------------------------------------

@@ -18,9 +18,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <limits>
-#include <sstream>
 #include <string>
 
 #include "bench_common.hh"
@@ -73,65 +70,32 @@ parseArgs(int argc, char **argv)
     Options opts;
     bool tenants_set = false, active_set = false;
     bool shards_set = false, jobs_set = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next_value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc)
-                fatal("%s needs a value", flag);
-            return argv[++i];
-        };
-        auto next_u64 = [&](const char *flag) {
-            uint64_t value = 0;
-            if (!parseU64(next_value(flag), value) || value == 0)
-                fatal("%s needs a positive integer", flag);
-            return value;
-        };
-        // Slot/shard/job counts are `unsigned` throughout the run
-        // machinery; narrowing silently (the old static_cast) turned
-        // e.g. --active 4G into --active 0. Reject out-of-range
-        // values with the offending number instead.
-        auto next_unsigned = [&](const char *flag) {
-            const uint64_t value = next_u64(flag);
-            if (value > std::numeric_limits<unsigned>::max()) {
-                fatal("%s value %" PRIu64 " does not fit in an "
-                      "unsigned count (max %u)",
-                      flag, value,
-                      std::numeric_limits<unsigned>::max());
-            }
-            return static_cast<unsigned>(value);
-        };
+    for (core::ArgReader args(argc, argv); args.next();) {
+        const std::string &arg = args.flag();
         if (arg == "--tenants") {
-            opts.population = next_u64("--tenants");
+            opts.population = args.positive();
             tenants_set = true;
         } else if (arg == "--active") {
-            opts.active = next_unsigned("--active");
+            opts.active = args.count();
             active_set = true;
         } else if (arg == "--shards") {
-            opts.shards = next_unsigned("--shards");
+            opts.shards = args.count();
             shards_set = true;
         } else if (arg == "--jobs" || arg == "-j") {
-            opts.jobs = next_unsigned(arg.c_str());
+            opts.jobs = args.count();
             jobs_set = true;
         } else if (arg == "--seed") {
-            uint64_t value = 0;
-            if (!parseU64(next_value("--seed"), value))
-                fatal("--seed needs an integer");
-            opts.seed = value;
+            opts.seed = args.u64();
         } else if (arg == "--bench") {
-            opts.bench =
-                workload::parseBenchmark(next_value("--bench"));
+            opts.bench = workload::parseBenchmark(args.value());
         } else if (arg == "--scale") {
-            double value = 0.0;
-            if (!parseDouble(next_value("--scale"), value) ||
-                value <= 0.0)
-                fatal("--scale needs a positive number");
-            opts.scale = value;
+            opts.scale = args.real();
         } else if (arg == "--smoke") {
             opts.smoke = true;
         } else if (arg == "--rss-budget-mb") {
-            opts.rssBudgetMb = next_u64("--rss-budget-mb");
+            opts.rssBudgetMb = args.positive();
         } else if (arg == "--json") {
-            opts.jsonPath = next_value("--json");
+            opts.jsonPath = args.value();
         } else if (arg == "--help" || arg == "-h") {
             std::puts(UsageText);
             std::exit(0);
@@ -157,23 +121,6 @@ parseArgs(int argc, char **argv)
     return opts;
 }
 
-/**
- * Peak resident set (VmHWM) in KiB from /proc/self/status. Returns
- * false when the file or the field is unavailable (non-Linux, masked
- * procfs) — never a silent 0, which would make an RSS budget gate
- * pass vacuously.
- */
-bool
-peakRssKib(uint64_t &out)
-{
-    std::ifstream status("/proc/self/status");
-    if (!status)
-        return false;
-    std::ostringstream text;
-    text << status.rdbuf();
-    return parseVmHwmKib(text.str(), out);
-}
-
 /** Shard `s`'s churn workload: its slice of the population. */
 workload::ChurnConfig
 shardChurn(const Options &opts, unsigned shard)
@@ -193,15 +140,9 @@ shardChurn(const Options &opts, unsigned shard)
         cfg.tailMin = 256;
         cfg.tailMax = 512;
     }
-    auto scaled = [&](uint64_t v) {
-        const auto s = static_cast<uint64_t>(
-            static_cast<double>(v) * opts.scale);
-        return s ? s : uint64_t{1};
-    };
-    cfg.minBudget = scaled(cfg.minBudget);
-    cfg.maxBudget = scaled(cfg.maxBudget);
-    cfg.tailMin = scaled(cfg.tailMin);
-    cfg.tailMax = scaled(cfg.tailMax);
+    for (uint64_t *budget : {&cfg.minBudget, &cfg.maxBudget,
+                             &cfg.tailMin, &cfg.tailMax})
+        *budget = bench::scaledBudget(*budget, opts.scale);
     return cfg;
 }
 
@@ -274,35 +215,7 @@ main(int argc, char **argv)
                         s, sharded.shard(s).tables().size());
     }
 
-    uint64_t rss_kib = 0;
-    const bool rss_known = peakRssKib(rss_kib);
-    if (rss_known) {
-        std::printf("%-26s %.1f MiB%s\n", "peak RSS (VmHWM)",
-                    static_cast<double>(rss_kib) / 1024.0,
-                    opts.rssBudgetMb
-                        ? (" (budget " +
-                           std::to_string(opts.rssBudgetMb) +
-                           " MiB)").c_str()
-                        : "");
-    } else {
-        std::printf("%-26s %s\n", "peak RSS (VmHWM)",
-                    "unavailable");
-    }
-    if (opts.rssBudgetMb && !rss_known) {
-        // A budget the harness cannot measure must not pass quietly:
-        // the old code read a missing VmHWM as 0 KiB, turning the
-        // O(active) memory gate into a no-op.
-        fatal("--rss-budget-mb %" PRIu64 " requested but VmHWM is "
-              "unavailable in /proc/self/status — cannot verify the "
-              "RSS budget",
-              opts.rssBudgetMb);
-    }
-    if (opts.rssBudgetMb && rss_kib > opts.rssBudgetMb * 1024) {
-        fatal("peak RSS %.1f MiB exceeds the %" PRIu64
-              " MiB budget — O(active) state is broken",
-              static_cast<double>(rss_kib) / 1024.0,
-              opts.rssBudgetMb);
-    }
+    bench::checkPeakRss(opts.rssBudgetMb);
 
     if (report.enabled()) {
         for (unsigned s = 0; s < opts.shards; ++s) {

@@ -95,15 +95,10 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage(argv[0], 2);
-            return argv[++i];
-        };
+    for (core::ArgReader args(argc, argv); args.next();) {
+        const std::string &arg = args.flag();
         if (arg == "--layer") {
-            const std::string layer = value();
+            const std::string layer = args.value();
             bool known = false;
             for (const char *name : LayerNames)
                 known = known || layer == name;
@@ -114,12 +109,11 @@ parseArgs(int argc, char **argv)
             }
             opts.layers.insert(layer);
         } else if (arg == "--reps") {
-            opts.reps = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 0));
+            opts.reps = args.count();
         } else if (arg == "--smoke") {
             opts.smoke = true;
         } else if (arg == "--json") {
-            opts.jsonPath = value();
+            opts.jsonPath = args.value();
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0], 0);
         } else {
@@ -129,8 +123,6 @@ parseArgs(int argc, char **argv)
     }
     if (opts.smoke)
         opts.reps = 1;
-    if (opts.reps == 0)
-        usage(argv[0], 2);
     return opts;
 }
 

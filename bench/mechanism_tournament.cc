@@ -60,45 +60,25 @@ parseArgs(int argc, char **argv, bool &smoke)
     core::BenchOptions opts;
     opts.maxTenants = 256;
     bool scale_set = false, tenants_set = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next_value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc)
-                fatal("%s needs a value", flag);
-            return argv[++i];
-        };
+    for (core::ArgReader args(argc, argv); args.next();) {
+        const std::string &arg = args.flag();
         if (arg == "--smoke") {
             smoke = true;
         } else if (arg == "--tenants") {
-            uint64_t value = 0;
-            if (!parseU64(next_value("--tenants"), value) ||
-                value == 0 || value > 4096) {
-                fatal("--tenants needs an integer in [1, 4096]");
-            }
-            opts.maxTenants = static_cast<unsigned>(value);
+            opts.maxTenants = static_cast<unsigned>(
+                args.positive(iommu::ContextCache::SidSpace));
             tenants_set = true;
         } else if (arg == "--scale") {
-            double value = 0.0;
-            if (!parseDouble(next_value("--scale"), value) ||
-                value <= 0.0)
-                fatal("--scale needs a positive number");
-            opts.scale = value;
+            opts.scale = args.real();
             scale_set = true;
         } else if (arg == "--seed") {
-            uint64_t value = 0;
-            if (!parseU64(next_value("--seed"), value))
-                fatal("--seed needs an integer");
-            opts.seed = value;
+            opts.seed = args.u64();
         } else if (arg == "--jobs" || arg == "-j") {
-            uint64_t value = 0;
-            if (!parseU64(next_value(arg.c_str()), value) ||
-                value == 0)
-                fatal("%s needs a positive integer", arg.c_str());
-            opts.jobs = static_cast<unsigned>(value);
+            opts.jobs = args.count();
         } else if (arg == "--verbose") {
             opts.verbose = true;
         } else if (arg == "--json") {
-            opts.jsonPath = next_value("--json");
+            opts.jsonPath = args.value();
         } else if (arg == "--help" || arg == "-h") {
             std::puts(UsageText);
             std::exit(0);

@@ -28,9 +28,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -115,86 +113,51 @@ parseArgs(int argc, char **argv)
     bool shards_set = false, jobs_set = false;
     bool every_set = false, period_set = false;
     bool spackets_set = false, stenants_set = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next_value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc)
-                fatal("%s needs a value", flag);
-            return argv[++i];
-        };
-        auto next_u64 = [&](const char *flag) {
-            uint64_t value = 0;
-            if (!parseU64(next_value(flag), value) || value == 0)
-                fatal("%s needs a positive integer", flag);
-            return value;
-        };
-        auto next_unsigned = [&](const char *flag) {
-            const uint64_t value = next_u64(flag);
-            if (value > std::numeric_limits<unsigned>::max()) {
-                fatal("%s value %" PRIu64 " does not fit in an "
-                      "unsigned count (max %u)",
-                      flag, value,
-                      std::numeric_limits<unsigned>::max());
-            }
-            return static_cast<unsigned>(value);
-        };
-        auto next_double = [&](const char *flag) {
-            double value = 0.0;
-            if (!parseDouble(next_value(flag), value) ||
-                value <= 0.0)
-                fatal("%s needs a positive number", flag);
-            return value;
-        };
+    for (core::ArgReader args(argc, argv); args.next();) {
+        const std::string &arg = args.flag();
         if (arg == "--minutes") {
-            opts.minutes = next_double("--minutes");
+            opts.minutes = args.real();
         } else if (arg == "--tenants") {
-            opts.population = next_u64("--tenants");
+            opts.population = args.positive();
             tenants_set = true;
         } else if (arg == "--active") {
-            opts.active = next_unsigned("--active");
+            opts.active = args.count();
             active_set = true;
         } else if (arg == "--shards") {
-            opts.shards = next_unsigned("--shards");
+            opts.shards = args.count();
             shards_set = true;
         } else if (arg == "--jobs" || arg == "-j") {
-            opts.jobs = next_unsigned(arg.c_str());
+            opts.jobs = args.count();
             jobs_set = true;
         } else if (arg == "--seed") {
-            uint64_t value = 0;
-            if (!parseU64(next_value("--seed"), value))
-                fatal("--seed needs an integer");
-            opts.seed = value;
+            opts.seed = args.u64();
         } else if (arg == "--bench") {
-            opts.bench =
-                workload::parseBenchmark(next_value("--bench"));
+            opts.bench = workload::parseBenchmark(args.value());
         } else if (arg == "--scale") {
-            opts.scale = next_double("--scale");
+            opts.scale = args.real();
         } else if (arg == "--snapshot-every") {
-            opts.snapshotEvery = next_u64("--snapshot-every");
+            opts.snapshotEvery = args.positive();
             every_set = true;
         } else if (arg == "--snapshots") {
-            opts.snapshotPath = next_value("--snapshots");
+            opts.snapshotPath = args.value();
         } else if (arg == "--storm-period") {
             // 0 is legal here: storms off.
-            uint64_t value = 0;
-            if (!parseU64(next_value("--storm-period"), value))
-                fatal("--storm-period needs an integer");
-            opts.stormPeriod = value;
+            opts.stormPeriod = args.u64();
             period_set = true;
         } else if (arg == "--storm-packets") {
-            opts.stormPackets = next_u64("--storm-packets");
+            opts.stormPackets = args.positive();
             spackets_set = true;
         } else if (arg == "--storm-tenants") {
-            opts.stormTenants = next_unsigned("--storm-tenants");
+            opts.stormTenants = args.count();
             stenants_set = true;
         } else if (arg == "--smoke") {
             opts.smoke = true;
         } else if (arg == "--rss-budget-mb") {
-            opts.rssBudgetMb = next_u64("--rss-budget-mb");
+            opts.rssBudgetMb = args.positive();
         } else if (arg == "--inject-fault") {
             opts.injectFault = true;
         } else if (arg == "--json") {
-            opts.jsonPath = next_value("--json");
+            opts.jsonPath = args.value();
         } else if (arg == "--help" || arg == "-h") {
             std::puts(UsageText);
             std::exit(0);
@@ -234,18 +197,6 @@ parseArgs(int argc, char **argv)
     return opts;
 }
 
-/** Peak resident set (VmHWM) in KiB; false = unavailable. */
-bool
-peakRssKib(uint64_t &out)
-{
-    std::ifstream status("/proc/self/status");
-    if (!status)
-        return false;
-    std::ostringstream text;
-    text << status.rdbuf();
-    return parseVmHwmKib(text.str(), out);
-}
-
 /** Shard `s`'s soak workload: its slice of the population. */
 workload::SoakConfig
 shardSoak(const Options &opts, unsigned shard)
@@ -263,15 +214,9 @@ shardSoak(const Options &opts, unsigned shard)
         cfg.churn.tailMin = 256;
         cfg.churn.tailMax = 512;
     }
-    auto scaled = [&](uint64_t v) {
-        const auto s = static_cast<uint64_t>(
-            static_cast<double>(v) * opts.scale);
-        return s ? s : uint64_t{1};
-    };
-    cfg.churn.minBudget = scaled(cfg.churn.minBudget);
-    cfg.churn.maxBudget = scaled(cfg.churn.maxBudget);
-    cfg.churn.tailMin = scaled(cfg.churn.tailMin);
-    cfg.churn.tailMax = scaled(cfg.churn.tailMax);
+    for (uint64_t *budget : {&cfg.churn.minBudget, &cfg.churn.maxBudget,
+                             &cfg.churn.tailMin, &cfg.churn.tailMax})
+        *budget = bench::scaledBudget(*budget, opts.scale);
     cfg.stormPeriod = opts.stormPeriod;
     cfg.stormPackets = opts.stormPackets;
     cfg.stormTenants = opts.stormTenants;
@@ -454,32 +399,7 @@ main(int argc, char **argv)
                         snapshots);
     }
 
-    uint64_t rss_kib = 0;
-    const bool rss_known = peakRssKib(rss_kib);
-    if (rss_known) {
-        std::printf("%-26s %.1f MiB%s\n", "peak RSS (VmHWM)",
-                    static_cast<double>(rss_kib) / 1024.0,
-                    opts.rssBudgetMb
-                        ? (" (budget " +
-                           std::to_string(opts.rssBudgetMb) +
-                           " MiB)").c_str()
-                        : "");
-    } else {
-        std::printf("%-26s %s\n", "peak RSS (VmHWM)",
-                    "unavailable");
-    }
-    if (opts.rssBudgetMb && !rss_known) {
-        fatal("--rss-budget-mb %" PRIu64 " requested but VmHWM is "
-              "unavailable in /proc/self/status — cannot verify the "
-              "RSS budget",
-              opts.rssBudgetMb);
-    }
-    if (opts.rssBudgetMb && rss_kib > opts.rssBudgetMb * 1024) {
-        fatal("peak RSS %.1f MiB exceeds the %" PRIu64
-              " MiB budget — O(active) state is broken",
-              static_cast<double>(rss_kib) / 1024.0,
-              opts.rssBudgetMb);
-    }
+    bench::checkPeakRss(opts.rssBudgetMb);
 
     if (opts.injectFault) {
         // A planted fault that the run survives means the shadow

@@ -15,12 +15,13 @@
 #      --quick output is byte-identical with HYPERSIO_SHADOW=off and
 #      with the variable unset (the oracle on), in the one binary.
 #   5. fig10_scalability at quick scale must emit a valid JSON
-#      report (BENCH_fig10.json) that self-compares with zero drift
-#      and, when a committed baseline exists, matches it exactly
-#      (bench_compare.py --exact: every result field, stat-tree leaf
-#      and scalar) — the simulator is deterministic, so any drift is
-#      a behavior change that needs the baseline regenerated on
-#      purpose. Gates 7, 8 and 9 compare with --exact too.
+#      report that self-compares with zero drift and matches the
+#      committed BENCH_fig10.json exactly (bench_compare.py --exact:
+#      every result field, stat-tree leaf and scalar) — the
+#      simulator is deterministic, so any drift is a behavior change
+#      that needs the baseline regenerated on purpose. Gates 7, 8
+#      and 9 compare with --exact too. In gates 5-9 a missing
+#      committed baseline fails the gate (check_baseline below).
 #   6. The layer bench (bench/layer_bench, HYPERSIO_SHADOW=off) must run
 #      every layer and pass its in-binary A/B asserts: the vector and
 #      scalar group-probe backends make identical hit/miss decisions,
@@ -70,6 +71,23 @@ set -eu
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
+
+# check_baseline BASELINE FRESH MODE: the fresh bench report FRESH
+# must compare with itself and match the committed BASELINE under
+# MODE (bench_compare.py flags, e.g. --exact or --counts-only). A
+# missing baseline fails: one deleted by mistake must be restored,
+# and a new one committed on purpose, never recreated by this gate.
+check_baseline() {
+    python3 scripts/bench_compare.py "$2" "$2"
+    if [ ! -f "$1" ]; then
+        echo "FAIL: committed baseline $1 is missing (restore it, or" \
+             "commit a regenerated one on purpose from $2)" >&2
+        exit 1
+    fi
+    echo "   comparing against committed $1 ($3)"
+    # MODE is split into its flags on purpose.
+    python3 scripts/bench_compare.py "$1" "$2" $3
+}
 
 echo "== 1/10 repo hygiene: no tracked build artifacts"
 if git ls-files | grep -q '^build'; then
@@ -127,15 +145,7 @@ echo "== 5/10 bench JSON regression gate (fig10, quick scale)"
 FRESH="$BUILD_DIR/BENCH_fig10.json"
 "$BUILD_DIR"/bench/fig10_scalability --quick --tenants 8 --jobs 1 \
     --json "$FRESH" > /dev/null
-python3 scripts/bench_compare.py "$FRESH" "$FRESH"
-if [ -f BENCH_fig10.json ]; then
-    echo "   comparing against committed BENCH_fig10.json baseline"
-    python3 scripts/bench_compare.py BENCH_fig10.json "$FRESH" --exact
-else
-    echo "   no committed baseline; installing $FRESH as" \
-         "BENCH_fig10.json"
-    cp "$FRESH" BENCH_fig10.json
-fi
+check_baseline BENCH_fig10.json "$FRESH" --exact
 
 echo "== 6/10 layer bench: in-binary A/Bs + deterministic counts"
 # Without the shadow oracle: its mirrors would dominate the layers
@@ -143,26 +153,12 @@ echo "== 6/10 layer bench: in-binary A/Bs + deterministic counts"
 # fail it on any divergence.
 LAYER_FRESH="$BUILD_DIR/BENCH_layer.json"
 HYPERSIO_SHADOW=off "$BUILD_DIR"/bench/layer_bench --json "$LAYER_FRESH"
-if [ -f BENCH_layer.json ]; then
-    echo "   comparing against committed BENCH_layer.json baseline" \
-         "(counts exact, wall-clock rates skipped)"
-    python3 scripts/bench_compare.py BENCH_layer.json "$LAYER_FRESH" \
-        --counts-only
-else
-    echo "   no committed baseline; installing $LAYER_FRESH as" \
-         "BENCH_layer.json"
-    cp "$LAYER_FRESH" BENCH_layer.json
-fi
-if [ ! -f BENCH_translation_path_flat_baseline.json ]; then
-    echo "FAIL: BENCH_translation_path_flat_baseline.json missing" \
-         "(the pinned pre-vectorization record must stay committed)" >&2
-    exit 1
-fi
-echo "   comparing shared counts against the pinned" \
-     "pre-vectorization record"
-python3 scripts/bench_compare.py \
-    BENCH_translation_path_flat_baseline.json "$LAYER_FRESH" \
-    --counts-only --ignore-missing
+# Counts exact, wall-clock rates skipped; then the counts the report
+# shares with the pinned pre-vectorization record (never regenerate
+# that one).
+check_baseline BENCH_layer.json "$LAYER_FRESH" --counts-only
+check_baseline BENCH_translation_path_flat_baseline.json \
+    "$LAYER_FRESH" "--counts-only --ignore-missing"
 
 echo "== 7/10 hyper-scale streaming bench: bounded RSS + regression"
 # Measured without the shadow oracle (its mirrors would scale with
@@ -175,18 +171,7 @@ echo "== 7/10 hyper-scale streaming bench: bounded RSS + regression"
 HYPERSCALE_FRESH="$BUILD_DIR/BENCH_hyperscale.json"
 HYPERSIO_SHADOW=off "$BUILD_DIR"/bench/hyperscale_bench --smoke \
     --rss-budget-mb 512 --json "$HYPERSCALE_FRESH" > /dev/null
-python3 scripts/bench_compare.py "$HYPERSCALE_FRESH" \
-    "$HYPERSCALE_FRESH"
-if [ -f BENCH_hyperscale.json ]; then
-    echo "   comparing against committed BENCH_hyperscale.json" \
-         "baseline (exact: all scalars deterministic)"
-    python3 scripts/bench_compare.py BENCH_hyperscale.json \
-        "$HYPERSCALE_FRESH" --exact
-else
-    echo "   no committed baseline; installing $HYPERSCALE_FRESH" \
-         "as BENCH_hyperscale.json"
-    cp "$HYPERSCALE_FRESH" BENCH_hyperscale.json
-fi
+check_baseline BENCH_hyperscale.json "$HYPERSCALE_FRESH" --exact
 
 echo "== 8/10 soak harness: telemetry stream + drift/leak gate"
 # Runs with the oracle on, on purpose: the soak regime's value
@@ -202,17 +187,7 @@ SOAK_FRESH="$BUILD_DIR/BENCH_soak.json"
     --snapshots "$SOAK_STREAM" --rss-budget-mb 1024 \
     --json "$SOAK_FRESH" > /dev/null
 python3 scripts/soak_report.py "$SOAK_STREAM" --verbose
-python3 scripts/bench_compare.py "$SOAK_FRESH" "$SOAK_FRESH"
-if [ -f BENCH_soak.json ]; then
-    echo "   comparing against committed BENCH_soak.json baseline" \
-         "(exact: all scalars deterministic)"
-    python3 scripts/bench_compare.py BENCH_soak.json "$SOAK_FRESH" \
-        --exact
-else
-    echo "   no committed baseline; installing $SOAK_FRESH as" \
-         "BENCH_soak.json"
-    cp "$SOAK_FRESH" BENCH_soak.json
-fi
+check_baseline BENCH_soak.json "$SOAK_FRESH" --exact
 
 echo "== 9/10 mechanism tournament: bake-off regression gate"
 # Runs with the oracle on: every competitor (sub-entry
@@ -228,17 +203,7 @@ echo "== 9/10 mechanism tournament: bake-off regression gate"
 TOURN_FRESH="$BUILD_DIR/BENCH_tournament.json"
 "$BUILD_DIR"/bench/mechanism_tournament --smoke --jobs 1 \
     --json "$TOURN_FRESH" > /dev/null
-python3 scripts/bench_compare.py "$TOURN_FRESH" "$TOURN_FRESH"
-if [ -f BENCH_tournament.json ]; then
-    echo "   comparing against committed BENCH_tournament.json" \
-         "baseline (exact: all scalars deterministic)"
-    python3 scripts/bench_compare.py BENCH_tournament.json \
-        "$TOURN_FRESH" --exact
-else
-    echo "   no committed baseline; installing $TOURN_FRESH as" \
-         "BENCH_tournament.json"
-    cp "$TOURN_FRESH" BENCH_tournament.json
-fi
+check_baseline BENCH_tournament.json "$TOURN_FRESH" --exact
 
 echo "== 10/10 ASan+UBSan: the whole ctest suite"
 # UBSan only prints by default; halt_on_error makes every report fail

@@ -22,6 +22,50 @@ namespace hypersio::core
 /** Worker-pool width default: hardware_concurrency, else 1. */
 unsigned defaultBenchJobs();
 
+/**
+ * Walks a bench command line: the one place its values are checked.
+ * Each value getter reads the argument after the current flag and
+ * dies with one fatal() naming the flag as given, rather than
+ * narrowing a value or letting a NaN or an infinity through.
+ *
+ *     for (ArgReader args(argc, argv); args.next();)
+ *         if (args.flag() == "--jobs") jobs = args.count();
+ */
+class ArgReader
+{
+  public:
+    ArgReader(int argc, char **argv) : _argc(argc), _argv(argv) {}
+
+    /** Moves to the next flag; false past the last. */
+    bool
+    next()
+    {
+        if (++_i >= _argc)
+            return false;
+        _flag = _argv[_i];
+        return true;
+    }
+
+    const std::string &flag() const { return _flag; }
+
+    /** The flag's value as given. */
+    std::string value();
+    /** The value as any unsigned 64-bit integer. */
+    uint64_t u64();
+    /** The value as an integer in [1, max]. */
+    uint64_t positive(uint64_t max = UINT64_MAX);
+    /** The value as a positive integer that fits `unsigned`. */
+    unsigned count();
+    /** The value as a finite positive number. */
+    double real();
+
+  private:
+    int _argc;
+    char **_argv;
+    int _i = 0;
+    std::string _flag;
+};
+
 /** Standard "--quick/--full/--scale/--jobs" command line for benches. */
 struct BenchOptions
 {

@@ -22,7 +22,11 @@ HistoryReader::HistoryReader(const PrefetchConfig &config,
           "deduped", "prefetch requests dropped (already running)")),
       _issued(statGroup().makeCounter(
           "issued", "prefetch translations issued to the IOMMU"))
-{}
+{
+    // A burst ends with its last translation, so it must have one.
+    if (_config.pagesPerPrefetch == 0)
+        fatal("the IOVA History Reader needs prefetch.pages >= 1");
+}
 
 void
 HistoryReader::observe(mem::DomainId did, mem::Iova iova,
@@ -47,25 +51,26 @@ HistoryReader::observe(mem::DomainId did, mem::Iova iova,
         hist.recent.pop_back();
 }
 
-void
+bool
 HistoryReader::prefetch(mem::DomainId did)
 {
     // find() rather than operator[]: a predicted-but-never-observed
     // (or retired) DID must not grow the history map back.
     TenantHistory *hist = _history.find(did);
     if (!hist)
-        return; // nothing known about this tenant yet
+        return false; // nothing known about this tenant yet
     if (hist->burst != 0) {
         ++_deduped;
-        return;
+        return false;
     }
     if (hist->recent.empty())
-        return;
+        return false;
     hist->burst = 1;
     ++_started;
 
     // Fetch the tenant's history from main memory, then translate.
     _memory.access(_config.historyReadAccesses, *this, did);
+    return true;
 }
 
 void
@@ -102,13 +107,13 @@ HistoryReader::chainDone(uint64_t tag)
     }
 }
 
-void
+bool
 HistoryReader::prefetchTranslated(mem::DomainId did)
 {
     TenantHistory *hist = _history.find(did);
     HYPERSIO_ASSERT(hist && hist->burst > 0,
                     "history entry vanished under an in-flight burst");
-    --hist->burst;
+    return --hist->burst == 0;
 }
 
 void
@@ -121,13 +126,6 @@ HistoryReader::retire(mem::DomainId did)
                     "retiring a DID with a prefetch burst in flight");
     HYPERSIO_SHADOW(historyRetired(did));
     _history.erase(did);
-}
-
-bool
-HistoryReader::prefetchInFlight(mem::DomainId did) const
-{
-    const TenantHistory *hist = _history.find(did);
-    return hist && hist->burst != 0;
 }
 
 } // namespace hypersio::core

@@ -57,24 +57,24 @@ class HistoryReader : public sim::SimObject, private mem::MemoryClient
     void observe(mem::DomainId did, mem::Iova iova,
                  mem::PageSize size);
 
-    /** Starts a prefetch for `did` (deduplicated per tenant). */
-    void prefetch(mem::DomainId did);
+    /**
+     * Starts a prefetch burst for `did` (deduplicated per tenant).
+     * @return true when a burst started
+     */
+    bool prefetch(mem::DomainId did);
 
     /**
      * One translation of `did`'s burst completed (the sink routes
-     * every HistoryPrefetch answer here, after its fill); the burst
-     * ends with its last.
+     * every HistoryPrefetch answer here, after its fill).
+     * @return true when it was the burst's last: the burst ended
      */
-    void prefetchTranslated(mem::DomainId did);
+    bool prefetchTranslated(mem::DomainId did);
 
     /**
      * Drops `did`'s history (tenant detach). The caller must first
-     * wait out any in-flight prefetch burst (prefetchInFlight).
+     * wait out any burst prefetch() started for it.
      */
     void retire(mem::DomainId did);
-
-    /** True while a prefetch burst for `did` is outstanding. */
-    bool prefetchInFlight(mem::DomainId did) const;
 
     /** Tenants with history state (O(active), eviction tests). */
     size_t historySize() const { return _history.size(); }

@@ -227,17 +227,61 @@ constexpr const char *UsageText =
 
 } // namespace
 
+std::string
+ArgReader::value()
+{
+    if (_i + 1 >= _argc)
+        fatal("%s needs a value", _flag.c_str());
+    return _argv[++_i];
+}
+
+uint64_t
+ArgReader::u64()
+{
+    uint64_t value = 0;
+    if (!parseU64(this->value(), value))
+        fatal("%s needs an integer", _flag.c_str());
+    return value;
+}
+
+uint64_t
+ArgReader::positive(uint64_t max)
+{
+    uint64_t value = 0;
+    if (!parseU64(this->value(), value) || value == 0)
+        fatal("%s needs a positive integer", _flag.c_str());
+    if (value > max) {
+        fatal("%s value %llu does not fit: it needs a positive "
+              "integer up to %llu",
+              _flag.c_str(), (unsigned long long)value,
+              (unsigned long long)max);
+    }
+    return value;
+}
+
+unsigned
+ArgReader::count()
+{
+    return static_cast<unsigned>(
+        positive(std::numeric_limits<unsigned>::max()));
+}
+
+double
+ArgReader::real()
+{
+    double value = 0.0;
+    if (!parseDouble(this->value(), value) || !std::isfinite(value) ||
+        value <= 0.0)
+        fatal("%s needs a finite positive number", _flag.c_str());
+    return value;
+}
+
 BenchOptions
 BenchOptions::parse(int argc, char **argv)
 {
     BenchOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next_value = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc)
-                fatal("%s needs a value", flag);
-            return argv[++i];
-        };
+    for (ArgReader args(argc, argv); args.next();) {
+        const std::string &arg = args.flag();
         if (arg == "--quick") {
             opts.scale = 0.05;
             opts.maxTenants = 256;
@@ -245,32 +289,15 @@ BenchOptions::parse(int argc, char **argv)
             opts.scale = 1.0;
             opts.maxTenants = 1024;
         } else if (arg == "--scale") {
-            double value = 0.0;
-            if (!parseDouble(next_value("--scale"), value) ||
-                !std::isfinite(value) || value <= 0.0)
-                fatal("--scale needs a finite positive number");
-            opts.scale = value;
+            opts.scale = args.real();
         } else if (arg == "--tenants") {
-            uint64_t value = 0;
-            if (!parseU64(next_value("--tenants"), value) ||
-                value == 0 ||
-                value > std::numeric_limits<unsigned>::max())
-                fatal("--tenants needs a positive 32-bit integer");
-            opts.maxTenants = static_cast<unsigned>(value);
+            opts.maxTenants = args.count();
         } else if (arg == "--seed") {
-            uint64_t value = 0;
-            if (!parseU64(next_value("--seed"), value))
-                fatal("--seed needs an integer");
-            opts.seed = value;
+            opts.seed = args.u64();
         } else if (arg == "--jobs" || arg == "-j") {
-            uint64_t value = 0;
-            if (!parseU64(next_value("--jobs"), value) ||
-                value == 0 ||
-                value > std::numeric_limits<unsigned>::max())
-                fatal("--jobs needs a positive integer");
-            opts.jobs = static_cast<unsigned>(value);
+            opts.jobs = args.count();
         } else if (arg == "--json" || arg == "--stats-json") {
-            opts.jsonPath = next_value(arg.c_str());
+            opts.jsonPath = args.value();
             if (opts.jsonPath.empty())
                 fatal("%s needs a file path", arg.c_str());
         } else if (arg == "--verbose" || arg == "-v") {

@@ -36,8 +36,10 @@ void
 System::prefetch(uint16_t device, mem::DomainId did)
 {
     HistoryReader *reader = _links[device].historyReader.get();
-    _queue.scheduleAfter(_config.pcieOneWay,
-                         [reader, did] { reader->prefetch(did); });
+    _queue.scheduleAfter(_config.pcieOneWay, [this, reader, did] {
+        if (reader->prefetch(did))
+            hold(iommu::ContextCache::sidOf(did));
+    });
 }
 
 void
@@ -45,10 +47,9 @@ System::prefetchPage(const iommu::IommuRequest &req)
 {
     // MMU-aware prefetch: one predicted page crosses PCIe to the
     // chipset and translates through the regular (prefetch-tagged)
-    // IOMMU path. The pending counter gates streaming-run retirement
-    // for the issue-to-completion window; the return hop is then
-    // covered by the fill wire counter.
-    ++_mmuPrefetchesInFlight[req.domain];
+    // IOMMU path; the tenant's in-flight count holds it until the
+    // IOMMU answers.
+    hold(iommu::ContextCache::sidOf(req.domain));
     _queue.scheduleAfter(_config.pcieOneWay,
                          [this, req] { _iommu->translate(req); });
 }
@@ -71,24 +72,18 @@ System::translated(const iommu::IommuRequest &req,
         });
         return;
     }
-    if (req.tag.kind == iommu::Requester::MmuPrefetch) {
-        uint32_t *pending = _mmuPrefetchesInFlight.find(req.domain);
-        HYPERSIO_ASSERT(pending && *pending > 0,
-                        "MMU prefetch completion without a pending "
-                        "counter");
-        if (--*pending == 0)
-            _mmuPrefetchesInFlight.erase(req.domain);
-    }
     // A prefetched page's own iova is its page base; an answer
     // coalesced onto another's walk carries that walk's iova, on the
-    // same page.
+    // same page. The fill holds the tenant before the prefetch lets
+    // go of it, so its count never touches zero in between.
     if (resp.valid) {
         dispatchPrefetchFill(link, req.domain,
                              mem::pageBase(req.iova, req.size),
                              req.size, resp.hostAddr);
     }
-    if (req.tag.kind == iommu::Requester::HistoryPrefetch)
-        link.historyReader->prefetchTranslated(req.domain);
+    if (req.tag.kind == iommu::Requester::MmuPrefetch ||
+        link.historyReader->prefetchTranslated(req.domain))
+        release(iommu::ContextCache::sidOf(req.domain));
 }
 
 void
@@ -96,7 +91,7 @@ System::dispatchPrefetchFill(Link &link, mem::DomainId did,
                              mem::Iova iova, mem::PageSize size,
                              mem::Addr host_addr)
 {
-    ++_fillsInFlight[did];
+    hold(iommu::ContextCache::sidOf(did));
     // The device records the fill as in flight now: an invalidate of
     // this page during the PCIe hop squashes the fill instead of
     // installing a stale translation.
@@ -104,11 +99,8 @@ System::dispatchPrefetchFill(Link &link, mem::DomainId did,
     _queue.scheduleAfter(
         _config.pcieOneWay,
         [this, &link, did, iova, size, host_addr]() {
-            uint32_t *wire = _fillsInFlight.find(did);
-            HYPERSIO_ASSERT(wire && *wire > 0,
-                            "prefetch fill without a wire counter");
-            --*wire;
             link.device->prefetchFill(did, iova, size, host_addr);
+            release(iommu::ContextCache::sidOf(did));
         });
 }
 
@@ -328,8 +320,8 @@ System::arrive(Link &link)
     // One packet per arrival slot: it is admitted, or refused on a
     // full PTB and retried at the next slot. A stream that runs dry
     // while tenants await retirement (ChurnStream parked on a full
-    // SID space) parks the process; retirement completions re-arm it
-    // through maybeRestartArrival().
+    // SID space) stalls the process; retirement completions re-arm
+    // it through maybeRestartArrival().
     trace::PacketStream &stream = *link.stream;
     const trace::PacketRecord *head = stream.peek();
     HYPERSIO_ASSERT(head, "arrival fired without a packet");
@@ -347,8 +339,7 @@ System::arrive(Link &link)
         // Copy the record out: advance() invalidates peek().
         const trace::PacketRecord pkt = *head;
         applyOps(pkt, stream.ops());
-        if (_evictStream)
-            ++_outstanding[pkt.sid];
+        hold(pkt.sid);
         stream.advance();
         link.device->accept(pkt, *this);
     }
@@ -362,13 +353,14 @@ System::arrive(Link &link)
         // Packets with an explicit wire size occupy the link for
         // their own serialization time.
         const Tick gap = slotTicks(*next);
-        if (link.device->ptbFull() && _pendingRetire.empty()) {
+        if (link.device->ptbFull()) {
             // Every slot is refused until a completion frees the PTB,
             // and a refused slot changes nothing but the drop count:
-            // the head stays, and with no retirement pending its
-            // serviceRetirements() has nothing to do. The kernel
-            // bills those slots (slotsRefused); packetDone() wakes
-            // the slot the completion lets in (DESIGN.md §15).
+            // the head stays, and a pending retirement cannot go
+            // before its tenant's in-flight count falls to zero. The
+            // kernel bills those slots (slotsRefused); packetDone()
+            // wakes the slot the completion lets in, and release()
+            // the one that may retire a tenant (DESIGN.md §15).
             link.parked = _queue.park(gap, *this);
         } else {
             _queue.scheduleAfter(gap, [this, &link] { arrive(link); });
@@ -407,9 +399,12 @@ System::packetDone(const trace::PacketRecord &pkt)
     // The freed PTB entry admits the link's parked arrival.
     Link &link = linkOf(pkt.sid);
     _queue.wake(link.parked, [this, &link] { arrive(link); });
+    release(pkt.sid);
     // Streaming-run bookkeeping; _evictStream is never set by run().
-    if (_evictStream)
-        onStreamPacketDrained(pkt.sid);
+    if (_evictStream) {
+        serviceRetirements();
+        maybeRestartArrival(link);
+    }
     // After retirement bookkeeping, so a capture at this boundary
     // sees the stats with this completion fully applied.
     if (_snapshotEvery != 0 && _processed % _snapshotEvery == 0 &&
@@ -530,10 +525,9 @@ System::serviceRetirements()
     }
     if (_pendingRetire.empty())
         return;
-    // Retire what can go; keep the rest in detach order. A SID may
-    // stay parked across many slots while its packets, prefetch
-    // bursts, or fills drain — retrying here every arrival and every
-    // completion keeps the latency O(in-flight work), not O(stream).
+    // Retire what can go; keep the rest in detach order. A SID waits
+    // here while its in-flight work drains; it retires at the first
+    // arrival slot or packet completion after its count reaches zero.
     size_t keep = 0;
     for (size_t i = 0; i < _pendingRetire.size(); ++i) {
         if (!tryRetireSid(_pendingRetire[i]))
@@ -545,16 +539,11 @@ System::serviceRetirements()
 bool
 System::tryRetireSid(trace::SourceId sid)
 {
-    // Gate 1: every accepted packet of the SID has completed.
-    if (const uint32_t *count = _outstanding.find(sid);
-        count && *count > 0) {
+    if (_inFlight[sid] != 0)
         return false;
-    }
 
     // The SID's domains (one per PASID the tenant used). Directory
-    // iteration order is unspecified; sort for determinism. This
-    // reruns on every completion while the tenant drains, so the
-    // list reuses _retireDids' storage.
+    // iteration order is unspecified; sort for determinism.
     auto &dids = _retireDids;
     dids.clear();
     _tables.forEachDomain([&](const mem::DomainId &did) {
@@ -564,24 +553,6 @@ System::tryRetireSid(trace::SourceId sid)
     std::sort(dids.begin(), dids.end());
 
     Link &link = linkOf(sid);
-    for (const mem::DomainId did : dids) {
-        // Gate 2: no history-reader prefetch burst in flight.
-        if (link.historyReader &&
-            link.historyReader->prefetchInFlight(did))
-            return false;
-        // Gate 3: no prefetched translation on the PCIe wire.
-        if (const uint32_t *wire = _fillsInFlight.find(did);
-            wire && *wire > 0) {
-            return false;
-        }
-        // Gate 4: no MMU prefetch between issue and its IOMMU
-        // completion (after which the fill rides Gate 3's wire).
-        if (const uint32_t *pending = _mmuPrefetchesInFlight.find(did);
-            pending && *pending > 0) {
-            return false;
-        }
-    }
-
     for (const mem::DomainId did : dids)
         retireDomain(did);
     link.device->retireSid(sid);
@@ -622,15 +593,23 @@ System::retireDomain(mem::DomainId did)
 }
 
 void
-System::onStreamPacketDrained(trace::SourceId sid)
+System::hold(trace::SourceId sid)
 {
-    uint32_t *count = _outstanding.find(sid);
-    HYPERSIO_ASSERT(count && *count > 0,
-                    "packet completion without an outstanding "
-                    "counter");
-    --*count;
-    serviceRetirements();
-    maybeRestartArrival(linkOf(sid));
+    ++_inFlight[sid];
+}
+
+void
+System::release(trace::SourceId sid)
+{
+    HYPERSIO_ASSERT(_inFlight[sid] > 0,
+                    "SID %u released more work than it held", sid);
+    // Retirement is tried at arrival slots and packet completions
+    // only, so when a tenant's last work ends elsewhere the next
+    // slot must run even behind a full PTB.
+    if (--_inFlight[sid] == 0 && !_pendingRetire.empty()) {
+        Link &link = linkOf(sid);
+        _queue.wake(link.parked, [this, &link] { arrive(link); });
+    }
 }
 
 bool

@@ -12,7 +12,9 @@
  * the event kernel instead of re-arming: the kernel bills each slot
  * it reaches as a drop, and the PTB release wakes the slot at its
  * reserved key (DESIGN.md §15) — the same drops, ticks and event
- * order as one event per slot. When the trace is exhausted
+ * order as one event per slot. A streaming run retires a detached
+ * tenant once its in-flight count (packets, prefetches and fills)
+ * is zero. When the trace is exhausted
  * and all in-flight work drains, the achieved bandwidth is total
  * processed bytes divided by elapsed simulated time.
  */
@@ -20,6 +22,7 @@
 #ifndef HYPERSIO_CORE_SYSTEM_HH
 #define HYPERSIO_CORE_SYSTEM_HH
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -35,7 +38,6 @@
 #include "mem/memory_model.hh"
 #include "trace/record.hh"
 #include "trace/stream.hh"
-#include "util/flat_map.hh"
 #include "util/json.hh"
 
 namespace hypersio::core
@@ -231,7 +233,8 @@ class System : private Device::CompletionSink,
      * Every IOMMU answer, routed by its requester tag: a demand
      * answer crosses PCIe back to its device's PTB slot (fused when
      * `tail`), a prefetch answer becomes a prefetch fill of its
-     * device and closes its History Reader burst or MMU counter.
+     * device and releases its MMU prefetch or, with its last page,
+     * its History Reader burst.
      */
     void translated(const iommu::IommuRequest &req,
                     const iommu::IommuResponse &resp,
@@ -244,9 +247,9 @@ class System : private Device::CompletionSink,
     iommu::TranslationSink &translationSink() { return *this; }
     /**
      * Sends a completed prefetch translation back to `link`'s device
-     * over PCIe, with the per-DID wire counter and the device's
-     * squash record maintained — shared by the History-Reader fill
-     * path and the MMU-prefetch completion path.
+     * over PCIe, held in its tenant's in-flight count and recorded
+     * for squashing by the device — shared by the History-Reader
+     * fill path and the MMU-prefetch completion path.
      */
     void dispatchPrefetchFill(Link &link, mem::DomainId did,
                               mem::Iova iova, mem::PageSize size,
@@ -276,14 +279,20 @@ class System : private Device::CompletionSink,
     /** Drains detach notices and retires every SID that can go. */
     void serviceRetirements();
     /**
-     * Retires `sid` unless packets, prefetch bursts, or prefetch
-     * fills are still in flight for it. @return true when retired
+     * Retires `sid` unless its in-flight count is nonzero.
+     * @return true when retired
      */
     bool tryRetireSid(trace::SourceId sid);
     /** Tears down one domain through the regular unmap path. */
     void retireDomain(mem::DomainId did);
-    /** Completion bookkeeping of a streaming-run packet. */
-    void onStreamPacketDrained(trace::SourceId sid);
+    /** One more piece of `sid`'s work is in flight. */
+    void hold(trace::SourceId sid);
+    /**
+     * One piece of `sid`'s work ended. The last one, with a
+     * retirement pending, wakes the parked arrival slot, where
+     * serviceRetirements() runs.
+     */
+    void release(trace::SourceId sid);
     /**
      * Re-arms `link`'s arrival process after a stall, if unparked.
      * @return true when it re-armed
@@ -314,25 +323,23 @@ class System : private Device::CompletionSink,
     /** Snapshot cadence/hook of the active streaming run. */
     uint64_t _snapshotEvery = 0;
     std::function<void(const System &, uint64_t)> _onSnapshot;
-    /** In-flight (accepted, not completed) packets per SID. */
-    util::FlatMap<trace::SourceId, uint32_t> _outstanding;
     /** Detached SIDs awaiting retirement, in detach order. */
     std::vector<trace::SourceId> _pendingRetire;
-    /** Prefetch fills on the PCIe wire per DID (retirement gate). */
-    util::FlatMap<mem::DomainId, uint32_t> _fillsInFlight;
     /**
-     * MMU prefetches between issue and IOMMU completion per DID
-     * (retirement gate; entries erase at zero). The fill's return
-     * hop is then covered by _fillsInFlight.
+     * Work in flight per SID, the one retirement gate: accepted
+     * packets until completion, History Reader bursts until their
+     * last translation, MMU prefetches until the IOMMU answers, and
+     * prefetch fills until they reach the device. Counted in every
+     * run; only runStream retires.
      */
-    util::FlatMap<mem::DomainId, uint32_t> _mmuPrefetchesInFlight;
+    std::array<uint32_t, iommu::ContextCache::SidSpace> _inFlight{};
     std::vector<StreamRetirement> _streamRetirements;
     /**
-     * Retirement scratch, cleared per call and kept at capacity so a
-     * draining tenant's retries allocate nothing: a retiring SID's
-     * sorted domains (tryRetireSid) and a dying table's sorted pages
-     * (retireDomain). Two vectors, not one, because retireDomain
-     * runs inside tryRetireSid's loop over the domains.
+     * Retirement scratch, cleared per call and kept at capacity: a
+     * retiring SID's sorted domains (tryRetireSid) and a dying
+     * table's sorted pages (retireDomain). Two vectors, not one,
+     * because retireDomain runs inside tryRetireSid's loop over the
+     * domains.
      */
     std::vector<mem::DomainId> _retireDids;
     std::vector<std::pair<mem::Iova, mem::PageSize>> _retirePages;

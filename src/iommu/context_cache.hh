@@ -44,7 +44,7 @@ class ContextCache
      * keyed by the SID, as the paper specifies, while distinct
      * PASIDs still name distinct address spaces.
      */
-    static constexpr uint32_t SidSpace = 4096;
+    static constexpr uint32_t SidSpace = trace::SidSpace;
 
     explicit ContextCache(const cache::CacheConfig &config)
         : _cache(config)

@@ -31,18 +31,6 @@ class FlattenVisitor : public StatVisitor
     }
 
     void
-    visit(const Scalar &s) override
-    {
-        leaf(s, "scalar");
-    }
-
-    void
-    visit(const Ratio &r) override
-    {
-        leaf(r, "ratio");
-    }
-
-    void
     visit(const Histogram &h) override
     {
         SnapshotEntry &e = leaf(h, "histogram");

@@ -20,8 +20,8 @@
  *    value *below* the previous capture means the stat was reset (or
  *    wrapped), and the delta is the new cumulative value — the
  *    accumulation since the reset — never a negative number.
- *  - Scalars, ratios, and callbacks may legitimately fall (occupancy,
- *    miss rates), so their deltas are plain differences.
+ *  - Callbacks may legitimately fall (occupancy, miss rates), so
+ *    their deltas are plain differences.
  *  - Stats first seen mid-run (a lazily created child group) get
  *    first-capture semantics on their first appearance.
  *

@@ -159,25 +159,6 @@ StatGroup::makeCounter(const std::string &name, const std::string &desc)
     return ref;
 }
 
-Scalar &
-StatGroup::makeScalar(const std::string &name, const std::string &desc)
-{
-    auto stat = std::make_unique<Scalar>(name, desc);
-    Scalar &ref = *stat;
-    _stats.push_back(std::move(stat));
-    return ref;
-}
-
-Ratio &
-StatGroup::makeRatio(const std::string &name, const std::string &desc,
-                     const StatBase &numer, const StatBase &denom)
-{
-    auto stat = std::make_unique<Ratio>(name, desc, numer, denom);
-    Ratio &ref = *stat;
-    _stats.push_back(std::move(stat));
-    return ref;
-}
-
 Histogram &
 StatGroup::makeHistogram(const std::string &name,
                          const std::string &desc, double lo, double hi,
@@ -266,20 +247,6 @@ JsonWriter::visit(const Counter &c)
     leaf(c, "counter");
     _out.key("count");
     _out.value(c.count());
-    _out.endObject();
-}
-
-void
-JsonWriter::visit(const Scalar &s)
-{
-    leaf(s, "scalar");
-    _out.endObject();
-}
-
-void
-JsonWriter::visit(const Ratio &r)
-{
-    leaf(r, "ratio");
     _out.endObject();
 }
 

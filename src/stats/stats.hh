@@ -3,10 +3,10 @@
  * Lightweight statistics package for the performance model.
  *
  * Components own a StatGroup and register named statistics in it.
- * Supported kinds: Counter (monotonic count), Scalar (arbitrary
- * value), Ratio (lazy quotient of two stats), and Histogram (fixed
- * linear bins plus underflow/overflow). Groups nest, and a whole tree
- * can be dumped as an aligned text table.
+ * Supported kinds: Counter (monotonic count), Histogram (fixed
+ * linear bins plus underflow/overflow), and Callback (a value read
+ * from its owner at dump time). Groups nest, and a whole tree can be
+ * dumped as an aligned text table.
  */
 
 #ifndef HYPERSIO_STATS_STATS_HH
@@ -25,8 +25,6 @@ namespace hypersio::stats
 {
 
 class Counter;
-class Scalar;
-class Ratio;
 class Histogram;
 class Callback;
 
@@ -37,8 +35,6 @@ class StatVisitor
     virtual ~StatVisitor() = default;
 
     virtual void visit(const Counter &c) = 0;
-    virtual void visit(const Scalar &s) = 0;
-    virtual void visit(const Ratio &r) = 0;
     virtual void visit(const Histogram &h) = 0;
     virtual void visit(const Callback &cb) = 0;
 };
@@ -91,50 +87,6 @@ class Counter : public StatBase
 
   private:
     uint64_t _count = 0;
-};
-
-/** Arbitrary scalar value (can be set, not just incremented). */
-class Scalar : public StatBase
-{
-  public:
-    using StatBase::StatBase;
-
-    Scalar &operator=(double v) { _value = v; return *this; }
-    Scalar &operator+=(double v) { _value += v; return *this; }
-
-    double value() const override { return _value; }
-    void reset() override { _value = 0.0; }
-    void accept(StatVisitor &v) const override { v.visit(*this); }
-
-  private:
-    double _value = 0.0;
-};
-
-/**
- * Lazy quotient of two other statistics, e.g. a miss rate. Evaluated
- * at dump time; reports 0 when the denominator is 0.
- */
-class Ratio : public StatBase
-{
-  public:
-    Ratio(std::string name, std::string desc, const StatBase &numer,
-          const StatBase &denom)
-        : StatBase(std::move(name), std::move(desc)), _numer(&numer),
-          _denom(&denom)
-    {}
-
-    double
-    value() const override
-    {
-        double d = _denom->value();
-        return d == 0.0 ? 0.0 : _numer->value() / d;
-    }
-    void reset() override {}
-    void accept(StatVisitor &v) const override { v.visit(*this); }
-
-  private:
-    const StatBase *_numer;
-    const StatBase *_denom;
 };
 
 /**
@@ -236,9 +188,6 @@ class StatGroup
 
     Counter &makeCounter(const std::string &name,
                          const std::string &desc);
-    Scalar &makeScalar(const std::string &name, const std::string &desc);
-    Ratio &makeRatio(const std::string &name, const std::string &desc,
-                     const StatBase &numer, const StatBase &denom);
     Histogram &makeHistogram(const std::string &name,
                              const std::string &desc, double lo,
                              double hi, size_t nbins);
@@ -299,8 +248,6 @@ class JsonWriter : public StatVisitor
     void write(const StatGroup &group);
 
     void visit(const Counter &c) override;
-    void visit(const Scalar &s) override;
-    void visit(const Ratio &r) override;
     void visit(const Histogram &h) override;
     void visit(const Callback &cb) override;
 

@@ -25,6 +25,9 @@ namespace hypersio::trace
 /** PCIe Source ID (Bus/Device/Function) — one per tenant VF. */
 using SourceId = uint32_t;
 
+/** Source IDs a simulated system tells apart: every SID is below. */
+constexpr SourceId SidSpace = 4096;
+
 /** The three translation requests each received packet triggers. */
 enum class ReqClass : uint8_t
 {

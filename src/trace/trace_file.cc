@@ -143,6 +143,11 @@ readPackets(std::ifstream &in, uint64_t npackets, uint64_t nops,
     }
     pkts.reserve(npackets);
     for (const PacketWire &w : pkt_wire) {
+        if (w.sid >= SidSpace)
+            fatal("'%s': packet %llu's SID %u is outside the %u-SID "
+                  "space",
+                  path.c_str(), (unsigned long long)pkts.size(), w.sid,
+                  SidSpace);
         if (uint64_t(w.opBegin) + w.opCount > nops)
             fatal("'%s': packet %llu's page ops [%llu, %llu) run past "
                   "the file's %llu ops",

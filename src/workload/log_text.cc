@@ -1,5 +1,6 @@
 #include "workload/log_text.hh"
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -102,6 +103,9 @@ parseTextLog(std::istream &is, const std::string &name)
                 !parseU64(value, sid))
                 fatal("%s:%u: bad tenant line", name.c_str(),
                       lineno);
+            if (sid > UINT32_MAX)
+                fatal("%s:%u: tenant SID %llu does not fit in 32 bits",
+                      name.c_str(), lineno, (unsigned long long)sid);
             log.sid = static_cast<trace::SourceId>(sid);
             saw_tenant = true;
         } else if (keyword == "map" || keyword == "unmap") {
@@ -134,8 +138,18 @@ parseTextLog(std::istream &is, const std::string &name)
                 if (!parseU64(wire, bytes))
                     fatal("%s:%u: bad wire-bytes '%s'",
                           name.c_str(), lineno, wire.c_str());
+                if (bytes > UINT32_MAX)
+                    fatal("%s:%u: wire-bytes %llu does not fit in 32 "
+                          "bits",
+                          name.c_str(), lineno,
+                          (unsigned long long)bytes);
                 pkt.wireBytes = static_cast<uint32_t>(bytes);
             }
+            if (pending.size() > UINT16_MAX)
+                fatal("%s:%u: %zu page ops before one packet; at most "
+                      "%u fit",
+                      name.c_str(), lineno, pending.size(),
+                      unsigned(UINT16_MAX));
             pkt.opBegin = static_cast<uint32_t>(log.ops.size());
             pkt.opCount = static_cast<uint16_t>(pending.size());
             for (const auto &op : pending)

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "workload/benchmarks.hh"
 #include "workload/log_text.hh"
@@ -104,6 +106,42 @@ TEST(LogText, WriterEmitsParsableKeywords)
     EXPECT_NE(text.find("map   0x1000 4K"), std::string::npos);
     EXPECT_NE(text.find("pkt   0x1000 0x2000 4K 0x1f00"),
               std::string::npos);
+}
+
+// A value the log format cannot carry is fatal, naming the line,
+// rather than narrowed to the packet record's field width.
+TEST(LogTextDeathTest, ValuesThatDoNotFitAreFatal)
+{
+    std::string many_maps = "tenant 1\n";
+    for (unsigned i = 0; i <= UINT16_MAX; ++i)
+        many_maps += "map 0x1000 4K\n";
+    many_maps += "pkt 0x1000 0x2000 4K 0x3000\n";
+    const struct
+    {
+        const char *name;
+        std::string text;
+        const char *message;
+    } cases[] = {
+        {"65536 ops", many_maps,
+         "fatal: test:65538: 65536 page ops before one packet; at "
+         "most 65535 fit"},
+        {"tenant SID", "tenant 4294967296\n",
+         "fatal: test:1: tenant SID 4294967296 does not fit in 32 "
+         "bits"},
+        {"wire bytes",
+         "tenant 1\npkt 0x1000 0x2000 4K 0x3000 4294967296\n",
+         "fatal: test:2: wire-bytes 4294967296 does not fit in 32 "
+         "bits"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        EXPECT_EXIT(
+            {
+                std::istringstream input(c.text);
+                parseTextLog(input, "test");
+            },
+            ::testing::ExitedWithCode(1), c.message);
+    }
 }
 
 } // namespace

@@ -257,6 +257,8 @@ struct ReaderFixture : iommu::TranslationSink
         mem::Addr hostAddr;
     };
     std::vector<Fill> fills;
+    /** Bursts whose last translation has landed. */
+    unsigned burstsEnded = 0;
 
     HistoryReader &
     makeReader(const PrefetchConfig &config)
@@ -273,7 +275,8 @@ struct ReaderFixture : iommu::TranslationSink
         EXPECT_EQ(req.tag.kind, iommu::Requester::HistoryPrefetch);
         if (resp.valid)
             fills.push_back({req.domain, req.iova, resp.hostAddr});
-        reader->prefetchTranslated(req.domain);
+        if (reader->prefetchTranslated(req.domain))
+            ++burstsEnded;
     }
 };
 
@@ -322,25 +325,43 @@ TEST(HistoryReader, DeduplicatesInFlightPrefetches)
     HistoryReader &reader = f.makeReader(pbConfig());
     f.tables.get(1).map(0x1000, mem::PageSize::Size4K);
     reader.observe(1, 0x1000, mem::PageSize::Size4K);
-    reader.prefetch(1);
-    reader.prefetch(1); // dropped: already in flight
+    EXPECT_TRUE(reader.prefetch(1));
+    EXPECT_FALSE(reader.prefetch(1)); // dropped: already in flight
     f.queue.run();
     EXPECT_EQ(reader.prefetchesStarted(), 1u);
     EXPECT_EQ(reader.prefetchesDeduped(), 1u);
+    // The one burst ended exactly once, with its last translation.
+    EXPECT_EQ(f.burstsEnded, 1u);
     // After completion a new prefetch may start.
-    reader.prefetch(1);
+    EXPECT_TRUE(reader.prefetch(1));
     f.queue.run();
     EXPECT_EQ(reader.prefetchesStarted(), 2u);
+    EXPECT_EQ(f.burstsEnded, 2u);
 }
 
 TEST(HistoryReader, UnknownTenantIsIgnored)
 {
     ReaderFixture f;
     HistoryReader &reader = f.makeReader(pbConfig());
-    reader.prefetch(77); // no history yet
+    EXPECT_FALSE(reader.prefetch(77)); // no history yet
     f.queue.run();
     EXPECT_EQ(reader.prefetchesStarted(), 0u);
     EXPECT_TRUE(f.fills.empty());
+}
+
+// A burst ends with its last translation, so one with none would
+// never end.
+TEST(HistoryReaderDeathTest, ZeroPagesPerBurstIsFatal)
+{
+    PrefetchConfig config = pbConfig();
+    config.pagesPerPrefetch = 0;
+    EXPECT_EXIT(
+        {
+            ReaderFixture f;
+            f.makeReader(config);
+        },
+        ::testing::ExitedWithCode(1),
+        "fatal: the IOVA History Reader needs prefetch.pages >= 1");
 }
 
 TEST(HistoryReader, ChargesHistoryReadLatency)

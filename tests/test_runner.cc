@@ -87,7 +87,7 @@ TEST(BenchOptionsDeathTest, HostileWorkloadSizes)
     }
     EXPECT_EXIT(parseArgs({"--tenants", "4294967297"}),
                 ::testing::ExitedWithCode(1),
-                "--tenants needs a positive 32-bit integer");
+                "--tenants value 4294967297 does not fit");
     EXPECT_EXIT(parseArgs({"--jobs", "4294967297"}),
                 ::testing::ExitedWithCode(1), "positive integer");
 }

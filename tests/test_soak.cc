@@ -60,7 +60,8 @@ TEST(Snapshotter, FirstCaptureDiffsAgainstZeroState)
 {
     stats::StatGroup root("root");
     stats::Counter &packets = root.makeCounter("packets", "");
-    stats::Scalar &occupancy = root.makeScalar("occupancy", "");
+    double occupancy = 0.0;
+    root.makeCallback("occupancy", "", [&] { return occupancy; });
     packets += 5;
     occupancy = 2.5;
 
@@ -89,7 +90,8 @@ TEST(Snapshotter, CrossIntervalDeltasAndFallingScalars)
 {
     stats::StatGroup root("root");
     stats::Counter &packets = root.makeCounter("packets", "");
-    stats::Scalar &occupancy = root.makeScalar("occupancy", "");
+    double occupancy = 0.0;
+    root.makeCallback("occupancy", "", [&] { return occupancy; });
     stats::StatGroup &child = root.child("cache");
     stats::Counter &hits = child.makeCounter("hits", "");
 
@@ -100,7 +102,7 @@ TEST(Snapshotter, CrossIntervalDeltasAndFallingScalars)
     snapper.capture(100, 1.0);
 
     packets += 7;
-    occupancy = 1.5; // scalars may fall; delta goes negative
+    occupancy = 1.5; // callbacks may fall; delta goes negative
     hits += 1;
     const stats::Snapshot snap = snapper.capture(250, 3.5);
 

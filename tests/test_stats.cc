@@ -26,29 +26,6 @@ TEST(Counter, IncrementAndAdd)
     EXPECT_EQ(c.count(), 0u);
 }
 
-TEST(Scalar, AssignAndAccumulate)
-{
-    StatGroup group("g");
-    Scalar &s = group.makeScalar("s", "a scalar");
-    s = 2.5;
-    s += 1.5;
-    EXPECT_DOUBLE_EQ(s.value(), 4.0);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-}
-
-TEST(Ratio, QuotientAndZeroDenominator)
-{
-    StatGroup group("g");
-    Counter &hits = group.makeCounter("hits", "");
-    Counter &lookups = group.makeCounter("lookups", "");
-    Ratio &rate = group.makeRatio("rate", "", hits, lookups);
-    EXPECT_DOUBLE_EQ(rate.value(), 0.0); // no division by zero
-    lookups += 4;
-    hits += 1;
-    EXPECT_DOUBLE_EQ(rate.value(), 0.25);
-}
-
 TEST(Histogram, MeanMinMaxStddev)
 {
     StatGroup group("g");
@@ -224,8 +201,11 @@ TEST(JsonExport, RoundTripMatchesFind)
     StatGroup root("sys");
     Counter &hits = root.makeCounter("hits", "hit count");
     Counter &lookups = root.makeCounter("lookups", "lookup count");
-    root.makeRatio("hit_rate", "hits/lookups", hits, lookups);
-    Scalar &gbps = root.makeScalar("gbps", "throughput");
+    root.makeCallback("hit_rate", "hits/lookups", [&] {
+        return hits.value() / lookups.value();
+    });
+    double gbps = 0.0;
+    root.makeCallback("gbps", "throughput", [&] { return gbps; });
     Histogram &lat = root.makeHistogram("lat", "latency", 0, 100, 10);
     Counter &pkts = root.child("dev").makeCounter("packets", "");
 

@@ -382,10 +382,10 @@ TEST(SystemDropGolden, BaseChurnWithEviction)
 }
 
 // The same storm under HyperTRIO with a 1-entry PTB. Its prefetch
-// fills and bursts hold retirements back in events that free no PTB
-// entry, so an arrival refused while a retirement is pending re-arms
-// per slot rather than parking (DESIGN.md §15): parking there would
-// move retirements, which the retirement-log hash shows.
+// fills and bursts end in events that free no PTB entry, so when one
+// is a retiring tenant's last in-flight work, it must wake the parked
+// arrival slot that retires the tenant (DESIGN.md §15): a retirement
+// moved to a later slot shows in the retirement-log hash.
 TEST(SystemDropGolden, PrefetchChurnWithEviction)
 {
     workload::ChurnStream stream(dropChurnConfig());
@@ -398,6 +398,29 @@ TEST(SystemDropGolden, PrefetchChurnWithEviction)
                             0x12e9399703808c53ULL,
                             0x705140904c22c930ULL},
                  5876u);
+}
+
+// The storm under the MMU-aware DMA prefetcher, with slow memory and
+// one walker so walks queue: a retiring tenant's MMU prefetch can
+// still wait for the walker after its packets have drained, and
+// leaving MMU prefetches out of the in-flight count moves
+// retirements. The event bound is what the schedule that re-armed
+// every slot while a retirement was pending executed.
+TEST(SystemDropGolden, MmuPrefetchChurnWithQueuedWalks)
+{
+    workload::ChurnStream stream(dropChurnConfig());
+    SystemConfig config = SystemConfig::hypertrio();
+    config.device.prefetch.kind = PrefetchKind::MmuDma;
+    config.device.ptbEntries = 4;
+    config.memory.accessLatency = 500 * TicksPerNs;
+    config.iommu.walkers = 1;
+    System system(config);
+    const RunResults r = system.runStream(stream);
+    expectPinned("mmu prefetch churn", system, r,
+                 DropGolden{17088u, 1102963680u, 21039u, 24u,
+                            0x92078a146dc49c4eULL,
+                            0x1ff001ea4b316a73ULL},
+                 5964u);
 }
 
 /**

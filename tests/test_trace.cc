@@ -261,7 +261,8 @@ TEST_F(TraceFileTest, MalformedFilesAreFatal)
     // 48-byte packet record starts with its sid, then its opBegin.
     constexpr size_t NPackets = 24;
     constexpr size_t NOps = 32;
-    constexpr size_t FirstOpBegin = 40 + 4;
+    constexpr size_t FirstSid = 40;
+    constexpr size_t FirstOpBegin = FirstSid + 4;
     auto set64 = [](std::string &bytes, size_t at, uint64_t v) {
         std::memcpy(bytes.data() + at, &v, sizeof(v));
     };
@@ -308,6 +309,14 @@ TEST_F(TraceFileTest, MalformedFilesAreFatal)
              return b;
          }(),
          "packet 0's page ops \\[100000000, 10000000[0-9]\\) run past"},
+        {"SID outside the SID space",
+         [&] {
+             std::string b = good;
+             const uint32_t sid = 70000;
+             std::memcpy(b.data() + FirstSid, &sid, sizeof(sid));
+             return b;
+         }(),
+         "packet 0's SID 70000 is outside the 4096-SID space"},
         {"trailing bytes", good + "x", mismatch},
     };
     for (const auto &c : cases) {
