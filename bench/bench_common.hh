@@ -43,22 +43,6 @@ makeRunner(const core::BenchOptions &opts)
                                   !opts.jsonPath.empty());
 }
 
-/** Runs one (config, workload) point and returns the results. */
-inline core::RunResults
-runPoint(core::ExperimentRunner &runner, core::SystemConfig config,
-         workload::Benchmark bench, unsigned tenants,
-         const std::string &il = "RR1", bool bypass = false)
-{
-    core::ExperimentPoint point;
-    point.label = config.name;
-    point.config = std::move(config);
-    point.bench = bench;
-    point.tenants = tenants;
-    point.interleave = trace::parseInterleaving(il);
-    point.bypassTranslation = bypass;
-    return runner.run(point).results;
-}
-
 /**
  * Collects experiment points across a bench's loop structure, runs
  * them all at once through ExperimentRunner::runAll (fanning out
@@ -160,17 +144,6 @@ wallClockLine(const WallTimer &timer, const core::BenchOptions &opts)
                  timer.seconds(), opts.jobs);
 }
 
-/** Table IV "HyperTRIO without prefetching" configuration. */
-inline core::SystemConfig
-partitionedPtbConfig(unsigned ptb_entries)
-{
-    core::SystemConfig config = core::SystemConfig::hypertrio();
-    config.name = "part+ptb" + std::to_string(ptb_entries);
-    config.device.ptbEntries = ptb_entries;
-    config.device.prefetch.enabled = false;
-    return config;
-}
-
 /** Prints the standard bench banner. */
 inline void
 banner(const char *id, const char *what,
@@ -181,6 +154,20 @@ banner(const char *id, const char *what,
                 "use --full for paper-sized traces)\n\n",
                 opts.scale, opts.maxTenants,
                 (unsigned long long)opts.seed);
+}
+
+/**
+ * The measured active translation set of `bench` (Figs. 8 and 11c):
+ * the fully-associative entries tenant 0's 50K-packet log needs for
+ * a 99.9% hit rate, searched up to 128.
+ */
+inline unsigned
+activeSet(workload::Benchmark bench, uint64_t seed)
+{
+    workload::TenantLogGenerator gen(
+        workload::benchmarkProfile(bench).pattern, seed);
+    return workload::activeTranslationSet(gen.generate(0, 50000), 0.999,
+                                          128);
 }
 
 /** The progress sink for a batch run: stderr when --verbose. */

@@ -39,8 +39,7 @@ main(int argc, char **argv)
         workload::TenantPattern pattern = profile.pattern;
         pattern.smallPacketBytes = 256;
         pattern.smallPacketProb = mix;
-        const auto packets = static_cast<uint64_t>(
-            22000 * opts.scale);
+        const uint64_t packets = bench::scaledBudget(22000, opts.scale);
         workload::scaleInitPhase(pattern, packets);
         workload::TenantLogGenerator gen(pattern, opts.seed);
         std::vector<trace::TenantLog> logs;

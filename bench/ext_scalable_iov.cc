@@ -37,8 +37,7 @@ main(int argc, char **argv)
     for (unsigned processes : {1u, 2u, 6u}) {
         workload::TenantPattern pattern = profile.pattern;
         pattern.processesPerTenant = processes;
-        const auto packets =
-            static_cast<uint64_t>(22000 * opts.scale);
+        const uint64_t packets = bench::scaledBudget(22000, opts.scale);
         workload::scaleInitPhase(pattern, packets);
         workload::TenantLogGenerator gen(pattern, opts.seed);
         std::vector<trace::TenantLog> logs;

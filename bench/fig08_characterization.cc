@@ -138,17 +138,14 @@ main(int argc, char **argv)
     }
 
     // Active translation set (used by Fig. 11c).
-    for (workload::Benchmark bench : workload::AllBenchmarks) {
-        const auto p = workload::benchmarkProfile(bench);
-        workload::TenantLogGenerator g(p.pattern, opts.seed);
-        const unsigned active = workload::activeTranslationSet(
-            g.generate(0, 50000), 0.999, 128);
+    for (workload::Benchmark b : workload::AllBenchmarks) {
+        const unsigned active = bench::activeSet(b, opts.seed);
         std::printf("active translation set, %-12s: %u "
                     "(paper: iperf3 8, mediastream 32, websearch "
                     "36)\n",
-                    workload::benchmarkName(bench), active);
+                    workload::benchmarkName(b), active);
         report.addScalar(std::string("active_set.") +
-                             workload::benchmarkName(bench),
+                             workload::benchmarkName(b),
                          active);
     }
     report.write(timer.seconds());

@@ -24,8 +24,10 @@
 #define HYPERSIO_BENCH_JSON_REPORT_HH
 
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -49,7 +51,12 @@ class JsonReport
     /** False when the bench ran without `--json`. */
     bool enabled() const { return !_opts.jsonPath.empty(); }
 
-    /** Records one sweep point (label + workload + results). */
+    /**
+     * Records one sweep point (label + workload + results). A key
+     * (label, benchmark, tenants, interleave) recorded twice is fatal:
+     * scripts/bench_compare.py matches points by that key, so a
+     * repeated one would hide a point from every comparison.
+     */
     void
     addPoint(const std::string &label, const std::string &benchmark,
              unsigned tenants, const std::string &interleave,
@@ -58,6 +65,13 @@ class JsonReport
     {
         if (!enabled())
             return;
+        if (!_keys.emplace(label, benchmark, tenants, interleave)
+                 .second) {
+            fatal("%s: point (%s, %s, %u tenants, %s) is recorded "
+                  "twice; give each series its own config name",
+                  _benchId.c_str(), label.c_str(), benchmark.c_str(),
+                  tenants, interleave.c_str());
+        }
         _points.push_back({label, benchmark, tenants, interleave,
                            results, std::move(stats_json)});
     }
@@ -163,6 +177,8 @@ class JsonReport
     std::string _benchId;
     core::BenchOptions _opts;
     std::vector<Point> _points;
+    std::set<std::tuple<std::string, std::string, unsigned, std::string>>
+        _keys;
     std::vector<std::pair<std::string, double>> _scalars;
 };
 

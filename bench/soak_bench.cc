@@ -188,6 +188,10 @@ parseArgs(int argc, char **argv)
     if (opts.minutes > 0.0 && !tenants_set) {
         const double sized =
             opts.minutes * TenantsPerMinute / opts.scale;
+        if (sized >= 0x1p64)
+            fatal("--minutes %g takes the tenant population past 64 "
+                  "bits",
+                  opts.minutes);
         opts.population = static_cast<uint64_t>(
             sized < 1.0 ? 1.0 : sized);
     }

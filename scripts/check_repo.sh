@@ -11,9 +11,11 @@
 #   3. A longer adversarial fuzz campaign than the ctest smoke:
 #      every pattern x system variant at 400 packets x 3 seeds under
 #      the collecting shadow oracle.
-#   4. Shadow checking must be observation-only: fig10_scalability
-#      --quick output is byte-identical with HYPERSIO_SHADOW=off and
-#      with the variable unset (the oracle on), in the one binary.
+#   4. Shadow checking must be observation-only: every sweep
+#      figure's --quick output (the list bench/CMakeLists.txt writes
+#      to bench/figures.txt in the build tree) is byte-identical with
+#      HYPERSIO_SHADOW=off and with the variable unset (the oracle
+#      on), in the one binary.
 #   5. fig10_scalability at quick scale must emit a valid JSON
 #      report that self-compares with zero drift and matches the
 #      committed BENCH_fig10.json exactly (bench_compare.py --exact:
@@ -124,19 +126,27 @@ fi
 grep 'translation requests checked' "$FUZZ_LOG"
 
 echo "== 4/10 shadow checking is observation-only (checked vs not)"
-# Unset here even if the caller exported it: this leg runs checked.
-env -u HYPERSIO_SHADOW "$BUILD_DIR"/bench/fig10_scalability --quick \
-    --tenants 8 --jobs 1 > "$BUILD_DIR/fig10_checked.out"
-HYPERSIO_SHADOW=off "$BUILD_DIR"/bench/fig10_scalability --quick \
-    --tenants 8 --jobs 1 > "$BUILD_DIR/fig10_unchecked.out"
-if ! cmp -s "$BUILD_DIR/fig10_checked.out" \
-        "$BUILD_DIR/fig10_unchecked.out"; then
-    echo "FAIL: the shadow oracle changed simulator output:" >&2
-    diff "$BUILD_DIR/fig10_checked.out" \
-         "$BUILD_DIR/fig10_unchecked.out" >&2 || true
+FIGURES=0
+while read -r FIG; do
+    # Unset here even if the caller exported it: this leg runs checked.
+    env -u HYPERSIO_SHADOW "$BUILD_DIR/bench/$FIG" --quick \
+        --tenants 8 --jobs 1 > "$BUILD_DIR/${FIG}_checked.out"
+    HYPERSIO_SHADOW=off "$BUILD_DIR/bench/$FIG" --quick \
+        --tenants 8 --jobs 1 > "$BUILD_DIR/${FIG}_unchecked.out"
+    if ! cmp -s "$BUILD_DIR/${FIG}_checked.out" \
+            "$BUILD_DIR/${FIG}_unchecked.out"; then
+        echo "FAIL: the shadow oracle changed $FIG output:" >&2
+        diff "$BUILD_DIR/${FIG}_checked.out" \
+             "$BUILD_DIR/${FIG}_unchecked.out" >&2 || true
+        exit 1
+    fi
+    FIGURES=$((FIGURES + 1))
+done < "$BUILD_DIR/bench/figures.txt"
+if [ "$FIGURES" -eq 0 ]; then
+    echo "FAIL: $BUILD_DIR/bench/figures.txt lists no figure" >&2
     exit 1
 fi
-echo "   ok: fig10 --quick output byte-identical"
+echo "   ok: $FIGURES figures' --quick output byte-identical"
 
 echo "== 5/10 bench JSON regression gate (fig10, quick scale)"
 # Deterministic settings: quick scale, 8-tenant sweep, fixed seed.

@@ -30,8 +30,9 @@ SystemConfig::hypertrio()
     // The paper uses an 8-entry PB with a 48-access stride, tuned to
     // its testbed's prefetch latency. Our model's prefetch path is
     // shorter (~16 packet slots), so the calibrated defaults are a
-    // 32-entry PB with a 20-packet stride; bench/fig12c_prefetch
-    // sweeps both knobs (see EXPERIMENTS.md, calibration notes).
+    // 32-entry PB with a 20-packet stride; the fig12c_prefetch bench
+    // (bench/figures.cc) sweeps both knobs (see EXPERIMENTS.md,
+    // calibration notes).
     config.device.prefetch.enabled = true;
     config.device.prefetch.bufferEntries = 32;
     config.device.prefetch.historyLength = 20;

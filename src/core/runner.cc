@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <limits>
@@ -177,32 +176,6 @@ printBandwidthTable(
         os << "\n";
     }
     os.unsetf(std::ios::fixed);
-}
-
-void
-writeCsv(const std::string &path,
-         const std::vector<unsigned> &tenants,
-         const std::vector<std::pair<std::string,
-                                     std::vector<double>>> &series)
-{
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        fatal("cannot open '%s' for writing", path.c_str());
-    out << "tenants";
-    for (const auto &[label, values] : series)
-        out << ',' << label;
-    out << '\n';
-    for (size_t i = 0; i < tenants.size(); ++i) {
-        out << tenants[i];
-        for (const auto &[label, values] : series) {
-            out << ',';
-            if (i < values.size())
-                out << values[i];
-        }
-        out << '\n';
-    }
-    if (!out)
-        fatal("write error on '%s'", path.c_str());
 }
 
 namespace

@@ -163,16 +163,6 @@ void printBandwidthTable(
     const std::vector<
         std::pair<std::string, std::vector<double>>> &series);
 
-/**
- * Writes the same data as CSV (header: tenants,<label>,...), ready
- * for gnuplot/matplotlib to regenerate the paper's figures.
- */
-void writeCsv(const std::string &path,
-              const std::vector<unsigned> &tenants,
-              const std::vector<
-                  std::pair<std::string, std::vector<double>>>
-                  &series);
-
 } // namespace hypersio::core
 
 #endif // HYPERSIO_CORE_RUNNER_HH

@@ -55,8 +55,8 @@ TEST(Config, HyperTrioPresetMatchesTableIV)
     EXPECT_TRUE(config.device.prefetch.enabled);
     EXPECT_EQ(config.device.prefetch.pagesPerPrefetch, 2u);
     // Calibrated for this model's prefetch latency (see DESIGN.md):
-    // the paper's 8-entry/48-stride values are sweepable in
-    // bench/fig12c_prefetch.
+    // the paper's 8-entry/48-stride values are sweepable in the
+    // fig12c_prefetch bench (bench/figures.cc).
     EXPECT_EQ(config.device.prefetch.bufferEntries, 32u);
     EXPECT_EQ(config.device.prefetch.historyLength, 20u);
 }

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "core/runner.hh"
@@ -175,23 +173,6 @@ TEST(ExperimentRunnerTest, RunAllPreservesOrderAndProgress)
     // HyperTRIO beats Base on the same trace.
     EXPECT_GE(rows[1].results.achievedGbps,
               rows[0].results.achievedGbps);
-}
-
-TEST(WriteCsv, EmitsHeaderAndRows)
-{
-    const auto path = std::filesystem::temp_directory_path() /
-                      "hypersio_csv_test.csv";
-    writeCsv(path.string(), {4, 8},
-             {{"base", {1.5, 2.5}}, {"ht", {3.0}}});
-    std::ifstream in(path);
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "tenants,base,ht");
-    std::getline(in, line);
-    EXPECT_EQ(line, "4,1.5,3");
-    std::getline(in, line);
-    EXPECT_EQ(line, "8,2.5,"); // missing value stays empty
-    std::filesystem::remove(path);
 }
 
 } // namespace
