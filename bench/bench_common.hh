@@ -1,13 +1,9 @@
 /**
  * @file
- * Shared helpers for the per-figure bench binaries: each binary
- * regenerates one table or figure of the paper, printing the same
- * rows/series the paper reports.
- *
- * Sweep-style benches collect their points into a PointBatch and run
- * them through the ExperimentRunner worker pool (`--jobs`), which
- * keeps the printed tables byte-identical to a serial run while
- * using every core.
+ * Shared helpers for the bench binaries: each binary regenerates one
+ * table or figure of the paper or runs one extension, printing the
+ * same rows/series the paper reports. The bandwidth sweeps are
+ * entries in bench/figures.cc, run by its one driver.
  */
 
 #ifndef HYPERSIO_BENCH_COMMON_HH
@@ -31,87 +27,14 @@
 namespace hypersio::bench
 {
 
-/**
- * Builds the standard runner for a bench binary. With `--json` the
- * runner also captures each point's full stat tree so the report
- * can embed it.
- */
-inline core::ExperimentRunner
-makeRunner(const core::BenchOptions &opts)
+/** Wall seconds elapsed since `t0` (steady clock). */
+inline double
+wallSeconds(std::chrono::steady_clock::time_point t0)
 {
-    return core::ExperimentRunner(opts.scale, opts.seed, opts.jobs,
-                                  !opts.jsonPath.empty());
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
 }
-
-/**
- * Collects experiment points across a bench's loop structure, runs
- * them all at once through ExperimentRunner::runAll (fanning out
- * over the `--jobs` worker pool), and hands the results back in the
- * order the points were added.
- *
- * Usage: run the bench's loops once calling add(), call run(), then
- * mirror the same loops calling take() — take() returns results in
- * exactly add() order, so the printed tables match a serial run
- * byte for byte.
- */
-class PointBatch
-{
-  public:
-    /**
-     * @param report when non-null, every take() also records its
-     *        point into the `--json` report (a no-op report — no
-     *        `--json` on the command line — records nothing)
-     */
-    explicit PointBatch(core::ExperimentRunner &runner,
-                        JsonReport *report = nullptr)
-        : _runner(runner), _report(report)
-    {}
-
-    /** Queues one point; its result comes back in add() order. */
-    void
-    add(core::SystemConfig config, workload::Benchmark bench,
-        unsigned tenants, const std::string &il = "RR1",
-        bool bypass = false)
-    {
-        core::ExperimentPoint point;
-        point.label = config.name;
-        point.config = std::move(config);
-        point.bench = bench;
-        point.tenants = tenants;
-        point.interleave = trace::parseInterleaving(il);
-        point.bypassTranslation = bypass;
-        _points.push_back(std::move(point));
-    }
-
-    /** Runs every queued point across the runner's worker pool. */
-    void
-    run(std::ostream *progress = nullptr)
-    {
-        _rows = _runner.runAll(_points, progress);
-        _next = 0;
-    }
-
-    /** Next result, in add() order. */
-    const core::RunResults &
-    take()
-    {
-        if (_next >= _rows.size())
-            panic("PointBatch::take() past the %zu queued points",
-                  _rows.size());
-        if (_report)
-            _report->addRow(_points[_next], _rows[_next]);
-        return _rows[_next++].results;
-    }
-
-    size_t size() const { return _points.size(); }
-
-  private:
-    core::ExperimentRunner &_runner;
-    JsonReport *_report;
-    std::vector<core::ExperimentPoint> _points;
-    std::vector<core::ExperimentRow> _rows;
-    size_t _next = 0;
-};
 
 /** Wall-clock timer for the end-of-bench speedup line. */
 class WallTimer
@@ -119,13 +42,7 @@ class WallTimer
   public:
     WallTimer() : _start(std::chrono::steady_clock::now()) {}
 
-    double
-    seconds() const
-    {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - _start)
-            .count();
-    }
+    double seconds() const { return wallSeconds(_start); }
 
   private:
     std::chrono::steady_clock::time_point _start;
@@ -168,13 +85,6 @@ activeSet(workload::Benchmark bench, uint64_t seed)
         workload::benchmarkProfile(bench).pattern, seed);
     return workload::activeTranslationSet(gen.generate(0, 50000), 0.999,
                                           128);
-}
-
-/** The progress sink for a batch run: stderr when --verbose. */
-inline std::ostream *
-progressSink(const core::BenchOptions &opts)
-{
-    return opts.verbose ? &std::cerr : nullptr;
 }
 
 /**
@@ -233,15 +143,6 @@ checkPeakRss(uint64_t budget_mib)
 // ---------------------------------------------------------------
 // Timing and rate helpers (bench/layer_bench).
 // ---------------------------------------------------------------
-
-/** Wall seconds elapsed since `t0` (steady clock). */
-inline double
-wallSeconds(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 /** Wall seconds one call of `fn()` takes. */
 template <typename Fn>

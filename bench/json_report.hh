@@ -14,9 +14,8 @@
  *     "wall_seconds": <float>
  *   }
  *
- * Sweep benches get their "points" filled automatically by
- * PointBatch; table-style benches record headline numbers through
- * addScalar(). scripts/bench_compare.py diffs two such files and
+ * The sweep driver (bench/figures.cc) records every point it runs;
+ * benches and panels record headline numbers through addScalar(). scripts/bench_compare.py diffs two such files and
  * gates on throughput/hit-rate drift.
  */
 
@@ -25,7 +24,6 @@
 
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -35,7 +33,6 @@
 #include "core/run_results.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
-#include "workload/benchmarks.hh"
 
 namespace hypersio::bench
 {
@@ -74,22 +71,6 @@ class JsonReport
         }
         _points.push_back({label, benchmark, tenants, interleave,
                            results, std::move(stats_json)});
-    }
-
-    /**
-     * Records an ExperimentRow as produced by the runner. Templated
-     * (rather than taking core::ExperimentPoint/Row directly) so
-     * benches that never touch the experiment harness don't pull
-     * core/runner.hh — and the whole simulator behind it — into
-     * their translation unit just for the report type.
-     */
-    template <typename ExperimentPointT, typename ExperimentRowT>
-    void
-    addRow(const ExperimentPointT &point, const ExperimentRowT &row)
-    {
-        addPoint(point.label, workload::benchmarkName(point.bench),
-                 point.tenants, point.interleave.name(), row.results,
-                 row.statsJson);
     }
 
     /** Records one named headline value (table-style benches). */
@@ -181,20 +162,6 @@ class JsonReport
         _keys;
     std::vector<std::pair<std::string, double>> _scalars;
 };
-
-/**
- * Compact stat-tree capture for benches that run a System inline.
- * Templated for the same reason addRow is: callers already include
- * core/system.hh; this header doesn't need to.
- */
-template <typename SystemT>
-std::string
-captureStatsJson(const SystemT &system)
-{
-    std::ostringstream os;
-    system.dumpStatsJson(os, 0);
-    return os.str();
-}
 
 } // namespace hypersio::bench
 

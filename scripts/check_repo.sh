@@ -12,8 +12,9 @@
 #      every pattern x system variant at 400 packets x 3 seeds under
 #      the collecting shadow oracle.
 #   4. Shadow checking must be observation-only: every sweep
-#      figure's --quick output (the list bench/CMakeLists.txt writes
-#      to bench/figures.txt in the build tree) is byte-identical with
+#      entry's --quick output (the figures, the tournament and the
+#      extensions: the list bench/CMakeLists.txt writes to
+#      bench/figures.txt in the build tree) is byte-identical with
 #      HYPERSIO_SHADOW=off and with the variable unset (the oracle
 #      on), in the one binary.
 #   5. fig10_scalability at quick scale must emit a valid JSON

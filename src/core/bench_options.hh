@@ -79,6 +79,9 @@ struct BenchOptions
 
     /** Parses argv; fatal() on unknown flags. */
     static BenchOptions parse(int argc, char **argv);
+    /** parse() over `defaults`, which the flags override. */
+    static BenchOptions parse(int argc, char **argv,
+                              BenchOptions defaults);
 };
 
 } // namespace hypersio::core

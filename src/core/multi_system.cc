@@ -1,10 +1,9 @@
 #include "core/multi_system.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <ostream>
-#include <thread>
 
+#include "core/worker_pool.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 
@@ -66,30 +65,10 @@ ShardedMultiSystem::run(const StreamFactory &make_stream,
     // and results are a pure function of the per-shard streams.
     ShardedRunResults results;
     results.perShard.resize(n);
-    const unsigned workers = std::min(_jobs, n);
-    if (workers <= 1) {
-        for (unsigned s = 0; s < n; ++s)
-            results.perShard[s] =
-                _systems[s]->runStream(*_streams[s], options[s]);
-    } else {
-        std::atomic<unsigned> next{0};
-        auto work = [&]() {
-            for (;;) {
-                const unsigned s =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (s >= n)
-                    return;
-                results.perShard[s] =
-                    _systems[s]->runStream(*_streams[s], options[s]);
-            }
-        };
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned t = 0; t < workers; ++t)
-            pool.emplace_back(work);
-        for (auto &thread : pool)
-            thread.join();
-    }
+    forEachIndex(n, _jobs, [&](size_t s) {
+        results.perShard[s] =
+            _systems[s]->runStream(*_streams[s], options[s]);
+    });
 
     for (unsigned s = 0; s < n; ++s) {
         const RunResults &r = results.perShard[s];

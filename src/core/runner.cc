@@ -8,6 +8,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/worker_pool.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
 
@@ -22,7 +23,7 @@ void
 progressLine(std::ostream &os, const ExperimentPoint &point)
 {
     os << "  running " << point.label << " ("
-       << workload::benchmarkName(point.bench) << ", "
+       << point.workloadName() << ", "
        << point.tenants << " tenants, " << point.interleave.name()
        << ")..." << std::endl;
 }
@@ -46,21 +47,22 @@ defaultBenchJobs()
     return hw ? hw : 1;
 }
 
-unsigned
-ExperimentRunner::defaultJobs()
+std::string
+ExperimentPoint::workloadName() const
 {
-    return defaultBenchJobs();
+    return variant ? variant->name : workload::benchmarkName(bench);
 }
 
 const trace::HyperTrace &
-ExperimentRunner::getTrace(workload::Benchmark bench,
-                           unsigned tenants,
-                           const trace::Interleaving &il)
+ExperimentRunner::cachedTrace(
+    const std::string &workload, unsigned tenants,
+    const trace::Interleaving &il,
+    const std::function<std::vector<trace::TenantLog>()> &logs)
 {
     TraceEntry *entry = nullptr;
     {
         std::lock_guard<std::mutex> lock(_traceMutex);
-        auto &slot = _traces[TraceKey{bench, tenants, il.name()}];
+        auto &slot = _traces[TraceKey{workload, tenants, il.name()}];
         if (!slot)
             slot = std::make_unique<TraceEntry>();
         entry = slot.get();
@@ -69,23 +71,50 @@ ExperimentRunner::getTrace(workload::Benchmark bench,
     // trace, concurrent requesters for the same key block until it
     // is ready, and other keys proceed independently.
     std::call_once(entry->built, [&]() {
-        auto logs =
-            workload::generateLogs(bench, tenants, _seed, _scale);
-        entry->trace = trace::constructTrace(logs, il);
+        entry->trace = trace::constructTrace(logs(), il);
         entry->trace.seed = _seed;
         _constructions.fetch_add(1, std::memory_order_relaxed);
     });
     return entry->trace;
 }
 
+const trace::HyperTrace &
+ExperimentRunner::getTrace(workload::Benchmark bench,
+                           unsigned tenants,
+                           const trace::Interleaving &il)
+{
+    return cachedTrace(workload::benchmarkName(bench), tenants, il,
+                       [&]() {
+                           return workload::generateLogs(
+                               bench, tenants, _seed, _scale);
+                       });
+}
+
+const trace::HyperTrace &
+ExperimentRunner::getTrace(const ExperimentPoint &point)
+{
+    if (!point.variant)
+        return getTrace(point.bench, point.tenants, point.interleave);
+    const WorkloadVariant &variant = *point.variant;
+    return cachedTrace(
+        variant.name, point.tenants, point.interleave, [&]() {
+            workload::TenantPattern pattern = variant.pattern;
+            workload::scaleInitPhase(pattern, variant.packets);
+            const workload::TenantLogGenerator gen(pattern, _seed);
+            std::vector<trace::TenantLog> logs;
+            for (unsigned t = 0; t < point.tenants; ++t)
+                logs.push_back(gen.generate(t, variant.packets));
+            return logs;
+        });
+}
+
 ExperimentRow
 ExperimentRunner::run(const ExperimentPoint &point)
 {
-    const trace::HyperTrace &tr =
-        getTrace(point.bench, point.tenants, point.interleave);
+    const trace::HyperTrace &tr = getTrace(point);
     SystemConfig config = point.config;
     config.seed = _seed;
-    System system(config);
+    System system(config, point.devices);
     ExperimentRow row;
     row.point = point;
     row.results = system.run(tr, point.bypassTranslation);
@@ -101,45 +130,17 @@ std::vector<ExperimentRow>
 ExperimentRunner::runAll(const std::vector<ExperimentPoint> &points,
                          std::ostream *progress)
 {
-    const size_t workers =
-        std::min<size_t>(_jobs ? _jobs : 1, points.size());
-
-    if (workers <= 1) {
-        std::vector<ExperimentRow> rows;
-        rows.reserve(points.size());
-        for (const auto &point : points) {
-            if (progress)
-                progressLine(*progress, point);
-            rows.push_back(run(point));
-        }
-        return rows;
-    }
-
-    // Worker pool: each thread claims the next unstarted point.
     // rows[i] is written by exactly one worker, so results land in
     // input order without any reordering pass.
     std::vector<ExperimentRow> rows(points.size());
-    std::atomic<size_t> next{0};
     std::mutex progress_mutex;
-    auto work = [&]() {
-        for (;;) {
-            const size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= points.size())
-                return;
-            if (progress) {
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                progressLine(*progress, points[i]);
-            }
-            rows[i] = run(points[i]);
+    forEachIndex(points.size(), _jobs, [&](size_t i) {
+        if (progress) {
+            std::lock_guard<std::mutex> lock(progress_mutex);
+            progressLine(*progress, points[i]);
         }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t t = 0; t < workers; ++t)
-        pool.emplace_back(work);
-    for (auto &thread : pool)
-        thread.join();
+        rows[i] = run(points[i]);
+    });
     return rows;
 }
 
@@ -183,13 +184,14 @@ namespace
 
 constexpr const char *UsageText =
     "options:\n"
-    "  --quick         small traces, up to 256 tenants "
-    "(default)\n"
-    "  --full          paper-sized traces, up to 1024 "
+    "  --quick         small traces (scale 0.05), up to 256 "
     "tenants\n"
-    "  --scale <f>     trace scale factor (0 < f <= 1)\n"
-    "  --tenants <n>   max tenant count in sweeps\n"
-    "  --seed <n>      workload seed\n"
+    "  --full          paper-sized traces (scale 1), up to 1024 "
+    "tenants\n"
+    "  --scale <f>     trace scale factor (1 = paper-sized; "
+    "default 0.05)\n"
+    "  --tenants <n>   max tenant count in sweeps (default 1024)\n"
+    "  --seed <n>      workload seed (default 42)\n"
     "  --jobs, -j <n>  worker threads for sweeps "
     "(default: all cores; 1 = serial)\n"
     "  --json <file>   write a machine-readable JSON "
@@ -252,7 +254,13 @@ ArgReader::real()
 BenchOptions
 BenchOptions::parse(int argc, char **argv)
 {
-    BenchOptions opts;
+    return parse(argc, argv, BenchOptions{});
+}
+
+BenchOptions
+BenchOptions::parse(int argc, char **argv, BenchOptions defaults)
+{
+    BenchOptions opts = std::move(defaults);
     for (ArgReader args(argc, argv); args.next();) {
         const std::string &arg = args.flag();
         if (arg == "--quick") {

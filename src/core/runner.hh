@@ -9,7 +9,7 @@
  * cached trace, so points execute on N threads while results stay in
  * input order and are bit-identical to a serial run. The trace cache
  * is thread-safe with per-key construction locks — two points that
- * need the same (benchmark, tenants, interleaving) trace build it
+ * need the same (workload, tenants, interleaving) trace build it
  * exactly once.
  */
 
@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,15 +35,36 @@
 namespace hypersio::core
 {
 
+/**
+ * A workload that is not a Table III trace: every tenant runs
+ * `pattern` (its init phase scaled to the log) for `packets` packets.
+ * `name` stands for it in reports and, with the tenant count and
+ * interleaving, keys its trace in the runner's cache, so it must not
+ * be a benchmark's name.
+ */
+struct WorkloadVariant
+{
+    std::string name;
+    workload::TenantPattern pattern;
+    uint64_t packets = 1;
+};
+
 /** A named point in a sweep: configuration + workload. */
 struct ExperimentPoint
 {
     std::string label;
     SystemConfig config;
     workload::Benchmark bench = workload::Benchmark::Iperf3;
+    /** Set: runs this workload instead of `bench`'s trace. */
+    std::optional<WorkloadVariant> variant;
     unsigned tenants = 4;
     trace::Interleaving interleave;
     bool bypassTranslation = false;
+    /** Identical devices sharing the one chipset IOMMU. */
+    unsigned devices = 1;
+
+    /** The variant's name, else the benchmark's. */
+    std::string workloadName() const;
 };
 
 /** One row of experiment output. */
@@ -52,15 +74,15 @@ struct ExperimentRow
     RunResults results;
     /**
      * Compact JSON dump of the run's full stat tree; empty unless
-     * the runner's captureStatsJson() was enabled (the `--json`
-     * reports embed it per point).
+     * the runner was built to capture it (the `--json` reports embed
+     * it per point).
      */
     std::string statsJson;
 };
 
 /**
  * Runs experiment points, reusing constructed traces across points
- * that share (benchmark, tenants, interleaving, scale, seed).
+ * that share (workload, tenants, interleaving, scale, seed).
  *
  * All public methods are safe to call from multiple threads; each
  * run() builds its own System, and getTrace() returns references
@@ -103,15 +125,8 @@ class ExperimentRunner
                                       unsigned tenants,
                                       const trace::Interleaving &il);
 
-    double scale() const { return _scale; }
-    uint64_t seed() const { return _seed; }
-
     unsigned jobs() const { return _jobs; }
     void setJobs(unsigned jobs) { _jobs = jobs ? jobs : 1; }
-
-    /** When set, each ExperimentRow carries its JSON stat tree. */
-    bool captureStatsJson() const { return _captureStatsJson; }
-    void setCaptureStatsJson(bool on) { _captureStatsJson = on; }
 
     /** Unique traces constructed so far (tested by the stress suite). */
     uint64_t
@@ -120,18 +135,15 @@ class ExperimentRunner
         return _constructions.load(std::memory_order_relaxed);
     }
 
-    /** One worker per hardware thread (at least 1). */
-    static unsigned defaultJobs();
-
   private:
     double _scale;
     uint64_t _seed;
     unsigned _jobs;
-    bool _captureStatsJson = false;
+    bool _captureStatsJson;
 
     struct TraceKey
     {
-        workload::Benchmark bench;
+        std::string workload;
         unsigned tenants;
         std::string interleave;
 
@@ -144,6 +156,16 @@ class ExperimentRunner
         std::once_flag built;
         trace::HyperTrace trace;
     };
+
+    /** getTrace() for a point's workload, variant or benchmark. */
+    const trace::HyperTrace &getTrace(const ExperimentPoint &point);
+
+    /** The cached trace for a key, built from `logs()` once. */
+    const trace::HyperTrace &
+    cachedTrace(const std::string &workload, unsigned tenants,
+                const trace::Interleaving &il,
+                const std::function<std::vector<trace::TenantLog>()>
+                    &logs);
 
     std::mutex _traceMutex; ///< guards the map structure only
     std::map<TraceKey, std::unique_ptr<TraceEntry>> _traces;

@@ -15,23 +15,20 @@
  */
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/bench_options.hh"
 #include "core/overrides.hh"
 #include "hypersio/hypersio.hh"
 #include "util/debug.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
-#include "util/str.hh"
 
 using namespace hypersio;
 
@@ -54,94 +51,91 @@ struct Options
     std::string jsonPath;
 };
 
+constexpr const char *UsageText =
+    "hypersio_sim — HyperSIO trace-driven performance model\n"
+    "\n"
+    "  --preset base|hypertrio   Table IV starting point "
+    "(default hypertrio)\n"
+    "  --config <file>           key=value config file\n"
+    "  --set key=value           single override (repeatable)\n"
+    "  --keys                    list supported override keys\n"
+    "  --trace <file>            run a saved hyper-trace\n"
+    "  --bench <name>            synthesize iperf3|mediastream|"
+    "websearch\n"
+    "  --tenants <n>             tenant count for --bench\n"
+    "  --scale <f>               trace scale for --bench\n"
+    "  --interleave <il>         RR1|RR4|RAND1 for --bench\n"
+    "  --seed <n>                workload seed\n"
+    "  --native                  bypass translation (Fig. 5 "
+    "native mode)\n"
+    "  --stats                   dump the full statistics tree\n"
+    "  --json <file>             write config, results, and the "
+    "full stat\n"
+    "                            tree as JSON (alias: "
+    "--stats-json)\n"
+    "  --debug <flags>           comma-separated debug flags "
+    "(or All)\n"
+    "  --debug-list              list available debug flags";
+
+/** Usage to stderr, so it never mixes into piped results, then dies. */
 [[noreturn]] void
-usage()
+reject(const char *what, const std::string &arg)
 {
-    std::puts(
-        "hypersio_sim — HyperSIO trace-driven performance model\n"
-        "\n"
-        "  --preset base|hypertrio   Table IV starting point "
-        "(default hypertrio)\n"
-        "  --config <file>           key=value config file\n"
-        "  --set key=value           single override (repeatable)\n"
-        "  --keys                    list supported override keys\n"
-        "  --trace <file>            run a saved hyper-trace\n"
-        "  --bench <name>            synthesize iperf3|mediastream|"
-        "websearch\n"
-        "  --tenants <n>             tenant count for --bench\n"
-        "  --scale <f>               trace scale for --bench\n"
-        "  --interleave <il>         RR1|RR4|RAND1 for --bench\n"
-        "  --seed <n>                workload seed\n"
-        "  --native                  bypass translation (Fig. 5 "
-        "native mode)\n"
-        "  --stats                   dump the full statistics tree\n"
-        "  --json <file>             write config, results, and the "
-        "full stat\n"
-        "                            tree as JSON (alias: "
-        "--stats-json)\n"
-        "  --debug <flags>           comma-separated debug flags "
-        "(or All)\n"
-        "  --debug-list              list available debug flags");
-    std::exit(1);
+    std::fputs(UsageText, stderr);
+    std::fputc('\n', stderr);
+    fatal("%s '%s' (try --help)", what, arg.c_str());
 }
 
 Options
 parse(int argc, char **argv)
 {
     Options opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage();
-            return argv[++i];
-        };
+    for (core::ArgReader args(argc, argv); args.next();) {
+        const std::string &arg = args.flag();
         if (arg == "--preset") {
-            opts.preset = value();
+            opts.preset = args.value();
         } else if (arg == "--config") {
-            opts.configFile = value();
+            opts.configFile = args.value();
         } else if (arg == "--set") {
-            opts.overrides.push_back(value());
+            opts.overrides.push_back(args.value());
         } else if (arg == "--keys") {
             for (const auto &key : core::supportedOverrideKeys())
                 std::puts(key.c_str());
             std::exit(0);
         } else if (arg == "--trace") {
-            opts.tracePath = value();
+            opts.tracePath = args.value();
         } else if (arg == "--bench") {
-            opts.bench = value();
+            opts.bench = args.value();
         } else if (arg == "--tenants") {
-            uint64_t n = 0;
-            if (!parseU64(value(), n) || n == 0 ||
-                n > std::numeric_limits<unsigned>::max())
-                fatal("--tenants needs a positive 32-bit integer");
-            opts.tenants = static_cast<unsigned>(n);
+            opts.tenants = args.count();
         } else if (arg == "--scale") {
-            if (!parseDouble(value(), opts.scale) ||
-                !std::isfinite(opts.scale) || opts.scale <= 0.0)
-                fatal("--scale needs a finite positive number");
+            opts.scale = args.real();
         } else if (arg == "--interleave") {
-            opts.interleave = value();
+            opts.interleave = args.value();
         } else if (arg == "--seed") {
-            if (!parseU64(value(), opts.seed))
-                fatal("--seed needs an unsigned integer");
+            opts.seed = args.u64();
         } else if (arg == "--debug") {
-            debug::enable(value());
+            debug::enable(args.value());
         } else if (arg == "--debug-list") {
             for (const auto &[name, desc] : debug::listFlags())
                 std::printf("%-12s %s\n", name.c_str(),
                             desc.c_str());
             std::exit(0);
         } else if (arg == "--json" || arg == "--stats-json") {
-            opts.jsonPath = value();
+            opts.jsonPath = args.value();
         } else if (arg == "--native") {
             opts.native = true;
         } else if (arg == "--stats") {
             opts.stats = true;
+        } else if (arg == "--help" || arg == "-h") {
+            std::puts(UsageText);
+            std::exit(0);
         } else {
-            usage();
+            reject("unknown option", arg);
         }
     }
+    if (opts.preset != "base" && opts.preset != "hypertrio")
+        reject("unknown preset", opts.preset);
     return opts;
 }
 
@@ -152,10 +146,9 @@ main(int argc, char **argv)
 {
     const Options opts = parse(argc, argv);
 
-    core::SystemConfig config =
-        opts.preset == "base"        ? core::SystemConfig::base()
-        : opts.preset == "hypertrio" ? core::SystemConfig::hypertrio()
-                                     : (usage(), core::SystemConfig{});
+    core::SystemConfig config = opts.preset == "base"
+                                    ? core::SystemConfig::base()
+                                    : core::SystemConfig::hypertrio();
     if (opts.configFile)
         core::loadConfigFile(config, *opts.configFile);
     core::applyOverrides(config, opts.overrides);
@@ -212,11 +205,8 @@ main(int argc, char **argv)
 
     if (!opts.jsonPath.empty()) {
         std::ofstream out(opts.jsonPath, std::ios::trunc);
-        if (!out) {
-            std::fprintf(stderr, "cannot open '%s' for writing\n",
-                         opts.jsonPath.c_str());
-            return 1;
-        }
+        if (!out)
+            fatal("cannot open '%s' for writing", opts.jsonPath.c_str());
         json::Writer w(out);
         w.beginObject();
         w.key("schema");
@@ -250,11 +240,8 @@ main(int argc, char **argv)
         w.value(wall_seconds);
         w.endObject();
         out << '\n';
-        if (!out) {
-            std::fprintf(stderr, "write error on '%s'\n",
-                         opts.jsonPath.c_str());
-            return 1;
-        }
+        if (!out)
+            fatal("write error on '%s'", opts.jsonPath.c_str());
     }
     return 0;
 }

@@ -190,7 +190,7 @@ TEST(ParallelRunnerTest, SetJobsClampsZeroToSerial)
     EXPECT_EQ(runner.jobs(), 1u);
     runner.setJobs(8);
     EXPECT_EQ(runner.jobs(), 8u);
-    EXPECT_GE(ExperimentRunner::defaultJobs(), 1u);
+    EXPECT_GE(defaultBenchJobs(), 1u);
 }
 
 TEST(TraceCacheStressTest, OverlappingGetTraceConstructsEachOnce)

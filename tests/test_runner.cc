@@ -58,7 +58,7 @@ TEST(BenchOptionsTest, ExplicitValues)
 TEST(BenchOptionsTest, JobsFlag)
 {
     // Default: one worker per hardware thread, never zero.
-    EXPECT_EQ(parseArgs({}).jobs, ExperimentRunner::defaultJobs());
+    EXPECT_EQ(parseArgs({}).jobs, defaultBenchJobs());
     EXPECT_GE(parseArgs({}).jobs, 1u);
 
     EXPECT_EQ(parseArgs({"--jobs", "4"}).jobs, 4u);
