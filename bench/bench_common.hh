@@ -81,10 +81,11 @@ banner(const char *id, const char *what,
 inline unsigned
 activeSet(workload::Benchmark bench, uint64_t seed)
 {
-    workload::TenantLogGenerator gen(
-        workload::benchmarkProfile(bench).pattern, seed);
-    return workload::activeTranslationSet(gen.generate(0, 50000), 0.999,
-                                          128);
+    return workload::activeTranslationSet(
+        workload::TenantStream(workload::benchmarkProfile(bench).pattern,
+                               seed, 0, 50000)
+            .drain(),
+        0.999, 128);
 }
 
 /**

@@ -32,9 +32,10 @@ main(int argc, char **argv)
     // Single tenant, long log, paper-like pattern.
     const auto profile =
         workload::benchmarkProfile(workload::Benchmark::Mediastream);
-    workload::TenantLogGenerator gen(profile.pattern, opts.seed);
     const uint64_t packets = 200000;
-    const trace::TenantLog log = gen.generate(0, packets);
+    const trace::TenantLog log =
+        workload::TenantStream(profile.pattern, opts.seed, 0, packets)
+            .drain();
 
     // ---- (a) frequency groups --------------------------------------
     const workload::PageAccessStats stats = workload::analyzeLog(log);

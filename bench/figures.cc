@@ -91,8 +91,8 @@ struct Preset
 {
     double scale;
     unsigned maxTenants;
-    /** Every panel's tenant axis under `--smoke`. */
-    std::vector<unsigned> tenants;
+    /** Every panel's tenant axis under `--smoke`, given `--tenants`. */
+    std::function<std::vector<unsigned>(unsigned)> axis;
 };
 
 /** One sweep binary. */
@@ -188,6 +188,17 @@ cappedCount(unsigned cap)
 {
     return [cap](unsigned max_tenants) {
         return std::vector<unsigned>{std::min(max_tenants, cap)};
+    };
+}
+
+/** The counts in `counts` that `--tenants` reaches. */
+std::function<std::vector<unsigned>(unsigned)>
+upTo(std::vector<unsigned> counts)
+{
+    return [counts](unsigned max_tenants) {
+        std::vector<unsigned> axis = counts;
+        std::erase_if(axis, [&](unsigned t) { return t > max_tenants; });
+        return axis;
     };
 }
 
@@ -731,7 +742,7 @@ tournament()
                          chassis("full-combo", true, true, true)},
               .print = print}},
             "",
-            Preset{0.02, 32, {2, 8, 32}}};
+            Preset{0.02, 32, upTo({2, 8, 32})}};
 }
 
 /**
@@ -980,8 +991,12 @@ runFigure(const char *id, int argc, char **argv)
         if (panel.ablation && !ablate)
             continue;
         panels.push_back(&panel);
-        axes.push_back(smoke ? figure.smoke->tenants
-                             : panel.axis(opts.maxTenants));
+        axes.push_back(
+            (smoke ? figure.smoke->axis : panel.axis)(opts.maxTenants));
+        if (axes.back().empty())
+            fatal("--tenants %u leaves the panel \"%s\" no tenant "
+                  "count",
+                  opts.maxTenants, panel.title.c_str());
         for (const Workload &workload : panel.workloads) {
             core::ExperimentPoint point;
             point.bench = workload.bench;

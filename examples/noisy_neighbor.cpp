@@ -35,7 +35,6 @@ mixedTrace(unsigned streamers, unsigned crowd, double scale,
         22000 * scale);
     workload::TenantPattern pattern = profile.pattern;
     workload::scaleInitPhase(pattern, streamer_packets);
-    workload::TenantLogGenerator gen(pattern, seed);
 
     // Crowd tenants send ~1/8 of the streamers' rate.
     const uint64_t crowd_packets =
@@ -43,10 +42,14 @@ mixedTrace(unsigned streamers, unsigned crowd, double scale,
 
     std::vector<trace::TenantLog> logs;
     for (unsigned t = 0; t < streamers; ++t)
-        logs.push_back(gen.generate(t, streamer_packets));
+        logs.push_back(
+            workload::TenantStream(pattern, seed, t, streamer_packets)
+                .drain());
     for (unsigned t = 0; t < crowd; ++t)
         logs.push_back(
-            gen.generate(streamers + t, crowd_packets));
+            workload::TenantStream(pattern, seed, streamers + t,
+                                   crowd_packets)
+                .drain());
     // Random interleaving approximates independent arrivals.
     trace::Interleaving il = trace::parseInterleaving("RAND1");
     il.seed = seed;

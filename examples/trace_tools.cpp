@@ -42,59 +42,67 @@ struct Args
     std::string out = "out.trace";
 };
 
+constexpr const char *UsageText =
+    "usage: trace_tools <command> <file> [options]\n"
+    "  generate <out> [--bench iperf3|mediastream|websearch]\n"
+    "                 [--tenants N] [--scale F]\n"
+    "                 [--interleave RR1|RR4|RAND1] [--seed S]\n"
+    "  info <in>      summary of a saved hyper-trace\n"
+    "  dump <in>      [--packets N] text dump\n"
+    "  run  <in>      [--config base|hypertrio]\n"
+    "  export-log <out.txt> [--bench B] [--scale F]\n"
+    "  import-log <in.txt> [--tenants N] [--interleave IL]\n"
+    "             [--out <out.trace>]";
+
+/** Usage to stderr, so it never mixes into piped output, then dies. */
 [[noreturn]] void
-usage()
+reject(const std::string &why)
 {
-    std::puts(
-        "usage: trace_tools <command> <file> [options]\n"
-        "  generate <out> [--bench iperf3|mediastream|websearch]\n"
-        "                 [--tenants N] [--scale F]\n"
-        "                 [--interleave RR1|RR4|RAND1] [--seed S]\n"
-        "  info <in>      summary of a saved hyper-trace\n"
-        "  dump <in>      [--packets N] text dump\n"
-        "  run  <in>      [--config base|hypertrio]\n"
-        "  export-log <out.txt> [--bench B] [--scale F]\n"
-        "  import-log <in.txt> [--tenants N] [--interleave IL]\n"
-        "             [--out <out.trace>]");
-    std::exit(1);
+    std::fputs(UsageText, stderr);
+    std::fputc('\n', stderr);
+    fatal("%s (try --help)", why.c_str());
 }
 
+/** Reads argv through core::ArgReader, which checks every number. */
 Args
 parse(int argc, char **argv)
 {
-    if (argc < 3)
-        usage();
     Args args;
-    args.command = argv[1];
-    args.path = argv[2];
-    for (int i = 3; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage();
-            return argv[++i];
-        };
+    for (core::ArgReader reader(argc, argv); reader.next();) {
+        const std::string &flag = reader.flag();
         if (flag == "--bench") {
-            args.bench = value();
+            args.bench = reader.value();
         } else if (flag == "--tenants") {
-            args.tenants = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 0));
+            // Tenants are SIDs: import-log numbers them densely.
+            args.tenants =
+                static_cast<unsigned>(reader.positive(trace::SidSpace));
         } else if (flag == "--scale") {
-            args.scale = std::strtod(value().c_str(), nullptr);
+            args.scale = reader.real();
         } else if (flag == "--interleave") {
-            args.interleave = value();
+            args.interleave = reader.value();
         } else if (flag == "--seed") {
-            args.seed = std::strtoull(value().c_str(), nullptr, 0);
+            args.seed = reader.u64();
         } else if (flag == "--packets") {
-            args.packets = std::strtoull(value().c_str(), nullptr, 0);
+            args.packets = reader.u64();
         } else if (flag == "--config") {
-            args.config = value();
+            args.config = reader.value();
         } else if (flag == "--out") {
-            args.out = value();
+            args.out = reader.value();
+        } else if (flag == "--help" || flag == "-h") {
+            std::puts(UsageText);
+            std::exit(0);
+        } else if (flag.starts_with('-')) {
+            reject("unknown option '" + flag + "'");
+        } else if (args.command.empty()) {
+            args.command = flag;
+        } else if (args.path.empty()) {
+            args.path = flag;
         } else {
-            usage();
+            reject("unexpected argument '" + flag + "'");
         }
     }
+    if (args.path.empty())
+        reject("need a command and a file");
     return args;
 }
 
@@ -129,9 +137,10 @@ main(int argc, char **argv)
         workload::TenantPattern pattern = profile.pattern;
         workload::scaleInitPhase(pattern,
                                  std::max<uint64_t>(packets, 64));
-        workload::TenantLogGenerator gen(pattern, args.seed);
         const trace::TenantLog log =
-            gen.generate(0, std::max<uint64_t>(packets, 64));
+            workload::TenantStream(pattern, args.seed, 0,
+                                   std::max<uint64_t>(packets, 64))
+                .drain();
         workload::saveTextLog(log, args.path);
         std::printf("wrote %s: %zu packets, %zu ops\n",
                     args.path.c_str(), log.packets.size(),
@@ -205,5 +214,5 @@ main(int argc, char **argv)
         return 0;
     }
 
-    usage();
+    reject("unknown command '" + args.command + "'");
 }

@@ -172,6 +172,8 @@ check_baseline BENCH_translation_path_flat_baseline.json \
     "$LAYER_FRESH" "--counts-only --ignore-missing"
 
 echo "== 7/10 hyper-scale streaming bench: bounded RSS + regression"
+# hyperscale_bench is the churn-only entry of bench/soak_bench.cc
+# (gate 8's harness with storm episodes and snapshots off).
 # Measured without the shadow oracle (its mirrors would scale with
 # the mirrored state being bounded, muddying the RSS reading). The
 # in-process assertions already enforce attaches == retirements ==
@@ -185,6 +187,8 @@ HYPERSIO_SHADOW=off "$BUILD_DIR"/bench/hyperscale_bench --smoke \
 check_baseline BENCH_hyperscale.json "$HYPERSCALE_FRESH" --exact
 
 echo "== 8/10 soak harness: telemetry stream + drift/leak gate"
+# soak_bench is the episode entry of bench/soak_bench.cc, the source
+# gate 7's hyperscale_bench is built from too.
 # Runs with the oracle on, on purpose: the soak regime's value
 # is churn + adversarial episodes under the fail-fast shadow oracle,
 # so the RSS budget is sized for the mirrors' overhead. --jobs 1

@@ -100,10 +100,10 @@ ExperimentRunner::getTrace(const ExperimentPoint &point)
         variant.name, point.tenants, point.interleave, [&]() {
             workload::TenantPattern pattern = variant.pattern;
             workload::scaleInitPhase(pattern, variant.packets);
-            const workload::TenantLogGenerator gen(pattern, _seed);
             std::vector<trace::TenantLog> logs;
             for (unsigned t = 0; t < point.tenants; ++t)
-                logs.push_back(gen.generate(t, variant.packets));
+                logs.push_back(workload::TenantStream(
+                    pattern, _seed, t, variant.packets).drain());
             return logs;
         });
 }

@@ -210,23 +210,6 @@ TenantStream::drain()
     return log;
 }
 
-TenantLogGenerator::TenantLogGenerator(const TenantPattern &pattern,
-                                       uint64_t seed)
-    : _pattern(pattern), _seed(seed)
-{
-    HYPERSIO_ASSERT(pattern.streams >= 1, "need at least one stream");
-    HYPERSIO_ASSERT(pattern.numDataPages >= pattern.streams,
-                    "fewer data pages than streams");
-}
-
-trace::TenantLog
-TenantLogGenerator::generate(trace::SourceId sid, uint64_t num_packets,
-                             bool include_init) const
-{
-    return TenantStream(_pattern, _seed, sid, num_packets, include_init)
-        .drain();
-}
-
 size_t
 PageAccessStats::pagesAbove(uint64_t threshold) const
 {

@@ -183,28 +183,6 @@ class TenantStream
     unsigned _rrStream = 0;
 };
 
-/** Generates whole packet logs of tenants sharing one pattern. */
-class TenantLogGenerator
-{
-  public:
-    TenantLogGenerator(const TenantPattern &pattern, uint64_t seed);
-
-    /**
-     * Produces `num_packets` packets for tenant `sid`: a drained
-     * TenantStream(pattern, seed, sid, num_packets, include_init).
-     * @param include_init emit the initialisation phase first
-     */
-    trace::TenantLog generate(trace::SourceId sid,
-                              uint64_t num_packets,
-                              bool include_init = true) const;
-
-    const TenantPattern &pattern() const { return _pattern; }
-
-  private:
-    TenantPattern _pattern;
-    uint64_t _seed;
-};
-
 /**
  * Access-frequency summary used to validate the model against the
  * paper's Fig. 8a (three frequency groups).

@@ -23,6 +23,7 @@
 
 #include "core/system.hh"
 #include "oracle/shadow.hh"
+#include "system_variants.hh"
 #include "workload/adversarial.hh"
 #include "workload/streaming.hh"
 
@@ -30,83 +31,6 @@ namespace hypersio::core
 {
 namespace
 {
-
-/**
- * The system variants fuzz_translation.cc runs, mirrored here so
- * the fusion goldens cover the same structure space: baseline and
- * HyperTRIO geometries, the overflow-everything "stressed" shape,
- * five-level walks, sub-entry sharing, and the MMU-aware DMA
- * prefetcher (whose squash machinery must force fallbacks, not
- * fused mispredictions).
- */
-struct SystemVariant
-{
-    const char *name;
-    SystemConfig (*make)();
-};
-
-SystemConfig
-makeStressed()
-{
-    SystemConfig config = SystemConfig::hypertrio();
-    config.name = "stressed";
-    config.device.ptbEntries = 4;
-    config.device.devtlb = {16, 4, 4, cache::ReplPolicyKind::LFU, 7};
-    config.device.prefetch.bufferEntries = 8;
-    config.device.prefetch.historyLength = 4;
-    config.iommu.iotlb = {64, 4, 1, cache::ReplPolicyKind::LFU, 1,
-                          true};
-    config.iommu.l2tlb = {32, 4, 4, cache::ReplPolicyKind::LFU, 2};
-    config.iommu.l3tlb = {64, 4, 8, cache::ReplPolicyKind::LFU, 3};
-    config.iommu.walkers = 2;
-    return config;
-}
-
-SystemConfig
-makeFiveLevel()
-{
-    SystemConfig config = SystemConfig::base();
-    config.name = "base5";
-    config.iommu.pagingLevels = 5;
-    config.iommu.walkers = 1;
-    return config;
-}
-
-SystemConfig
-makeSubEntry()
-{
-    SystemConfig config = SystemConfig::base();
-    config.name = "subentry";
-    config.device.devtlb = {16, 4, 1, cache::ReplPolicyKind::LRU, 7};
-    config.device.devtlb.subEntries = 4;
-    config.iommu.l2tlb = {32, 4, 1, cache::ReplPolicyKind::LRU, 2};
-    config.iommu.l2tlb.subEntries = 4;
-    config.iommu.l3tlb = {64, 4, 1, cache::ReplPolicyKind::LRU, 3};
-    config.iommu.l3tlb.subEntries = 4;
-    return config;
-}
-
-SystemConfig
-makeMmuPrefetch()
-{
-    SystemConfig config = SystemConfig::base();
-    config.name = "mmudma";
-    config.device.ptbEntries = 8;
-    config.device.prefetch.enabled = true;
-    config.device.prefetch.kind = PrefetchKind::MmuDma;
-    config.device.prefetch.bufferEntries = 8;
-    config.device.prefetch.pagesPerPrefetch = 2;
-    return config;
-}
-
-constexpr SystemVariant Variants[] = {
-    {"base", &SystemConfig::base},
-    {"hypertrio", &SystemConfig::hypertrio},
-    {"stressed", &makeStressed},
-    {"base5", &makeFiveLevel},
-    {"subentry", &makeSubEntry},
-    {"mmudma", &makeMmuPrefetch},
-};
 
 /** One leg's complete observable outcome. */
 struct Golden

@@ -395,8 +395,8 @@ TEST(WireBytes, SmallPacketsShortenArrivalIntervals)
             .pattern;
     pattern.smallPacketBytes = 256;
     pattern.smallPacketProb = 1.0; // every packet small
-    workload::TenantLogGenerator gen(pattern, 42);
-    std::vector<trace::TenantLog> logs{gen.generate(0, 512)};
+    std::vector<trace::TenantLog> logs{
+        workload::TenantStream(pattern, 42, 0, 512).drain()};
     const auto tr = trace::constructTrace(
         logs, trace::parseInterleaving("RR1"));
     for (const auto &pkt : tr.packets)
@@ -407,11 +407,11 @@ TEST(WireBytes, SmallPacketsShortenArrivalIntervals)
     const RunResults rs = small.run(tr, /*bypass=*/true);
 
     std::vector<trace::TenantLog> big_logs{
-        workload::TenantLogGenerator(
+        workload::TenantStream(
             workload::benchmarkProfile(workload::Benchmark::Iperf3)
                 .pattern,
-            42)
-            .generate(0, 512)};
+            42, 0, 512)
+            .drain()};
     const auto big_tr = trace::constructTrace(
         big_logs, trace::parseInterleaving("RR1"));
     System big(SystemConfig::base());
@@ -429,8 +429,8 @@ TEST(WireBytes, MixedSizesRoundTripThroughTraceFiles)
             .pattern;
     pattern.smallPacketBytes = 128;
     pattern.smallPacketProb = 0.5;
-    workload::TenantLogGenerator gen(pattern, 7);
-    std::vector<trace::TenantLog> logs{gen.generate(0, 256)};
+    std::vector<trace::TenantLog> logs{
+        workload::TenantStream(pattern, 7, 0, 256).drain()};
     auto tr =
         trace::constructTrace(logs, trace::parseInterleaving("RR1"));
 
@@ -459,8 +459,8 @@ TEST(WireBytes, BandwidthAccountsActualBytes)
             .pattern;
     pattern.smallPacketBytes = 256;
     pattern.smallPacketProb = 1.0;
-    workload::TenantLogGenerator gen(pattern, 42);
-    std::vector<trace::TenantLog> logs{gen.generate(0, 256)};
+    std::vector<trace::TenantLog> logs{
+        workload::TenantStream(pattern, 42, 0, 256).drain()};
     const auto tr = trace::constructTrace(
         logs, trace::parseInterleaving("RR1"));
     System system(SystemConfig::hypertrio());
@@ -480,8 +480,8 @@ TEST(ScalableIov, GeneratorAssignsPasidsPerProcess)
             .pattern;
     pattern.processesPerTenant = 3;
     workload::scaleInitPhase(pattern, 600);
-    workload::TenantLogGenerator gen(pattern, 42);
-    const trace::TenantLog log = gen.generate(0, 600);
+    const trace::TenantLog log =
+        workload::TenantStream(pattern, 42, 0, 600).drain();
     std::set<uint16_t> pasids;
     for (const auto &pkt : log.packets)
         pasids.insert(pkt.pasid);
@@ -510,10 +510,9 @@ TEST(ScalableIov, EndToEndRunWithProcesses)
             .pattern;
     pattern.processesPerTenant = 6;
     workload::scaleInitPhase(pattern, 400);
-    workload::TenantLogGenerator gen(pattern, 42);
     std::vector<trace::TenantLog> logs;
     for (unsigned t = 0; t < 8; ++t)
-        logs.push_back(gen.generate(t, 400));
+        logs.push_back(workload::TenantStream(pattern, 42, t, 400).drain());
     const auto tr = trace::constructTrace(
         logs, trace::parseInterleaving("RR1"));
 
@@ -527,10 +526,9 @@ TEST(ScalableIov, EndToEndRunWithProcesses)
         workload::benchmarkProfile(workload::Benchmark::Iperf3)
             .pattern;
     workload::scaleInitPhase(single, 400);
-    workload::TenantLogGenerator gen1(single, 42);
     std::vector<trace::TenantLog> logs1;
     for (unsigned t = 0; t < 8; ++t)
-        logs1.push_back(gen1.generate(t, 400));
+        logs1.push_back(workload::TenantStream(single, 42, t, 400).drain());
     const auto tr1 = trace::constructTrace(
         logs1, trace::parseInterleaving("RR1"));
     System sys1(SystemConfig::hypertrio());

@@ -103,9 +103,9 @@ hashLog(const trace::TenantLog &log)
 
 /**
  * Drains a TenantStream and checks its packets against a hash
- * measured when the stream and TenantLogGenerator::generate were
- * still two state machines that agreed packet for packet. The
- * generator's log must hash the same.
+ * measured when the stream and the whole-log generator were still
+ * two state machines that agreed packet for packet. The stream's
+ * drained log must hash the same.
  */
 void
 expectPinnedTenant(const workload::TenantPattern &pattern,
@@ -132,8 +132,8 @@ expectPinnedTenant(const workload::TenantPattern &pattern,
                          << h << "ULL";
 
     const trace::TenantLog log =
-        workload::TenantLogGenerator(pattern, seed)
-            .generate(sid, budget, include_init);
+        workload::TenantStream(pattern, seed, sid, budget, include_init)
+            .drain();
     EXPECT_EQ(log.sid, sid);
     EXPECT_EQ(log.packets.size(), budget);
     EXPECT_EQ(hashLog(log), pinned);

@@ -18,8 +18,8 @@ namespace
 TEST(LogText, RoundTripPreservesEverything)
 {
     const auto profile = benchmarkProfile(Benchmark::Mediastream);
-    TenantLogGenerator gen(profile.pattern, 42);
-    const trace::TenantLog original = gen.generate(17, 500);
+    const trace::TenantLog original =
+        TenantStream(profile.pattern, 42, 17, 500).drain();
 
     std::stringstream buffer;
     writeTextLog(original, buffer);

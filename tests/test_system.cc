@@ -436,10 +436,10 @@ smallPacketTrace()
     pattern.smallPacketBytes = 256;
     pattern.smallPacketProb = 0.5;
     workload::scaleInitPhase(pattern, 400);
-    const workload::TenantLogGenerator gen(pattern, 42);
     std::vector<trace::TenantLog> logs;
     for (trace::SourceId sid = 0; sid < 16; ++sid)
-        logs.push_back(gen.generate(sid, 400));
+        logs.push_back(
+            workload::TenantStream(pattern, 42, sid, 400).drain());
     return trace::constructTrace(logs, trace::parseInterleaving("RR1"));
 }
 

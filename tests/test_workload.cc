@@ -34,17 +34,18 @@ mediastreamLikePattern()
 
 TEST(TenantLogGenerator, ThreeTranslationsPerPacket)
 {
-    TenantLogGenerator gen(mediastreamLikePattern(), 1);
-    const trace::TenantLog log = gen.generate(0, 1000);
+    const trace::TenantLog log =
+        TenantStream(mediastreamLikePattern(), 1, 0, 1000).drain();
     EXPECT_EQ(log.packets.size(), 1000u);
     EXPECT_EQ(log.translations(), 3000u);
 }
 
 TEST(TenantLogGenerator, DeterministicForSameSeed)
 {
-    TenantLogGenerator gen(mediastreamLikePattern(), 5);
-    const trace::TenantLog a = gen.generate(3, 500);
-    const trace::TenantLog b = gen.generate(3, 500);
+    const trace::TenantLog a =
+        TenantStream(mediastreamLikePattern(), 5, 3, 500).drain();
+    const trace::TenantLog b =
+        TenantStream(mediastreamLikePattern(), 5, 3, 500).drain();
     ASSERT_EQ(a.packets.size(), b.packets.size());
     for (size_t i = 0; i < a.packets.size(); ++i) {
         EXPECT_EQ(a.packets[i].dataIova, b.packets[i].dataIova);
@@ -57,8 +58,8 @@ TEST(TenantLogGenerator, Fig8aThreeFrequencyGroups)
     // A long-enough single-tenant log splits its pages into three
     // groups: one hot control page, the 2 MB data-buffer group, and
     // the cold init pages (Section IV-D / Fig. 8a).
-    TenantLogGenerator gen(mediastreamLikePattern(), 1);
-    const trace::TenantLog log = gen.generate(0, 200000);
+    const trace::TenantLog log =
+        TenantStream(mediastreamLikePattern(), 1, 0, 200000).drain();
     const PageAccessStats stats = analyzeLog(log);
 
     ASSERT_FALSE(stats.pages.empty());
@@ -103,8 +104,7 @@ TEST(TenantLogGenerator, Fig8bPeriodicSequentialDataAccess)
     p.streams = 1;
     p.numInitPages = 0;
     p.accessesPerDataPage = 100;
-    TenantLogGenerator gen(p, 1);
-    const trace::TenantLog log = gen.generate(0, 1000);
+    const trace::TenantLog log = TenantStream(p, 1, 0, 1000).drain();
 
     mem::Addr current = 0;
     unsigned run_length = 0;
@@ -137,8 +137,7 @@ TEST(TenantLogGenerator, UnmapHappensWhenRingRecycles)
     p.numInitPages = 0;
     p.numDataPages = 4;
     p.accessesPerDataPage = 50;
-    TenantLogGenerator gen(p, 1);
-    const trace::TenantLog log = gen.generate(0, 1000);
+    const trace::TenantLog log = TenantStream(p, 1, 0, 1000).drain();
 
     unsigned unmaps = 0;
     for (const auto &op : log.ops)
@@ -162,9 +161,10 @@ TEST(TenantLogGenerator, AllTenantsShareTheSameIovaRanges)
 {
     // Same OS + driver in every tenant: the gIOVA values coincide
     // across tenants (the root cause of cross-tenant conflicts).
-    TenantLogGenerator gen(mediastreamLikePattern(), 1);
-    const trace::TenantLog a = gen.generate(0, 2000);
-    const trace::TenantLog b = gen.generate(1, 2000);
+    const trace::TenantLog a =
+        TenantStream(mediastreamLikePattern(), 1, 0, 2000).drain();
+    const trace::TenantLog b =
+        TenantStream(mediastreamLikePattern(), 1, 1, 2000).drain();
     std::set<mem::Addr> pages_a;
     std::set<mem::Addr> pages_b;
     for (const auto &pkt : a.packets)
@@ -178,8 +178,8 @@ TEST(TenantLogGenerator, AllTenantsShareTheSameIovaRanges)
 
 TEST(TenantLogGenerator, MapPrecedesFirstUseOfEveryPage)
 {
-    TenantLogGenerator gen(mediastreamLikePattern(), 3);
-    const trace::TenantLog log = gen.generate(0, 5000);
+    const trace::TenantLog log =
+        TenantStream(mediastreamLikePattern(), 3, 0, 5000).drain();
     std::unordered_set<mem::Addr> mapped;
     for (const auto &pkt : log.packets) {
         for (uint16_t i = 0; i < pkt.opCount; ++i) {
@@ -209,12 +209,10 @@ TEST(ActiveTranslationSet, GrowsWithStreams)
     wide.jitterProb = 0.2;
     wide.numInitPages = 0;
 
-    TenantLogGenerator gen_r(regular, 1);
-    TenantLogGenerator gen_w(wide, 1);
     const unsigned small = activeTranslationSet(
-        gen_r.generate(0, 20000), 0.999, 128);
+        TenantStream(regular, 1, 0, 20000).drain(), 0.999, 128);
     const unsigned large = activeTranslationSet(
-        gen_w.generate(0, 20000), 0.999, 128);
+        TenantStream(wide, 1, 0, 20000).drain(), 0.999, 128);
     EXPECT_LT(small, 8u);
     EXPECT_GT(large, small);
 }
@@ -335,8 +333,8 @@ TEST(Benchmarks, ProfilesDifferInRegularity)
 
 TEST(AnalyzeLog, CountsPagesAboveThreshold)
 {
-    TenantLogGenerator gen(mediastreamLikePattern(), 1);
-    const PageAccessStats stats = analyzeLog(gen.generate(0, 10000));
+    const PageAccessStats stats = analyzeLog(
+        TenantStream(mediastreamLikePattern(), 1, 0, 10000).drain());
     EXPECT_GE(stats.pagesAbove(10000), 1u); // the control page
     EXPECT_EQ(stats.pagesAbove(UINT64_MAX), 0u);
 }
