@@ -19,19 +19,28 @@
  *     (and with the very value the timed cache returned), a reported
  *     miss must not be,
  *   - eviction sanity: an evicted key must have been resident.
+ *
+ * Layout: the key -> (value, set) index and, in sub-entry mode, the
+ * tenant count of each (set, shared tag) live in the oracle's own
+ * RefTable (oracle/ref_table.hh); the per-set way counts and each
+ * set's PTag row group are vectors sized by configure(). A passing
+ * check builds no string: messages are formatted on failure only, by
+ * the cold violation() (oracle/violation.hh).
  */
 
 #ifndef HYPERSIO_ORACLE_REF_CACHE_HH
 #define HYPERSIO_ORACLE_REF_CACHE_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/addr.hh"
-#include "util/str.hh"
+#include "oracle/ref_table.hh"
+#include "oracle/violation.hh"
 
 namespace hypersio::oracle
 {
@@ -73,12 +82,19 @@ class CacheMirror
         _ways = ways;
         _partitions = partitions ? partitions : 1;
         _sets = ways ? entries / ways : 0;
-        _setsPerPartition = _sets / _partitions;
         _checkValues = check_values;
         _subEntries = sub_entries ? sub_entries : 1;
-        _map.clear();
-        _setCount.clear();
-        _tagRefs.clear();
+        // The row group of each set, so that checkRow divides by
+        // nothing per event.
+        const size_t per_partition =
+            std::max<size_t>(1, _sets / _partitions);
+        _rowGroup.resize(_sets);
+        for (size_t set = 0; set < _sets; ++set)
+            _rowGroup[set] = static_cast<uint32_t>(set / per_partition);
+        _partitionsPow2 = std::has_single_bit(_partitions);
+        _map.reset(_entries * _subEntries);
+        _setCount.assign(_sets, 0);
+        _tagRefs.reset(_subEntries > 1 ? _entries : 0);
     }
 
     /**
@@ -88,20 +104,21 @@ class CacheMirror
     std::optional<std::string>
     checkRow(uint64_t key, size_t set, uint32_t partition_tag) const
     {
-        if (set >= _sets) {
-            return strprintf("%s: key %#llx uses set %zu beyond the "
+        if (set >= _sets) [[unlikely]] {
+            return violation("%s: key %#llx uses set %zu beyond the "
                              "%zu sets",
                              _name.c_str(),
                              (unsigned long long)key, set, _sets);
         }
-        const size_t owner = set / _setsPerPartition;
-        const size_t legal = partition_tag % _partitions;
-        if (owner != legal) {
-            return strprintf(
+        const uint32_t legal =
+            _partitionsPow2 ? partition_tag & uint32_t(_partitions - 1)
+                            : uint32_t(partition_tag % _partitions);
+        if (_rowGroup[set] != legal) [[unlikely]] {
+            return violation(
                 "%s: PTag violation — key %#llx (tag %u) allocated "
                 "row group %zu, legal group is %zu",
                 _name.c_str(), (unsigned long long)key,
-                partition_tag, owner, legal);
+                partition_tag, size_t(_rowGroup[set]), size_t(legal));
         }
         return std::nullopt;
     }
@@ -111,82 +128,78 @@ class CacheMirror
     lookup(uint64_t key, size_t set, uint32_t partition_tag,
            bool hit, mem::Addr value) const
     {
-        if (auto err = checkRow(key, set, partition_tag))
+        if (auto err = checkRow(key, set, partition_tag)) [[unlikely]]
             return err;
-        auto it = _map.find(key);
-        const bool mirror_hit = it != _map.end();
-        if (hit != mirror_hit) {
-            return strprintf(
+        const Entry *entry = _map.find(key);
+        const bool mirror_hit = entry != nullptr;
+        if (hit != mirror_hit) [[unlikely]] {
+            return violation(
                 "%s: lookup of key %#llx reported a %s but the "
                 "reference holds %s entry",
                 _name.c_str(), (unsigned long long)key,
                 hit ? "hit" : "miss", mirror_hit ? "that" : "no");
         }
-        if (hit && _checkValues && value != it->second.value) {
-            return strprintf(
+        if (hit && _checkValues && value != entry->value) [[unlikely]] {
+            return violation(
                 "%s: hit on key %#llx returned %#llx, reference "
                 "holds %#llx",
                 _name.c_str(), (unsigned long long)key,
                 (unsigned long long)value,
-                (unsigned long long)it->second.value);
+                (unsigned long long)entry->value);
         }
         return std::nullopt;
     }
 
-    /** Applies a fill (with its reported eviction, if any). */
+    /**
+     * Applies a fill (with its reported eviction, if any). A fill
+     * without an eviction probes the mirror once.
+     */
     std::optional<std::string>
     fill(uint64_t key, size_t set, uint32_t partition_tag,
          mem::Addr value, const std::optional<uint64_t> &evicted)
     {
-        if (auto err = checkRow(key, set, partition_tag))
+        if (auto err = checkRow(key, set, partition_tag)) [[unlikely]]
             return err;
+        uint32_t victim_set = 0;
         if (evicted) {
-            auto ev = _map.find(*evicted);
-            if (ev == _map.end()) {
-                return strprintf(
+            const Entry *victim = _map.find(*evicted);
+            if (!victim) [[unlikely]] {
+                return violation(
                     "%s: fill of %#llx evicted %#llx which the "
                     "reference never held",
                     _name.c_str(), (unsigned long long)key,
                     (unsigned long long)*evicted);
             }
-            if (_map.count(key)) {
-                return strprintf(
+            victim_set = victim->set;
+        }
+        auto [entry, inserted] = _map.tryEmplace(key);
+        if (!inserted) {
+            if (evicted) [[unlikely]] {
+                return violation(
                     "%s: in-place update of %#llx reported an "
                     "eviction of %#llx",
                     _name.c_str(), (unsigned long long)key,
                     (unsigned long long)*evicted);
             }
-            if (_subEntries > 1 && refSubEntrySharedKey(*evicted) !=
-                                       refSubEntrySharedKey(key)) {
-                // A reported eviction whose shared tag differs from
-                // the fill's can only be a whole-tag eviction (a
-                // matching tag would have taken the tag-hit path):
-                // every tenant behind the victim tag dies with it,
-                // and the timed cache names one representative.
-                const size_t vset = ev->second.set;
-                const uint64_t vshared =
-                    refSubEntrySharedKey(*evicted);
-                std::vector<uint64_t> dead;
-                for (const auto &[k, entry] : _map) {
-                    if (entry.set == vset &&
-                        refSubEntrySharedKey(k) == vshared)
-                        dead.push_back(k);
-                }
-                for (uint64_t k : dead)
-                    erase(_map.find(k));
-            } else {
-                erase(ev);
+            if (entry->set != set) [[unlikely]] {
+                return violation("%s: key %#llx moved from set %u "
+                                 "to set %zu",
+                                 _name.c_str(),
+                                 (unsigned long long)key, entry->set,
+                                 set);
             }
         }
-        auto [it, inserted] = _map.try_emplace(key);
+        *entry = {value, static_cast<uint32_t>(set)};
+        if (evicted)
+            evict(key, *evicted, victim_set);
         if (inserted) {
             if (_subEntries > 1) {
                 // _setCount tracks distinct shared tags per set.
                 unsigned &refs = _tagRefs[tagKeyOf(set, key)];
                 if (++refs == 1)
                     ++_setCount[set];
-                if (refs > _subEntries) {
-                    return strprintf(
+                if (refs > _subEntries) [[unlikely]] {
+                    return violation(
                         "%s: tag %#llx in set %zu carries %u "
                         "tenants but has only %zu sub-entries "
                         "(missed sub-eviction)",
@@ -198,21 +211,15 @@ class CacheMirror
             } else {
                 ++_setCount[set];
             }
-        } else if (it->second.set != set) {
-            return strprintf("%s: key %#llx moved from set %zu to "
-                             "set %zu",
-                             _name.c_str(), (unsigned long long)key,
-                             it->second.set, set);
         }
-        it->second = {value, set};
-        if (_setCount[set] > _ways) {
-            return strprintf(
+        if (_setCount[set] > _ways) [[unlikely]] {
+            return violation(
                 "%s: set %zu holds %u keys but has only %zu ways "
                 "(missed eviction)",
                 _name.c_str(), set, _setCount[set], _ways);
         }
-        if (_map.size() > _entries * _subEntries) {
-            return strprintf("%s: %zu resident keys exceed the %zu "
+        if (_map.size() > _entries * _subEntries) [[unlikely]] {
+            return violation("%s: %zu resident keys exceed the %zu "
                              "entries",
                              _name.c_str(), _map.size(),
                              _entries * _subEntries);
@@ -224,10 +231,10 @@ class CacheMirror
     std::optional<std::string>
     invalidated(uint64_t key, bool removed)
     {
-        auto it = _map.find(key);
-        const bool mirror_had = it != _map.end();
-        if (removed != mirror_had) {
-            return strprintf(
+        const Entry *entry = _map.find(key);
+        const bool mirror_had = entry != nullptr;
+        if (removed != mirror_had) [[unlikely]] {
+            return violation(
                 "%s: invalidate of key %#llx %s but the reference "
                 "%s it",
                 _name.c_str(), (unsigned long long)key,
@@ -235,7 +242,7 @@ class CacheMirror
                 mirror_had ? "holds" : "does not hold");
         }
         if (mirror_had)
-            erase(it);
+            erase(key, entry->set);
         return std::nullopt;
     }
 
@@ -243,20 +250,19 @@ class CacheMirror
     void
     consume(uint64_t key)
     {
-        auto it = _map.find(key);
-        if (it != _map.end())
-            erase(it);
+        if (const Entry *entry = _map.find(key))
+            erase(key, entry->set);
     }
 
     void
     flush()
     {
         _map.clear();
-        _setCount.clear();
+        _setCount.assign(_sets, 0);
         _tagRefs.clear();
     }
 
-    bool contains(uint64_t key) const { return _map.count(key) > 0; }
+    bool contains(uint64_t key) const { return _map.contains(key); }
     size_t size() const { return _map.size(); }
     const std::string &name() const { return _name; }
 
@@ -264,40 +270,60 @@ class CacheMirror
     struct Entry
     {
         mem::Addr value = 0;
-        size_t set = 0;
+        uint32_t set = 0;
     };
 
     /**
      * Key of `_tagRefs` for (set, key): sets are small and the
      * shared key is 40 bits, so the pair packs uniquely.
      */
-    uint64_t
-    tagKeyOf(size_t set, uint64_t key) const
+    static uint64_t
+    tagKeyOf(size_t set, uint64_t key)
     {
         return (uint64_t(set) << RefSubEntrySharedKeyBits) |
                refSubEntrySharedKey(key);
     }
 
+    /** Removes the victim a fill of `key` reported. */
     void
-    erase(std::unordered_map<uint64_t, Entry>::iterator it)
+    evict(uint64_t key, uint64_t victim, uint32_t victim_set)
+    {
+        const uint64_t shared = refSubEntrySharedKey(victim);
+        if (_subEntries == 1 || shared == refSubEntrySharedKey(key)) {
+            erase(victim, victim_set);
+            return;
+        }
+        // A reported eviction whose shared tag differs from the
+        // fill's can only be a whole-tag eviction (a matching tag
+        // would have taken the tag-hit path): every tenant behind
+        // the victim tag dies with it, and the timed cache names one
+        // representative.
+        _dead.clear();
+        _map.forEach([&](uint64_t k, const Entry &entry) {
+            if (entry.set == victim_set &&
+                refSubEntrySharedKey(k) == shared)
+                _dead.push_back(k);
+        });
+        for (uint64_t k : _dead)
+            erase(k, victim_set);
+    }
+
+    void
+    erase(uint64_t key, uint32_t set)
     {
         // In sub-entry mode a way frees only when the last tenant
         // behind its shared tag leaves.
         bool tag_freed = true;
         if (_subEntries > 1) {
-            auto ref =
-                _tagRefs.find(tagKeyOf(it->second.set, it->first));
-            tag_freed =
-                ref != _tagRefs.end() && --ref->second == 0;
+            const uint64_t tag = tagKeyOf(set, key);
+            unsigned *refs = _tagRefs.find(tag);
+            tag_freed = refs && --*refs == 0;
             if (tag_freed)
-                _tagRefs.erase(ref);
+                _tagRefs.erase(tag);
         }
-        if (tag_freed) {
-            auto count = _setCount.find(it->second.set);
-            if (count != _setCount.end() && count->second > 0)
-                --count->second;
-        }
-        _map.erase(it);
+        if (tag_freed && _setCount[set] > 0)
+            --_setCount[set];
+        _map.erase(key);
     }
 
     std::string _name;
@@ -305,14 +331,19 @@ class CacheMirror
     size_t _ways = 0;
     size_t _partitions = 1;
     size_t _sets = 0;
-    size_t _setsPerPartition = 1;
+    /** A power-of-two partition count masks the tag, never divides. */
+    bool _partitionsPow2 = true;
     bool _checkValues = true;
     size_t _subEntries = 1;
-    std::unordered_map<uint64_t, Entry> _map;
+    RefTable<Entry> _map;
+    /** Row group (legal PTag residue) of each set. */
+    std::vector<uint32_t> _rowGroup;
     /** sub==1: keys per set. sub>1: distinct shared tags per set. */
-    std::unordered_map<size_t, unsigned> _setCount;
+    std::vector<unsigned> _setCount;
     /** Tenants behind each (set, shared tag); sub>1 only. */
-    std::unordered_map<uint64_t, unsigned> _tagRefs;
+    RefTable<unsigned> _tagRefs;
+    /** Scratch list of a whole-tag eviction's victims. */
+    std::vector<uint64_t> _dead;
 };
 
 } // namespace hypersio::oracle

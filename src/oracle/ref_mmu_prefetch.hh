@@ -16,10 +16,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "mem/addr.hh"
+#include "oracle/ref_table.hh"
 
 namespace hypersio::oracle
 {
@@ -75,10 +75,10 @@ class RefMmuPrefetcher
     std::optional<std::pair<mem::Iova, mem::PageSize>>
     predicted(uint32_t did, unsigned cls, unsigned slot) const
     {
-        auto it = _streams.find(streamKey(did, cls));
-        if (it == _streams.end())
+        const RefMmuStream *found = _streams.find(streamKey(did, cls));
+        if (!found)
             return std::nullopt;
-        const RefMmuStream &stream = it->second;
+        const RefMmuStream &stream = *found;
         if (stream.confidence == 0 || stream.stride == 0)
             return std::nullopt;
         return std::make_pair(
@@ -105,7 +105,7 @@ class RefMmuPrefetcher
         return (uint64_t(did) << 2) | cls;
     }
 
-    std::unordered_map<uint64_t, RefMmuStream> _streams;
+    RefTable<RefMmuStream> _streams;
 };
 
 } // namespace hypersio::oracle

@@ -16,10 +16,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/addr.hh"
+#include "oracle/ref_table.hh"
 
 namespace hypersio::oracle
 {
@@ -34,7 +34,7 @@ class RefSidPredictor
         _history = history_length;
         _ring.assign(static_cast<size_t>(_history) + 1, 0);
         _count = 0;
-        _table.clear();
+        _table.reset();
     }
 
     /** Observes arrival number `_count` with source `sid`. */
@@ -56,22 +56,24 @@ class RefSidPredictor
     std::optional<uint32_t>
     predict(uint32_t sid) const
     {
-        auto it = _table.find(sid);
-        if (it == _table.end())
+        const uint32_t *next = _table.find(sid);
+        if (!next)
             return std::nullopt;
-        return it->second;
+        return *next;
     }
 
     /** Tenant detach: forgets the retired SID's prediction entry. */
     void retire(uint32_t sid) { _table.erase(sid); }
 
     uint64_t observed() const { return _count; }
+    /** SIDs holding a prediction entry. */
+    size_t size() const { return _table.size(); }
 
   private:
     unsigned _history = 0;
     std::vector<uint32_t> _ring{0};
     uint64_t _count = 0;
-    std::unordered_map<uint32_t, uint32_t> _table;
+    RefTable<uint32_t> _table;
 };
 
 /** One page in a reference tenant history. */
@@ -100,7 +102,7 @@ class RefHistory
     configure(unsigned depth)
     {
         _depth = depth;
-        _lists.clear();
+        _lists.reset();
     }
 
     void
@@ -128,15 +130,18 @@ class RefHistory
     std::optional<RefHistoryPage>
     recent(uint32_t did, size_t i) const
     {
-        auto it = _lists.find(did);
-        if (it == _lists.end() || i >= it->second.size())
+        const auto *list = _lists.find(did);
+        if (!list || i >= list->size())
             return std::nullopt;
-        return it->second[i];
+        return (*list)[i];
     }
+
+    /** DIDs holding a history list. */
+    size_t size() const { return _lists.size(); }
 
   private:
     unsigned _depth = 0;
-    std::unordered_map<uint32_t, std::vector<RefHistoryPage>> _lists;
+    RefTable<std::vector<RefHistoryPage>> _lists;
 };
 
 } // namespace hypersio::oracle

@@ -38,8 +38,8 @@ optionalSid(const std::optional<uint32_t> &sid)
 // Collects the failure message of any check that does not hold.
 #define SHADOW_CHECK(cond, ...)                                       \
     do {                                                              \
-        if (!(cond))                                                  \
-            record(strprintf(__VA_ARGS__));                           \
+        if (!(cond)) [[unlikely]]                                     \
+            recordViolation(strprintf(__VA_ARGS__));                  \
     } while (0)
 
 ShadowChecker::ShadowChecker(const ShadowConfig &config,
@@ -67,15 +67,13 @@ ShadowChecker::ShadowChecker(const ShadowConfig &config,
 }
 
 void
-ShadowChecker::record(std::optional<std::string> violation)
+ShadowChecker::recordViolation(std::string violation)
 {
-    if (!violation)
-        return;
     ++_violationCount;
     if (_failFast)
-        panic("shadow oracle: %s", violation->c_str());
+        panic("shadow oracle: %s", violation.c_str());
     if (_violations.size() < MaxStoredViolations)
-        _violations.push_back(std::move(*violation));
+        _violations.push_back(std::move(violation));
 }
 
 void
@@ -299,7 +297,7 @@ ShadowChecker::iommuMshrAllocated(mem::DomainId domain,
 {
     ++_events;
     const uint64_t key = iommu::translationKey(domain, iova, size);
-    SHADOW_CHECK(_mshr.insert(key).second,
+    SHADOW_CHECK(_mshr.tryEmplace(key).second,
                  "MSHR: second walk allocated for in-flight key "
                  "%#llx (did %u iova %#llx)",
                  (unsigned long long)key, domain,
@@ -312,7 +310,7 @@ ShadowChecker::iommuCoalesced(mem::DomainId domain, mem::Iova iova,
 {
     ++_events;
     const uint64_t key = iommu::translationKey(domain, iova, size);
-    SHADOW_CHECK(_mshr.count(key) == 1,
+    SHADOW_CHECK(_mshr.contains(key),
                  "MSHR: request coalesced onto key %#llx with no "
                  "walk in flight",
                  (unsigned long long)key);
@@ -342,8 +340,8 @@ ShadowChecker::iommuWalkStarted(mem::DomainId domain, mem::Iova iova,
                  "walker bound: %u active walks exceed the %u "
                  "walker slots",
                  active_walks, _config.walkers);
-    SHADOW_CHECK(_mshr.count(iommu::translationKey(domain, iova,
-                                                   size)) == 1,
+    SHADOW_CHECK(_mshr.contains(
+                     iommu::translationKey(domain, iova, size)),
                  "walk did=%u iova=%#llx started without an MSHR "
                  "entry",
                  domain, (unsigned long long)iova);
@@ -358,7 +356,7 @@ ShadowChecker::iommuWalkCompleted(mem::DomainId domain,
     ++_events;
     const uint64_t key =
         iommu::translationKey(domain, iova, req_size);
-    SHADOW_CHECK(_mshr.erase(key) == 1,
+    SHADOW_CHECK(_mshr.erase(key),
                  "walk did=%u iova=%#llx completed without an MSHR "
                  "entry",
                  domain, (unsigned long long)iova);

@@ -26,6 +26,13 @@
  *   - end-of-run accounting: three translations per processed
  *     packet, an empty PTB, and mirror/timed occupancy agreement.
  *
+ * The reference state is flat (see DESIGN.md §17): the mirrors, the
+ * MSHR set, the predictor, the history and the MMU streams keep it in
+ * the oracle's own RefTable or in arrays sized by the geometry, never
+ * in the model's containers. A passing check formats no string, and
+ * only a violation leaves the inline record() for the cold
+ * recordViolation().
+ *
  * The checker is observation-only: it never feeds anything back into
  * the timed model, so a checked run's results are byte-identical to
  * an unchecked one. In fail-fast mode (the default for the
@@ -48,7 +55,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "mem/addr.hh"
@@ -57,6 +63,7 @@
 #include "oracle/ref_mmu_prefetch.hh"
 #include "oracle/ref_predictor.hh"
 #include "oracle/ref_ptb.hh"
+#include "oracle/ref_table.hh"
 
 namespace hypersio::iommu
 {
@@ -217,7 +224,16 @@ class ShadowChecker
     bool failFast() const { return _failFast; }
 
   private:
-    void record(std::optional<std::string> violation);
+    /** Records `violation` when set; a passing check costs one test. */
+    void
+    record(std::optional<std::string> violation)
+    {
+        if (violation) [[unlikely]]
+            recordViolation(std::move(*violation));
+    }
+    /** The failure path: panics in fail-fast mode, else stores. */
+    [[gnu::cold, gnu::noinline]] void
+    recordViolation(std::string violation);
     /** Fill-freshness rule: see the definition in shadow.cc. */
     void checkFillFresh(const char *what, mem::DomainId did,
                         mem::Iova iova, mem::Addr value);
@@ -235,7 +251,8 @@ class ShadowChecker
     RefSidPredictor _predictor;
     RefHistory _history;
     RefMmuPrefetcher _mmu;
-    std::unordered_set<uint64_t> _mshr;
+    /** Translation keys with a walk in flight (the value is unused). */
+    RefTable<bool> _mshr;
 
     uint64_t _events = 0;
     uint64_t _translationChecks = 0;

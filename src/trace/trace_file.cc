@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <ostream>
+#include <type_traits>
 
 #include "util/logging.hh"
 #include "util/str.hh"
@@ -44,6 +45,7 @@ struct PacketWire
     uint32_t wireBytes;
     uint16_t pasid;
     uint16_t pad2 = 0;
+    uint32_t pad3 = 0;
     uint64_t ringIova;
     uint64_t dataIova;
     uint64_t notifyIova;
@@ -57,13 +59,20 @@ struct OpWire
     uint8_t pad[6] = {};
 };
 
+// Every byte of a record is a named, initialized field, so a written
+// trace holds no stray stack bytes and is reproducible byte for byte.
+static_assert(sizeof(PacketWire) == 48);
+static_assert(std::has_unique_object_representations_v<PacketWire>);
+static_assert(sizeof(OpWire) == 16);
+static_assert(std::has_unique_object_representations_v<OpWire>);
+
 PacketWire
 toWire(const PacketRecord &pkt)
 {
     return {pkt.sid,       pkt.opBegin,  pkt.opCount,
             pkt.dataHuge,  0,            pkt.wireBytes,
-            pkt.pasid,     0,            pkt.ringIova,
-            pkt.dataIova,  pkt.notifyIova};
+            pkt.pasid,     0,            0,
+            pkt.ringIova,  pkt.dataIova, pkt.notifyIova};
 }
 
 PacketRecord

@@ -133,10 +133,8 @@ parseVmRssKib(std::string_view status_text, uint64_t &out)
 }
 
 std::string
-strprintf(const char *fmt, ...)
+vstrprintf(const char *fmt, va_list args)
 {
-    va_list args;
-    va_start(args, fmt);
     va_list copy;
     va_copy(copy, args);
     int len = std::vsnprintf(nullptr, 0, fmt, copy);
@@ -147,6 +145,15 @@ strprintf(const char *fmt, ...)
         out.resize(static_cast<size_t>(len));
         std::vsnprintf(out.data(), out.size() + 1, fmt, args);
     }
+    return out;
+}
+
+std::string
+strprintf(const char *fmt, ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    std::string out = vstrprintf(fmt, args);
     va_end(args);
     return out;
 }

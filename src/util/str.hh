@@ -7,6 +7,7 @@
 #ifndef HYPERSIO_UTIL_STR_HH
 #define HYPERSIO_UTIL_STR_HH
 
+#include <cstdarg>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -50,6 +51,9 @@ bool parseVmRssKib(std::string_view status_text, uint64_t &out);
 /** printf-style formatting into a std::string. */
 std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+/** strprintf() over a va_list; `args` is consumed. */
+std::string vstrprintf(const char *fmt, va_list args)
+    __attribute__((format(printf, 1, 0)));
 
 /** Formats a byte count with a human-readable suffix (e.g. "2MiB"). */
 std::string formatBytes(uint64_t bytes);
