@@ -917,8 +917,10 @@ class StormTrace
     addPacket(trace::SourceId sid, mem::Iova ring, mem::Iova data,
               bool data_huge, mem::Iova notify)
     {
+        HYPERSIO_ASSERT(sid < trace::SidSpace,
+                        "storm SID %u is outside the SID space", sid);
         trace::PacketRecord pkt;
-        pkt.sid = sid;
+        pkt.sid = static_cast<uint16_t>(sid);
         pkt.ringIova = ring;
         pkt.dataIova = data;
         pkt.dataHuge = data_huge;

@@ -158,9 +158,10 @@ main(int argc, char **argv)
         logs.reserve(args.tenants);
         for (unsigned t = 0; t < args.tenants; ++t) {
             trace::TenantLog copy = base;
+            // --tenants is at most SidSpace, so t fits a record.
             copy.sid = t;
             for (auto &pkt : copy.packets)
-                pkt.sid = t;
+                pkt.sid = static_cast<uint16_t>(t);
             logs.push_back(std::move(copy));
         }
         auto tr = trace::constructTrace(

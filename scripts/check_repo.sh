@@ -60,7 +60,8 @@
 #      baseline is regenerated on purpose.
 #  10. The whole ctest suite — every unit test, the fuzz smoke, the
 #      examples and the hypersio_sim hostile-input cases — must pass
-#      under AddressSanitizer and UndefinedBehaviorSanitizer.
+#      under AddressSanitizer and UndefinedBehaviorSanitizer, and
+#      the sanitizer build must be warning-free too.
 #
 # Two build trees: the default (gates 2-9; gates 4, 6 and 7 switch
 # the oracle off at run time with HYPERSIO_SHADOW=off) and an
@@ -228,7 +229,7 @@ echo "== 10/10 ASan+UBSan: the whole ctest suite"
 # their first. example_custom_policy passes on its table rows, which
 # print last, so it runs again here for its exit status.
 ASAN_DIR="${BUILD_DIR}-asan"
-cmake -B "$ASAN_DIR" -S . "$BUILD_TYPE" \
+cmake -B "$ASAN_DIR" -S . "$BUILD_TYPE" -DHYPERSIO_WERROR=ON \
     -DHYPERSIO_SANITIZE=address,undefined > /dev/null
 cmake --build "$ASAN_DIR" -j "$(nproc)"
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1

@@ -52,17 +52,18 @@ struct PacketCompletionSink
  */
 struct PtbEntry
 {
-    bool busy = false;
+    // Ordered by size, like the packet record it copies.
     trace::PacketRecord packet;
-    /** Next request class to issue (0..2), 3 = all issued. */
-    unsigned nextReq = 0;
-    /** A prefetch was already triggered for this packet. */
-    bool prefetchIssued = false;
     Tick accepted = 0;
     /** Completion target (the run loop). */
     PacketCompletionSink *sink = nullptr;
+    /** Next request class to issue (0..2), 3 = all issued. */
+    unsigned nextReq = 0;
     /** Domain of the request currently outstanding. */
     mem::DomainId did = 0;
+    bool busy = false;
+    /** A prefetch was already triggered for this packet. */
+    bool prefetchIssued = false;
     /** Request class currently outstanding (set by each resolve). */
     trace::ReqClass curCls = trace::ReqClass::Ring;
 };

@@ -130,24 +130,27 @@ class CacheMirror
     {
         if (auto err = checkRow(key, set, partition_tag)) [[unlikely]]
             return err;
-        const Entry *entry = _map.find(key);
-        const bool mirror_hit = entry != nullptr;
-        if (hit != mirror_hit) [[unlikely]] {
-            return violation(
-                "%s: lookup of key %#llx reported a %s but the "
-                "reference holds %s entry",
-                _name.c_str(), (unsigned long long)key,
-                hit ? "hit" : "miss", mirror_hit ? "that" : "no");
-        }
-        if (hit && _checkValues && value != entry->value) [[unlikely]] {
-            return violation(
-                "%s: hit on key %#llx returned %#llx, reference "
-                "holds %#llx",
-                _name.c_str(), (unsigned long long)key,
-                (unsigned long long)value,
-                (unsigned long long)entry->value);
-        }
-        return std::nullopt;
+        return classify(key, hit, value, _map.find(key));
+    }
+
+    /**
+     * lookup() of a buffer whose hits consume their entry (the
+     * Prefetch Buffer): one probe checks the lookup and removes the
+     * entry a reported hit found.
+     */
+    std::optional<std::string>
+    lookupAndConsume(uint64_t key, size_t set, uint32_t partition_tag,
+                     bool hit, mem::Addr value)
+    {
+        if (auto err = checkRow(key, set, partition_tag)) [[unlikely]]
+            return err;
+        const size_t slot = _map.slotOf(key);
+        const Entry *entry =
+            slot == _map.npos ? nullptr : &_map.valueAt(slot);
+        auto err = classify(key, hit, value, entry);
+        if (hit && entry)
+            erase(slot);
+        return err;
     }
 
     /**
@@ -231,8 +234,8 @@ class CacheMirror
     std::optional<std::string>
     invalidated(uint64_t key, bool removed)
     {
-        const Entry *entry = _map.find(key);
-        const bool mirror_had = entry != nullptr;
+        const size_t slot = _map.slotOf(key);
+        const bool mirror_had = slot != _map.npos;
         if (removed != mirror_had) [[unlikely]] {
             return violation(
                 "%s: invalidate of key %#llx %s but the reference "
@@ -242,16 +245,8 @@ class CacheMirror
                 mirror_had ? "holds" : "does not hold");
         }
         if (mirror_had)
-            erase(key, entry->set);
+            erase(slot);
         return std::nullopt;
-    }
-
-    /** Removes a key known to be consumed (Prefetch Buffer hits). */
-    void
-    consume(uint64_t key)
-    {
-        if (const Entry *entry = _map.find(key))
-            erase(key, entry->set);
     }
 
     void
@@ -273,6 +268,30 @@ class CacheMirror
         uint32_t set = 0;
     };
 
+    /** Checks a lookup against the mirror's `entry` for `key`. */
+    std::optional<std::string>
+    classify(uint64_t key, bool hit, mem::Addr value,
+             const Entry *entry) const
+    {
+        const bool mirror_hit = entry != nullptr;
+        if (hit != mirror_hit) [[unlikely]] {
+            return violation(
+                "%s: lookup of key %#llx reported a %s but the "
+                "reference holds %s entry",
+                _name.c_str(), (unsigned long long)key,
+                hit ? "hit" : "miss", mirror_hit ? "that" : "no");
+        }
+        if (hit && _checkValues && value != entry->value) [[unlikely]] {
+            return violation(
+                "%s: hit on key %#llx returned %#llx, reference "
+                "holds %#llx",
+                _name.c_str(), (unsigned long long)key,
+                (unsigned long long)value,
+                (unsigned long long)entry->value);
+        }
+        return std::nullopt;
+    }
+
     /**
      * Key of `_tagRefs` for (set, key): sets are small and the
      * shared key is 40 bits, so the pair packs uniquely.
@@ -290,7 +309,7 @@ class CacheMirror
     {
         const uint64_t shared = refSubEntrySharedKey(victim);
         if (_subEntries == 1 || shared == refSubEntrySharedKey(key)) {
-            erase(victim, victim_set);
+            erase(_map.slotOf(victim));
             return;
         }
         // A reported eviction whose shared tag differs from the
@@ -305,12 +324,15 @@ class CacheMirror
                 _dead.push_back(k);
         });
         for (uint64_t k : _dead)
-            erase(k, victim_set);
+            erase(_map.slotOf(k));
     }
 
+    /** Removes the resident key in `slot` of the index. */
     void
-    erase(uint64_t key, uint32_t set)
+    erase(size_t slot)
     {
+        const uint64_t key = _map.keyAt(slot);
+        const uint32_t set = _map.valueAt(slot).set;
         // In sub-entry mode a way frees only when the last tenant
         // behind its shared tag leaves.
         bool tag_freed = true;
@@ -323,7 +345,7 @@ class CacheMirror
         }
         if (tag_freed && _setCount[set] > 0)
             --_setCount[set];
-        _map.erase(key);
+        _map.eraseAt(slot);
     }
 
     std::string _name;

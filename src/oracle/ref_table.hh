@@ -35,6 +35,9 @@ template <typename V>
 class RefTable
 {
   public:
+    /** slotOf() of an absent key. */
+    static constexpr size_t npos = SIZE_MAX;
+
     RefTable() { reset(); }
 
     /** Empties the table, sized for `expected` keys before growing. */
@@ -58,16 +61,30 @@ class RefTable
         _size = 0;
     }
 
+    /**
+     * The slot holding `key`, or npos when absent. A slot is valid
+     * until the next insertion or erase.
+     */
+    size_t
+    slotOf(uint64_t key) const
+    {
+        for (size_t i = home(key);; i = (i + 1) & _mask) {
+            const Slot &slot = _slots[i];
+            if (!slot.used)
+                return npos;
+            if (slot.key == key)
+                return i;
+        }
+    }
+
+    uint64_t keyAt(size_t slot) const { return _slots[slot].key; }
+    V &valueAt(size_t slot) { return _slots[slot].value; }
+
     V *
     find(uint64_t key)
     {
-        for (size_t i = home(key);; i = (i + 1) & _mask) {
-            Slot &slot = _slots[i];
-            if (!slot.used)
-                return nullptr;
-            if (slot.key == key)
-                return &slot.value;
-        }
+        const size_t slot = slotOf(key);
+        return slot == npos ? nullptr : &_slots[slot].value;
     }
 
     const V *
@@ -107,13 +124,18 @@ class RefTable
     bool
     erase(uint64_t key)
     {
-        size_t hole = home(key);
-        for (;; hole = (hole + 1) & _mask) {
-            if (!_slots[hole].used)
-                return false;
-            if (_slots[hole].key == key)
-                break;
-        }
+        const size_t slot = slotOf(key);
+        if (slot == npos)
+            return false;
+        eraseAt(slot);
+        return true;
+    }
+
+    /** Removes the key in `slot`, which slotOf() returned. */
+    void
+    eraseAt(size_t slot)
+    {
+        size_t hole = slot;
         // Backward shift: pull each later key of the probe run into
         // the hole unless its home lies cyclically in (hole, j].
         for (size_t j = (hole + 1) & _mask; _slots[j].used;
@@ -126,7 +148,6 @@ class RefTable
         }
         _slots[hole] = Slot{};
         --_size;
-        return true;
     }
 
     size_t size() const { return _size; }

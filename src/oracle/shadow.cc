@@ -175,11 +175,9 @@ ShadowChecker::devicePbLookup(mem::DomainId did, mem::Iova iova,
                               mem::Addr value)
 {
     ++_events;
-    const uint64_t key = iommu::translationKey(did, iova, size);
-    record(_pb.lookup(key, 0, 0, hit, value));
     // A PB hit consumes the entry.
-    if (hit)
-        _pb.consume(key);
+    record(_pb.lookupAndConsume(iommu::translationKey(did, iova, size),
+                                0, 0, hit, value));
 }
 
 void

@@ -53,6 +53,12 @@ HyperTrace
 constructTrace(const std::vector<TenantLog> &logs,
                const Interleaving &mode)
 {
+    // Tenants are renumbered to dense SIDs 0..N-1, so N logs need N
+    // SIDs.
+    if (logs.size() > SidSpace)
+        fatal("trace constructor: %zu tenant logs, but the SID space "
+              "holds %u",
+              logs.size(), SidSpace);
     HyperTrace trace;
     trace.numTenants = static_cast<uint32_t>(logs.size());
     if (logs.empty())
@@ -83,7 +89,7 @@ constructTrace(const std::vector<TenantLog> &logs,
     auto copy_packet = [&](uint32_t tenant) {
         const TenantLog &log = logs[tenant];
         PacketRecord pkt = log.packets[cursor[tenant]];
-        pkt.sid = tenant; // renumber to dense SIDs
+        pkt.sid = static_cast<uint16_t>(tenant); // dense SIDs
         // Re-home the ops into the shared pool.
         const uint32_t op_begin =
             static_cast<uint32_t>(trace.ops.size());

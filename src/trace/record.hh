@@ -53,28 +53,36 @@ struct PageOp
  * One received packet and the translation work it generates. Page
  * operations ops[opBegin, opBegin+opCount) from the owning container
  * are applied when the packet is accepted by the device.
+ *
+ * Every trace-driven run holds each packet twice at its peak (in the
+ * tenant logs and in the merged trace), so the fields are ordered by
+ * size to leave no interior padding: 39 bytes of fields in 40. The
+ * SID is stored in 16 bits; every writer checks it against
+ * `SidSpace` before narrowing, and `SourceId` stays 32 bits in
+ * every API.
  */
 struct PacketRecord
 {
-    SourceId sid = 0;
-    /**
-     * Process Address Space ID (Intel Scalable IOV): sub-address
-     * spaces within one VF. 0 when the tenant is a whole VM.
-     */
-    uint16_t pasid = 0;
+    mem::Iova ringIova = 0;
+    mem::Iova dataIova = 0;
+    mem::Iova notifyIova = 0;
     uint32_t opBegin = 0;
-    uint16_t opCount = 0;
-    /** True when data buffer is a 2 MB (huge) page. */
-    bool dataHuge = true;
     /**
      * Wire size of this packet in bytes; 0 means "use the link's
      * default packet size". Small packets (e.g. key-value-store
      * requests) arrive faster, leaving less time per translation.
      */
     uint32_t wireBytes = 0;
-    mem::Iova ringIova = 0;
-    mem::Iova dataIova = 0;
-    mem::Iova notifyIova = 0;
+    /** Source ID, below `SidSpace`. */
+    uint16_t sid = 0;
+    /**
+     * Process Address Space ID (Intel Scalable IOV): sub-address
+     * spaces within one VF. 0 when the tenant is a whole VM.
+     */
+    uint16_t pasid = 0;
+    uint16_t opCount = 0;
+    /** True when data buffer is a 2 MB (huge) page. */
+    bool dataHuge = true;
 
     /** gIOVA of request class `cls`. */
     mem::Iova
@@ -100,6 +108,11 @@ struct PacketRecord
                    : mem::PageSize::Size4K;
     }
 };
+
+static_assert(SidSpace <= 65536,
+              "PacketRecord stores a SID in 16 bits");
+static_assert(sizeof(PacketRecord) == 40,
+              "PacketRecord is 39 bytes of fields, ordered by size");
 
 /** Per-tenant packet log, as the Log Collector records it. */
 struct TenantLog

@@ -78,8 +78,9 @@ toWire(const PacketRecord &pkt)
 PacketRecord
 fromWire(const PacketWire &w)
 {
+    // readPackets has refused a SID outside SidSpace.
     PacketRecord pkt;
-    pkt.sid = w.sid;
+    pkt.sid = static_cast<uint16_t>(w.sid);
     pkt.opBegin = w.opBegin;
     pkt.opCount = w.opCount;
     pkt.dataHuge = w.dataHuge != 0;

@@ -75,7 +75,7 @@ bool anyEnabled();
  *   "  12345: DevTLB: miss sid=3 iova=0xbbe00000"
  */
 void dprintf(const Flag &flag, Tick when, const char *fmt, ...)
-    __attribute__((format(printf, 3, 4)));
+    __attribute__((format(printf, 3, 4), nonnull(3)));
 
 } // namespace hypersio::debug
 

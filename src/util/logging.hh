@@ -122,14 +122,14 @@ void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
  * message and exits with status 1.
  */
 [[noreturn]] void fatal(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
+    __attribute__((format(printf, 1, 2), nonnull(1)));
 
 /**
  * Unrecoverable *internal* error (a simulator bug). Prints the message
  * and aborts so a core dump / debugger can be used.
  */
 [[noreturn]] void panic(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
+    __attribute__((format(printf, 1, 2), nonnull(1)));
 
 /** panic() unless `cond` holds; message describes the broken invariant. */
 #define HYPERSIO_ASSERT(cond, fmt, ...)                                     \

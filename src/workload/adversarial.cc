@@ -7,6 +7,7 @@
 
 #include "mem/addr.hh"
 #include "mem/page_table.hh"
+#include "util/logging.hh"
 #include "util/rng.hh"
 
 namespace hypersio::workload
@@ -181,6 +182,9 @@ makeAdversarialTrace(AdversarialPattern pattern,
             pattern == AdversarialPattern::PartitionConflict
                 ? tenant * 8
                 : tenant;
+        HYPERSIO_ASSERT(sid < trace::SidSpace,
+                        "adversarial SID %u is outside the %u-SID space",
+                        sid, trace::SidSpace);
         max_sid = std::max(max_sid, sid);
         // pasid 0: DID == SID (whole-VM tenants).
         const mem::DomainId did = sid;
@@ -289,7 +293,7 @@ makeAdversarialTrace(AdversarialPattern pattern,
         builder.touch(did, NotifyPage, mem::PageSize::Size4K);
 
         trace::PacketRecord pkt;
-        pkt.sid = sid;
+        pkt.sid = static_cast<uint16_t>(sid);
         pkt.dataHuge = huge;
         pkt.ringIova = RingPage + rng.below(64) * 16;
         // SizeFlipRemap offsets stay below 4 KB so every request

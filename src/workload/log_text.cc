@@ -106,6 +106,11 @@ parseTextLog(std::istream &is, const std::string &name)
             if (sid > UINT32_MAX)
                 fatal("%s:%u: tenant SID %llu does not fit in 32 bits",
                       name.c_str(), lineno, (unsigned long long)sid);
+            if (sid >= trace::SidSpace)
+                fatal("%s:%u: tenant SID %llu is outside the %u-SID "
+                      "space",
+                      name.c_str(), lineno, (unsigned long long)sid,
+                      trace::SidSpace);
             log.sid = static_cast<trace::SourceId>(sid);
             saw_tenant = true;
         } else if (keyword == "map" || keyword == "unmap") {
@@ -125,7 +130,7 @@ parseTextLog(std::istream &is, const std::string &name)
             if (!(fields >> ring >> data >> size >> notify))
                 fatal("%s:%u: bad pkt line", name.c_str(), lineno);
             trace::PacketRecord pkt;
-            pkt.sid = log.sid;
+            pkt.sid = static_cast<uint16_t>(log.sid); // below SidSpace
             pkt.ringIova = parseHex(ring, name, lineno);
             pkt.dataIova = parseHex(data, name, lineno);
             pkt.dataHuge =

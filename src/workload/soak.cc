@@ -73,7 +73,8 @@ SoakStream::stormPeek()
         // Rebase onto the dedicated storm SID range and re-anchor
         // the ops at 0 — the PacketStream contract (the ops belong
         // to the head packet only).
-        _stormPkt.sid += _stormBase;
+        // The constructor bounds the storm SID range by SidSpace.
+        _stormPkt.sid = static_cast<uint16_t>(_stormPkt.sid + _stormBase);
         _stormPkt.opBegin = 0;
         _stormOps.assign(
             _storm.ops.begin() + src.opBegin,

@@ -16,6 +16,9 @@ TenantStream::TenantStream(const TenantPattern &pattern, uint64_t seed,
       // All randomness is tenant-local and deterministic.
       _rng(hashCombine(seed, hashCombine(0x7e4a37, sid)))
 {
+    HYPERSIO_ASSERT(sid < trace::SidSpace,
+                    "tenant SID %u is outside the %u-SID space", sid,
+                    trace::SidSpace);
     HYPERSIO_ASSERT(_p.streams >= 1, "need at least one stream");
     HYPERSIO_ASSERT(_p.numDataPages >= _p.streams,
                     "fewer data pages than streams");
@@ -102,7 +105,7 @@ TenantStream::emitPacket(trace::PacketRecord &pkt,
                          mem::Iova data_iova, bool huge)
 {
     pkt = trace::PacketRecord{};
-    pkt.sid = _sid;
+    pkt.sid = static_cast<uint16_t>(_sid); // checked by the constructor
     pkt.pasid = static_cast<uint16_t>(_pasid);
     if (_p.smallPacketBytes > 0 && _rng.chance(_p.smallPacketProb))
         pkt.wireBytes = _p.smallPacketBytes;

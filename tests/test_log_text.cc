@@ -128,6 +128,9 @@ TEST(LogTextDeathTest, ValuesThatDoNotFitAreFatal)
         {"tenant SID", "tenant 4294967296\n",
          "fatal: test:1: tenant SID 4294967296 does not fit in 32 "
          "bits"},
+        {"tenant SID outside the SID space", "tenant 4096\n",
+         "fatal: test:1: tenant SID 4096 is outside the 4096-SID "
+         "space"},
         {"wire bytes",
          "tenant 1\npkt 0x1000 0x2000 4K 0x3000 4294967296\n",
          "fatal: test:2: wire-bytes 4294967296 does not fit in 32 "

@@ -577,6 +577,38 @@ TEST(ShadowChecker, CollectsViolationsInsteadOfDying)
     EXPECT_EQ(checker.translationChecks(), 1u);
 }
 
+// A PB lookup is checked and, on a reported hit, consumes the entry
+// it found: a reported miss of a held entry leaves it in place, a
+// hit with the wrong value still consumes it, and a consumed entry
+// can only miss afterwards.
+TEST(ShadowChecker, PbLookupsAreClassifiedAndHitsConsume)
+{
+    using mem::PageSize;
+    ShadowConfig config = smallConfig();
+    config.pbEntries = 4;
+    ShadowChecker checker(config, nullptr, /*fail_fast=*/false);
+    checker.devicePbFill(1, 0x4000, PageSize::Size4K, 0x1234,
+                         std::nullopt);
+    checker.devicePbFill(1, 0x5000, PageSize::Size4K, 0x5678,
+                         std::nullopt);
+    checker.devicePbLookup(1, 0x4000, PageSize::Size4K, false, 0);
+    checker.devicePbLookup(1, 0x4000, PageSize::Size4K, true, 0x1234);
+    checker.devicePbLookup(1, 0x4000, PageSize::Size4K, false, 0);
+    checker.devicePbLookup(1, 0x4000, PageSize::Size4K, true, 0x1234);
+    checker.devicePbLookup(1, 0x5000, PageSize::Size4K, true, 0x9999);
+    checker.devicePbLookup(1, 0x5000, PageSize::Size4K, false, 0);
+    const std::vector<std::string> expected = {
+        "PB: lookup of key 0x10000000004 reported a miss but the "
+        "reference holds that entry",
+        "PB: lookup of key 0x10000000004 reported a hit but the "
+        "reference holds no entry",
+        "PB: hit on key 0x10000000005 returned 0x9999, reference "
+        "holds 0x5678",
+    };
+    EXPECT_EQ(checker.violations(), expected);
+    EXPECT_EQ(checker.eventCount(), 8u);
+}
+
 // A parked arrival slot reports a run of drops at one full PTB
 // through a single bulk hook; it must count exactly the events n
 // single drops would, and stay clean while the PTB is full.

@@ -14,6 +14,7 @@
 #include "trace/constructor.hh"
 #include "trace/record.hh"
 #include "trace/trace_file.hh"
+#include "workload/log_text.hh"
 
 namespace hypersio::trace
 {
@@ -189,6 +190,22 @@ TEST(Constructor, EmptyInputsYieldEmptyTrace)
                     .packets.empty());
 }
 
+// Constructed SIDs are dense (0..N-1), so N logs need N SIDs; one
+// log too many is fatal rather than a SID the record cannot hold.
+TEST(ConstructorDeathTest, MoreLogsThanSidsAreFatal)
+{
+    EXPECT_EXIT(
+        {
+            std::vector<TenantLog> logs;
+            for (SourceId sid = 0; sid <= SidSpace; ++sid)
+                logs.push_back(makeLog(sid, 1));
+            constructTrace(logs, parseInterleaving("RR1"));
+        },
+        ::testing::ExitedWithCode(1),
+        "fatal: trace constructor: 4097 tenant logs, but the SID "
+        "space holds 4096");
+}
+
 class TraceFileTest : public ::testing::Test
 {
   protected:
@@ -331,6 +348,90 @@ TEST_F(TraceFileTest, MalformedFilesAreFatal)
                     std::string("fatal: '") + _path.string() + "': " +
                         c.message);
     }
+}
+
+// Every field of a packet record at the edge of its range survives
+// the binary trace file and the text log: the 40-byte in-memory
+// record narrows nothing the formats carry.
+TEST_F(TraceFileTest, ExtremeFieldValuesRoundTrip)
+{
+    constexpr mem::Iova Top = uint64_t(1) << 57;
+    constexpr SourceId MaxSid = SidSpace - 1;
+    // Two packets of filler ops put the extreme packet's opBegin past
+    // 16 bits.
+    TenantLog log;
+    log.sid = MaxSid;
+    const auto addPacket = [&log](uint16_t op_count) {
+        PacketRecord pkt = makePacket(MaxSid, log.packets.size());
+        pkt.opBegin = static_cast<uint32_t>(log.ops.size());
+        pkt.opCount = op_count;
+        for (uint32_t i = 0; i < op_count; ++i)
+            log.ops.push_back({Top - (log.ops.size() + 1) * 0x1000,
+                               log.ops.size() % 2
+                                   ? mem::PageSize::Size2M
+                                   : mem::PageSize::Size4K,
+                               log.ops.size() % 3 != 0});
+        log.packets.push_back(pkt);
+        return &log.packets.back();
+    };
+    addPacket(UINT16_MAX);
+    addPacket(2);
+    PacketRecord &extreme = *addPacket(UINT16_MAX);
+    extreme.ringIova = Top - 0xff0;
+    extreme.dataIova = Top - 0x200000 + 0x1fffc0;
+    extreme.notifyIova = Top - 4;
+    extreme.wireBytes = UINT32_MAX;
+    extreme.dataHuge = true;
+    ASSERT_EQ(extreme.opBegin, uint32_t(UINT16_MAX) + 2);
+
+    const auto expectSame = [](const TenantLog &a, const TenantLog &b,
+                               bool with_pasid) {
+        ASSERT_EQ(a.packets.size(), b.packets.size());
+        for (size_t i = 0; i < a.packets.size(); ++i) {
+            SCOPED_TRACE(i);
+            const PacketRecord &x = a.packets[i];
+            const PacketRecord &y = b.packets[i];
+            EXPECT_EQ(x.ringIova, y.ringIova);
+            EXPECT_EQ(x.dataIova, y.dataIova);
+            EXPECT_EQ(x.notifyIova, y.notifyIova);
+            EXPECT_EQ(x.opBegin, y.opBegin);
+            EXPECT_EQ(x.wireBytes, y.wireBytes);
+            EXPECT_EQ(x.sid, y.sid);
+            if (with_pasid) {
+                EXPECT_EQ(x.pasid, y.pasid);
+            }
+            EXPECT_EQ(x.opCount, y.opCount);
+            EXPECT_EQ(x.dataHuge, y.dataHuge);
+        }
+        ASSERT_EQ(a.ops.size(), b.ops.size());
+        for (size_t i = 0; i < a.ops.size(); ++i) {
+            EXPECT_EQ(a.ops[i].pageBase, b.ops[i].pageBase) << i;
+            EXPECT_EQ(a.ops[i].size, b.ops[i].size) << i;
+            EXPECT_EQ(a.ops[i].isMap, b.ops[i].isMap) << i;
+        }
+    };
+
+    // The text log is one tenant's VF and carries no PASID.
+    std::stringstream text;
+    workload::writeTextLog(log, text);
+    const TenantLog from_text = workload::parseTextLog(text, "extreme");
+    EXPECT_EQ(from_text.sid, MaxSid);
+    expectSame(from_text, log, /*with_pasid=*/false);
+
+    extreme.pasid = UINT16_MAX;
+    HyperTrace trace;
+    trace.numTenants = SidSpace;
+    trace.seed = UINT64_MAX;
+    trace.packets = log.packets;
+    trace.ops = log.ops;
+    saveTrace(trace, _path.string());
+    const HyperTrace loaded = loadTrace(_path.string());
+    EXPECT_EQ(loaded.numTenants, SidSpace);
+    EXPECT_EQ(loaded.seed, UINT64_MAX);
+    TenantLog from_file;
+    from_file.packets = loaded.packets;
+    from_file.ops = loaded.ops;
+    expectSame(from_file, log, /*with_pasid=*/true);
 }
 
 TEST_F(TraceFileTest, TextDumpContainsPacketsAndOps)
