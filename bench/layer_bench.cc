@@ -3,7 +3,8 @@
  * Layer bench: times the simulator one layer at a time, in one binary.
  *
  *   kernel       the slab event kernel on synthetic schedule/fire
- *                and closure-size mixes
+ *                and closure-size mixes (random delays: the fallback
+ *                heap) and on hit_path's fixed delays (the lanes)
  *   probes       the 16-wide group-probe backends (util/simd.hh): the
  *                same FlatMap + SetAssocCache traffic through the
  *                build's vector backend and through the scalar
@@ -186,6 +187,52 @@ scheduleFire(uint64_t events, uint64_t &sink)
     return q.executed();
 }
 
+/**
+ * One chain of hit_path's fixed Table II hops: each event re-arms its
+ * chain after the 450 ns PCIe one-way (52%), the 2 ns DevTLB/IOTLB
+ * hit (30%), the 100 ns two-access chain (9%) or the 61.68 ns arrival
+ * slot (9%), the mix of hit_path's pushes, until `left` runs out.
+ */
+struct FixedHop
+{
+    sim::EventQueue *q;
+    Rng *rng;
+    uint64_t *left;
+    uint64_t *sink;
+
+    void
+    operator()() const
+    {
+        *sink += q->now();
+        if (*left == 0)
+            return;
+        --*left;
+        const uint64_t pick = rng->next() % 100;
+        const Tick delay = pick < 52   ? nsToTicks(450)
+                           : pick < 82 ? nsToTicks(2)
+                           : pick < 91 ? nsToTicks(100)
+                                       : nsToTicks(61.68);
+        q->scheduleAfter(delay, *this);
+    }
+};
+
+/**
+ * 48 chains of fixed hops in flight, as deep as hit_path's queue:
+ * every push lands in a delay lane. @return executed events
+ */
+uint64_t
+fixedDelays(uint64_t events, uint64_t &sink)
+{
+    constexpr uint64_t Chains = 48;
+    sim::EventQueue q;
+    Rng rng(0x9e3779b97f4a7c15ULL);
+    uint64_t left = events - Chains;
+    for (uint64_t c = 0; c < Chains; ++c)
+        q.schedule(c, FixedHop{&q, &rng, &left, &sink});
+    q.run();
+    return q.executed();
+}
+
 void
 runKernel(const Options &opts, JsonReport &report)
 {
@@ -221,6 +268,7 @@ runKernel(const Options &opts, JsonReport &report)
     mix("schedule_fire", scheduleFire<32>);
     mix("closure_8b", scheduleFire<8>);
     mix("closure_40b", scheduleFire<40>);
+    mix("fixed_delays", fixedDelays);
     // Depends on every callback having run: no dead-code wins.
     std::printf("checksum: %016llx\n", (unsigned long long)sink);
 }

@@ -13,8 +13,18 @@
  * free-list recycling. Every callback is a Storable closure — at
  * most CallbackInlineSize bytes, trivially copyable and trivially
  * destructible, which one static_assert enforces — stored inline
- * beside one invoke pointer. Ordering is a 4-ary index heap over
- * (tick, seq) keys; the heap moves 24-byte keys, never callbacks.
+ * beside one invoke pointer. Ordering moves 24-byte (tick, seq)
+ * keys, never callbacks, through two structures (DESIGN.md "Delay
+ * lanes"). A delay lane is a FIFO ring of the keys scheduled with
+ * one delay d: `now` never decreases, so `now + d` never decreases,
+ * and seq strictly increases, so a lane is sorted by construction
+ * and a push to it is an append. A small heap of the non-empty
+ * lanes, keyed by each lane's head, picks the earliest lane. Lanes
+ * are a direct-mapped table indexed by a hash of the delay; a delay
+ * whose slot names another delay (an empty slot takes a new delay
+ * on its second push), and every woken parked slot (its reserved
+ * seq is old), goes to a 4-ary fallback heap instead. Dispatch
+ * takes the earlier of the lane top and the heap top.
  *
  * Event fusion (DESIGN.md "Hit-path event fusion"): a component
  * sitting in tail position of an event callback may collapse its
@@ -32,7 +42,7 @@
  * Parked slots (DESIGN.md "Parked arrivals"): a periodic retry that
  * only some later event can satisfy — an arrival refused by a full
  * PTB — parks instead of re-arming. park() reserves the one seq the
- * re-arm would have taken and pushes nothing. Before any heap top is
+ * re-arm would have taken and pushes nothing. Before any key is
  * dispatched, and inside tryFuseAdvance() right after the hop's seq
  * is burned, the kernel catches up: each parked slot whose (tick,
  * seq) key orders first is billed to its owner as refused slots in
@@ -46,6 +56,7 @@
 #define HYPERSIO_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -182,11 +193,12 @@ class EventQueue
      * the caller must schedule exactly as before.
      *
      * Success requires fusion enabled, a run() in progress, and
-     * every pending event STRICTLY later than the hop's tick:
-     * a same-tick event refuses fusion even though the elided event
-     * would have ordered after it. Parked slots do not refuse: the
-     * ones the elided event would have followed are billed here, the
-     * tie slot included.
+     * every pending event STRICTLY later than the hop's tick: the
+     * earliest pending key is the earlier of the lane top and the
+     * fallback-heap top, and a same-tick one refuses fusion even
+     * though the elided event would have ordered after it. Parked
+     * slots do not refuse: the ones the elided event would have
+     * followed are billed here, the tie slot included.
      */
     bool
     tryFuseAdvance(Tick delay)
@@ -198,19 +210,22 @@ class EventQueue
                         "fused hop overflows Tick: now %llu + %llu",
                         (unsigned long long)_now,
                         (unsigned long long)delay);
+        if (_laneHeapSize != 0 && _laneHeap[0].when <= when)
+            return false;
         if (!_heap.empty() && _heap.front().when <= when)
             return false;
         ++_nextSeq; // the elided event's slot in the total order
         ++_fusedHops;
         if (_firstParkedAt <= when)
-            catchUp(HeapItem{when, _nextSeq, 0});
+            catchUp(Key{when, _nextSeq, 0, 0});
         _now = when;
         return true;
     }
 
     /**
      * Schedules `fn` to run at absolute tick `when` (>= now()).
-     * Same-tick events run in the order they were scheduled.
+     * Same-tick events run in the order they were scheduled. The key
+     * joins the lane of its delay, `when - now()`.
      */
     template <typename F>
     void
@@ -220,7 +235,8 @@ class EventQueue
                         "scheduling in the past: %llu < %llu",
                         (unsigned long long)when,
                         (unsigned long long)_now);
-        push(HeapItem{when, ++_nextSeq, 0}, std::forward<F>(fn));
+        const Key key{when, ++_nextSeq, store(std::forward<F>(fn)), 0};
+        pushLane(key, when - _now);
     }
 
     /** Schedules `fn` to run `delay` ticks from now. */
@@ -281,7 +297,12 @@ class EventQueue
         Parked &p = _parked[slot._id - 1];
         slot = ParkHandle();
         HYPERSIO_ASSERT(p.when >= _now, "woke a slot in the past");
-        push(p.key(), std::forward<F>(fn));
+        // The reserved seq is older than keys pushed since the park,
+        // so the key may order before a lane's tail: it takes the
+        // fallback heap.
+        Key key = p.key();
+        key.idx = store(std::forward<F>(fn));
+        heapPush(key);
         p.sink = nullptr;
         _firstParkedAt = MaxTick;
         for (const Parked &other : _parked) {
@@ -310,7 +331,7 @@ class EventQueue
   private:
     /**
      * One slab record: a Storable closure's bytes and the function
-     * that calls them. `when`/`seq` live in the heap key.
+     * that calls them. `when`/`seq` live in the key.
      */
     struct Record
     {
@@ -332,16 +353,21 @@ class EventQueue
         fn();
     }
 
-    /** One 4-ary-heap element: the full sort key plus record index. */
-    struct HeapItem
+    /**
+     * The full sort key plus record index. `lane` names the key's
+     * lane in the lane heap, and is unused elsewhere; it fills what
+     * would be padding.
+     */
+    struct Key
     {
         Tick when;
         uint64_t seq;
         uint32_t idx;
+        uint32_t lane;
     };
 
     static bool
-    before(const HeapItem &a, const HeapItem &b)
+    before(const Key &a, const Key &b)
     {
         if (a.when != b.when)
             return a.when < b.when;
@@ -357,16 +383,16 @@ class EventQueue
         /** Null while the entry is free. */
         ParkedSlotSink *sink = nullptr;
 
-        HeapItem key() const { return HeapItem{when, seq, 0}; }
+        Key key() const { return Key{when, seq, 0, 0}; }
     };
 
     /**
-     * Stores `fn` and pushes it under `key` (its idx is filled):
-     * the one path every scheduled closure takes.
+     * Stores `fn` in a slab record and returns its index: the one
+     * path every scheduled closure takes.
      */
     template <typename F>
-    void
-    push(HeapItem key, F &&fn)
+    uint32_t
+    store(F &&fn)
     {
         using T = std::decay_t<F>;
         static_assert(Storable<F>,
@@ -375,16 +401,17 @@ class EventQueue
                       "destructible: capture pointers, indices and POD "
                       "structs, never a type-erased function wrapper "
                       "or an owning object");
-        key.idx = allocRecord();
-        Record &rec = record(key.idx);
+        const uint32_t idx = allocRecord();
+        Record &rec = record(idx);
         ::new (static_cast<void *>(rec.buf)) T(std::forward<F>(fn));
         rec.invoke = &invokeAs<T>;
-        heapPush(key);
+        return idx;
     }
 
     /**
-     * Runs the heap top, after catching up the parked slots ahead of
-     * it. Returns false when the heap is empty. The slot recycles
+     * Runs the earliest key, the earlier of the lane top and the
+     * fallback-heap top, after catching up the parked slots ahead of
+     * it. Returns false when nothing is pending. The slot recycles
      * before the closure runs (callbacks routinely schedule new
      * events); invokeAs() copies the closure out first. Forced
      * inline: it is run()'s loop body, the kernel's hottest path.
@@ -392,7 +419,10 @@ class EventQueue
     [[gnu::always_inline]] bool
     dispatchNext()
     {
-        if (_heap.empty()) {
+        const bool from_lane =
+            _laneHeapSize != 0 &&
+            (_heap.empty() || before(_laneHeap[0], _heap.front()));
+        if (!from_lane && _heap.empty()) {
             HYPERSIO_ASSERT(_firstParkedAt == MaxTick,
                             "slot parked with nothing pending: no "
                             "event can end its refusals, so the retry "
@@ -400,12 +430,15 @@ class EventQueue
                             (unsigned long long)_now);
             return false;
         }
-        const HeapItem top = _heap.front();
+        const Key top = from_lane ? _laneHeap[0] : _heap.front();
         if (_firstParkedAt <= top.when)
             catchUp(top);
         HYPERSIO_ASSERT(top.when >= _now, "time went backwards");
         Record &rec = record(top.idx);
-        heapPopTop();
+        if (from_lane)
+            lanePopTop(top.lane);
+        else
+            heapPopTop();
         _free.push_back(top.idx);
         _now = top.when;
         ++_executed;
@@ -423,7 +456,7 @@ class EventQueue
      * with `bound` is ordered by its new seq on the next pass.
      */
     void
-    catchUp(const HeapItem &stop)
+    catchUp(const Key &stop)
     {
         for (;;) {
             Parked *first = nullptr;
@@ -476,8 +509,153 @@ class EventQueue
         return static_cast<uint32_t>(_slabSize++);
     }
 
+    /** Slots of the direct-mapped lane table (a power of two). */
+    static constexpr uint32_t LaneBits = 4;
+    static constexpr uint32_t LaneCount = uint32_t(1) << LaneBits;
+
+    /**
+     * One delay lane: a FIFO ring of the pending keys scheduled with
+     * `delay`, oldest at `head`, sorted by construction. An empty
+     * lane keeps its delay until a push of another delay that hashes
+     * to it names that delay instead (see pushLane()).
+     */
+    struct Lane
+    {
+        Tick delay = 0;
+        std::unique_ptr<Key[]> ring;
+        uint32_t capacity = 0; ///< 0 or a power of two
+        uint32_t head = 0;
+        uint32_t size = 0;
+
+        /** The i-th oldest pending key. */
+        Key &at(uint32_t i) { return ring[(head + i) & (capacity - 1)]; }
+    };
+
+    /** Fibonacci hash of a delay onto the lane table. */
+    static uint32_t
+    laneOf(Tick delay)
+    {
+        return static_cast<uint32_t>((delay * 0x9E3779B97F4A7C15ull) >>
+                                     (64 - LaneBits));
+    }
+
+    /**
+     * Queues `key`, scheduled `delay` ticks after now: appended to the
+     * lane of `delay`, or pushed on the fallback heap when the lane
+     * names another delay. A push that finds the lane empty and
+     * naming another delay renames it and still takes the heap, so a
+     * delay claims an empty lane the second time it hashes there:
+     * random delays (layer_bench's mixes) rarely take a lane they
+     * would hold for one key. Inlined into every schedule(): an
+     * append costs one hash, one compare and a store, and the rarer
+     * claim and growth are calls.
+     */
+    [[gnu::always_inline]] void
+    pushLane(const Key &key, Tick delay)
+    {
+        const uint32_t id = laneOf(delay);
+        Lane &lane = _lanes[id];
+        if (lane.delay != delay) {
+            if (lane.size == 0)
+                lane.delay = delay;
+            heapPush(key);
+        } else if (lane.size != 0) {
+            HYPERSIO_ASSERT(!before(key, lane.at(lane.size - 1)),
+                            "key (%llu, %llu) orders before the tail "
+                            "of its lane (delay %llu)",
+                            (unsigned long long)key.when,
+                            (unsigned long long)key.seq,
+                            (unsigned long long)delay);
+            laneAppend(lane, key);
+        } else {
+            claimLane(id, key);
+        }
+    }
+
+    /** Makes `key` the one key of the empty lane `id`. */
+    [[gnu::noinline]] void
+    claimLane(uint32_t id, Key key)
+    {
+        laneAppend(_lanes[id], key);
+        key.lane = id;
+        laneHeapPush(key);
+    }
+
+    static void
+    laneAppend(Lane &lane, const Key &key)
+    {
+        if (lane.size == lane.capacity)
+            growLane(lane);
+        lane.at(lane.size++) = key;
+    }
+
+    /** Doubles a full ring, unwrapping it so its head lands at 0. */
+    [[gnu::noinline]] static void
+    growLane(Lane &lane)
+    {
+        const uint32_t capacity = lane.capacity ? 2 * lane.capacity : 16;
+        auto ring = std::make_unique<Key[]>(capacity);
+        for (uint32_t i = 0; i < lane.size; ++i)
+            ring[i] = lane.at(i);
+        lane.ring = std::move(ring);
+        lane.capacity = capacity;
+        lane.head = 0;
+    }
+
+    /**
+     * Drops the lane top, the head of lane `id`: the lane's next head
+     * re-sifts in its place, or the lane leaves the lane heap.
+     */
     void
-    heapPush(HeapItem item)
+    lanePopTop(uint32_t id)
+    {
+        Lane &lane = _lanes[id];
+        lane.head = (lane.head + 1) & (lane.capacity - 1);
+        if (--lane.size != 0) {
+            Key next = lane.at(0);
+            next.lane = id;
+            laneHeapSiftDown(next);
+        } else {
+            laneHeapSiftDown(_laneHeap[--_laneHeapSize]);
+        }
+    }
+
+    void
+    laneHeapPush(const Key &key)
+    {
+        uint32_t i = _laneHeapSize++;
+        while (i > 0) {
+            const uint32_t parent = (i - 1) >> 1;
+            if (!before(key, _laneHeap[parent]))
+                break;
+            _laneHeap[i] = _laneHeap[parent];
+            i = parent;
+        }
+        _laneHeap[i] = key;
+    }
+
+    /** Places `key` at the lane heap's root and sifts it down. */
+    void
+    laneHeapSiftDown(const Key key)
+    {
+        uint32_t i = 0;
+        for (;;) {
+            uint32_t child = (i << 1) + 1;
+            if (child >= _laneHeapSize)
+                break;
+            if (child + 1 < _laneHeapSize &&
+                before(_laneHeap[child + 1], _laneHeap[child]))
+                ++child;
+            if (!before(_laneHeap[child], key))
+                break;
+            _laneHeap[i] = _laneHeap[child];
+            i = child;
+        }
+        _laneHeap[i] = key;
+    }
+
+    void
+    heapPush(const Key &item)
     {
         size_t i = _heap.size();
         _heap.push_back(item);
@@ -494,7 +672,7 @@ class EventQueue
     void
     heapPopTop()
     {
-        const HeapItem last = _heap.back();
+        const Key last = _heap.back();
         _heap.pop_back();
         const size_t n = _heap.size();
         if (n == 0)
@@ -520,7 +698,12 @@ class EventQueue
 
     std::vector<std::unique_ptr<Record[]>> _chunks;
     std::vector<uint32_t> _free;
-    std::vector<HeapItem> _heap;
+    /** Non-empty lanes, a binary heap of copies of their heads. */
+    std::array<Key, LaneCount> _laneHeap;
+    uint32_t _laneHeapSize = 0;
+    std::array<Lane, LaneCount> _lanes;
+    /** Keys no lane took: a 4-ary heap. */
+    std::vector<Key> _heap;
     size_t _slabSize = 0;
     Tick _now = 0;
     uint64_t _nextSeq = 0;

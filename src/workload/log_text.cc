@@ -47,6 +47,14 @@ parseHex(const std::string &text, const std::string &where,
 void
 writeTextLog(const trace::TenantLog &log, std::ostream &os)
 {
+    // One file is one VF: a PASID the format cannot carry would come
+    // back as 0 and merge the tenant's address spaces.
+    for (size_t i = 0; i < log.packets.size(); ++i) {
+        if (log.packets[i].pasid != 0)
+            fatal("text log of tenant %u: packet %zu has PASID %u, and "
+                  "the text format carries none",
+                  log.sid, i, unsigned(log.packets[i].pasid));
+    }
     os << "# HyperSIO tenant log\n";
     os << "tenant " << log.sid << "\n";
     for (const auto &pkt : log.packets) {

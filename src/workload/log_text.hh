@@ -29,7 +29,11 @@
 namespace hypersio::workload
 {
 
-/** Writes a tenant log in the textual format. */
+/**
+ * Writes a tenant log in the textual format. The format carries one
+ * VF per file and no PASID: a packet with a non-zero PASID is
+ * fatal(), naming the tenant and the packet index.
+ */
 void writeTextLog(const trace::TenantLog &log, std::ostream &os);
 
 /** Writes a tenant log to a file; fatal() on I/O errors. */

@@ -5,7 +5,10 @@
 #include <array>
 #include <deque>
 #include <functional>
+#include <map>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -219,15 +222,31 @@ TEST(EventQueueFusion, WarpsNowAndBurnsExactlyOneSeq)
     EXPECT_EQ(q.executed(), 1u); // only the real event counts
 }
 
+/** Counts the refusals billed to a parked slot. */
+struct CountingSink : ParkedSlotSink
+{
+    void slotsRefused(uint64_t n) override { refusals += n; }
+    uint64_t refusals = 0;
+};
+
 // Fusion would reorder execution if any pending event were due at or
 // before the hop's tick, so those cases must fall back — including
 // the exact-tie, where the elided event's later seq would still have
-// ordered it last. Strictly-later pending work is safe.
-TEST(EventQueueFusion, RefusesUnlessHeapTopStrictlyLater)
+// ordered it last. Strictly-later pending work is safe. The earliest
+// pending key may be a lane head or a fallback-heap key; here it is
+// a lane head, with a woken slot (a heap key) pending after it.
+TEST(EventQueueFusion, RefusesUnlessLaneTopStrictlyLater)
 {
     EventQueue q;
+    CountingSink sink;
+    ParkHandle slot;
     bool other_ran = false;
+    bool woken_ran = false;
     q.schedule(12, [&] { other_ran = true; });
+    q.schedule(1, [&] {
+        slot = q.park(29, sink); // reserves tick 30
+        q.wake(slot, [&] { woken_ran = true; });
+    });
     q.schedule(10, [&] {
         EXPECT_FALSE(q.tryFuseAdvance(3)); // 13 past the top (12)
         EXPECT_FALSE(q.tryFuseAdvance(2)); // 12 ties the top
@@ -236,7 +255,36 @@ TEST(EventQueueFusion, RefusesUnlessHeapTopStrictlyLater)
     });
     q.run();
     EXPECT_TRUE(other_ran);
+    EXPECT_TRUE(woken_ran);
     EXPECT_EQ(q.fusedHops(), 1u);
+    EXPECT_EQ(sink.refusals, 0u);
+}
+
+// The same admission test with the earliest pending key a woken
+// parked slot: its reserved seq is older than the keys pushed since,
+// so it waits in the fallback heap, and a lane head (tick 30) is
+// pending after it.
+TEST(EventQueueFusion, RefusesUnlessWokenSlotStrictlyLater)
+{
+    EventQueue q;
+    CountingSink sink;
+    ParkHandle slot;
+    bool other_ran = false;
+    bool woken_ran = false;
+    q.schedule(30, [&] { other_ran = true; });
+    q.schedule(1, [&] { slot = q.park(11, sink); }); // reserves 12
+    q.schedule(10, [&] {
+        q.wake(slot, [&] { woken_ran = true; });
+        EXPECT_FALSE(q.tryFuseAdvance(3)); // 13 past the top (12)
+        EXPECT_FALSE(q.tryFuseAdvance(2)); // 12 ties the top
+        EXPECT_TRUE(q.tryFuseAdvance(1));  // 11 strictly earlier
+        EXPECT_EQ(q.now(), 11u);
+    });
+    q.run();
+    EXPECT_TRUE(other_ran);
+    EXPECT_TRUE(woken_ran);
+    EXPECT_EQ(q.fusedHops(), 1u);
+    EXPECT_EQ(sink.refusals, 0u);
 }
 
 TEST(EventQueueFusion, RuntimeKnobDisablesAndReenables)
@@ -590,6 +638,368 @@ TEST(EventQueueFastForwardDeathTest, RefusalWithNothingPendingPanics)
             q.run();
         },
         "nothing pending");
+}
+
+// ---- Delay lanes -------------------------------------------------------
+
+// A lane ring that fills while its head is mid-ring grows and keeps
+// its FIFO order: the last of 101 keys of one delay pushes 1000 more
+// of it, so the ring's head sits where the first 101 left it and its
+// tail wraps past the head before the ring grows.
+TEST(EventQueueLanes, RingGrowsWhileItsHeadIsMidRing)
+{
+    EventQueue q;
+    std::vector<int> order;
+    int next_id = 0;
+    auto push = [&](int count) {
+        for (int i = 0; i < count; ++i) {
+            const int id = next_id++;
+            q.scheduleAfter(10, [&order, id] { order.push_back(id); });
+        }
+    };
+    push(100);
+    q.scheduleAfter(10, [&] {
+        order.push_back(-1);
+        push(1000);
+    });
+    q.run();
+    std::vector<int> expected;
+    for (int id = 0; id < 100; ++id)
+        expected.push_back(id);
+    expected.push_back(-1);
+    for (int id = 100; id < 1100; ++id)
+        expected.push_back(id);
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(q.now(), 20u);
+}
+
+/**
+ * The reference kernel: every pending key in one ordered map, with
+ * no lanes, no heap and no catch-up. A parked slot is a real entry
+ * that bills one refusal and re-arms itself (the event-per-slot
+ * schedule) without counting as executed or moving now(); wake()
+ * turns it into an event at its key.
+ */
+class ReferenceQueue
+{
+  public:
+    /** 1 + the parked slot's index; 0 names none. */
+    using Handle = uint32_t;
+
+    Tick now() const { return _now; }
+    uint64_t executed() const { return _executed; }
+    uint64_t scheduledSeq() const { return _nextSeq; }
+    uint64_t fusedHops() const { return _fusedHops; }
+    void setFusionEnabled(bool on) { _fusionEnabled = on; }
+
+    void
+    schedule(Tick when, std::function<void()> fn)
+    {
+        _pending[{when, ++_nextSeq}] = Entry{std::move(fn), 0};
+    }
+
+    void
+    scheduleAfter(Tick delay, std::function<void()> fn)
+    {
+        schedule(_now + delay, std::move(fn));
+    }
+
+    Handle
+    park(Tick gap, ParkedSlotSink &sink)
+    {
+        const Key key{_now + gap, ++_nextSeq};
+        _slots.push_back(Slot{key, gap, &sink});
+        _pending[key] = Entry{nullptr, static_cast<Handle>(_slots.size())};
+        ++_parked;
+        return static_cast<Handle>(_slots.size());
+    }
+
+    void
+    wake(Handle &slot, std::function<void()> fn)
+    {
+        ASSERT_NE(slot, 0u);
+        _pending[_slots[slot - 1].key] = Entry{std::move(fn), 0};
+        slot = 0;
+        --_parked;
+    }
+
+    bool
+    tryFuseAdvance(Tick delay)
+    {
+        if (!_fusionEnabled || !_inRun)
+            return false;
+        const Tick when = _now + delay;
+        for (const auto &[key, entry] : _pending) {
+            if (entry.slot == 0) {
+                if (key.first <= when)
+                    return false;
+                break;
+            }
+        }
+        const Key stop{when, ++_nextSeq};
+        ++_fusedHops;
+        while (!_pending.empty() && _pending.begin()->first < stop)
+            refuseFirst();
+        _now = when;
+        return true;
+    }
+
+    void
+    run()
+    {
+        _inRun = true;
+        while (!_pending.empty()) {
+            if (_pending.begin()->second.slot != 0) {
+                if (_parked == _pending.size()) {
+                    ADD_FAILURE() << "a parked slot with nothing pending";
+                    break;
+                }
+                refuseFirst();
+                continue;
+            }
+            auto first = _pending.begin();
+            const std::function<void()> fn = std::move(first->second.fn);
+            _now = first->first.first;
+            _pending.erase(first);
+            ++_executed;
+            fn();
+        }
+        _inRun = false;
+    }
+
+  private:
+    using Key = std::pair<Tick, uint64_t>;
+
+    /** An event, or (slot != 0) a parked slot's next refusal. */
+    struct Entry
+    {
+        std::function<void()> fn;
+        Handle slot;
+    };
+
+    struct Slot
+    {
+        Key key;
+        Tick gap;
+        ParkedSlotSink *sink;
+    };
+
+    /** Bills the first entry, a parked slot, one refusal and re-arms
+     *  it at its next slot tick with the next seq. */
+    void
+    refuseFirst()
+    {
+        auto first = _pending.begin();
+        Slot &slot = _slots[first->second.slot - 1];
+        Entry entry = std::move(first->second);
+        _pending.erase(first);
+        slot.key = Key{slot.key.first + slot.gap, ++_nextSeq};
+        slot.sink->slotsRefused(1);
+        _pending[slot.key] = std::move(entry);
+    }
+
+    std::map<Key, Entry> _pending;
+    std::vector<Slot> _slots;
+    size_t _parked = 0;
+    Tick _now = 0;
+    uint64_t _nextSeq = 0;
+    uint64_t _executed = 0;
+    uint64_t _fusedHops = 0;
+    bool _inRun = false;
+    bool _fusionEnabled = true;
+};
+
+/** Delays drawn by weight. */
+struct DelayMix
+{
+    std::vector<std::pair<Tick, unsigned>> weighted;
+
+    Tick
+    draw(uint64_t r) const
+    {
+        unsigned total = 0;
+        for (const auto &w : weighted)
+            total += w.second;
+        unsigned pick = static_cast<unsigned>(r % total);
+        for (const auto &[delay, weight] : weighted) {
+            if (pick < weight)
+                return delay;
+            pick -= weight;
+        }
+        return weighted.back().first;
+    }
+};
+
+/**
+ * What a random schedule made of the 450 ns PCIe hop, the 2 ns hit,
+ * the 100 ns access chain and the 61.68 ns slot, as hit_path pushes
+ * them (52/30/9/9%).
+ */
+DelayMix
+e2eMix()
+{
+    return DelayMix{{{450000, 52}, {2000, 30}, {100000, 9}, {61680, 9}}};
+}
+
+/**
+ * The e2e mix plus zero delays and 40 more distinct delays: more
+ * delays than the lane table has slots, so some share a slot
+ * whatever the hash, and pushes take the fallback heap.
+ */
+DelayMix
+collidingMix()
+{
+    DelayMix mix = e2eMix();
+    mix.weighted.push_back({0, 5});
+    for (Tick d = 1; d <= 40; ++d)
+        mix.weighted.push_back({d * 977 + (d % 3) * 61680, 2});
+    return mix;
+}
+
+/** One refusal loop of a random schedule. */
+template <typename Handle>
+struct Loop : CountingSink
+{
+    bool parked = false;
+    Handle handle{};
+};
+
+/**
+ * A seeded random schedule, driven the same way through either
+ * kernel: events spawn events over `mix`, end in a fused hop or its
+ * fallback event, schedule at absolute ticks, and park retry loops
+ * that a later event wakes. Every event records (now, seq, executed,
+ * fused hops, refusals) as it runs; two kernels that agree on every
+ * row ran the same schedule.
+ */
+template <typename Q>
+class RandomSchedule
+{
+  public:
+    using Handle = decltype(std::declval<Q &>().park(1, std::declval<
+                                                         ParkedSlotSink &>()));
+
+    RandomSchedule(Q &q, uint64_t seed, const DelayMix &mix,
+                   uint64_t budget)
+        : _q(q), _state(seed * 0x9E3779B97F4A7C15ull | 1), _mix(mix),
+          _budget(budget)
+    {}
+
+    std::vector<std::array<uint64_t, 7>>
+    run(unsigned initial)
+    {
+        for (unsigned i = 0; i < initial; ++i) {
+            if (next() % 2)
+                _q.scheduleAfter(delay(), [this] { body(0); });
+            else
+                _q.schedule(next() % 500000, [this] { body(0); });
+        }
+        _q.run();
+        observe();
+        return _rows;
+    }
+
+  private:
+    uint64_t
+    next()
+    {
+        _state ^= _state >> 12;
+        _state ^= _state << 25;
+        _state ^= _state >> 27;
+        return (_state * 0x2545f4914f6cdd1dULL) >> 11;
+    }
+
+    Tick delay() { return _mix.draw(next()); }
+
+    void
+    observe()
+    {
+        _rows.push_back({_q.now(), _q.scheduledSeq(), _q.executed(),
+                         _q.fusedHops(), _loops[0].refusals,
+                         _loops[1].refusals, _rows.size()});
+    }
+
+    void
+    body(unsigned depth)
+    {
+        observe();
+        if (_budget == 0)
+            return;
+        --_budget;
+        for (uint64_t n = next() % 3; n > 0; --n)
+            _q.scheduleAfter(delay(), [this] { body(0); });
+        if (next() % 8 == 0)
+            _q.schedule(_q.now() + delay(), [this] { body(0); });
+        Loop<Handle> &loop = _loops[next() % 2];
+        if (!loop.parked && next() % 16 == 0) {
+            constexpr Tick Gaps[] = {997, 7000, 61680};
+            loop.parked = true;
+            loop.handle = _q.park(Gaps[next() % 3], loop);
+            // The event that ends the refusals.
+            _q.scheduleAfter(delay() + next() % 300000, [this, &loop] {
+                loop.parked = false;
+                _q.wake(loop.handle, [this] { body(0); });
+                observe();
+            });
+        }
+        if (next() % 3 == 0)
+            return;
+        // Tail position: fuse the last hop, or fall back to its event.
+        // Half the hops are the 2 ns hit, the one that fuses most.
+        const Tick d = next() % 2 ? delay() : 2000;
+        if (depth < 8 && _q.tryFuseAdvance(d)) {
+            body(depth + 1);
+            return;
+        }
+        _q.scheduleAfter(d, [this] { body(0); });
+    }
+
+    Q &_q;
+    uint64_t _state;
+    const DelayMix &_mix;
+    uint64_t _budget;
+    std::array<Loop<Handle>, 2> _loops;
+    std::vector<std::array<uint64_t, 7>> _rows;
+};
+
+// Seeded random schedules run through the kernel and through a
+// reference that keeps every key in one ordered map: both must
+// execute the same events in the same order, at the same ticks, with
+// the same seq ledger, dispatch and fused-hop counts and the same
+// refusals billed. The mixes take the lane path (the e2e delays),
+// the fallback heap (more delays than lanes, zero delays, absolute
+// ticks, woken slots) and both at once.
+TEST(EventQueueLanes, MatchesReferenceOnRandomSchedules)
+{
+    const DelayMix mixes[] = {e2eMix(), collidingMix()};
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+        for (const DelayMix &mix : mixes) {
+            const bool fusion = seed % 4 != 0;
+            SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                         std::to_string(mix.weighted.size()) +
+                         " delays, fusion " + (fusion ? "on" : "off"));
+            EventQueue q;
+            ReferenceQueue ref;
+            q.setFusionEnabled(fusion);
+            ref.setFusionEnabled(fusion);
+            // 4 to 64 events in flight: a shallow queue fuses more.
+            const unsigned depth = 4 << (seed % 5);
+            const auto got =
+                RandomSchedule<EventQueue>(q, seed, mix, 3000).run(depth);
+            const auto want =
+                RandomSchedule<ReferenceQueue>(ref, seed, mix, 3000)
+                    .run(depth);
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t i = 0; i < got.size(); ++i)
+                ASSERT_EQ(got[i], want[i]) << "row " << i;
+            EXPECT_EQ(q.scheduledSeq(), ref.scheduledSeq());
+            EXPECT_EQ(q.executed(), ref.executed());
+            EXPECT_EQ(q.fusedHops(), ref.fusedHops());
+            if (fusion) {
+                EXPECT_GT(q.fusedHops(), 0u);
+            }
+        }
+    }
 }
 
 } // namespace

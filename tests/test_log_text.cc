@@ -147,5 +147,32 @@ TEST(LogTextDeathTest, ValuesThatDoNotFitAreFatal)
     }
 }
 
+// The format carries one VF per file and no PASID, so the writer
+// refuses a packet with one rather than let it come back as 0.
+TEST(LogTextDeathTest, WriterRefusesANonZeroPasid)
+{
+    trace::TenantLog log;
+    log.sid = 7;
+    for (uint16_t i = 0; i < 3; ++i) {
+        trace::PacketRecord pkt;
+        pkt.sid = 7;
+        pkt.ringIova = 0x1000;
+        pkt.dataIova = 0x2000;
+        pkt.notifyIova = 0x3000;
+        log.packets.push_back(pkt);
+    }
+    std::ostringstream ok;
+    writeTextLog(log, ok);
+    log.packets[2].pasid = 5;
+    EXPECT_EXIT(
+        {
+            std::ostringstream out;
+            writeTextLog(log, out);
+        },
+        ::testing::ExitedWithCode(1),
+        "fatal: text log of tenant 7: packet 2 has PASID 5, and the "
+        "text format carries none");
+}
+
 } // namespace
 } // namespace hypersio::workload
