@@ -9,22 +9,25 @@
  *                same FlatMap + SetAssocCache traffic through the
  *                build's vector backend and through the scalar
  *                reference, instantiated side by side
- *   translation  adversarial hyper-traces through the full System,
- *                through a functional replay of the translation
- *                structures without the event kernel, and through a
- *                TLB-less walk storm that lands every probe on the
- *                page-table maps
- *   fusion       hit/chipset/walk storms with hit-path event fusion
- *                on and off (SystemConfig::eventFusion)
+ *   translation  adversarial hyper-traces through the full System
+ *                (HyperTRIO): per-structure lookups, walks and drops
+ *                of the real path, no hand-written copy of it
+ *   fusion       hit/chipset/walk storms through the full System
+ *                with hit-path event fusion on and off
+ *                (SystemConfig::eventFusion)
  *   workload     trace generation, materialized (generateLogs +
  *                constructTrace) against the lazy SpliceStream
  *
- * Every A/B leg runs inside this binary and must produce identical
+ * Every full-System leg goes through one timed helper (timeSystem),
+ * whose reps must repeat their RunResults and stat-tree bytes. Every
+ * A/B leg runs inside this binary and must produce identical
  * deterministic results before a ratio is reported: the probe
  * backends identical hit/miss counts, the fusion legs identical
  * RunResults, stat-tree bytes and sequence ledgers, the two trace
  * generators the identical packet stream. Rates are best-of-reps
- * (rate noise is one-sided: background load only slows a rep).
+ * (rate noise is one-sided: background load only slows a rep). To
+ * split the translation layer's time by simulator class, sample it:
+ *   scripts/profile.sh layer_bench --layer translation
  *
  * Usage:
  *   layer_bench [--layer NAME]... [--reps N] [--smoke] [--json FILE]
@@ -82,8 +85,13 @@ usage(const char *argv0, int code)
         "[--json FILE]\n"
         "  --layer NAME  run only this layer (repeatable; default "
         "all):\n"
-        "                kernel, probes, translation, fusion, "
-        "workload\n"
+        "                kernel       event kernel mixes\n"
+        "                probes       vector vs scalar group probes\n"
+        "                translation  full System, adversarial "
+        "traces\n"
+        "                fusion       full System, fusion on vs off\n"
+        "                workload     constructTrace vs "
+        "SpliceStream\n"
         "  --reps N      timed repetitions, best wall counts "
         "(default 3)\n"
         "  --smoke       small inputs, one rep (ctest)\n"
@@ -565,259 +573,47 @@ runProbes(const Options &opts, JsonReport &report)
 }
 
 // ---------------------------------------------------------------
-// translation: full System, functional replay, walk storm.
+// translation: the full System over adversarial hyper-traces.
 // ---------------------------------------------------------------
 
-/**
- * Functional replay: the translation path's structure traffic with
- * the event kernel stripped away. It drives the real structures
- * (SetAssocCache DevTLB/IOTLB/L2/L3, the PrefetchUnit with its SID
- * predictor, the PageTableDirectory) through the trace synchronously:
- * per packet, apply the page ops, train the predictor, run one
- * predictor-driven prefetch fill, and translate ring + data + notify
- * through DevTLB -> PB -> IOTLB -> L2/L3 -> walk, filling on miss.
- */
-class FunctionalPath
-{
-  public:
-    explicit FunctionalPath(const core::SystemConfig &cfg)
-        : _devtlb(cfg.device.devtlb),
-          _devtlbPartitions(
-              static_cast<uint32_t>(cfg.device.devtlb.partitions)),
-          _iotlb(cfg.iommu.iotlb), _l2(cfg.iommu.l2tlb),
-          _l3(cfg.iommu.l3tlb), _prefetch(cfg.device.prefetch),
-          _tables(cfg.seed)
-    {}
-
-    void
-    replay(const trace::HyperTrace &trace)
-    {
-        for (const auto &pkt : trace.packets) {
-            applyOps(trace, pkt);
-            _prefetch.observePacket(pkt.sid);
-            prefetchFor(pkt.sid);
-            forEachRequest(pkt, [&](mem::Iova iova,
-                                    mem::PageSize size) {
-                translate(pkt.sid, iova, size);
-            });
-        }
-    }
-
-    uint64_t translations() const { return _translations; }
-    uint64_t walks() const { return _walks; }
-
-    uint64_t
-    lookups() const
-    {
-        return _devtlb.stats().lookups +
-               _prefetch.bufferStats().lookups +
-               _iotlb.stats().lookups + _l2.stats().lookups +
-               _l3.stats().lookups;
-    }
-
-  private:
-    uint32_t
-    partitionOf(trace::SourceId sid) const
-    {
-        return static_cast<uint32_t>(sid) % _devtlbPartitions;
-    }
-
-    void
-    applyOps(const trace::HyperTrace &trace,
-             const trace::PacketRecord &pkt)
-    {
-        for (uint16_t i = 0; i < pkt.opCount; ++i) {
-            const trace::PageOp &op = trace.ops[pkt.opBegin + i];
-            mem::PageTable &table = _tables.get(pkt.sid);
-            if (op.isMap) {
-                table.map(op.pageBase, op.size);
-                continue;
-            }
-            table.unmap(op.pageBase);
-            const uint64_t key =
-                iommu::translationKey(pkt.sid, op.pageBase, op.size);
-            const uint64_t index =
-                iommu::translationIndex(op.pageBase, op.size);
-            _devtlb.invalidate(key, index, partitionOf(pkt.sid));
-            _iotlb.invalidate(key, index);
-            _prefetch.invalidate(pkt.sid, op.pageBase, op.size);
-        }
-    }
-
-    /** One Prefetch Buffer fill for the predicted next tenant. */
-    void
-    prefetchFor(trace::SourceId sid)
-    {
-        const auto predicted = _prefetch.predict(sid);
-        if (!predicted)
-            return;
-        const uint64_t *last = _lastIova.find(*predicted);
-        if (!last)
-            return;
-        const mem::Iova iova = *last & ~uint64_t{1};
-        const mem::PageSize size = (*last & 1) ? mem::PageSize::Size2M
-                                               : mem::PageSize::Size4K;
-        const mem::Translation tr =
-            _tables.get(*predicted).translate(iova);
-        if (tr.valid)
-            _prefetch.fill(*predicted, iova, size, tr.hostAddr);
-    }
-
-    void
-    translate(trace::SourceId sid, mem::Iova iova, mem::PageSize size)
-    {
-        const mem::DomainId did = sid;
-        ++_translations;
-        _lastIova[did] = iova | (size == mem::PageSize::Size2M ? 1 : 0);
-        const uint64_t key = iommu::translationKey(did, iova, size);
-        const uint64_t index = iommu::translationIndex(iova, size);
-        const uint32_t part = partitionOf(sid);
-        if (_devtlb.lookup(key, index, part))
-            return;
-        mem::Addr host = 0;
-        if (_prefetch.lookup(did, iova, size, host)) {
-            _devtlb.insert(key, index, host, part);
-            return;
-        }
-        if (const mem::Addr *h = _iotlb.lookup(key, index)) {
-            _devtlb.insert(key, index, *h, part);
-            return;
-        }
-        // Paging-structure caches cover the upper walk levels; key
-        // on the page-directory range of the gIOVA.
-        const uint64_t l2_key = iommu::translationKey(did, iova >> 9, size);
-        const uint64_t l2_index = iommu::translationIndex(iova >> 9, size);
-        const bool l2_hit = _l2.lookup(l2_key, l2_index) != nullptr;
-        const uint64_t l3_key =
-            iommu::translationKey(did, iova >> 18, size);
-        const uint64_t l3_index =
-            iommu::translationIndex(iova >> 18, size);
-        const bool l3_hit =
-            l2_hit || _l3.lookup(l3_key, l3_index) != nullptr;
-        ++_walks;
-        mem::PageTable &table = _tables.get(did);
-        mem::Translation tr = table.translate(iova);
-        if (!tr.valid) {
-            // A replayed unmap can race a later packet; map on demand
-            // like the timed model's walk path does.
-            table.map(iova, size);
-            tr = table.translate(iova);
-        }
-        if (!l3_hit)
-            _l3.insert(l3_key, l3_index, tr.hostAddr);
-        if (!l2_hit)
-            _l2.insert(l2_key, l2_index, tr.hostAddr);
-        _iotlb.insert(key, index, tr.hostAddr);
-        _devtlb.insert(key, index, tr.hostAddr, part);
-    }
-
-    cache::SetAssocCache<mem::Addr> _devtlb;
-    uint32_t _devtlbPartitions;
-    cache::SetAssocCache<mem::Addr> _iotlb;
-    cache::SetAssocCache<mem::Addr> _l2;
-    cache::SetAssocCache<mem::Addr> _l3;
-    core::PrefetchUnit _prefetch;
-    iommu::PageTableDirectory _tables;
-    util::FlatMap<mem::DomainId, uint64_t> _lastIova;
-    uint64_t _translations = 0;
-    uint64_t _walks = 0;
-};
-
-/**
- * Walk storm: the window schedule with no TLBs at all, so every
- * probe lands on the page-table directory, the per-domain page
- * tables (churned by the trace's map/unmap ops), the SID-predictor
- * table, and a per-tenant history map.
- */
-class WalkStorm
-{
-  public:
-    explicit WalkStorm(const core::SystemConfig &cfg)
-        : _predictor(cfg.device.prefetch.historyLength),
-          _tables(cfg.seed)
-    {}
-
-    void
-    replay(const std::vector<Window> &schedule)
-    {
-        for (const Window &win : schedule) {
-            for (const trace::PacketRecord &pkt : win.packets) {
-                const mem::DomainId did = pkt.sid;
-                for (uint16_t o = 0; o < pkt.opCount; ++o) {
-                    const trace::PageOp &op = win.ops[pkt.opBegin + o];
-                    mem::PageTable &table = _tables.get(did);
-                    if (op.isMap)
-                        table.map(op.pageBase, op.size);
-                    else
-                        table.unmap(op.pageBase);
-                }
-                _predictor.train(pkt.sid);
-                if (const auto next = _predictor.predict(pkt.sid))
-                    _history[*next] ^= pkt.ringIova;
-                _history[did] += 1;
-                forEachRequest(pkt, [&](mem::Iova iova,
-                                        mem::PageSize size) {
-                    walk(did, iova, size);
-                });
-            }
-            for (const mem::DomainId did : win.tenants) {
-                _detaches += _tables.erase(did);
-                _history.erase(did);
-            }
-        }
-    }
-
-    uint64_t walks() const { return _walks; }
-    uint64_t mapped() const { return _mapped; }
-    uint64_t detaches() const { return _detaches; }
-
-  private:
-    void
-    walk(mem::DomainId did, mem::Iova iova, mem::PageSize size)
-    {
-        ++_walks;
-        mem::PageTable &table = _tables.get(did);
-        mem::Translation tr = table.translate(iova);
-        if (!tr.valid) {
-            table.map(iova, size);
-            tr = table.translate(iova);
-        }
-        _mapped += tr.valid;
-    }
-
-    core::SidPredictor _predictor;
-    iommu::PageTableDirectory _tables;
-    util::FlatMap<mem::DomainId, uint64_t> _history;
-    uint64_t _walks = 0;
-    uint64_t _mapped = 0;
-    uint64_t _detaches = 0;
-};
-
-/** A timed System::run: best wall, results, structure lookups. */
+/** A timed System::run: best wall, and what every rep must repeat. */
 struct SystemRun
 {
     double wall = 0.0;
     core::RunResults results;
+    std::string statsBytes;
+    uint64_t executed = 0, fusedHops = 0, scheduledSeq = 0;
     uint64_t devtlb = 0, pb = 0, context = 0, iotlb = 0, l2 = 0, l3 = 0;
 };
 
-/** One System::run per rep; results must not drift across reps. */
+/**
+ * One System::run per rep; the results, the stat tree and the event
+ * ledger must not drift across reps.
+ */
 SystemRun
-timeSystemRun(unsigned reps, const core::SystemConfig &cfg,
-              const trace::HyperTrace &trace)
+timeSystem(unsigned reps, const core::SystemConfig &cfg,
+           const trace::HyperTrace &trace)
 {
     SystemRun run;
     run.wall = bestWall(reps, [&](unsigned rep) {
         core::System system(cfg);
         core::RunResults r;
         const double w = wallOf([&] { r = system.run(trace); });
+        std::ostringstream stats;
+        system.dumpStats(stats);
         HYPERSIO_ASSERT(r.packetsProcessed == trace.packets.size(),
                         "run processed %llu of %zu packets",
                         (unsigned long long)r.packetsProcessed,
                         trace.packets.size());
-        HYPERSIO_ASSERT(rep == 0 || r == run.results,
+        HYPERSIO_ASSERT(rep == 0 || (r == run.results &&
+                                     stats.str() == run.statsBytes),
                         "run results drifted across reps");
         run.results = r;
+        run.statsBytes = stats.str();
+        const sim::EventQueue &events = system.eventQueue();
+        run.executed = events.executed();
+        run.fusedHops = events.fusedHops();
+        run.scheduledSeq = events.scheduledSeq();
         const cache::CacheStats *pb =
             system.device().prefetchBufferStats();
         run.devtlb = system.device().devtlbStats().lookups;
@@ -836,66 +632,22 @@ runTranslation(const Options &opts, JsonReport &report)
 {
     std::printf("\n[translation] HyperTRIO over adversarial "
                 "hyper-traces\n");
-    std::printf("%-16s %12s %12s %12s %10s %10s %10s\n", "pattern",
-                "system pkt/s", "struct pkt/s", "walk pkt/s", "walks",
-                "iotlb", "drops");
+    std::printf("%-16s %12s %10s %10s %10s\n", "pattern",
+                "system pkt/s", "walks", "iotlb", "drops");
 
     uint64_t packets = 0;
     double sys_wall = 0.0;
-    double fn_wall = 0.0;
-    double ws_wall = 0.0;
     for (const auto pattern : Patterns) {
         const trace::HyperTrace trace = adversarialTrace(opts, pattern);
         const uint64_t n = trace.packets.size();
-        const core::SystemConfig cfg = core::SystemConfig::hypertrio();
-
-        // Full system: every layer, event kernel included.
-        const SystemRun sys = timeSystemRun(opts.reps, cfg, trace);
-
-        // Functional replay: the structures without the kernel.
-        uint64_t fn_walks = 0;
-        uint64_t fn_lookups = 0;
-        const double fwall = bestWall(opts.reps, [&](unsigned rep) {
-            FunctionalPath path(cfg);
-            const double w = wallOf([&] { path.replay(trace); });
-            HYPERSIO_ASSERT(path.translations() == n * 3,
-                            "functional replay translated %llu of "
-                            "%llu requests",
-                            (unsigned long long)path.translations(),
-                            (unsigned long long)(n * 3));
-            HYPERSIO_ASSERT(rep == 0 || path.walks() == fn_walks,
-                            "functional replay drifted across reps");
-            fn_walks = path.walks();
-            fn_lookups = path.lookups();
-            return w;
-        });
-
-        // Walk storm: the page-table maps alone, under tenant churn.
-        const std::vector<Window> schedule = windowSchedule(trace);
-        uint64_t ws_mapped = 0;
-        uint64_t ws_detaches = 0;
-        const double wwall = bestWall(opts.reps, [&](unsigned rep) {
-            WalkStorm storm(cfg);
-            const double w = wallOf([&] { storm.replay(schedule); });
-            HYPERSIO_ASSERT(storm.walks() == n * 3,
-                            "walk storm performed %llu of %llu walks",
-                            (unsigned long long)storm.walks(),
-                            (unsigned long long)(n * 3));
-            HYPERSIO_ASSERT(rep == 0 || (storm.mapped() == ws_mapped &&
-                                         storm.detaches() == ws_detaches),
-                            "walk storm drifted across reps");
-            ws_mapped = storm.mapped();
-            ws_detaches = storm.detaches();
-            return w;
-        });
+        const SystemRun sys = timeSystem(
+            opts.reps, core::SystemConfig::hypertrio(), trace);
 
         const std::string name =
             workload::adversarialPatternName(pattern);
         const double pps = bench::perSecond(n, sys.wall);
-        const double fn_pps = bench::perSecond(n, fwall);
-        const double ws_pps = bench::perSecond(n, wwall);
-        std::printf("%-16s %12.0f %12.0f %12.0f %10llu %10llu %10llu\n",
-                    name.c_str(), pps, fn_pps, ws_pps,
+        std::printf("%-16s %12.0f %10llu %10llu %10llu\n",
+                    name.c_str(), pps,
                     (unsigned long long)sys.results.walks,
                     (unsigned long long)sys.iotlb,
                     (unsigned long long)sys.results.packetsDropped);
@@ -916,31 +668,14 @@ runTranslation(const Options &opts, JsonReport &report)
                          count(sys.results.packetsDropped));
         report.addScalar(p + "iommu_requests",
                          count(sys.results.iommuRequests));
-        report.addScalar(p + "functional_packets_per_sec", fn_pps);
-        report.addScalar(p + "functional_translations", count(n * 3));
-        report.addScalar(p + "functional_walks", count(fn_walks));
-        report.addScalar(p + "functional_probe_lookups",
-                         count(fn_lookups));
-        report.addScalar(p + "walkstorm_packets_per_sec", ws_pps);
-        report.addScalar(p + "walkstorm_walks", count(n * 3));
-        report.addScalar(p + "walkstorm_mapped_walks", count(ws_mapped));
-        report.addScalar(p + "walkstorm_detaches", count(ws_detaches));
         packets += n;
         sys_wall += sys.wall;
-        fn_wall += fwall;
-        ws_wall += wwall;
     }
 
     const double pps = bench::perSecond(packets, sys_wall);
-    const double fn_pps = bench::perSecond(packets, fn_wall);
-    const double ws_pps = bench::perSecond(packets, ws_wall);
-    std::printf("translation total: %.0f (system) %.0f (structures) "
-                "%.0f (walk storm) packets/s\n",
-                pps, fn_pps, ws_pps);
+    std::printf("translation total: %.0f packets/s\n", pps);
     report.addScalar("total_packets", count(packets));
     report.addScalar("total_packets_per_sec", pps);
-    report.addScalar("total_functional_packets_per_sec", fn_pps);
-    report.addScalar("total_walkstorm_packets_per_sec", ws_pps);
 }
 
 // ---------------------------------------------------------------
@@ -1054,41 +789,6 @@ makeWalkStorm(unsigned tenants, uint64_t packets)
     return storm.take();
 }
 
-/** One measured leg of one storm. */
-struct StormRun
-{
-    core::RunResults results;
-    std::string statsBytes;
-    uint64_t fusedHops = 0;
-    uint64_t dispatched = 0;
-    uint64_t scheduledSeq = 0;
-    double wall = 0.0;
-};
-
-StormRun
-runStorm(unsigned reps, const core::SystemConfig &config,
-         const trace::HyperTrace &trace)
-{
-    StormRun run;
-    run.wall = bestWall(reps, [&](unsigned rep) {
-        core::System system(config);
-        core::RunResults results;
-        const double w = wallOf([&] { results = system.run(trace); });
-        std::ostringstream stats;
-        system.dumpStats(stats);
-        HYPERSIO_ASSERT(rep == 0 || (results == run.results &&
-                                     stats.str() == run.statsBytes),
-                        "storm results drifted across reps");
-        run.results = results;
-        run.statsBytes = stats.str();
-        run.fusedHops = system.eventQueue().fusedHops();
-        run.dispatched = system.eventQueue().executed();
-        run.scheduledSeq = system.eventQueue().scheduledSeq();
-        return w;
-    });
-    return run;
-}
-
 void
 runFusion(const Options &opts, JsonReport &report)
 {
@@ -1127,14 +827,10 @@ runFusion(const Options &opts, JsonReport &report)
         config.device.ptbEntries = 32;
         config.link.gbps = spec.gbps;
         config.eventFusion = true;
-        const StormRun fused = runStorm(opts.reps, config, trace);
+        const SystemRun fused = timeSystem(opts.reps, config, trace);
         config.eventFusion = false;
-        const StormRun perhop = runStorm(opts.reps, config, trace);
+        const SystemRun perhop = timeSystem(opts.reps, config, trace);
 
-        HYPERSIO_ASSERT(fused.results.packetsProcessed == n,
-                        "storm processed %llu of %llu packets",
-                        (unsigned long long)fused.results.packetsProcessed,
-                        (unsigned long long)n);
         // Identical simulation, fewer dispatches: any observable
         // difference is a bug.
         HYPERSIO_ASSERT(perhop.results == fused.results,
@@ -1150,11 +846,11 @@ runFusion(const Options &opts, JsonReport &report)
                         (unsigned long long)fused.scheduledSeq);
         // Refused arrival slots are parked in both legs alike
         // (DESIGN.md §15), so every elided hop is one dispatch less.
-        HYPERSIO_ASSERT(perhop.dispatched ==
-                            fused.dispatched + fused.fusedHops,
+        HYPERSIO_ASSERT(perhop.executed ==
+                            fused.executed + fused.fusedHops,
                         "event ledger mismatch: %llu != %llu + %llu",
-                        (unsigned long long)perhop.dispatched,
-                        (unsigned long long)fused.dispatched,
+                        (unsigned long long)perhop.executed,
+                        (unsigned long long)fused.executed,
                         (unsigned long long)fused.fusedHops);
 
         const double pps = bench::perSecond(n, fused.wall);
@@ -1163,7 +859,7 @@ runFusion(const Options &opts, JsonReport &report)
                     spec.name, pps, perhop_pps,
                     bench::speedupRatio(pps, perhop_pps),
                     (unsigned long long)fused.fusedHops,
-                    (unsigned long long)fused.dispatched);
+                    (unsigned long long)fused.executed);
         const std::string p = std::string(spec.name) + "_";
         report.addScalar(p + "packets", count(n));
         report.addScalar(p + "translations",

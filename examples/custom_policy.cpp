@@ -13,8 +13,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.hh"
 #include "hypersio/hypersio.hh"
 
 using namespace hypersio;
@@ -121,8 +121,7 @@ main(int argc, char **argv)
 {
     unsigned tenants = 6;
     if (argc > 1)
-        tenants = static_cast<unsigned>(
-            std::strtoul(argv[1], nullptr, 0));
+        tenants = examples::countArg("tenants", argv[1]);
 
     auto logs = workload::generateLogs(workload::Benchmark::Iperf3,
                                        tenants, 42, 0.05);

@@ -13,8 +13,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.hh"
 #include "hypersio/hypersio.hh"
 
 using namespace hypersio;
@@ -76,13 +76,11 @@ main(int argc, char **argv)
     unsigned crowd = 60;
     double scale = 0.05;
     if (argc > 1)
-        streamers = static_cast<unsigned>(
-            std::strtoul(argv[1], nullptr, 0));
+        streamers = examples::countArg("streamers", argv[1]);
     if (argc > 2)
-        crowd = static_cast<unsigned>(
-            std::strtoul(argv[2], nullptr, 0));
+        crowd = examples::countArg("crowd", argv[2]);
     if (argc > 3)
-        scale = std::strtod(argv[3], nullptr);
+        scale = examples::scaleArg(argv[3]);
 
     std::printf("%u streaming tenants + %u low-rate neighbors, all "
                 "using identical guest gIOVAs\n\n",

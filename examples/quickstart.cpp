@@ -8,8 +8,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.hh"
 #include "hypersio/hypersio.hh"
 
 using namespace hypersio;
@@ -20,10 +20,9 @@ main(int argc, char **argv)
     unsigned tenants = 64;
     double scale = 0.05;
     if (argc > 1)
-        tenants = static_cast<unsigned>(std::strtoul(argv[1],
-                                                     nullptr, 0));
+        tenants = examples::countArg("tenants", argv[1]);
     if (argc > 2)
-        scale = std::strtod(argv[2], nullptr);
+        scale = examples::scaleArg(argv[2]);
 
     std::printf("generating %u iperf3 tenant logs (scale %.2f)...\n",
                 tenants, scale);

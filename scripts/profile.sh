@@ -119,9 +119,13 @@ by_obj = collections.defaultdict(list)
 for obj, addr in pcs:
     by_obj[obj].append(addr)
 for obj, addrs in by_obj.items():
+    # The vDSO (clock_gettime under a timer) is mapped from no file,
+    # so addr2line has nothing to read; its samples stay unresolved.
     out = subprocess.run(["addr2line", "-a", "-f", "-C", "-i", "-e", obj],
                          input="\n".join(addrs), capture_output=True,
-                         text=True, check=True).stdout.splitlines()
+                         text=True, check=True).stdout.splitlines() \
+        if os.path.isfile(obj) else \
+        [line for addr in addrs for line in (addr, "??", "??:0")]
     # -a starts each address's group with the address line; then one
     # (function, file:line) pair per frame, the innermost first.
     groups, i = [], 0

@@ -166,7 +166,7 @@ Device::resolve(unsigned idx, trace::ReqClass cls, bool may_fuse)
 
     // Context Cache: SID → DID. Device-resident per-VF state; a
     // miss is filled from the hypervisor-maintained context table
-    // (modelled as part of the next chipset round trip).
+    // and charges no time.
     const iommu::ContextEntry *ce =
         _context.lookup(pkt.sid, pkt.pasid);
     mem::DomainId did;

@@ -2,8 +2,8 @@
  * @file
  * Context Cache: maps a request's Source ID (PCIe Bus/Device/Function)
  * to its Context Entry — the tenant's Domain ID and second-level
- * page-table root (step 1-2 in the paper's Fig. 3). Misses cost two
- * dependent memory reads (root-table entry, then context entry).
+ * page-table root (step 1-2 in the paper's Fig. 3). Only capacity is
+ * modelled: a miss is filled from resolve() and charges no time.
  */
 
 #ifndef HYPERSIO_IOMMU_CONTEXT_CACHE_HH
@@ -22,9 +22,6 @@ struct ContextEntry
 {
     mem::DomainId domain = 0;
 };
-
-/** Memory reads needed to fetch a context entry on a miss. */
-constexpr unsigned ContextWalkAccesses = 2;
 
 /**
  * Set-associative cache of context entries. The (SID, PASID) → DID
@@ -52,8 +49,8 @@ class ContextCache
 
     /**
      * Looks up the context entry for (`sid`, `pasid`).
-     * @return entry pointer, or nullptr on miss (caller fetches the
-     *         entry via fill() after charging ContextWalkAccesses)
+     * @return entry pointer, or nullptr on miss (the caller fills
+     *         the entry from resolve())
      */
     const ContextEntry *
     lookup(trace::SourceId sid, uint16_t pasid = 0)
@@ -62,7 +59,7 @@ class ContextCache
         return _cache.lookup(key, key);
     }
 
-    /** Installs the entry after a memory fetch. */
+    /** Installs the entry for (`sid`, `pasid`). */
     void
     fill(trace::SourceId sid, uint16_t pasid,
          const ContextEntry &entry)

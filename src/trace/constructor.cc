@@ -4,7 +4,6 @@
 #include <cctype>
 
 #include "util/logging.hh"
-#include "util/rng.hh"
 #include "util/str.hh"
 
 namespace hypersio::trace
@@ -84,11 +83,14 @@ constructTrace(const std::vector<TenantLog> &logs,
 
     // Per-tenant read cursors.
     std::vector<size_t> cursor(logs.size(), 0);
-    Rng rng(mode.seed);
-
-    auto copy_packet = [&](uint32_t tenant) {
+    TurnCursor turns(mode, trace.numTenants);
+    for (;;) {
+        const uint32_t tenant = turns.next();
         const TenantLog &log = logs[tenant];
-        PacketRecord pkt = log.packets[cursor[tenant]];
+        if (cursor[tenant] >= log.packets.size())
+            break;
+        PacketRecord &pkt =
+            trace.packets.emplace_back(log.packets[cursor[tenant]++]);
         pkt.sid = static_cast<uint16_t>(tenant); // dense SIDs
         // Re-home the ops into the shared pool.
         const uint32_t op_begin =
@@ -96,37 +98,6 @@ constructTrace(const std::vector<TenantLog> &logs,
         for (uint16_t i = 0; i < pkt.opCount; ++i)
             trace.ops.push_back(log.ops[pkt.opBegin + i]);
         pkt.opBegin = op_begin;
-        trace.packets.push_back(pkt);
-        ++cursor[tenant];
-    };
-
-    if (mode.kind == InterleaveKind::RoundRobin) {
-        bool exhausted = false;
-        while (!exhausted) {
-            for (uint32_t t = 0; t < logs.size() && !exhausted; ++t) {
-                for (unsigned b = 0; b < mode.burst; ++b) {
-                    if (cursor[t] >= logs[t].packets.size()) {
-                        exhausted = true;
-                        break;
-                    }
-                    copy_packet(t);
-                }
-            }
-        }
-    } else {
-        for (;;) {
-            auto t = static_cast<uint32_t>(rng.below(logs.size()));
-            bool exhausted = false;
-            for (unsigned b = 0; b < mode.burst; ++b) {
-                if (cursor[t] >= logs[t].packets.size()) {
-                    exhausted = true;
-                    break;
-                }
-                copy_packet(t);
-            }
-            if (exhausted)
-                break;
-        }
     }
 
     return trace;

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "trace/record.hh"
+#include "util/rng.hh"
 
 namespace hypersio::trace
 {
@@ -44,6 +45,52 @@ struct Interleaving
 
     /** Short name like "RR1", "RR4", "RAND1". */
     std::string name() const;
+};
+
+/**
+ * The interleaving's turn-taking, one packet at a time: next() names
+ * the tenant the next packet comes from. A turn takes `burst`
+ * packets from one tenant; RR moves to the following tenant, RAND
+ * draws the turn's tenant from an RNG seeded with `mode.seed`. A
+ * caller stops at the first tenant it finds exhausted, so the cursor
+ * never looks at the logs.
+ */
+class TurnCursor
+{
+  public:
+    TurnCursor(const Interleaving &mode, uint32_t tenants)
+        : _kind(mode.kind), _burst(mode.burst), _tenants(tenants),
+          _turn(tenants - 1), _rng(mode.seed)
+    {}
+
+    uint32_t
+    next()
+    {
+        if (_left == 0)
+            startTurn();
+        --_left;
+        return _turn;
+    }
+
+  private:
+    void
+    startTurn()
+    {
+        _left = _burst;
+        if (_kind == InterleaveKind::Random)
+            _turn = static_cast<uint32_t>(_rng.below(_tenants));
+        else
+            _turn = _turn + 1 == _tenants ? 0 : _turn + 1;
+    }
+
+    InterleaveKind _kind;
+    unsigned _burst;
+    uint32_t _tenants;
+    /** Tenant of the current turn; starts on the last, so RR's first
+     *  turn is tenant 0. */
+    uint32_t _turn;
+    unsigned _left = 0; ///< packets left in the current turn
+    Rng _rng;
 };
 
 /** Parses "RR1"/"rr4"/"RAND1" etc.; fatal() on malformed input. */

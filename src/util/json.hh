@@ -1,26 +1,23 @@
 /**
  * @file
- * Minimal JSON support: a streaming writer with automatic comma and
- * indentation handling, and a small DOM + recursive-descent parser.
+ * Minimal JSON output: a streaming writer with automatic comma and
+ * indentation handling.
  *
  * The writer emits doubles with std::to_chars (shortest
  * round-trippable form), so a value written, parsed, and re-read
  * compares bit-identical — the property the bench regression gate
  * (scripts/bench_compare.py) and the stats round-trip tests rely on.
- * The parser accepts standard JSON (null, booleans, numbers, strings
- * with escapes, arrays, objects) and is intended for tool/test use,
- * not adversarial input.
+ * The library reads no JSON; the tests' parser is
+ * tests/json_value.hh.
  */
 
 #ifndef HYPERSIO_UTIL_JSON_HH
 #define HYPERSIO_UTIL_JSON_HH
 
 #include <cstdint>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace hypersio::json
@@ -86,44 +83,6 @@ class Writer
     unsigned _indent;
     bool _afterKey = false;
     std::vector<Level> _stack;
-};
-
-/**
- * Parsed JSON value. Objects keep member order and are searched
- * linearly (the documents this package handles are small).
- */
-struct Value
-{
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object
-    };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<Value> array;
-    std::vector<std::pair<std::string, Value>> object;
-
-    bool isNull() const { return kind == Kind::Null; }
-    bool isNumber() const { return kind == Kind::Number; }
-    bool isObject() const { return kind == Kind::Object; }
-    bool isArray() const { return kind == Kind::Array; }
-
-    /** Object member lookup; nullptr when absent or not an object. */
-    const Value *find(std::string_view key) const;
-
-    /**
-     * Parses a complete JSON document (trailing whitespace allowed,
-     * trailing garbage rejected). std::nullopt on malformed input.
-     */
-    static std::optional<Value> parse(std::string_view text);
 };
 
 } // namespace hypersio::json

@@ -15,9 +15,9 @@ SpliceStream::SpliceStream(Benchmark bench, unsigned num_tenants,
                            const trace::Interleaving &mode,
                            double scale)
     : _tenants(tenantStreams(bench, num_tenants, seed, scale)),
-      _numTenants(num_tenants), _mode(mode), _pickRng(mode.seed)
+      _numTenants(num_tenants), _turns(mode, num_tenants)
 {
-    HYPERSIO_ASSERT(_mode.burst >= 1, "burst must be positive");
+    HYPERSIO_ASSERT(mode.burst >= 1, "burst must be positive");
 }
 
 void
@@ -25,15 +25,9 @@ SpliceStream::produce()
 {
     if (_done)
         return;
-    // One step of the constructTrace interleaving loop: a turn takes
-    // up to `burst` packets from one tenant, and construction stops
-    // at the first attempt to take from an exhausted tenant.
-    if (_burstPos == 0 &&
-        _mode.kind == trace::InterleaveKind::Random) {
-        _turnTenant =
-            static_cast<unsigned>(_pickRng.below(_numTenants));
-    }
-    TenantStream &tenant = _tenants[_turnTenant];
+    // One step of constructTrace's turn-taking: it stops at the
+    // first tenant found exhausted, and so does the splice.
+    TenantStream &tenant = _tenants[_turns.next()];
     if (tenant.exhausted()) {
         _done = true;
         return;
@@ -41,12 +35,6 @@ SpliceStream::produce()
     _ops.clear();
     tenant.next(_pkt, _ops);
     _hasCur = true;
-    ++_burstPos;
-    if (_burstPos >= _mode.burst) {
-        _burstPos = 0;
-        if (_mode.kind == trace::InterleaveKind::RoundRobin)
-            _turnTenant = (_turnTenant + 1) % _numTenants;
-    }
 }
 
 const trace::PacketRecord *

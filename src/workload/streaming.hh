@@ -60,15 +60,12 @@ class SpliceStream : public trace::PacketStream
 
     std::vector<TenantStream> _tenants;
     uint32_t _numTenants;
-    trace::Interleaving _mode;
-    Rng _pickRng{0};
+    trace::TurnCursor _turns;
 
     trace::PacketRecord _pkt;
     std::vector<trace::PageOp> _ops;
     bool _hasCur = false;
     bool _done = false;
-    unsigned _turnTenant = 0; ///< tenant of the current RR/RAND turn
-    unsigned _burstPos = 0;   ///< packets taken in the current turn
 };
 
 /** Knobs of a tenant-churn storm. */

@@ -1,10 +1,11 @@
-/** Unit tests for the minimal JSON writer/parser utility. */
+/** Unit tests for the JSON writer and the tests' JSON parser. */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
 
+#include "json_value.hh"
 #include "util/json.hh"
 
 namespace hypersio::json

@@ -29,6 +29,7 @@
 #include "core/system.hh"
 #include "stats/snapshot.hh"
 #include "stats/stats.hh"
+#include "json_value.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"

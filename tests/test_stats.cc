@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "stats/stats.hh"
+#include "json_value.hh"
 #include "util/json.hh"
 
 namespace hypersio::stats

@@ -220,6 +220,36 @@ TEST(System, PacketLatencyIsBoundedBelowByHitPath)
     EXPECT_GE(r.avgPacketLatencyNs, 6.0);
 }
 
+TEST(System, ContextMissChargesNoTime)
+{
+    // 4 tenants x 4 PASIDs: 16 contexts. The default cache keys its
+    // set by the PASID, so it holds all 16; a 4-entry cache misses.
+    workload::TenantPattern pattern =
+        workload::benchmarkProfile(workload::Benchmark::Iperf3).pattern;
+    pattern.processesPerTenant = 4;
+    workload::scaleInitPhase(pattern, 400);
+    std::vector<trace::TenantLog> logs;
+    for (unsigned t = 0; t < 4; ++t)
+        logs.push_back(workload::TenantStream(pattern, 42, t, 400).drain());
+    const auto tr =
+        trace::constructTrace(logs, trace::parseInterleaving("RR1"));
+
+    SystemConfig tiny_cfg = SystemConfig::hypertrio();
+    tiny_cfg.device.contextCache.entries = 4;
+    tiny_cfg.device.contextCache.ways = 4;
+    System wide(SystemConfig::hypertrio());
+    System tiny(tiny_cfg);
+    const RunResults rw = wide.run(tr);
+    const RunResults rt = tiny.run(tr);
+
+    EXPECT_NE(wide.device().contextStats().hits,
+              tiny.device().contextStats().hits);
+    EXPECT_EQ(rw.elapsed, rt.elapsed);
+    EXPECT_DOUBLE_EQ(rw.avgPacketLatencyNs, rt.avgPacketLatencyNs);
+    EXPECT_EQ(rw.packetsDropped, rt.packetsDropped);
+    EXPECT_TRUE(rw == rt);
+}
+
 // ---- Pinned drop/retry goldens -----------------------------------------
 //
 // Parked arrival slots (DESIGN.md §15) bill the slots a full PTB
