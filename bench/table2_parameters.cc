@@ -25,7 +25,7 @@ main(int argc, char **argv)
     std::printf("%-40s %12s %12.0f\n", "DRAM latency (ns)", "50",
                 ticksToNs(config.memory.accessLatency));
     std::printf("%-40s %12s %12.0f\n", "IOTLB hit (ns)", "2",
-                ticksToNs(config.iommu.iotlbHitLatency));
+                ticksToNs(iommu::IotlbHitLatency));
     std::printf("%-40s %12s %12u\n",
                 "memory accesses per 4KB 2-D walk", "24",
                 mem::fullWalkAccesses(mem::PageSize::Size4K));
@@ -44,7 +44,7 @@ main(int argc, char **argv)
     report.addScalar("dram_latency_ns",
                      ticksToNs(config.memory.accessLatency));
     report.addScalar("iotlb_hit_ns",
-                     ticksToNs(config.iommu.iotlbHitLatency));
+                     ticksToNs(iommu::IotlbHitLatency));
     report.addScalar(
         "walk_accesses_4k",
         mem::fullWalkAccesses(mem::PageSize::Size4K));

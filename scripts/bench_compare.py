@@ -3,34 +3,20 @@
 
 Usage:
     scripts/bench_compare.py BASELINE.json CURRENT.json
-        [--tol-throughput FRAC] [--tol-rate ABS] [--exact]
-        [--counts-only] [--ignore-missing] [--verbose]
-        [--only-label LABEL]
+        [--counts-only] [--ignore-missing] [--only-label LABEL]
 
 Both files come from a bench binary's `--json <file>` flag
 (schema "hypersio-bench-1") or from `hypersio_sim --json`
 (schema "hypersio-sim-1"). Points are matched by their
-(label, benchmark, tenants, interleave) key; for every matched point
-the gate compares
+(label, benchmark, tenants, interleave) key. Every field of every
+matched point's results (achieved_gbps, packets_dropped,
+elapsed_ticks, walks, ...), every leaf of its stat tree, and every
+entry of the report's "scalars" block must be identical; a field,
+leaf or scalar present in only one report fails. Missing or extra
+points, and config mismatches in scale/seed/max_tenants, fail the
+comparison outright — the two runs measured different experiments.
 
-  * achieved_gbps (throughput) by relative drift, tolerance
-    --tol-throughput (default 0.02, i.e. 2%), and
-  * devtlb/pb/iotlb hit rates by absolute drift in rate points,
-    tolerance --tol-rate (default 0.02)
-
-plus every entry of the report's "scalars" block (relative drift,
-throughput tolerance). Missing or extra points, and config
-mismatches in scale/seed/max_tenants, fail the comparison outright —
-the two runs measured different experiments.
-
---exact requires equality instead: every field of every point's
-results (packets_dropped, elapsed_ticks, walks, ... — not just the
-gated four), every leaf of every point's stat tree, and every scalar
-must be identical, and a field or leaf present in only one report
-fails. The tolerances are then ignored. Use it for reports whose
-values are all deterministic simulator outputs.
-
---counts-only is --exact for a report that mixes deterministic counts
+--counts-only is for a report that mixes deterministic counts
 with wall-clock rates (bench/layer_bench): scalars named like a rate
 (ending in per_sec, meps or speedup) are skipped, everything else
 must be identical. --ignore-missing skips scalars present in only one
@@ -45,8 +31,8 @@ Use it to localize a mechanism-tournament drift to one competitor
 without the other configs' deviations drowning the diff. A label
 that matches nothing in either report is a usage error (exit 2).
 
-Exit status: 0 when everything is within tolerance, 1 on drift or a
-shape mismatch, 2 on usage/file errors. The simulator is
+Exit status: 0 when everything is identical, 1 on drift or a shape
+mismatch, 2 on usage/file errors. The simulator is
 deterministic, so comparing a freshly generated report against a
 committed baseline (see scripts/check_repo.sh) must show zero drift;
 any difference is a behavior change that needs the baseline updated
@@ -57,8 +43,6 @@ import argparse
 import json
 import sys
 
-THROUGHPUT_KEY = "achieved_gbps"
-RATE_KEYS = ("devtlb_hit_rate", "pb_hit_rate", "iotlb_hit_rate")
 # Config fields that define the experiment; "jobs" and wall clock are
 # intentionally excluded (they change the machine, not the model).
 CONFIG_KEYS = ("scale", "seed", "max_tenants")
@@ -79,14 +63,6 @@ def load(path):
 def point_key(point):
     return (point.get("label"), point.get("benchmark"),
             point.get("tenants"), point.get("interleave"))
-
-
-def rel_drift(base, cur):
-    if base == cur:
-        return 0.0
-    if base == 0:
-        return float("inf")
-    return abs(cur - base) / abs(base)
 
 
 def normalize(doc):
@@ -163,25 +139,12 @@ def main():
         description="gate on drift between two bench JSON reports")
     parser.add_argument("baseline")
     parser.add_argument("current")
-    parser.add_argument("--tol-throughput", type=float, default=0.02,
-                        help="relative throughput tolerance "
-                             "(default 0.02 = 2%%)")
-    parser.add_argument("--tol-rate", type=float, default=0.02,
-                        help="absolute hit-rate tolerance in rate "
-                             "points (default 0.02)")
-    parser.add_argument("--exact", action="store_true",
-                        help="require every result field, stat-tree "
-                             "leaf and scalar to be identical "
-                             "(tolerances ignored)")
     parser.add_argument("--counts-only", action="store_true",
-                        help="like --exact, but skip wall-clock rate "
-                             "scalars (*per_sec, *meps, *speedup)")
+                        help="skip wall-clock rate scalars "
+                             "(*per_sec, *meps, *speedup)")
     parser.add_argument("--ignore-missing", action="store_true",
                         help="skip scalars present in only one report "
                              "instead of failing")
-    parser.add_argument("--verbose", action="store_true",
-                        help="print every comparison, not just "
-                             "failures")
     parser.add_argument("--only-label", metavar="LABEL",
                         help="compare only points with this config "
                              "label (and scalars named for it)")
@@ -203,11 +166,6 @@ def main():
                   f"report", file=sys.stderr)
             sys.exit(2)
 
-    exact = args.exact or args.counts_only
-    if exact:
-        args.tol_throughput = 0.0
-        args.tol_rate = 0.0
-
     failures = []
     checked = 0
 
@@ -227,59 +185,27 @@ def main():
     for key in sorted(set(base_points) & set(cur_points)):
         base_r = base_points[key].get("results", {})
         cur_r = cur_points[key].get("results", {})
-        if exact:
-            base_stats = stat_leaves(base_points[key].get("stats", {}))
-            cur_stats = stat_leaves(cur_points[key].get("stats", {}))
-            checked += len(set(base_r) | set(cur_r))
-            checked += len(set(base_stats) | set(cur_stats))
-            failures += [f"{key}: {line}" for line in
-                         exact_mismatches("result", base_r, cur_r)]
-            failures += [f"{key}: {line}" for line in
-                         exact_mismatches("stat", base_stats,
-                                          cur_stats)]
-            continue
-        if THROUGHPUT_KEY in base_r:
-            drift = rel_drift(base_r[THROUGHPUT_KEY],
-                              cur_r.get(THROUGHPUT_KEY, 0.0))
-            checked += 1
-            line = (f"{key}: {THROUGHPUT_KEY} "
-                    f"{base_r[THROUGHPUT_KEY]:.4f} -> "
-                    f"{cur_r.get(THROUGHPUT_KEY, 0.0):.4f} "
-                    f"({drift * 100.0:.2f}% drift)")
-            if drift > args.tol_throughput:
-                failures.append(line)
-            elif args.verbose:
-                print(f"  ok {line}")
-        for rate in RATE_KEYS:
-            if rate not in base_r:
-                continue
-            delta = abs(base_r[rate] - cur_r.get(rate, 0.0))
-            checked += 1
-            line = (f"{key}: {rate} {base_r[rate]:.4f} -> "
-                    f"{cur_r.get(rate, 0.0):.4f} "
-                    f"(|delta| {delta:.4f})")
-            if delta > args.tol_rate:
-                failures.append(line)
-            elif args.verbose:
-                print(f"  ok {line}")
+        base_stats = stat_leaves(base_points[key].get("stats", {}))
+        cur_stats = stat_leaves(cur_points[key].get("stats", {}))
+        checked += len(set(base_r) | set(cur_r))
+        checked += len(set(base_stats) | set(cur_stats))
+        failures += [f"{key}: {line}" for line in
+                     exact_mismatches("result", base_r, cur_r)]
+        failures += [f"{key}: {line}" for line in
+                     exact_mismatches("stat", base_stats, cur_stats)]
 
-    for name in sorted(set(base_scalars) | set(cur_scalars)):
-        if args.counts_only and name.endswith(WALL_CLOCK_SUFFIXES):
-            continue
-        if name not in base_scalars or name not in cur_scalars:
-            if not args.ignore_missing:
-                failures.append(f"scalar '{name}' present in only one "
-                                f"report")
-            continue
-        drift = rel_drift(base_scalars[name], cur_scalars[name])
-        checked += 1
-        line = (f"scalar {name}: {base_scalars[name]:.6g} -> "
-                f"{cur_scalars[name]:.6g} "
-                f"({drift * 100.0:.2f}% drift)")
-        if drift > args.tol_throughput:
-            failures.append(line)
-        elif args.verbose:
-            print(f"  ok {line}")
+    if args.counts_only:
+        base_scalars, cur_scalars = (
+            {name: value for name, value in scalars.items()
+             if not name.endswith(WALL_CLOCK_SUFFIXES)}
+            for scalars in (base_scalars, cur_scalars))
+    if args.ignore_missing:
+        shared = set(base_scalars) & set(cur_scalars)
+        base_scalars, cur_scalars = (
+            {name: scalars[name] for name in shared}
+            for scalars in (base_scalars, cur_scalars))
+    checked += len(set(base_scalars) | set(cur_scalars))
+    failures += exact_mismatches("scalar", base_scalars, cur_scalars)
 
     if checked == 0 and args.ignore_missing:
         failures.append("the reports share no value to compare")
@@ -290,14 +216,9 @@ def main():
         for failure in failures:
             print(f"  {failure}")
         sys.exit(1)
-    if exact:
-        mode = "counts only" if args.counts_only else "exact"
-        print(f"bench_compare: OK — {checked} value(s) identical "
-              f"({mode})")
-    else:
-        print(f"bench_compare: OK — {checked} value(s) within "
-              f"tolerance (throughput {args.tol_throughput * 100.0:.1f}%"
-              f", rate {args.tol_rate:.3f})")
+    mode = "counts only" if args.counts_only else "exact"
+    print(f"bench_compare: OK — {checked} value(s) identical "
+          f"({mode})")
     sys.exit(0)
 
 

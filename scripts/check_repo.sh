@@ -19,11 +19,11 @@
 #      on), in the one binary.
 #   5. fig10_scalability at quick scale must emit a valid JSON
 #      report that self-compares with zero drift and matches the
-#      committed BENCH_fig10.json exactly (bench_compare.py --exact:
-#      every result field, stat-tree leaf and scalar) — the
+#      committed BENCH_fig10.json exactly (bench_compare.py holds
+#      every result field, stat-tree leaf and scalar equal) — the
 #      simulator is deterministic, so any drift is a behavior change
 #      that needs the baseline regenerated on purpose. Gates 7, 8
-#      and 9 compare with --exact too. In gates 5-9 a missing
+#      and 9 compare exactly too. In gates 5-9 a missing
 #      committed baseline fails the gate (check_baseline below).
 #   6. The layer bench (bench/layer_bench, HYPERSIO_SHADOW=off) must run
 #      every layer and pass its in-binary A/B asserts: the vector and
@@ -76,11 +76,12 @@ set -eu
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
-# check_baseline BASELINE FRESH MODE: the fresh bench report FRESH
-# must compare with itself and match the committed BASELINE under
-# MODE (bench_compare.py flags, e.g. --exact or --counts-only). A
-# missing baseline fails: one deleted by mistake must be restored,
-# and a new one committed on purpose, never recreated by this gate.
+# check_baseline BASELINE FRESH [FLAGS]: the fresh bench report FRESH
+# must compare with itself and match the committed BASELINE exactly,
+# under FLAGS when given (bench_compare.py flags: --counts-only,
+# --ignore-missing). A missing baseline fails: one deleted by mistake
+# must be restored, and a new one committed on purpose, never
+# recreated by this gate.
 check_baseline() {
     python3 scripts/bench_compare.py "$2" "$2"
     if [ ! -f "$1" ]; then
@@ -88,9 +89,9 @@ check_baseline() {
              "commit a regenerated one on purpose from $2)" >&2
         exit 1
     fi
-    echo "   comparing against committed $1 ($3)"
-    # MODE is split into its flags on purpose.
-    python3 scripts/bench_compare.py "$1" "$2" $3
+    echo "   comparing against committed $1 (${3:-exact})"
+    # FLAGS is split into its flags on purpose.
+    python3 scripts/bench_compare.py "$1" "$2" ${3:-}
 }
 
 echo "== 1/10 repo hygiene: no tracked build artifacts"
@@ -157,7 +158,7 @@ echo "== 5/10 bench JSON regression gate (fig10, quick scale)"
 FRESH="$BUILD_DIR/BENCH_fig10.json"
 "$BUILD_DIR"/bench/fig10_scalability --quick --tenants 8 --jobs 1 \
     --json "$FRESH" > /dev/null
-check_baseline BENCH_fig10.json "$FRESH" --exact
+check_baseline BENCH_fig10.json "$FRESH"
 
 echo "== 6/10 layer bench: in-binary A/Bs + deterministic counts"
 # Without the shadow oracle: its mirrors would dominate the layers
@@ -185,7 +186,7 @@ echo "== 7/10 hyper-scale streaming bench: bounded RSS + regression"
 HYPERSCALE_FRESH="$BUILD_DIR/BENCH_hyperscale.json"
 HYPERSIO_SHADOW=off "$BUILD_DIR"/bench/hyperscale_bench --smoke \
     --rss-budget-mb 512 --json "$HYPERSCALE_FRESH" > /dev/null
-check_baseline BENCH_hyperscale.json "$HYPERSCALE_FRESH" --exact
+check_baseline BENCH_hyperscale.json "$HYPERSCALE_FRESH"
 
 echo "== 8/10 soak harness: telemetry stream + drift/leak gate"
 # soak_bench is the episode entry of bench/soak_bench.cc, the source
@@ -203,7 +204,7 @@ SOAK_FRESH="$BUILD_DIR/BENCH_soak.json"
     --snapshots "$SOAK_STREAM" --rss-budget-mb 1024 \
     --json "$SOAK_FRESH" > /dev/null
 python3 scripts/soak_report.py "$SOAK_STREAM" --verbose
-check_baseline BENCH_soak.json "$SOAK_FRESH" --exact
+check_baseline BENCH_soak.json "$SOAK_FRESH"
 
 echo "== 9/10 mechanism tournament: bake-off regression gate"
 # Runs with the oracle on: every competitor (sub-entry
@@ -219,7 +220,7 @@ echo "== 9/10 mechanism tournament: bake-off regression gate"
 TOURN_FRESH="$BUILD_DIR/BENCH_tournament.json"
 "$BUILD_DIR"/bench/mechanism_tournament --smoke --jobs 1 \
     --json "$TOURN_FRESH" > /dev/null
-check_baseline BENCH_tournament.json "$TOURN_FRESH" --exact
+check_baseline BENCH_tournament.json "$TOURN_FRESH"
 
 echo "== 10/10 ASan+UBSan: the whole ctest suite"
 # UBSan only prints by default; halt_on_error makes every report fail

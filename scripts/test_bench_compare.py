@@ -3,7 +3,7 @@
 
 Runs the comparator as a subprocess against synthetic
 "hypersio-bench-1" reports and asserts on its exit status and
-output: 0 within tolerance, 1 on drift or shape mismatch, 2 on
+output: 0 when identical, 1 on drift or shape mismatch, 2 on
 usage/file errors. Registered with ctest as `bench_compare_unittest`
 (tests/CMakeLists.txt); also runnable directly:
 
@@ -76,21 +76,12 @@ class BenchCompareTest(unittest.TestCase):
                                 self.write("cur.json", cur_doc),
                                 *extra)
 
-    # ---- exit 0: within tolerance --------------------------------
+    # ---- exit 0: identical ---------------------------------------
 
     def test_identical_reports_pass(self):
         proc = self.compare(make_report(), make_report())
         self.assertEqual(proc.returncode, 0, proc.stdout)
         self.assertIn("OK", proc.stdout)
-
-    def test_drift_within_tolerance_passes(self):
-        cur = make_report()
-        # 1% throughput drift and 0.01 rate drift, both under the
-        # default 2%/0.02 gates.
-        cur["points"][0]["results"]["achieved_gbps"] = 80.8
-        cur["points"][0]["results"]["iotlb_hit_rate"] = 0.51
-        self.assertEqual(self.compare(make_report(), cur).returncode,
-                         0)
 
     def test_jobs_and_extra_config_keys_are_ignored(self):
         cur = make_report()
@@ -99,38 +90,22 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(self.compare(make_report(), cur).returncode,
                          0)
 
-    def test_verbose_prints_each_comparison(self):
-        proc = self.compare(make_report(), make_report(),
-                            "--verbose")
-        self.assertEqual(proc.returncode, 0)
-        self.assertIn("ok", proc.stdout)
-        self.assertIn("achieved_gbps", proc.stdout)
-
     # ---- exit 1: drift -------------------------------------------
 
-    def test_throughput_drift_beyond_tolerance_fails(self):
+    def test_throughput_drift_fails(self):
         cur = make_report()
-        cur["points"][1]["results"]["achieved_gbps"] = 95.0  # -4%
+        cur["points"][1]["results"]["achieved_gbps"] = 95.0
         proc = self.compare(make_report(), cur)
         self.assertEqual(proc.returncode, 1)
         self.assertIn("achieved_gbps", proc.stdout)
         self.assertIn("FAIL", proc.stdout)
 
-    def test_rate_drift_beyond_tolerance_fails(self):
+    def test_rate_drift_fails(self):
         cur = make_report()
-        cur["points"][1]["results"]["pb_hit_rate"] = 0.35  # -0.05
+        cur["points"][1]["results"]["pb_hit_rate"] = 0.35
         proc = self.compare(make_report(), cur)
         self.assertEqual(proc.returncode, 1)
         self.assertIn("pb_hit_rate", proc.stdout)
-
-    def test_tolerance_flags_widen_the_gate(self):
-        cur = make_report()
-        cur["points"][1]["results"]["achieved_gbps"] = 95.0
-        cur["points"][1]["results"]["pb_hit_rate"] = 0.35
-        proc = self.compare(make_report(), cur,
-                            "--tol-throughput", "0.10",
-                            "--tol-rate", "0.10")
-        self.assertEqual(proc.returncode, 0, proc.stdout)
 
     def test_missing_point_fails(self):
         cur = make_report()
@@ -176,56 +151,50 @@ class BenchCompareTest(unittest.TestCase):
         cur["points"][0]["results"]["achieved_gbps"] = 0.1
         self.assertEqual(self.compare(base, cur).returncode, 1)
 
-    # ---- --exact: every result field, stat leaf and scalar --------
+    # ---- every result field, stat leaf and scalar ----------------
 
-    def test_one_drop_difference_fails_only_with_exact(self):
+    def test_one_drop_difference_fails_with_no_flags(self):
         base = make_report()
         base["points"][0]["results"]["packets_dropped"] = 41
         cur = copy.deepcopy(base)
         cur["points"][0]["results"]["packets_dropped"] = 42
-        self.assertEqual(self.compare(base, cur).returncode, 0)
-        proc = self.compare(base, cur, "--exact")
+        proc = self.compare(base, cur)
         self.assertEqual(proc.returncode, 1)
         self.assertIn("packets_dropped", proc.stdout)
 
-    def test_exact_checks_every_stat_leaf(self):
+    def test_smallest_drift_fails(self):
+        cur = make_report()
+        cur["points"][0]["results"]["achieved_gbps"] = 80.0000001
+        cur["scalars"]["speedup"] = 1.2401
+        proc = self.compare(make_report(), cur)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("achieved_gbps", proc.stdout)
+        self.assertIn("speedup", proc.stdout)
+
+    def test_every_stat_leaf_is_checked(self):
         tree = {"name": "system", "stats": [], "children": [
             {"name": "device", "children": [], "stats": [
                 {"name": "drops", "kind": "counter", "value": 7}]}]}
         base = make_report()
         base["points"][0]["stats"] = tree
         cur = copy.deepcopy(base)
-        self.assertEqual(
-            self.compare(base, cur, "--exact").returncode, 0)
+        self.assertEqual(self.compare(base, cur).returncode, 0)
         cur["points"][0]["stats"]["children"][0]["stats"][0][
             "value"] = 8
-        self.assertEqual(self.compare(base, cur).returncode, 0)
-        proc = self.compare(base, cur, "--exact")
+        proc = self.compare(base, cur)
         self.assertEqual(proc.returncode, 1)
         self.assertIn("system.device.drops:value", proc.stdout)
 
-    def test_exact_fails_on_a_leaf_present_in_one_report(self):
+    def test_a_leaf_present_in_one_report_fails(self):
         base = make_report()
         base["points"][0]["stats"] = {"name": "system", "stats": [],
                                       "children": []}
         cur = copy.deepcopy(base)
         cur["points"][0]["stats"]["stats"].append(
             {"name": "new_counter", "value": 0})
-        proc = self.compare(base, cur, "--exact")
+        proc = self.compare(base, cur)
         self.assertEqual(proc.returncode, 1)
         self.assertIn("present in only one", proc.stdout)
-
-    def test_exact_ignores_tolerances(self):
-        cur = make_report()
-        cur["points"][0]["results"]["achieved_gbps"] = 80.1
-        cur["scalars"]["speedup"] = 1.2401
-        self.assertEqual(self.compare(make_report(), cur).returncode,
-                         0)
-        proc = self.compare(make_report(), cur, "--exact",
-                            "--tol-throughput", "0.5")
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("achieved_gbps", proc.stdout)
-        self.assertIn("speedup", proc.stdout)
 
     # ---- --counts-only: exact counts, wall-clock rates skipped ----
 
@@ -324,6 +293,16 @@ class BenchCompareTest(unittest.TestCase):
                                            make_report()), missing)
         self.assertEqual(proc.returncode, 2)
         self.assertIn("cannot read", proc.stderr)
+
+    def test_removed_flag_is_a_usage_error(self):
+        # Exact comparison is the only mode; a caller still passing
+        # a flag of the old tolerance mode must fail loudly.
+        for flag in (["--exact"], ["--verbose"],
+                     ["--tol-throughput", "0.1"],
+                     ["--tol-rate", "0.1"]):
+            proc = self.compare(make_report(), make_report(), *flag)
+            self.assertEqual(proc.returncode, 2, flag)
+            self.assertIn("unrecognized arguments", proc.stderr)
 
     def test_malformed_json_is_a_usage_error(self):
         proc = self.compare(make_report(), "{not json")

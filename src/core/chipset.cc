@@ -14,8 +14,9 @@ HistoryReader::HistoryReader(const PrefetchConfig &config,
                              iommu::Iommu &iommu,
                              mem::MemoryModel &memory,
                              uint16_t device)
-    : SimObject("history_reader", queue, parent), _config(config),
-      _iommu(iommu), _memory(memory), _device(device),
+    : SimObject("history_reader", queue, parent),
+      _pagesPerPrefetch(config.pagesPerPrefetch), _iommu(iommu),
+      _memory(memory), _device(device),
       _started(statGroup().makeCounter("started",
                                        "prefetches started")),
       _deduped(statGroup().makeCounter(
@@ -24,7 +25,7 @@ HistoryReader::HistoryReader(const PrefetchConfig &config,
           "issued", "prefetch translations issued to the IOMMU"))
 {
     // A burst ends with its last translation, so it must have one.
-    if (_config.pagesPerPrefetch == 0)
+    if (_pagesPerPrefetch == 0)
         fatal("the IOVA History Reader needs prefetch.pages >= 1");
 }
 
@@ -47,7 +48,7 @@ HistoryReader::observe(mem::DomainId did, mem::Iova iova,
         return;
     }
     hist.recent.insert(hist.recent.begin(), {base, size});
-    if (hist.recent.size() > _config.historyDepth)
+    if (hist.recent.size() > HistoryDepth)
         hist.recent.pop_back();
 }
 
@@ -69,7 +70,7 @@ HistoryReader::prefetch(mem::DomainId did)
     ++_started;
 
     // Fetch the tenant's history from main memory, then translate.
-    _memory.access(_config.historyReadAccesses, *this, did);
+    _memory.access(HistoryReadAccesses, *this, did);
     return true;
 }
 
@@ -83,7 +84,7 @@ HistoryReader::chainDone(uint64_t tag)
     HYPERSIO_ASSERT(hist && hist->burst == 1,
                     "history burst issued without in-flight state");
     const unsigned count = std::min<unsigned>(
-        _config.pagesPerPrefetch,
+        _pagesPerPrefetch,
         static_cast<unsigned>(hist->recent.size()));
 
     // The burst ends when the last translation lands, so a tenant

@@ -44,6 +44,11 @@ struct HistoryPage
 class HistoryReader : public sim::SimObject, private mem::MemoryClient
 {
   public:
+    /** Per-DID gIOVA history entries kept in main memory. */
+    static constexpr unsigned HistoryDepth = 4;
+    /** Memory reads to fetch a tenant's history on a prefetch. */
+    static constexpr unsigned HistoryReadAccesses = 2;
+
     /**
      * @param device the device whose bursts this reader issues; its
      *        translations carry it in their requester tag
@@ -96,7 +101,7 @@ class HistoryReader : public sim::SimObject, private mem::MemoryClient
     /** The history read of `did`'s burst returned: translate. */
     void chainDone(uint64_t did) override;
 
-    PrefetchConfig _config;
+    unsigned _pagesPerPrefetch;
     iommu::Iommu &_iommu;
     mem::MemoryModel &_memory;
     uint16_t _device;

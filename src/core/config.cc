@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "core/chipset.hh"
 #include "util/str.hh"
 
 namespace hypersio::core
@@ -82,7 +83,7 @@ SystemConfig::describe() const
                     "hit %.0f ns\n",
                     iommu.iotlb.entries, iommu.iotlb.ways,
                     cache::replPolicyName(iommu.iotlb.policy),
-                    ticksToNs(iommu.iotlbHitLatency));
+                    ticksToNs(iommu::IotlbHitLatency));
     os << strprintf("  L2TLB             %zu entries, %zu-way, "
                     "%zu partition(s), %s%s\n",
                     iommu.l2tlb.entries, iommu.l2tlb.ways,
@@ -133,7 +134,7 @@ toShadowConfig(const SystemConfig &config)
     sc.pbEntries = config.device.prefetch.bufferEntries;
     sc.historyLength = config.device.prefetch.historyLength;
     sc.pagesPerPrefetch = config.device.prefetch.pagesPerPrefetch;
-    sc.historyDepth = config.device.prefetch.historyDepth;
+    sc.historyDepth = HistoryReader::HistoryDepth;
     sc.ptbEntries = config.device.ptbEntries;
     sc.walkers = config.iommu.walkers;
     sc.pagingLevels = config.iommu.pagingLevels;

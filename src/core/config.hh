@@ -3,10 +3,13 @@
  * Top-level system configuration and the Base / HyperTRIO presets.
  *
  * Latency and link parameters follow the paper's Table II; the Base
- * and HyperTRIO architectural presets follow Table IV. Every knob the
- * evaluation sweeps (DevTLB size/associativity/policy/partitions,
- * PTB depth, prefetcher parameters, paging-cache partitioning) is a
- * field here, so experiments are pure configuration.
+ * and HyperTRIO architectural presets follow Table IV. The fields are
+ * exactly what some sweep, bench or `--set` override varies
+ * (DevTLB size/associativity/policy/partitions, PTB depth, prefetcher
+ * parameters, paging-cache partitioning, ...), so experiments are
+ * pure configuration. A parameter that nothing varies is a constant
+ * of the model that uses it (`iommu::IotlbHitLatency`,
+ * `iommu::PrefetchAgingThreshold`, `HistoryReader::HistoryDepth`).
  */
 
 #ifndef HYPERSIO_CORE_CONFIG_HH
@@ -69,10 +72,6 @@ struct PrefetchConfig
     unsigned historyLength = 48;
     /** Most-recent gIOVAs prefetched per predicted SID (paper: 2). */
     unsigned pagesPerPrefetch = 2;
-    /** Per-DID gIOVA history entries kept in main memory. */
-    unsigned historyDepth = 4;
-    /** Memory reads to fetch a tenant's history on a prefetch. */
-    unsigned historyReadAccesses = 2;
     /** Mechanism selector (appended last; brace-inits keep working). */
     PrefetchKind kind = PrefetchKind::SidPredictor;
 };

@@ -59,9 +59,11 @@ devtlbPolicy(const cache::CacheConfig &devtlb, cache::OracleFeed *oracle)
 
 Device::Device(const DeviceConfig &config, sim::EventQueue &queue,
                stats::StatGroup &parent, ChipsetPort &chipset,
-               uint16_t index, cache::OracleFeed *oracle)
+               CompletionSink &sink, uint16_t index,
+               cache::OracleFeed *oracle)
     : SimObject("device", queue, parent), _config(config),
-      _chipset(chipset), _index(index), _ptb(config.ptbEntries),
+      _chipset(chipset), _sink(sink), _index(index),
+      _ptb(config.ptbEntries),
       _devtlb(config.devtlb, devtlbPolicy(config.devtlb, oracle)),
       _context(config.contextCache),
       _prefetchUnit(config.prefetch.enabled
@@ -101,8 +103,7 @@ Device::Device(const DeviceConfig &config, sim::EventQueue &queue,
 }
 
 void
-Device::accept(const trace::PacketRecord &packet,
-               CompletionSink &sink)
+Device::accept(const trace::PacketRecord &packet)
 {
     const int idx = _ptb.allocate(packet, now());
     HYPERSIO_ASSERT(idx >= 0, "accept() called with a full PTB");
@@ -118,7 +119,6 @@ Device::accept(const trace::PacketRecord &packet,
         _prefetchUnit->observePacket(packet.sid);
         HYPERSIO_SHADOW(deviceSidObserved(packet.sid));
     }
-    _ptb.entry(idx).sink = &sink;
     // The arrival event keeps working after accept() returns
     // (retirement service, re-arming or parking the next arrival), so
     // the chain start is not in tail position: the first hop is
@@ -142,10 +142,9 @@ Device::issueNext(unsigned idx, bool may_fuse)
             // accept a new packet reentrantly — so the record is
             // copied out first.
             const trace::PacketRecord packet = entry.packet;
-            CompletionSink &sink = *entry.sink;
             _ptb.release(idx);
             HYPERSIO_SHADOW(devicePacketCompleted(idx, _ptb.inUse()));
-            sink.packetDone(packet);
+            _sink.packetDone(packet);
             return;
         }
         const auto cls = static_cast<trace::ReqClass>(entry.nextReq);

@@ -72,29 +72,31 @@ class ChipsetPort
 class Device : public sim::SimObject
 {
   public:
+    /** Completion interface of the run loops (see ptb.hh). */
+    using CompletionSink = PacketCompletionSink;
+
     /**
+     * @param sink receives every completed packet; it must outlive
+     *        the device
      * @param index the device's index in its System (requester tags)
      * @param oracle future-knowledge feed for Belady DevTLB
      *        replacement, or nullptr for ordinary policies
      */
     Device(const DeviceConfig &config, sim::EventQueue &queue,
            stats::StatGroup &parent, ChipsetPort &chipset,
-           uint16_t index, cache::OracleFeed *oracle = nullptr);
-
-    /** Completion interface of the run loops (see ptb.hh). */
-    using CompletionSink = PacketCompletionSink;
+           CompletionSink &sink, uint16_t index,
+           cache::OracleFeed *oracle = nullptr);
 
     /** True when no PTB entry is available. */
     bool ptbFull() const { return _ptb.full(); }
 
     /**
      * Accepts a packet (the caller applied its page ops already) and
-     * starts its translation chain. `sink.packetDone(packet)` fires
-     * when all three translations complete; the packet is then fully
-     * processed. The sink must outlive the packet.
+     * starts its translation chain. The sink's packetDone(packet)
+     * fires when all three translations complete; the packet is then
+     * fully processed.
      */
-    void accept(const trace::PacketRecord &packet,
-                CompletionSink &sink);
+    void accept(const trace::PacketRecord &packet);
 
     /** The chipset answered PTB entry `idx`'s outstanding request. */
     void translated(unsigned idx, const iommu::IommuResponse &resp);
@@ -227,6 +229,7 @@ class Device : public sim::SimObject
 
     DeviceConfig _config;
     ChipsetPort &_chipset;
+    CompletionSink &_sink;
     uint16_t _index;
     PendingTranslationBuffer _ptb;
     cache::SetAssocCache<mem::Addr> _devtlb;

@@ -63,24 +63,6 @@ class SidPredictor
     }
 
     /**
-     * Reconfigures the history-length register (hypervisor). A
-     * shorter length drains the excess window entries through the
-     * same pairing rule train() uses: each evicted SID predicts the
-     * SID that arrived `length` packets after it — `_window[length]`
-     * at eviction time, not the newest observation.
-     */
-    void
-    setHistoryLength(unsigned length)
-    {
-        _historyLength = length;
-        growTo(size_t(length) + 1);
-        while (_count > _historyLength) {
-            _table[front()] = at(_historyLength);
-            popFront();
-        }
-    }
-
-    /**
      * Forgets the prediction entry keyed by a retired SID. Window
      * slots still holding the SID are left alone: they age out in at
      * most historyLength packets, exactly as a recycled SID would
@@ -89,7 +71,6 @@ class SidPredictor
      */
     bool retire(trace::SourceId sid) { return _table.erase(sid); }
 
-    unsigned historyLength() const { return _historyLength; }
     size_t tableSize() const { return _table.size(); }
 
   private:
@@ -98,15 +79,6 @@ class SidPredictor
     // was measurable on the translation path. Capacity is
     // historyLength + 1 (one transient slot between the push and
     // the paired eviction).
-    trace::SourceId
-    at(size_t i) const
-    {
-        size_t p = _head + i;
-        if (p >= _window.size())
-            p -= _window.size();
-        return _window[p];
-    }
-
     trace::SourceId front() const { return _window[_head]; }
 
     void
@@ -126,20 +98,6 @@ class SidPredictor
         if (_head == _window.size())
             _head = 0;
         --_count;
-    }
-
-    /** Re-packs the ring into a larger buffer (hypervisor grows
-     *  the history-length register). */
-    void
-    growTo(size_t capacity)
-    {
-        if (_window.size() >= capacity)
-            return;
-        std::vector<trace::SourceId> fresh(capacity);
-        for (size_t i = 0; i < _count; ++i)
-            fresh[i] = at(i);
-        _window.swap(fresh);
-        _head = 0;
     }
 
     unsigned _historyLength;

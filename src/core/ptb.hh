@@ -46,17 +46,15 @@ struct PacketCompletionSink
 
 /**
  * One PTB entry: an accepted packet in translation. The entry IS the
- * packet's in-flight state — the completion target and the
- * parameters of the translation currently on the wire live here, so
- * per-hop events only need to carry the entry index.
+ * packet's in-flight state — the parameters of the translation
+ * currently on the wire live here, so per-hop events only need to
+ * carry the entry index.
  */
 struct PtbEntry
 {
     // Ordered by size, like the packet record it copies.
     trace::PacketRecord packet;
     Tick accepted = 0;
-    /** Completion target (the run loop). */
-    PacketCompletionSink *sink = nullptr;
     /** Next request class to issue (0..2), 3 = all issued. */
     unsigned nextReq = 0;
     /** Domain of the request currently outstanding. */
@@ -67,6 +65,9 @@ struct PtbEntry
     /** Request class currently outstanding (set by each resolve). */
     trace::ReqClass curCls = trace::ReqClass::Ring;
 };
+
+static_assert(sizeof(PtbEntry) == 64,
+              "a PTB entry fills one cache line");
 
 /**
  * Fixed-capacity pool of PTB entries with a free list. Allocation
@@ -109,7 +110,6 @@ class PendingTranslationBuffer
         entry.nextReq = 0;
         entry.prefetchIssued = false;
         entry.accepted = now;
-        entry.sink = nullptr;
         return static_cast<int>(idx);
     }
 

@@ -277,10 +277,10 @@ BenchOptions::parse(int argc, char **argv, BenchOptions defaults)
             opts.seed = args.u64();
         } else if (arg == "--jobs" || arg == "-j") {
             opts.jobs = args.count();
-        } else if (arg == "--json" || arg == "--stats-json") {
+        } else if (arg == "--json") {
             opts.jsonPath = args.value();
             if (opts.jsonPath.empty())
-                fatal("%s needs a file path", arg.c_str());
+                fatal("--json needs a file path");
         } else if (arg == "--verbose" || arg == "-v") {
             opts.verbose = true;
         } else if (arg == "--help" || arg == "-h") {

@@ -142,7 +142,7 @@ System::System(const SystemConfig &config, unsigned devices)
             cache::ReplPolicyKind::Oracle) {
             link.device = std::make_unique<Device>(
                 _config.device, _queue, *link.stats, chipsetPort(),
-                static_cast<uint16_t>(d));
+                completionSink(), static_cast<uint16_t>(d));
         }
     }
 }
@@ -175,7 +175,8 @@ System::buildOracleDevices(const trace::HyperTrace &trace)
         link.oracleFeed = std::make_unique<cache::OracleFeed>(keys[d]);
         link.device = std::make_unique<Device>(
             _config.device, _queue, *link.stats, chipsetPort(),
-            static_cast<uint16_t>(d), link.oracleFeed.get());
+            completionSink(), static_cast<uint16_t>(d),
+            link.oracleFeed.get());
     }
 }
 
@@ -341,7 +342,7 @@ System::arrive(Link &link)
         applyOps(pkt, stream.ops());
         hold(pkt.sid);
         stream.advance();
-        link.device->accept(pkt, *this);
+        link.device->accept(pkt);
     }
 
     if (_evictStream)

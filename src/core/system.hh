@@ -241,9 +241,11 @@ class System : private Device::CompletionSink,
                     bool tail) override;
     /** A demand request reached the chipset: history + IOMMU. */
     void atChipset(const iommu::IommuRequest &req);
-    /** This system as its devices' port and the IOMMU's sink (the
-     *  bases are private, so the conversions happen here). */
+    /** This system as its devices' port and completion sink and the
+     *  IOMMU's sink (the bases are private, so the conversions happen
+     *  here). */
     ChipsetPort &chipsetPort() { return *this; }
+    Device::CompletionSink &completionSink() { return *this; }
     iommu::TranslationSink &translationSink() { return *this; }
     /**
      * Sends a completed prefetch translation back to `link`'s device

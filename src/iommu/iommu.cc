@@ -72,12 +72,12 @@ Iommu::translate(const IommuRequest &req, bool may_fuse)
         IommuResponse resp = *hit;
         resp.iotlbHit = true;
         if (may_fuse &&
-            eventQueue().tryFuseAdvance(_config.iotlbHitLatency)) {
+            eventQueue().tryFuseAdvance(IotlbHitLatency)) {
             _sink.translated(req, resp, /*tail=*/true);
             return;
         }
         eventQueue().scheduleAfter(
-            _config.iotlbHitLatency, [this, req, resp] {
+            IotlbHitLatency, [this, req, resp] {
                 _sink.translated(req, resp, /*tail=*/true);
             });
         return;
@@ -264,14 +264,13 @@ Iommu::dispatchQueued()
         uint64_t key;
         // Demand first, but bounded: sustained demand traffic must
         // not starve a queued prefetch forever while its MSHR entry
-        // pins walker bookkeeping. Once `prefetchAgingThreshold`
+        // pins walker bookkeeping. Once `PrefetchAgingThreshold`
         // consecutive demand walks have dispatched past a waiting
         // prefetch, the oldest prefetch takes the next slot.
         const bool promote =
             !_prefetchQueue.empty() &&
             (_demandQueue.empty() ||
-             (_config.prefetchAgingThreshold != 0 &&
-              _demandStreak >= _config.prefetchAgingThreshold));
+             _demandStreak >= PrefetchAgingThreshold);
         if (promote) {
             key = _prefetchQueue.front();
             _prefetchQueue.pop_front();

@@ -111,6 +111,18 @@ class PageTableDirectory
     mem::PageTable *_lastTable = nullptr;
 };
 
+/** IOTLB hit latency (Table II: 2 ns). */
+constexpr Tick IotlbHitLatency = 2 * TicksPerNs;
+
+/**
+ * Anti-starvation bound for queued prefetch walks: after this many
+ * consecutive demand dispatches while a prefetch waits, the oldest
+ * queued prefetch takes the next walker slot. Demand traffic
+ * otherwise starves the prefetch queue forever while its MSHR
+ * entries pin walker bookkeeping.
+ */
+constexpr unsigned PrefetchAgingThreshold = 8;
+
 /** IOMMU configuration (paging caches per Table II / Table IV). */
 struct IommuConfig
 {
@@ -131,17 +143,6 @@ struct IommuConfig
      * latency-only model).
      */
     unsigned walkers = 0;
-    /**
-     * Anti-starvation bound for queued prefetch walks: after this
-     * many consecutive demand dispatches while a prefetch waits, the
-     * oldest queued prefetch takes the next walker slot. Demand
-     * traffic otherwise starves the prefetch queue forever while its
-     * MSHR entries pin walker bookkeeping. 0 disables aging
-     * (strict demand-first, the pre-fix behaviour).
-     */
-    unsigned prefetchAgingThreshold = 8;
-    /** IOTLB hit latency (Table II: 2 ns). */
-    Tick iotlbHitLatency = 2 * TicksPerNs;
     /**
      * Paging depth of both walk dimensions: 4 (24-access full walk)
      * or 5 (35 accesses, 5-level paging / 5-level EPT).

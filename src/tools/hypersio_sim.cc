@@ -71,8 +71,7 @@ constexpr const char *UsageText =
     "  --stats                   dump the full statistics tree\n"
     "  --json <file>             write config, results, and the "
     "full stat\n"
-    "                            tree as JSON (alias: "
-    "--stats-json)\n"
+    "                            tree as JSON\n"
     "  --debug <flags>           comma-separated debug flags "
     "(or All)\n"
     "  --debug-list              list available debug flags";
@@ -121,7 +120,7 @@ parse(int argc, char **argv)
                 std::printf("%-12s %s\n", name.c_str(),
                             desc.c_str());
             std::exit(0);
-        } else if (arg == "--json" || arg == "--stats-json") {
+        } else if (arg == "--json") {
             opts.jsonPath = args.value();
         } else if (arg == "--native") {
             opts.native = true;

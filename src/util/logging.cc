@@ -1,5 +1,7 @@
 #include "util/logging.hh"
 
+#include <cstdarg>
+
 namespace hypersio
 {
 
@@ -34,90 +36,61 @@ PanicContext::get()
     return panicContextLine();
 }
 
-namespace detail
+namespace
 {
 
-void
-logLine(LogLevel level, const char *prefix, const char *fmt, va_list args)
+/**
+ * Prints one `prefix`-ed message line, after `context` on a line of
+ * its own when that is non-empty, as one uninterleaved unit. The
+ * strings are declared non-null, as fatal() and panic() declare
+ * their format: otherwise the sanitizer build's -Wformat-overflow
+ * reports a possibly null format at the vfprintf().
+ */
+__attribute__((nonnull(1, 2))) void
+writeLine(const char *prefix, const char *fmt, va_list args,
+          const std::string &context = {})
 {
     Logger &logger = Logger::instance();
-    if (static_cast<int>(level) > static_cast<int>(logger.level()))
-        return;
     std::lock_guard<std::mutex> lock(logger.ioMutex());
     std::FILE *out = logger.stream();
+    if (!context.empty()) {
+        std::fputs(context.c_str(), out);
+        std::fputc('\n', out);
+    }
     std::fputs(prefix, out);
     std::vfprintf(out, fmt, args);
     std::fputc('\n', out);
     std::fflush(out);
 }
 
-} // namespace detail
-
-void
-inform(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    detail::logLine(LogLevel::Inform, "info: ", fmt, args);
-    va_end(args);
-}
+} // namespace
 
 void
 warn(const char *fmt, ...)
 {
     va_list args;
     va_start(args, fmt);
-    detail::logLine(LogLevel::Warn, "warn: ", fmt, args);
-    va_end(args);
-}
-
-void
-debugLog(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    detail::logLine(LogLevel::Debug, "debug: ", fmt, args);
+    writeLine("warn: ", fmt, args);
     va_end(args);
 }
 
 void
 fatal(const char *fmt, ...)
 {
-    {
-        std::lock_guard<std::mutex> lock(
-            Logger::instance().ioMutex());
-        std::FILE *out = Logger::instance().stream();
-        std::fputs("fatal: ", out);
-        va_list args;
-        va_start(args, fmt);
-        std::vfprintf(out, fmt, args);
-        va_end(args);
-        std::fputc('\n', out);
-        std::fflush(out);
-    }
+    va_list args;
+    va_start(args, fmt);
+    writeLine("fatal: ", fmt, args);
+    va_end(args);
     std::exit(1);
 }
 
 void
 panic(const char *fmt, ...)
 {
-    {
-        std::lock_guard<std::mutex> lock(
-            Logger::instance().ioMutex());
-        std::FILE *out = Logger::instance().stream();
-        const std::string &context = PanicContext::get();
-        if (!context.empty()) {
-            std::fputs(context.c_str(), out);
-            std::fputc('\n', out);
-        }
-        std::fputs("panic: ", out);
-        va_list args;
-        va_start(args, fmt);
-        std::vfprintf(out, fmt, args);
-        va_end(args);
-        std::fputc('\n', out);
-        std::fflush(out);
-    }
+    va_list args;
+    va_start(args, fmt);
+    writeLine("panic: ", fmt, args, PanicContext::get());
+    va_end(args);
     std::abort();
 }
 

@@ -6,14 +6,13 @@
  * `panic()` is for conditions that indicate a bug in the simulator
  * itself; it aborts. `fatal()` is for user errors (bad configuration,
  * malformed trace files, invalid arguments); it exits with status 1.
- * `warn()` and `inform()` never stop the simulation.
+ * `warn()` never stops the simulation.
  */
 
 #ifndef HYPERSIO_UTIL_LOGGING_HH
 #define HYPERSIO_UTIL_LOGGING_HH
 
 #include <atomic>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -23,21 +22,12 @@
 namespace hypersio
 {
 
-/** Verbosity levels for the global logger. */
-enum class LogLevel : int
-{
-    Quiet = 0,   ///< only fatal/panic messages
-    Warn = 1,    ///< warnings and above
-    Inform = 2,  ///< informational messages and above
-    Debug = 3,   ///< everything, including debug traces
-};
-
 /**
  * Process-wide logger configuration. All free logging functions below
  * route through this singleton.
  *
  * The logger is shared by every simulation thread (parallel sweeps
- * run one System per worker), so level/stream are atomics and all
+ * run one System per worker), so the stream is an atomic and all
  * writers serialise on ioMutex() — each log line reaches the sink as
  * one uninterleaved unit.
  */
@@ -45,18 +35,6 @@ class Logger
 {
   public:
     static Logger &instance();
-
-    LogLevel
-    level() const
-    {
-        return _level.load(std::memory_order_relaxed);
-    }
-
-    void
-    setLevel(LogLevel level)
-    {
-        _level.store(level, std::memory_order_relaxed);
-    }
 
     /** Redirect output (used by tests); nullptr restores stderr. */
     void
@@ -78,7 +56,6 @@ class Logger
   private:
     Logger() = default;
 
-    std::atomic<LogLevel> _level{LogLevel::Warn};
     std::atomic<std::FILE *> _stream{nullptr};
     std::mutex _ioMutex;
 };
@@ -101,21 +78,8 @@ class PanicContext
     static const std::string &get();
 };
 
-namespace detail
-{
-/** Formats and prints one log line with the given prefix. */
-void logLine(LogLevel level, const char *prefix, const char *fmt,
-             va_list args);
-} // namespace detail
-
-/** Informational status message; shown at LogLevel::Inform and above. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
 /** Warning about suspicious but non-fatal behaviour. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Debug-level trace message. */
-void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Unrecoverable *user* error (bad config, bad input file). Prints the

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/chipset.hh"
 #include "core/config.hh"
 
 namespace hypersio::core
@@ -15,7 +16,7 @@ TEST(Config, TableIILatencies)
     const SystemConfig config = SystemConfig::base();
     EXPECT_EQ(config.pcieOneWay, 450 * TicksPerNs);
     EXPECT_EQ(config.memory.accessLatency, 50 * TicksPerNs);
-    EXPECT_EQ(config.iommu.iotlbHitLatency, 2 * TicksPerNs);
+    EXPECT_EQ(iommu::IotlbHitLatency, 2 * TicksPerNs);
     EXPECT_EQ(config.link.packetBytes, 1542u);
     EXPECT_DOUBLE_EQ(config.link.gbps, 200.0);
 }
@@ -59,6 +60,10 @@ TEST(Config, HyperTrioPresetMatchesTableIV)
     // fig12c_prefetch bench (bench/figures.cc).
     EXPECT_EQ(config.device.prefetch.bufferEntries, 32u);
     EXPECT_EQ(config.device.prefetch.historyLength, 20u);
+    // The oracle mirrors the History Reader's depth from the model's
+    // own constant, so the two cannot drift apart.
+    EXPECT_EQ(toShadowConfig(config).historyDepth,
+              HistoryReader::HistoryDepth);
 }
 
 TEST(Config, DescribeMentionsEveryBlock)

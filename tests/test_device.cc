@@ -10,16 +10,37 @@ namespace hypersio::core
 namespace
 {
 
+/** Records the packets a device completes. */
+struct RecordingSink : Device::CompletionSink
+{
+    std::vector<trace::PacketRecord> completed;
+    Device *device = nullptr; ///< when set, asserts entry released
+
+    void
+    packetDone(const trace::PacketRecord &pkt) override
+    {
+        if (device) {
+            // The PTB entry must be released before the sink runs,
+            // so a completion can immediately admit a new packet
+            // even on a single-entry PTB.
+            EXPECT_FALSE(device->ptbFull());
+        }
+        completed.push_back(pkt);
+    }
+};
+
 /**
  * A fake chipset. With no latency it holds each demand request until
  * the test answers it (respondAll); with one, it answers every
- * request that much later.
+ * request that much later. Its sink records the device's completed
+ * packets.
  */
 struct Fixture : ChipsetPort
 {
     sim::EventQueue queue;
     stats::StatGroup stats{"test"};
     Device *device = nullptr;
+    RecordingSink sink;
     Tick latency = 0;
 
     std::vector<iommu::IommuRequest> requests;
@@ -32,7 +53,7 @@ struct Fixture : ChipsetPort
     {
         latency = answer_latency;
         auto made = std::make_unique<Device>(config, queue, stats,
-                                             *this, 0, oracle);
+                                             *this, sink, 0, oracle);
         device = made.get();
         return made;
     }
@@ -98,25 +119,6 @@ packet(trace::SourceId sid, mem::Iova data = 0xbbe00000)
     return pkt;
 }
 
-/** Records the packets a device completes. */
-struct RecordingSink : Device::CompletionSink
-{
-    std::vector<trace::PacketRecord> completed;
-    Device *device = nullptr; ///< when set, asserts entry released
-
-    void
-    packetDone(const trace::PacketRecord &pkt) override
-    {
-        if (device) {
-            // The PTB entry must be released before the sink runs,
-            // so a completion can immediately admit a new packet
-            // even on a single-entry PTB.
-            EXPECT_FALSE(device->ptbFull());
-        }
-        completed.push_back(pkt);
-    }
-};
-
 DeviceConfig
 deviceConfig(bool prefetch = false)
 {
@@ -133,8 +135,7 @@ TEST(Device, RequestsAreSerializedWithinPacket)
 {
     Fixture f;
     auto device = f.make(deviceConfig());
-    RecordingSink sink;
-    device->accept(packet(0), sink);
+    device->accept(packet(0));
     f.queue.run();
 
     // Only the first (ring) request is outstanding: the data-buffer
@@ -149,23 +150,22 @@ TEST(Device, RequestsAreSerializedWithinPacket)
     f.respondAll();
     f.queue.run();
     ASSERT_EQ(f.requests.size(), 0u); // notify hits the fresh fill
-    EXPECT_EQ(sink.completed.size(), 1u);
+    EXPECT_EQ(f.sink.completed.size(), 1u);
 }
 
 TEST(Device, DevtlbFillServesLaterPackets)
 {
     Fixture f;
     auto device = f.make(deviceConfig(), 100 * TicksPerNs);
-    RecordingSink sink;
-    device->accept(packet(0), sink);
+    device->accept(packet(0));
     f.queue.run();
-    EXPECT_EQ(sink.completed.size(), 1u);
+    EXPECT_EQ(f.sink.completed.size(), 1u);
     const Tick after_first = f.queue.now();
 
     // Same pages again: everything hits the DevTLB (2 ns per step).
-    device->accept(packet(0), sink);
+    device->accept(packet(0));
     f.queue.run();
-    EXPECT_EQ(sink.completed.size(), 2u);
+    EXPECT_EQ(f.sink.completed.size(), 2u);
     EXPECT_EQ(f.queue.now() - after_first, 3 * 2 * TicksPerNs);
 }
 
@@ -176,8 +176,7 @@ TEST(Device, PtbFullReportsBeforeAccept)
     config.ptbEntries = 1;
     auto device = f.make(config);
     EXPECT_FALSE(device->ptbFull());
-    RecordingSink sink;
-    device->accept(packet(0), sink);
+    device->accept(packet(0));
     f.queue.run();
     EXPECT_TRUE(device->ptbFull()); // ring request outstanding
     f.respondAll();
@@ -191,8 +190,7 @@ TEST(Device, InvalidTranslationDoesNotFillDevtlb)
 {
     Fixture f;
     auto device = f.make(deviceConfig());
-    RecordingSink sink;
-    device->accept(packet(0), sink);
+    device->accept(packet(0));
     f.queue.run();
     ASSERT_EQ(f.requests.size(), 1u);
     iommu::IommuResponse fault;
@@ -211,9 +209,8 @@ TEST(Device, PrefetchTriggersOncePerPacket)
     auto device = f.make(deviceConfig(true));
     // Train the predictor: tenants 0,1,0,1 with history 2 → the
     // table fills after 3 packets.
-    RecordingSink sink;
     for (trace::SourceId s : {0u, 1u, 0u}) {
-        device->accept(packet(s), sink);
+        device->accept(packet(s));
         f.queue.run();
         f.respondAll();
         f.queue.run();
@@ -222,7 +219,7 @@ TEST(Device, PrefetchTriggersOncePerPacket)
     }
     f.prefetches.clear();
     // A fresh data buffer forces DevTLB misses on this packet.
-    device->accept(packet(1, 0xcbe00000), sink);
+    device->accept(packet(1, 0xcbe00000));
     f.queue.run();
     f.respondAll();
     f.queue.run();
@@ -250,8 +247,7 @@ TEST(Device, PrefetchFillServesFromPb)
     auto device = f.make(deviceConfig(true));
     pbFill(*device, 0, 0x34800000, mem::PageSize::Size4K, 0xAA000);
     pbFill(*device, 0, 0xbbe00000, mem::PageSize::Size2M, 0xBB0000);
-    RecordingSink sink;
-    device->accept(packet(0), sink);
+    device->accept(packet(0));
     f.queue.run();
     // Ring and data hit the PB; only the notify request goes out
     // (its ring-page PB entry was consumed by the ring request).
@@ -260,24 +256,23 @@ TEST(Device, PrefetchFillServesFromPb)
     EXPECT_EQ(device->pbHits(), 2u);
     f.respondAll();
     f.queue.run();
-    EXPECT_EQ(sink.completed.size(), 1u);
+    EXPECT_EQ(f.sink.completed.size(), 1u);
 }
 
 TEST(Device, InvalidatePageDropsDevtlbAndPb)
 {
     Fixture f;
     auto device = f.make(deviceConfig(true), 10);
-    RecordingSink sink;
-    device->accept(packet(0), sink);
+    device->accept(packet(0));
     f.queue.run();
-    EXPECT_EQ(sink.completed.size(), 1u);
+    EXPECT_EQ(f.sink.completed.size(), 1u);
     pbFill(*device, 0, 0xbbe00000, mem::PageSize::Size2M, 0xBB);
 
     device->invalidatePage(0, 0xbbe00000, mem::PageSize::Size2M);
     const auto before = device->devtlbStats().hits;
-    device->accept(packet(0), sink);
+    device->accept(packet(0));
     f.queue.run();
-    EXPECT_EQ(sink.completed.size(), 2u);
+    EXPECT_EQ(f.sink.completed.size(), 2u);
     // Ring and notify still hit; the data page had to re-translate.
     EXPECT_EQ(device->devtlbStats().hits, before + 2);
     EXPECT_EQ(device->pbHits(), 0u);
@@ -287,8 +282,7 @@ TEST(Device, InvalidateSquashesInFlightDemandFill)
 {
     Fixture f;
     auto device = f.make(deviceConfig());
-    RecordingSink sink;
-    device->accept(packet(0), sink);
+    device->accept(packet(0));
     f.queue.run();
     ASSERT_EQ(f.requests.size(), 1u); // ring request on the wire
 
@@ -350,8 +344,7 @@ TEST(Device, ContextCacheWarmsOnFirstUse)
 {
     Fixture f;
     auto device = f.make(deviceConfig(), 10);
-    RecordingSink sink;
-    device->accept(packet(5), sink);
+    device->accept(packet(5));
     f.queue.run();
     EXPECT_EQ(device->contextStats().hits, 2u); // req 2 and 3
     EXPECT_EQ(device->contextStats().misses(), 1u);
@@ -361,9 +354,8 @@ TEST(Device, TranslationCounterCountsAllRequests)
 {
     Fixture f;
     auto device = f.make(deviceConfig(), 10);
-    RecordingSink sink;
     for (int i = 0; i < 5; ++i) {
-        device->accept(packet(0), sink);
+        device->accept(packet(0));
         f.queue.run(); // complete before the next accept
     }
     EXPECT_EQ(device->translationsIssued(), 15u);
@@ -373,14 +365,13 @@ TEST(Device, CompletionSinkReceivesTheCompletedPacket)
 {
     Fixture f;
     auto device = f.make(deviceConfig(), 10);
-    RecordingSink sink;
     trace::PacketRecord pkt = packet(3);
     pkt.wireBytes = 777;
-    device->accept(pkt, sink);
+    device->accept(pkt);
     f.queue.run();
-    ASSERT_EQ(sink.completed.size(), 1u);
-    EXPECT_EQ(sink.completed[0].sid, 3u);
-    EXPECT_EQ(sink.completed[0].wireBytes, 777u);
+    ASSERT_EQ(f.sink.completed.size(), 1u);
+    EXPECT_EQ(f.sink.completed[0].sid, 3u);
+    EXPECT_EQ(f.sink.completed[0].wireBytes, 777u);
     EXPECT_EQ(device->ptbInUse(), 0u);
 }
 
@@ -390,11 +381,10 @@ TEST(Device, CompletionSinkRunsAfterEntryRelease)
     DeviceConfig config = deviceConfig();
     config.ptbEntries = 1;
     auto device = f.make(config, 10);
-    RecordingSink sink;
-    sink.device = device.get();
-    device->accept(packet(0), sink);
+    f.sink.device = device.get();
+    device->accept(packet(0));
     f.queue.run();
-    EXPECT_EQ(sink.completed.size(), 1u);
+    EXPECT_EQ(f.sink.completed.size(), 1u);
 }
 
 TEST(DeviceDeathTest, OracleDevtlbRefusesSubEntryTags)

@@ -336,45 +336,27 @@ TEST(IommuTest, DemandWalksRunBeforeQueuedPrefetches)
 TEST(IommuTest, AgingBoundPromotesStarvedPrefetch)
 {
     // Sustained demand traffic must not starve a queued prefetch
-    // forever: after `prefetchAgingThreshold` consecutive demand
+    // forever: after `PrefetchAgingThreshold` consecutive demand
     // dispatches past the waiting prefetch, it takes the next slot.
+    static_assert(PrefetchAgingThreshold == 8);
     Fixture f;
     IommuConfig config;
     config.walkers = 1;
-    config.prefetchAgingThreshold = 2;
     auto iommu = f.make(config);
-    for (mem::DomainId d = 1; d <= 7; ++d)
+    for (mem::DomainId d = 1; d <= 13; ++d)
         f.tables.get(d).map(0x1000, mem::PageSize::Size4K);
 
     // Occupy the walker, queue the prefetch, then pile up demand.
     iommu->translate(demand(1, 0x1000));
     iommu->translate(prefetch(2, 0x1000));
-    for (mem::DomainId d = 3; d <= 7; ++d)
+    for (mem::DomainId d = 3; d <= 13; ++d)
         iommu->translate(demand(d, 0x1000));
     f.queue.run();
-    // Two demand walks dispatch past the prefetch (streak 1, 2),
+    // Eight demand walks dispatch past the prefetch (streak 1..8),
     // then the aging bound promotes it ahead of the remaining three.
-    EXPECT_EQ(f.order(), (std::vector<int>{1, 3, 4, -2, 5, 6, 7}));
+    EXPECT_EQ(f.order(), (std::vector<int>{1, 3, 4, 5, 6, 7, 8, 9, 10,
+                                           -2, 11, 12, 13}));
     EXPECT_EQ(iommu->prefetchPromotions(), 1u);
-}
-
-TEST(IommuTest, ZeroAgingThresholdKeepsStrictDemandFirst)
-{
-    Fixture f;
-    IommuConfig config;
-    config.walkers = 1;
-    config.prefetchAgingThreshold = 0;
-    auto iommu = f.make(config);
-    for (mem::DomainId d = 1; d <= 7; ++d)
-        f.tables.get(d).map(0x1000, mem::PageSize::Size4K);
-
-    iommu->translate(demand(1, 0x1000));
-    iommu->translate(prefetch(2, 0x1000));
-    for (mem::DomainId d = 3; d <= 7; ++d)
-        iommu->translate(demand(d, 0x1000));
-    f.queue.run();
-    EXPECT_EQ(f.order(), (std::vector<int>{1, 3, 4, 5, 6, 7, -2}));
-    EXPECT_EQ(iommu->prefetchPromotions(), 0u);
 }
 
 TEST(IommuTest, InvalidateDropsBothSizeKeysOnSizeFlip)

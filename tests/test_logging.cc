@@ -45,60 +45,11 @@ class CaptureStream
     std::FILE *_file;
 };
 
-class LoggingTest : public ::testing::Test
-{
-  protected:
-    void SetUp() override
-    {
-        _previous = Logger::instance().level();
-    }
-    void TearDown() override
-    {
-        Logger::instance().setLevel(_previous);
-    }
-    LogLevel _previous = LogLevel::Warn;
-};
-
-TEST_F(LoggingTest, WarnVisibleAtDefaultLevel)
+TEST(LoggingTest, WarnVisibleAtDefaultLevel)
 {
     CaptureStream capture;
-    Logger::instance().setLevel(LogLevel::Warn);
     warn("something odd: %d", 7);
     EXPECT_NE(capture.text().find("warn: something odd: 7"),
-              std::string::npos);
-}
-
-TEST_F(LoggingTest, InformHiddenBelowInformLevel)
-{
-    CaptureStream capture;
-    Logger::instance().setLevel(LogLevel::Warn);
-    inform("quiet note");
-    EXPECT_EQ(capture.text().find("quiet note"), std::string::npos);
-
-    Logger::instance().setLevel(LogLevel::Inform);
-    inform("loud note");
-    EXPECT_NE(capture.text().find("info: loud note"),
-              std::string::npos);
-}
-
-TEST_F(LoggingTest, DebugOnlyAtDebugLevel)
-{
-    CaptureStream capture;
-    Logger::instance().setLevel(LogLevel::Inform);
-    debugLog("invisible");
-    Logger::instance().setLevel(LogLevel::Debug);
-    debugLog("visible");
-    const std::string text = capture.text();
-    EXPECT_EQ(text.find("invisible"), std::string::npos);
-    EXPECT_NE(text.find("debug: visible"), std::string::npos);
-}
-
-TEST_F(LoggingTest, QuietSilencesWarnings)
-{
-    CaptureStream capture;
-    Logger::instance().setLevel(LogLevel::Quiet);
-    warn("should not appear");
-    EXPECT_EQ(capture.text().find("should not appear"),
               std::string::npos);
 }
 

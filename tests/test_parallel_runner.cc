@@ -280,8 +280,6 @@ TEST(ParallelLoggingTest, ConcurrentLogLinesNeverInterleave)
     std::FILE *capture = std::tmpfile();
     ASSERT_NE(capture, nullptr);
     Logger::instance().setStream(capture);
-    const LogLevel previous = Logger::instance().level();
-    Logger::instance().setLevel(LogLevel::Warn);
 
     static debug::Flag test_flag("ParallelLogTest",
                                  "concurrency test flag");
@@ -304,7 +302,6 @@ TEST(ParallelLoggingTest, ConcurrentLogLinesNeverInterleave)
     for (auto &thread : threads)
         thread.join();
     debug::disableAll();
-    Logger::instance().setLevel(previous);
     Logger::instance().setStream(nullptr);
 
     std::fflush(capture);

@@ -53,38 +53,6 @@ TEST(SidPredictor, AdaptsWhenScheduleChanges)
     EXPECT_EQ(*pred.predict(0), 0u);
 }
 
-TEST(SidPredictor, ShrinkDrainsWindowWithNewStride)
-{
-    // Regression: shrinking the history length drains the window
-    // through the same pairing rule train() uses. The old code paired
-    // every evicted SID with _window.back(), so after observing
-    // 0..7 with H=4 (window [4,5,6,7]) a shrink to H=1 trained
-    // predict(4..6) to all answer 7 instead of the next SID.
-    SidPredictor pred(4);
-    for (trace::SourceId s = 0; s < 8; ++s)
-        pred.train(s);
-    pred.setHistoryLength(1);
-    ASSERT_TRUE(pred.predict(4).has_value());
-    EXPECT_EQ(*pred.predict(4), 5u);
-    EXPECT_EQ(*pred.predict(5), 6u);
-    EXPECT_EQ(*pred.predict(6), 7u);
-    // Subsequent training keeps the one-entry window semantics.
-    pred.train(9);
-    EXPECT_EQ(*pred.predict(7), 9u);
-}
-
-TEST(SidPredictor, HistoryLengthReconfiguration)
-{
-    SidPredictor pred(8);
-    for (int i = 0; i < 32; ++i)
-        pred.train(i % 16);
-    pred.setHistoryLength(2);
-    EXPECT_EQ(pred.historyLength(), 2u);
-    for (int i = 0; i < 32; ++i)
-        pred.train(i % 16);
-    EXPECT_EQ(*pred.predict(3), 5u);
-}
-
 PrefetchConfig
 pbConfig(unsigned entries = 4)
 {
@@ -367,14 +335,13 @@ TEST(HistoryReaderDeathTest, ZeroPagesPerBurstIsFatal)
 TEST(HistoryReader, ChargesHistoryReadLatency)
 {
     ReaderFixture f;
-    PrefetchConfig config = pbConfig();
-    config.historyReadAccesses = 2;
-    HistoryReader &reader = f.makeReader(config);
+    HistoryReader &reader = f.makeReader(pbConfig());
     f.tables.get(1).map(0x1000, mem::PageSize::Size4K);
     reader.observe(1, 0x1000, mem::PageSize::Size4K);
     reader.prefetch(1);
     f.queue.run();
     // 2 history reads + 24-access walk, serialized chains of 50 ns.
+    static_assert(HistoryReader::HistoryReadAccesses == 2);
     EXPECT_EQ(f.queue.now(), (2 + 24) * 50 * TicksPerNs);
 }
 
@@ -557,9 +524,10 @@ TEST(MmuStride, RetireDomainDropsEveryStream)
 TEST(HistoryReader, HistoryDepthBoundsMemory)
 {
     ReaderFixture f;
+    // A burst asks for more pages than the history keeps, so only
+    // the cap can limit it.
     PrefetchConfig config = pbConfig();
-    config.historyDepth = 2;
-    config.pagesPerPrefetch = 4;
+    config.pagesPerPrefetch = HistoryReader::HistoryDepth + 2;
     HistoryReader &reader = f.makeReader(config);
     for (mem::Iova page = 0; page < 10; ++page) {
         f.tables.get(1).map(page << 12, mem::PageSize::Size4K);
@@ -567,8 +535,8 @@ TEST(HistoryReader, HistoryDepthBoundsMemory)
     }
     reader.prefetch(1);
     f.queue.run();
-    // Only historyDepth pages were retained.
-    EXPECT_EQ(f.fills.size(), 2u);
+    // Only HistoryDepth pages were retained.
+    EXPECT_EQ(f.fills.size(), HistoryReader::HistoryDepth);
 }
 
 } // namespace

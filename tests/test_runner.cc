@@ -48,11 +48,12 @@ TEST(BenchOptionsTest, ExplicitValues)
 {
     const BenchOptions opts = parseArgs(
         {"--scale", "0.2", "--tenants", "128", "--seed", "7",
-         "--verbose"});
+         "--verbose", "--json", "r.json"});
     EXPECT_DOUBLE_EQ(opts.scale, 0.2);
     EXPECT_EQ(opts.maxTenants, 128u);
     EXPECT_EQ(opts.seed, 7u);
     EXPECT_TRUE(opts.verbose);
+    EXPECT_EQ(opts.jsonPath, "r.json");
 }
 
 TEST(BenchOptionsTest, JobsFlag)
@@ -107,17 +108,6 @@ TEST(BenchOptionsDeathTest, MissingValuesNameTheFlagGiven)
     EXPECT_EXIT(parseArgs({"--seed"}),
                 ::testing::ExitedWithCode(1),
                 "--seed needs a value");
-    // The alias reports itself, not its canonical spelling.
-    EXPECT_EXIT(parseArgs({"--stats-json"}),
-                ::testing::ExitedWithCode(1),
-                "--stats-json needs a value");
-}
-
-TEST(BenchOptionsTest, StatsJsonAliasSetsJsonPath)
-{
-    EXPECT_EQ(parseArgs({"--stats-json", "out.json"}).jsonPath,
-              "out.json");
-    EXPECT_EQ(parseArgs({"--json", "r.json"}).jsonPath, "r.json");
 }
 
 TEST(PrintBandwidthTable, FormatsRowsAndColumns)
